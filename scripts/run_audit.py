@@ -3,9 +3,9 @@
 
 Writes audit.txt and audit.json to --outdir (default: ./out), prints the
 per-claim verdict table to stdout, and exits 2 when any claim diverges,
-mirroring the CLI contract.  Runtime is dominated by the two criterion
--vs-oracle pair sweeps; --jobs spreads those over worker processes
-without changing a byte of the output.
+mirroring the CLI contract.  --jobs spreads the canonical keys of the
+class partitions over worker processes without changing a byte of the
+output.
 """
 
 import argparse

@@ -13,6 +13,13 @@ divergence is reported with witnesses, not patched over.  A disagreement
 between the two independent in-package oracles (canonical keys versus
 explicit witness search), on the other hand, is a bug and aborts the audit
 out loud.
+
+The two criterion-vs-oracle sweeps run each family's algebraic criterion on
+every pair of specs and compare it with canonical-key equality.  The witness
+search checks the key partition itself: one witness from each member onto
+its class representative and one refutation for each pair of
+representatives, which by transitivity decides every pair.  The plain
+family's classes are center-fixing ones, keyed with the center pinned.
 """
 
 from __future__ import annotations
@@ -549,85 +556,44 @@ def _lemma_3_3() -> Finding:
     )
 
 
-_PAIR_FLAG_KEYS_DIFFER = 1  # p-fixing witness found, yet keys differ
-_PAIR_FLAG_NO_WITNESS = 2   # equal keys, yet the unconstrained search fails
-_PAIR_FLAG_KEY_SEARCH = 3   # key equality and witness search disagree
+def _check_partition(specs, builds, keys, fix=None, refute=True) -> None:
+    """Back a key partition of ``specs`` with the witness search.
 
-
-def _pair_suite_worker(args: tuple) -> list[tuple]:
-    """One chunk of the criterion-vs-oracle pair suite.
-
-    Returns (i, j, algebraic, oracle, flag) rows; flags mark internal
-    oracle inconsistencies for the parent to raise on.  Rebuilding from
-    spec texts keeps the payload picklable and the per-chunk setup cheap.
+    Each member needs a witness onto its class representative (the first
+    spec with its key) and, with ``refute``, each pair of representatives a
+    refutation.  By transitivity the keys then decide every pair of specs
+    exactly as the search would; any disagreement raises.
     """
-    family_value, texts, pair_slice = args
-    specs = [parse_spec_text(t) for t in texts]
-    builds = [build(s).psts for s in specs]
-    keys = [canonical_key(b) for b in builds]
-    rows = []
-    for i, j in pair_slice:
-        if family_value == "perm":
-            algebraic = perm_family_iso(specs[i], specs[j]) is not None
-            oracle = (
-                find_isomorphism(builds[i], builds[j], fix=(CENTER, CENTER))
-                is not None
+    reps: dict[CanonicalKey, int] = {}
+    for i, k in enumerate(keys):
+        r = reps.setdefault(k, i)
+        if r != i and find_isomorphism(builds[i], builds[r], fix=fix) is None:
+            raise OracleInconsistencyError(
+                f"equal keys but no witness: {spec_text(specs[i])} vs {spec_text(specs[r])}"
             )
-            flag = 0
-            if oracle and keys[i] != keys[j]:
-                flag = _PAIR_FLAG_KEYS_DIFFER
-            elif keys[i] == keys[j] and find_isomorphism(builds[i], builds[j]) is None:
-                flag = _PAIR_FLAG_NO_WITNESS
-        else:
-            algebraic = kappa_family_iso(specs[i], specs[j]) is not None
-            oracle = keys[i] == keys[j]
-            witness = find_isomorphism(builds[i], builds[j]) is not None
-            flag = 0 if oracle == witness else _PAIR_FLAG_KEY_SEARCH
-        rows.append((i, j, algebraic, oracle, flag))
-    return rows
+    if refute:
+        for r1, r2 in itertools.combinations(reps.values(), 2):
+            if find_isomorphism(builds[r1], builds[r2], fix=fix) is not None:
+                raise OracleInconsistencyError(
+                    f"witness found but keys differ: {spec_text(specs[r1])} vs {spec_text(specs[r2])}"
+                )
 
 
-def _pair_rows(family_value: str, specs, jobs: int) -> list[tuple]:
-    """All ordered pairs i <= j, checked criterion-vs-oracle; rows come back
-    sorted by (i, j) whatever the worker count, so downstream aggregation is
-    deterministic."""
+def _criterion_sweep(claim_id: str, claim: str, specs, criterion, keys) -> Finding:
+    """The algebraic criterion against key equality on all pairs i <= j."""
     texts = [spec_text(s) for s in specs]
-    n = len(specs)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    if jobs <= 1 or len(pairs) < 2 * jobs:
-        return _pair_suite_worker((family_value, texts, pairs))
-    chunk = (len(pairs) + jobs - 1) // jobs
-    slices = [pairs[k : k + chunk] for k in range(0, len(pairs), chunk)]
-    rows: list[tuple] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(
-            _pair_suite_worker, [(family_value, texts, sl) for sl in slices]
-        ):
-            rows.extend(part)
-    rows.sort()
-    return rows
-
-
-def _prop_3_2(perm_specs, jobs: int = 1) -> Finding:
-    texts = [spec_text(s) for s in perm_specs]
     disagreements = []
-    for i, j, algebraic, oracle, flag in _pair_rows("perm", perm_specs, jobs):
-        if flag == _PAIR_FLAG_KEYS_DIFFER:
-            raise OracleInconsistencyError(
-                f"witness found but keys differ: {texts[i]} vs {texts[j]}"
-            )
-        if flag == _PAIR_FLAG_NO_WITNESS:
-            raise OracleInconsistencyError(
-                f"equal keys but no witness: {texts[i]} vs {texts[j]}"
-            )
+    for i, j in itertools.combinations_with_replacement(range(len(specs)), 2):
+        algebraic = criterion(specs[i], specs[j]) is not None
+        oracle = keys[i] == keys[j]
         if algebraic != oracle:
             disagreements.append(
                 f"{texts[i]} vs {texts[j]}: criterion={algebraic} oracle={oracle}"
             )
-    checked = len(perm_specs) * (len(perm_specs) + 1) // 2
+    checked = len(specs) * (len(specs) + 1) // 2
     return Finding(
-        claim_id="prop_3_2",
-        claim="the two-case conjugation criterion decides center-fixing isomorphism in the plain family",
+        claim_id=claim_id,
+        claim=claim,
         computed={"pairs_checked": checked, "disagreements": len(disagreements)},
         published={"disagreements": 0},
         verdict=_verdict(not disagreements),
@@ -635,26 +601,35 @@ def _prop_3_2(perm_specs, jobs: int = 1) -> Finding:
     )
 
 
-def _prop_4_5(kappa_specs, jobs: int = 1) -> Finding:
-    texts = [spec_text(s) for s in kappa_specs]
-    disagreements = []
-    for i, j, algebraic, oracle, flag in _pair_rows("kappa", kappa_specs, jobs):
-        if flag == _PAIR_FLAG_KEY_SEARCH:
-            raise OracleInconsistencyError(
-                f"key equality and witness search disagree: {texts[i]} vs {texts[j]}"
-            )
-        if algebraic != oracle:
-            disagreements.append(
-                f"{texts[i]} vs {texts[j]}: criterion={algebraic} oracle={oracle}"
-            )
-    checked = len(kappa_specs) * (len(kappa_specs) + 1) // 2
-    return Finding(
-        claim_id="prop_4_5",
-        claim="the two-case conjugation criterion decides isomorphism in the boolean-complementing family",
-        computed={"pairs_checked": checked, "disagreements": len(disagreements)},
-        published={"disagreements": 0},
-        verdict=_verdict(not disagreements),
-        witnesses=tuple(disagreements[:5]),
+def _prop_3_2(perm_specs) -> Finding:
+    builds = [build(s).psts for s in perm_specs]
+    pinned = [canonical_key(b, CENTER) for b in builds]
+    plain = [canonical_key(b) for b in builds]
+    _check_partition(perm_specs, builds, pinned, fix=(CENTER, CENTER))
+    # a center-fixing isomorphism is an isomorphism: each center-fixing
+    # class must lie inside one plain class, whose members need witnesses
+    if len(set(zip(pinned, plain))) != len(set(pinned)):
+        raise OracleInconsistencyError("center-fixing witness found but keys differ")
+    _check_partition(perm_specs, builds, plain, refute=False)
+    return _criterion_sweep(
+        "prop_3_2",
+        "the two-case conjugation criterion decides center-fixing isomorphism in the plain family",
+        perm_specs,
+        perm_family_iso,
+        pinned,
+    )
+
+
+def _prop_4_5(kappa_specs) -> Finding:
+    builds = [build(s).psts for s in kappa_specs]
+    keys = [canonical_key(b) for b in builds]
+    _check_partition(kappa_specs, builds, keys)
+    return _criterion_sweep(
+        "prop_4_5",
+        "the two-case conjugation criterion decides isomorphism in the boolean-complementing family",
+        kappa_specs,
+        kappa_family_iso,
+        keys,
     )
 
 
@@ -691,9 +666,9 @@ def _cor_4_2(kappa_specs) -> Finding:
     )
 
 
-def _lemma_4_3(perm_specs, kappa_specs) -> Finding:
-    perm_keys = {canonical_key(build(s).psts) for s in perm_specs}
-    kappa_keys = {canonical_key(build(s).psts) for s in kappa_specs}
+def _lemma_4_3(perm_classes, kappa_classes) -> Finding:
+    perm_keys = {c.key for c in perm_classes}
+    kappa_keys = {c.key for c in kappa_classes}
     collisions = perm_keys & kappa_keys
     return Finding(
         claim_id="lemma_4_3",
@@ -967,13 +942,13 @@ def audit_claims(axes_mode: str = "census", jobs: int = 1) -> ClassificationRepo
         _lemma_2_3(_K.V5),
         _lemma_3_1(perm_specs),
         _lemma_3_3(),
-        _prop_3_2(perm_canonical, jobs=jobs),
+        _prop_3_2(perm_canonical),
         theorem_3_4,
         _lemma_4_1(kappa_specs),
         _cor_4_2(kappa_specs),
-        _lemma_4_3(perm_specs, kappa_specs),
+        _lemma_4_3(perm_classes, kappa_classes),
         _lemma_4_4(census),
-        _prop_4_5(kappa_canonical, jobs=jobs),
+        _prop_4_5(kappa_canonical),
         _cor_4_6(),
         _lemma_4_8(),
         theorem_4_9,

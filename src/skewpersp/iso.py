@@ -4,7 +4,8 @@ Three layers, all deterministic:
 
 * ``canonical_key``       a complete relabeling invariant, computed by
                           individualization-refinement backtracking; equal
-                          keys if and only if isomorphic,
+                          keys if and only if isomorphic (optionally pinning
+                          one point onto itself),
 * ``find_isomorphism``    explicit witness search (optionally pinning one
                           point pair), sound and complete; this is the
                           ground-truth oracle the algebraic criteria are
@@ -155,14 +156,17 @@ def _is_automorphism(st: _Indexed, g: tuple[int, ...]) -> bool:
 
 
 class _Canonicalizer:
-    def __init__(self, st: _Indexed):
+    def __init__(self, st: _Indexed, pin: int | None):
         self.st = st
+        self.pin = pin
         self.best: tuple | None = None
         self.first_leaf: dict[tuple, list[int]] = {}
         self.auts: list[tuple[int, ...]] = []
 
     def run(self) -> tuple:
         raw = [(self.st.degree[i], self.st.k5_count[i]) for i in range(self.st.n)]
+        if self.pin is not None:
+            raw = [t + (i == self.pin,) for i, t in enumerate(raw)]
         self._descend(_rank_raw(raw), ())
         assert self.best is not None
         return self.best
@@ -188,6 +192,10 @@ class _Canonicalizer:
 
     def _leaf(self, colors: list[int]) -> None:
         enc = _encode_leaf(self.st, colors)
+        if self.pin is not None:
+            # equal encodings then also agree on the pinned point, so the
+            # automorphisms collected below fix it and pruning stays sound
+            enc = (enc, colors[self.pin])
         seen = self.first_leaf.get(enc)
         if seen is None:
             self.first_leaf[enc] = colors
@@ -228,15 +236,21 @@ class _Canonicalizer:
 
 
 @lru_cache(maxsize=None)
-def canonical_key(s: Psts) -> CanonicalKey:
+def canonical_key(s: Psts, pin: str | None = None) -> CanonicalKey:
     """Relabeling-invariant complete invariant of a structure.
 
     Structures compare isomorphic exactly when their keys are equal; keys
-    are totally ordered and stable across runs and processes.
+    are totally ordered and stable across runs and processes.  With ``pin``
+    the point of that name is individualized first (McKay & Piperno,
+    "Practical graph isomorphism II", 2014): two pinned keys are equal
+    exactly when an isomorphism maps one pinned point onto the other.
     """
     if len(s.points) > MAX_POINTS:
         raise ValueError(f"canonical_key capped at {MAX_POINTS} points, got {len(s.points)}")
-    return CanonicalKey(len(s.points), len(s.lines), _Canonicalizer(_indexed(s)).run())
+    st = _indexed(s)
+    if pin is not None and pin not in st.index:
+        raise ValueError(f"pin point {pin!r} not present")
+    return CanonicalKey(len(s.points), len(s.lines), _Canonicalizer(st, st.index.get(pin)).run())
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from skewpersp import classify
 from skewpersp.classify import (
     FACT_2_2_PUBLISHED_ORDERS,
     LEMMA_2_3_PUBLISHED,
@@ -21,7 +22,7 @@ from skewpersp.classify import (
     render_text,
 )
 from skewpersp.iso import canonical_key, find_isomorphism
-from skewpersp.perspective import SkewFamily, build, parse_spec_text, spec_text
+from skewpersp.perspective import CENTER, SkewFamily, build, parse_spec_text, spec_text
 
 EXPECTED_VERDICTS = {
     # the audit's honest divergence set, frozen
@@ -120,6 +121,83 @@ class TestPartition:
         assert [
             (c.class_id, c.representative, c.members) for c in again
         ] == [(c.class_id, c.representative, c.members) for c in perm_classes]
+
+
+SWEEPS = [
+    pytest.param(classify._prop_3_2, "perm", id="prop_3_2"),
+    pytest.param(classify._prop_4_5, "kappa", id="prop_4_5"),
+]
+
+
+class TestOracleSweep:
+    """The witness search backs the key partitions of the canonical specs;
+    a search that contradicts the keys must abort the sweep."""
+
+    @pytest.fixture
+    def family(self, request, perm_specs, kappa_specs, perm_classes, kappa_classes):
+        if request.param == "perm":
+            return perm_specs, perm_classes
+        return kappa_specs, kappa_classes
+
+    @staticmethod
+    def _patch(monkeypatch, answer):
+        real = classify.find_isomorphism
+
+        def fake(x, y, fix=None):
+            return answer(x, y, real(x, y, fix=fix))
+
+        monkeypatch.setattr(classify, "find_isomorphism", fake)
+
+    @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
+    def test_member_without_witness_raises(self, monkeypatch, sweep, family):
+        specs, classes = family
+        victim = next(c for c in classes if len(c.members) > 1).members[-1]
+        victim_built = build(victim).psts
+        self._patch(monkeypatch, lambda x, y, m: None if victim_built in (x, y) else m)
+        with pytest.raises(OracleInconsistencyError, match="no witness") as e:
+            sweep(specs)
+        assert spec_text(victim) in str(e.value)
+
+    @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
+    def test_witness_between_representatives_raises(self, monkeypatch, sweep, family):
+        specs, classes = family
+        r1, r2 = (c.representative for c in classes[:2])
+        pair = {build(r1).psts, build(r2).psts}
+        self._patch(monkeypatch, lambda x, y, m: {} if {x, y} == pair else m)
+        with pytest.raises(OracleInconsistencyError, match="keys differ") as e:
+            sweep(specs)
+        assert f"{spec_text(r1)} vs {spec_text(r2)}" in str(e.value)
+
+    def test_search_count_follows_the_partitions(
+        self, monkeypatch, perm_specs, kappa_specs, perm_classes, kappa_classes
+    ):
+        calls = 0
+        real = classify.find_isomorphism
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "find_isomorphism", counting)
+        classify._prop_3_2(perm_specs)
+        classify._prop_4_5(kappa_specs)
+
+        def pairs(k):
+            return k * (k - 1) // 2
+
+        pinned = len({canonical_key(build(s).psts, CENTER) for s in perm_specs})
+        plain, kappa = len(perm_classes), len(kappa_classes)
+        assert (pinned, plain, kappa) == (44, 43, 25)
+        # one witness per non-representative member and one refutation per
+        # pair of representatives; the plain family's unconstrained classes
+        # get witnesses only, as prop_3_2 decides center-fixing isomorphism
+        expected = (
+            len(perm_specs) - pinned + pairs(pinned)
+            + len(perm_specs) - plain
+            + len(kappa_specs) - kappa + pairs(kappa)
+        )
+        assert calls == expected
 
 
 class TestPublishedData:

@@ -70,6 +70,42 @@ class TestCanonicalKey:
         assert (k1 < k2) != (k2 < k1)
         assert len(k1.digest) == 12 and str(k1) == k1.digest
 
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_pinned_key_invariant_under_relabelings_fixing_pin(self, rng):
+        s = perspective("perm:(1,2)@B2")
+        names = [x for x in s.points if x != CENTER]
+        shuffled = names[:]
+        rng.shuffle(shuffled)
+        relabeled = s.relabel({CENTER: CENTER, **dict(zip(names, shuffled))})
+        assert canonical_key(relabeled, CENTER) == canonical_key(s, CENTER)
+
+    def test_pinned_key_separates_center_moving_isomorphism(self):
+        # isomorphic, but only by isomorphisms that move the center
+        x, y = perspective("perm:id@B2"), perspective("perm:(1,2)@G2")
+        assert canonical_key(x) == canonical_key(y)
+        assert find_isomorphism(x, y) is not None
+        assert canonical_key(x, CENTER) != canonical_key(y, CENTER)
+        assert find_isomorphism(x, y, fix=(CENTER, CENTER)) is None
+
+    def test_pinned_keys_decide_fixed_isomorphism(self):
+        # in the 8-point structure the least line encoding alone cannot tell
+        # x04 from x05, so the key must also carry the pinned point's label;
+        # perm:id@G2 has automorphisms that move the center, kappa:id@B2 none
+        lines = [
+            ("x00", "x01", "x02"), ("x00", "x03", "x05"), ("x00", "x04", "x06"),
+            ("x01", "x05", "x06"), ("x02", "x05", "x07"), ("x03", "x06", "x07"),
+        ]
+        small = Psts([f"x{i:02d}" for i in range(8)], lines)
+        for s in (small, perspective("perm:id@G2"), perspective("kappa:id@B2")):
+            for p, q in itertools.combinations(s.points, 2):
+                same = canonical_key(s, p) == canonical_key(s, q)
+                assert same == (find_isomorphism(s, s, fix=(p, q)) is not None)
+
+    def test_pin_unknown_point(self):
+        with pytest.raises(ValueError, match="not present"):
+            canonical_key(perspective("perm:id@G2"), "nope")
+
     def test_point_cap(self):
         n = MAX_POINTS + 1
         s = Psts([f"x{i:02d}" for i in range(n)], [])
