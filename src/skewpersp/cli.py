@@ -16,7 +16,8 @@ PSTS file path) or as a PSTS file path directly.
 
 Exit codes: 0 success (for ``iso``: isomorphic), 1 proven non-isomorphic,
 2 audit found a MISMATCH, 64 usage, 65 bad data, 66 missing input file,
-70 internal oracle inconsistency, 74 output write failure.  stdout carries
+70 internal error (an oracle inconsistency or any other unexpected failure,
+never reported as a verdict), 74 output write failure.  stdout carries
 data; diagnostics go to stderr.  The environment variable ``SPL_SEED`` is
 reserved and unused: every computation here is deterministic.
 """
@@ -50,7 +51,7 @@ EX_MISMATCH = 2
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
-EX_ORACLE = 70
+EX_SOFTWARE = 70
 EX_IOERR = 74
 
 
@@ -295,10 +296,14 @@ def main(argv=None) -> int:
         return e.code
     except cls.OracleInconsistencyError as e:
         print(f"internal oracle inconsistency: {e}", file=sys.stderr)
-        return EX_ORACLE
+        return EX_SOFTWARE
     except PstsError as e:
         print(f"invalid structure: {e}", file=sys.stderr)
         return EX_DATAERR
+    except Exception as e:
+        # any other failure is a bug, and exit 1 would read as a verdict
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 def entry() -> None:

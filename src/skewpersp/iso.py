@@ -9,7 +9,10 @@ Three layers, all deterministic:
 * ``find_isomorphism``    explicit witness search (optionally pinning one
                           point pair), sound and complete; this is the
                           ground-truth oracle the algebraic criteria are
-                          audited against,
+                          audited against.  The search is iterative and
+                          checks each candidate against its line partners
+                          only, so it has no depth limit and its cost per
+                          step follows point degree, not point count,
 * ``perm_family_iso`` / ``kappa_family_iso``
                           the closed-form criteria for the two perspective
                           families, phrased entirely over S4 and the axis.
@@ -33,13 +36,15 @@ MAX_POINTS = 32
 
 
 class _Indexed:
-    """Integer view of a Psts: points 0..n-1, plus per-point line partners
-    and free-K5 membership counts (the cheap isomorphism-invariant seed
-    coloring)."""
+    """Integer view of a Psts: points 0..n-1, plus per-point line partners,
+    third points and free-K5 membership counts (the cheap
+    isomorphism-invariant seed coloring).  ``third[i][j]`` is the third
+    point of the line through i and j, present only when that line exists,
+    so memory grows with the number of lines, not with n squared."""
 
     __slots__ = (
         "psts", "n", "names", "index", "lines", "partners",
-        "degree", "k5_count", "coll", "third",
+        "degree", "k5_count", "third",
     )
 
     def __init__(self, s: Psts):
@@ -51,19 +56,15 @@ class _Indexed:
             frozenset(self.index[x] for x in ln) for ln in s.lines
         )
         partners: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        coll = [[False] * self.n for _ in range(self.n)]
-        third: dict[tuple[int, int], int] = {}
+        third: list[dict[int, int]] = [{} for _ in range(self.n)]
         for ln in self.lines:
             for i in ln:
                 j, k = sorted(ln - {i})
                 partners[i].append((j, k))
-                coll[i][j] = coll[i][k] = True
-                third[(j, k)] = i
-                third[(k, j)] = i
+                third[j][k] = third[k][j] = i
         self.partners = tuple(tuple(sorted(v)) for v in partners)
         self.degree = tuple(len(v) for v in self.partners)
-        self.coll = tuple(tuple(row) for row in coll)
-        self.third = third
+        self.third = tuple(third)
         k5 = [0] * self.n
         for clique in free_complete_subgraphs(s, 5):
             for x in clique:
@@ -258,7 +259,12 @@ def canonical_key(s: Psts, pin: str | None = None) -> CanonicalKey:
 
 
 def _search(x: _Indexed, y: _Indexed, fix: tuple[str, str] | None):
-    """Backtracking isomorphism search; yields mappings as name dicts."""
+    """Backtracking isomorphism search; yields mappings as name dicts.
+
+    The depth-first search is iterative, with an explicit candidate cursor
+    per depth, so it has no depth limit: any input size runs without
+    touching the recursion limit.  Candidates are tried in a fixed order,
+    which makes the sequence of yielded maps deterministic."""
     if x.n != y.n or len(x.lines) != len(y.lines):
         return
     raw_x = [[x.degree[i], x.k5_count[i], 0] for i in range(x.n)]
@@ -285,44 +291,59 @@ def _search(x: _Indexed, y: _Indexed, fix: tuple[str, str] | None):
     inverse = [-1] * n
     y_lines = set(y.lines)
 
-    coll_x, coll_y = x.coll, y.coll
+    partners_x = x.partners
     third_x, third_y = x.third, y.third
 
     def ok(i: int, j: int) -> bool:
-        for i2 in range(n):
-            j2 = mapping[i2]
-            if j2 == -1:
-                continue
-            if coll_x[i][i2] != coll_y[j][j2]:
+        # Only line partners can conflict.  For each line {i, a, b} of x the
+        # mapped ends must lie on the line of y through j; for each line
+        # {j, c, d} of y a used end must be the image of a point collinear
+        # with i.  This is the verdict of a scan over every mapped point.
+        third_j = third_y[j]
+        for a, b in partners_x[i]:
+            ma, mb = mapping[a], mapping[b]
+            if ma == -1:
+                if mb == -1:
+                    continue
+                ma, mb = mb, ma
+            t = third_j.get(ma)
+            if t is None or (t != mb if mb != -1 else inverse[t] != -1):
                 return False
-            if coll_x[i][i2]:
-                t = mapping[third_x[(i, i2)]]
-                ty = third_y[(j, j2)]
-                if t != -1 and t != ty:
-                    return False
-                if t == -1 and inverse[ty] != -1:
-                    return False
+        third_i = third_x[i]
+        for c in third_j:
+            ic = inverse[c]
+            if ic != -1 and ic not in third_i:
+                return False
         return True
 
     # static smallest-cell-first order; cells are near-singletons after
     # refinement, so dynamic reordering buys nothing here
     order = sorted(range(n), key=lambda i: (len(by_color.get(cx[i], ())), cx[i], i))
-
-    def dfs(depth: int):
+    cands = [by_color.get(cx[i], ()) for i in order]
+    cursor = [0] * n  # next candidate to try at each depth
+    depth = 0
+    while depth >= 0:
         if depth == n:
             image = {frozenset(mapping[i] for i in ln) for ln in x.lines}
             if image == y_lines:
                 yield {x.names[i]: y.names[mapping[i]] for i in range(n)}
-            return
+            depth -= 1
+            continue
         i = order[depth]
-        for j in by_color.get(cx[i], ()):
-            if inverse[j] != -1 or not ok(i, j):
-                continue
-            mapping[i], inverse[j] = j, i
-            yield from dfs(depth + 1)
-            mapping[i], inverse[j] = -1, -1
-
-    yield from dfs(0)
+        j = mapping[i]
+        if j != -1:  # back from the subtree below: undo, then try the next
+            mapping[i] = inverse[j] = -1
+        cs = cands[depth]
+        for k in range(cursor[depth], len(cs)):
+            j = cs[k]
+            if inverse[j] == -1 and ok(i, j):
+                cursor[depth] = k + 1
+                mapping[i], inverse[j] = j, i
+                depth += 1
+                break
+        else:
+            cursor[depth] = 0
+            depth -= 1
 
 
 def find_isomorphism(

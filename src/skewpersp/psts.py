@@ -173,14 +173,17 @@ def free_complete_subgraphs(s: Psts, n: int) -> tuple[frozenset[str], ...]:
     structure containing three of them.
 
     Since lines have 3 points, freeness is equivalent to the joining lines
-    of the n points being pairwise distinct.  Returned sorted by the sorted
-    point tuple.
+    of the n points being pairwise distinct.  Sets grow over common
+    neighbours: each added point cuts the candidates down to its own line
+    partners, so the work follows point degree, not point count.  Returned
+    sorted by the sorted point tuple.
     """
     if n < 0:
         raise ValueError(f"subgraph size must be nonnegative, got {n}")
     found: list[frozenset[str]] = []
 
-    def grow(chosen: list[str], start: int) -> None:
+    def grow(chosen: list[str], cands: set[str]) -> None:
+        # cands: points after every chosen one, collinear with all of them
         if len(chosen) == n:
             used = set()
             for x, y in itertools.combinations(chosen, 2):
@@ -190,14 +193,14 @@ def free_complete_subgraphs(s: Psts, n: int) -> tuple[frozenset[str], ...]:
                 used.add(ln)
             found.append(frozenset(chosen))
             return
-        for k in range(start, len(s.points)):
-            x = s.points[k]
-            if all(s.are_collinear(x, y) for y in chosen):
-                chosen.append(x)
-                grow(chosen, k + 1)
-                chosen.pop()
+        if len(chosen) + len(cands) < n:
+            return
+        for x in sorted(cands):
+            chosen.append(x)
+            grow(chosen, {y for y in s.collinear[x] & cands if y > x})
+            chosen.pop()
 
-    grow([], 0)
+    grow([], set(s.points))
     return tuple(sorted(found, key=lambda f: tuple(sorted(f))))
 
 

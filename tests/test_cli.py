@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from skewpersp import psts
+from skewpersp import cli, psts
 from skewpersp.cli import (
     EX_DATAERR,
     EX_IOERR,
@@ -17,6 +17,7 @@ from skewpersp.cli import (
     EX_NOINPUT,
     EX_NONISO,
     EX_OK,
+    EX_SOFTWARE,
     EX_USAGE,
     emit_levi_dot,
     main,
@@ -247,6 +248,16 @@ class TestErrors:
         # bare word that is neither a kind, census token, nor a file
         code, _, err = run(capsys, "build", "perm:id@XX")
         assert code in (EX_DATAERR, EX_NOINPUT)
+
+    def test_internal_error_is_not_a_verdict(self, capsys, monkeypatch):
+        def broken(x, y):
+            raise RuntimeError("search fell over")
+
+        monkeypatch.setattr(cli, "find_isomorphism", broken)
+        code, out, err = run(capsys, "iso", "perm:id@G2", "perm:id@B2")
+        assert code == EX_SOFTWARE
+        assert out == ""
+        assert err == "internal error: RuntimeError: search fell over\n"
 
     def test_unwritable_out(self, capsys):
         code, _, err = run(capsys, "census", "--out", "/no/such/dir/census.txt")

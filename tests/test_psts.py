@@ -169,6 +169,45 @@ class TestFreeSubgraphs:
         assert direct == set(free_complete_subgraphs(relabeled, 3))
 
 
+def brute_force_free(s, n):
+    """Every n-subset of the points, in order, that is pairwise collinear
+    with pairwise distinct joining lines."""
+    found = []
+    for pts in itertools.combinations(s.points, n):
+        if not all(s.are_collinear(x, y) for x, y in itertools.combinations(pts, 2)):
+            continue
+        joins = [frozenset((x, y, s.third_point(x, y))) for x, y in itertools.combinations(pts, 2)]
+        if len(set(joins)) == len(joins):
+            found.append(frozenset(pts))
+    return tuple(found)
+
+
+FANO = Psts(
+    [str(i) for i in range(7)],
+    [("0", "1", "3"), ("1", "2", "4"), ("2", "3", "5"), ("3", "4", "6"),
+     ("0", "4", "5"), ("1", "5", "6"), ("0", "2", "6")],
+)
+
+TRIANGLE_POINTS = [f"t{i:02d}" for i in range(12)]
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        PASCH,
+        FANO,
+        perspective("perm:(1,2)@B2"),
+        perspective("kappa:(1,2,4)@V5"),
+        Psts(TRIANGLE_POINTS, [TRIANGLE_POINTS[k : k + 3] for k in range(0, 12, 3)]),
+    ],
+    ids=["pasch", "fano", "plain", "complementing", "triangles"],
+)
+def test_free_subgraphs_match_brute_force(s):
+    for n in range(7):
+        assert free_complete_subgraphs(s, n) == brute_force_free(s, n), n
+    assert free_complete_subgraphs(s, 0) == (frozenset(),)
+
+
 class TestRelabel:
     def test_round_trip(self):
         mapping = {x: x.upper() for x in PASCH.points}
