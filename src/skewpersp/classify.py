@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,7 +56,6 @@ from .perspective import (
     b_name,
     build,
     c_name,
-    parse_spec_text,
     predicted_free_k5,
     spec_text,
 )
@@ -132,41 +130,17 @@ class IsoClass:
         }
 
 
-def _key_worker(texts: list[str]) -> list[tuple]:
-    out = []
-    for t in texts:
-        s = parse_spec_text(t)
-        k = canonical_key(build(s).psts)
-        out.append((k.point_count, k.line_count, k.encoding))
-    return out
-
-
-def _keys_for(specs, jobs: int) -> list[CanonicalKey]:
-    if jobs <= 1 or len(specs) < 2 * jobs:
-        return [canonical_key(build(s).psts) for s in specs]
-    texts = [spec_text(s) for s in specs]
-    chunk = max(1, (len(texts) + 4 * jobs - 1) // (4 * jobs))
-    chunks = [texts[i : i + chunk] for i in range(0, len(texts), chunk)]
-    keys: list[CanonicalKey] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_key_worker, chunks):
-            keys.extend(CanonicalKey(*t) for t in part)
-    return keys
-
-
-def partition_into_classes(specs, jobs: int = 1) -> tuple[IsoClass, ...]:
+def partition_into_classes(specs) -> tuple[IsoClass, ...]:
     """Group specs by the canonical key of their built structures.
 
     Representatives are the sort-least members (canonical-kind axes rank
     before the rest, so representatives read as plain kind names whenever
     the class touches a canonical axis).  Output is independent of input
-    order and worker count.
+    order.
     """
-    specs = list(specs)
-    keys = _keys_for(specs, jobs)
     groups: dict[CanonicalKey, list[PerspectiveSpec]] = {}
-    for s, k in zip(specs, keys):
-        groups.setdefault(k, []).append(s)
+    for s in specs:
+        groups.setdefault(canonical_key(build(s).psts), []).append(s)
     ordered = sorted(
         groups.items(), key=lambda kv: min(s.sort_key() for s in kv[1])
     )
@@ -861,7 +835,7 @@ def _theorem_finding(
     )
 
 
-def audit_claims(axes_mode: str = "census", jobs: int = 1) -> ClassificationReport:
+def audit_claims(axes_mode: str = "census") -> ClassificationReport:
     """Run the complete pipeline and audit every published claim.
 
     ``axes_mode`` selects the axis set for the family enumerations:
@@ -880,8 +854,8 @@ def audit_claims(axes_mode: str = "census", jobs: int = 1) -> ClassificationRepo
     perm_specs = perm_canonical if axes_mode == "canonical" else enumerate_family(FamilyTag.PERM_FAMILY, axes)
     kappa_specs = kappa_canonical if axes_mode == "canonical" else enumerate_family(FamilyTag.KAPPA_FAMILY, axes)
 
-    perm_classes = partition_into_classes(perm_specs, jobs=jobs)
-    kappa_classes = partition_into_classes(kappa_specs, jobs=jobs)
+    perm_classes = partition_into_classes(perm_specs)
+    kappa_classes = partition_into_classes(kappa_specs)
 
     census_note_perm = census_note_kappa = None
     if axes_mode == "census":

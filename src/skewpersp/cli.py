@@ -18,8 +18,10 @@ Exit codes: 0 success (for ``iso``: isomorphic), 1 proven non-isomorphic,
 2 audit found a MISMATCH, 64 usage, 65 bad data, 66 missing input file,
 70 internal error (an oracle inconsistency or any other unexpected failure,
 never reported as a verdict), 74 output write failure.  stdout carries
-data; diagnostics go to stderr.  The environment variable ``SPL_SEED`` is
-reserved and unused: every computation here is deterministic.
+data; diagnostics go to stderr.
+
+``classify`` and ``audit`` accept ``--jobs N`` and ignore it: they run in
+one process, and their output never depended on it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 from . import classify as cls
@@ -53,6 +56,8 @@ EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_SOFTWARE = 70
 EX_IOERR = 74
+
+_JOBS_HELP = "accepted and ignored: the work runs in one process"
 
 
 class _UsageError(Exception):
@@ -110,7 +115,7 @@ def _emit(text: str, out: str | None) -> None:
         raise _CliError(EX_IOERR, f"cannot write {out}: {e}") from e
 
 
-def emit_levi_dot(s: Psts, roles: dict[str, Role] | None = None) -> str:
+def emit_levi_dot(s: Psts, roles: Mapping[str, Role] | None = None) -> str:
     """Bipartite point/line incidence graph in DOT, deterministic order."""
     rows = ["graph levi {", "  node [fontsize=10];"]
     for x in s.points:
@@ -202,7 +207,7 @@ def _cmd_aut(args) -> int:
 def _cmd_classify(args) -> int:
     axes = cls.canonical_axes() if args.axes == "canonical" else enumerate_labelings()
     tag = cls.FamilyTag.PERM_FAMILY if args.family == "perm" else cls.FamilyTag.KAPPA_FAMILY
-    classes = cls.partition_into_classes(cls.enumerate_family(tag, axes), jobs=args.jobs)
+    classes = cls.partition_into_classes(cls.enumerate_family(tag, axes))
     if args.format == "structured":
         doc = {
             "family": args.family,
@@ -226,7 +231,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    report = cls.audit_claims(axes_mode=args.axes, jobs=args.jobs)
+    report = cls.audit_claims(axes_mode=args.axes)
     text = (
         cls.render_structured(report)
         if args.format == "structured"
@@ -267,14 +272,14 @@ def _build_parser() -> _Parser:
     k = sub.add_parser("classify", help="isomorphism classes of one family")
     k.add_argument("family", choices=("perm", "kappa"))
     k.add_argument("--axes", choices=("canonical", "census"), default="canonical")
-    k.add_argument("--jobs", type=int, default=1)
+    k.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     k.add_argument("--format", choices=("text", "structured"), default="text")
     k.add_argument("--out", default=None)
     k.set_defaults(fn=_cmd_classify)
 
     d = sub.add_parser("audit", help="full audit of the published classification claims")
     d.add_argument("--axes", choices=("canonical", "census"), default="census")
-    d.add_argument("--jobs", type=int, default=1)
+    d.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     d.add_argument("--format", choices=("text", "structured"), default="text")
     d.add_argument("--out", default=None)
     d.set_defaults(fn=_cmd_audit)

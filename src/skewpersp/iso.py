@@ -35,65 +35,34 @@ from .psts import Psts, free_complete_subgraphs
 MAX_POINTS = 32
 
 
-class _Indexed:
-    """Integer view of a Psts: points 0..n-1, plus per-point line partners,
-    third points and free-K5 membership counts (the cheap
-    isomorphism-invariant seed coloring).  ``third[i][j]`` is the third
-    point of the line through i and j, present only when that line exists,
-    so memory grows with the number of lines, not with n squared."""
-
-    __slots__ = (
-        "psts", "n", "names", "index", "lines", "partners",
-        "degree", "k5_count", "third",
-    )
-
-    def __init__(self, s: Psts):
-        self.psts = s
-        self.names = s.points
-        self.n = len(self.names)
-        self.index = {x: i for i, x in enumerate(self.names)}
-        self.lines = tuple(
-            frozenset(self.index[x] for x in ln) for ln in s.lines
-        )
-        partners: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        third: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for ln in self.lines:
-            for i in ln:
-                j, k = sorted(ln - {i})
-                partners[i].append((j, k))
-                third[j][k] = third[k][j] = i
-        self.partners = tuple(tuple(sorted(v)) for v in partners)
-        self.degree = tuple(len(v) for v in self.partners)
-        self.third = tuple(third)
-        k5 = [0] * self.n
-        for clique in free_complete_subgraphs(s, 5):
-            for x in clique:
-                k5[self.index[x]] += 1
-        self.k5_count = tuple(k5)
-
-
 @lru_cache(maxsize=None)
-def _indexed(s: Psts) -> _Indexed:
-    return _Indexed(s)
+def _seed_colors(s: Psts) -> tuple[tuple[int, int], ...]:
+    """(degree, free-K5 membership count) of each point: the cheap
+    isomorphism-invariant seed coloring."""
+    k5 = [0] * len(s.points)
+    for clique in free_complete_subgraphs(s, 5):
+        for x in clique:
+            k5[s.index[x]] += 1
+    return tuple((len(p), c) for p, c in zip(s.partners, k5))
 
 
-def _signatures(st: _Indexed, colors: list[int]) -> list[tuple]:
+def _signatures(s: Psts, colors: list[int]) -> list[tuple]:
     # line partners packed as (lo << 10) | hi: cheap flat int tuples
     sigs = []
-    for i in range(st.n):
+    for i, partners in enumerate(s.partners):
         part = sorted(
             (colors[j] << 10) | colors[k]
             if colors[j] <= colors[k]
             else (colors[k] << 10) | colors[j]
-            for j, k in st.partners[i]
+            for j, k in partners
         )
         sigs.append((colors[i], *part))
     return sigs
 
 
-def _refine(st: _Indexed, colors: list[int]) -> list[int]:
+def _refine(s: Psts, colors: list[int]) -> list[int]:
     while True:
-        sigs = _signatures(st, colors)
+        sigs = _signatures(s, colors)
         rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
         new = [rank[sig] for sig in sigs]
         if new == colors:
@@ -102,7 +71,7 @@ def _refine(st: _Indexed, colors: list[int]) -> list[int]:
 
 
 def _refine_pair(
-    a: _Indexed, ca: list[int], b: _Indexed, cb: list[int]
+    a: Psts, ca: list[int], b: Psts, cb: list[int]
 ) -> tuple[list[int], list[int]] | None:
     """Joint refinement with shared ranks so colors stay comparable across
     the two structures; returns None as soon as the color histograms
@@ -147,25 +116,26 @@ class CanonicalKey:
         return self.digest
 
 
-def _encode_leaf(st: _Indexed, colors: list[int]) -> tuple:
-    return tuple(sorted(tuple(sorted(colors[i] for i in ln)) for ln in st.lines))
+def _encode_leaf(s: Psts, colors: list[int]) -> tuple:
+    return tuple(sorted(tuple(sorted(colors[i] for i in ln)) for ln in s.line_sets))
 
 
-def _is_automorphism(st: _Indexed, g: tuple[int, ...]) -> bool:
-    lines = set(st.lines)
-    return all(frozenset(g[i] for i in ln) in lines for ln in st.lines)
+def _is_automorphism(s: Psts, g: tuple[int, ...]) -> bool:
+    lines = set(s.line_sets)
+    return all(frozenset(g[i] for i in ln) in lines for ln in s.line_sets)
 
 
 class _Canonicalizer:
-    def __init__(self, st: _Indexed, pin: int | None):
-        self.st = st
+    def __init__(self, s: Psts, pin: int | None):
+        self.s = s
+        self.n = len(s.points)
         self.pin = pin
         self.best: tuple | None = None
         self.first_leaf: dict[tuple, list[int]] = {}
         self.auts: list[tuple[int, ...]] = []
 
     def run(self) -> tuple:
-        raw = [(self.st.degree[i], self.st.k5_count[i]) for i in range(self.st.n)]
+        raw = _seed_colors(self.s)
         if self.pin is not None:
             raw = [t + (i == self.pin,) for i, t in enumerate(raw)]
         self._descend(_rank_raw(raw), ())
@@ -173,7 +143,7 @@ class _Canonicalizer:
         return self.best
 
     def _descend(self, colors: list[int], path: tuple[int, ...]) -> None:
-        colors = _refine(self.st, colors)
+        colors = _refine(self.s, colors)
         cells = _cells(colors)
         target = None
         for cell in cells:
@@ -188,11 +158,11 @@ class _Canonicalizer:
                 continue
             explored.append(x)
             child = list(colors)
-            child[x] = self.st.n + len(path)  # fresh color above all ranks
+            child[x] = self.n + len(path)  # fresh color above all ranks
             self._descend(child, path + (x,))
 
     def _leaf(self, colors: list[int]) -> None:
-        enc = _encode_leaf(self.st, colors)
+        enc = _encode_leaf(self.s, colors)
         if self.pin is not None:
             # equal encodings then also agree on the pinned point, so the
             # automorphisms collected below fix it and pruning stays sound
@@ -202,11 +172,11 @@ class _Canonicalizer:
             self.first_leaf[enc] = colors
         else:
             # two labelings with one encoding compose to an automorphism
-            inv = [0] * self.st.n
+            inv = [0] * self.n
             for i, c in enumerate(seen):
                 inv[c] = i
-            g = tuple(inv[colors[i]] for i in range(self.st.n))
-            if _is_automorphism(self.st, g):
+            g = tuple(inv[colors[i]] for i in range(self.n))
+            if _is_automorphism(self.s, g):
                 self.auts.append(g)
         if self.best is None or enc < self.best:
             self.best = enc
@@ -219,7 +189,7 @@ class _Canonicalizer:
         usable = [g for g in self.auts if all(g[v] == v for v in path)]
         if not usable:
             return False
-        parent = list(range(self.st.n))
+        parent = list(range(self.n))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -228,7 +198,7 @@ class _Canonicalizer:
             return i
 
         for g in usable:
-            for i in range(self.st.n):
+            for i in range(self.n):
                 ri, rj = find(i), find(g[i])
                 if ri != rj:
                     parent[ri] = rj
@@ -248,27 +218,27 @@ def canonical_key(s: Psts, pin: str | None = None) -> CanonicalKey:
     """
     if len(s.points) > MAX_POINTS:
         raise ValueError(f"canonical_key capped at {MAX_POINTS} points, got {len(s.points)}")
-    st = _indexed(s)
-    if pin is not None and pin not in st.index:
+    if pin is not None and pin not in s.index:
         raise ValueError(f"pin point {pin!r} not present")
-    return CanonicalKey(len(s.points), len(s.lines), _Canonicalizer(st, st.index.get(pin)).run())
+    return CanonicalKey(len(s.points), len(s.lines), _Canonicalizer(s, s.index.get(pin)).run())
 
 
 # ---------------------------------------------------------------------------
 # witness search
 
 
-def _search(x: _Indexed, y: _Indexed, fix: tuple[str, str] | None):
+def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     """Backtracking isomorphism search; yields mappings as name dicts.
 
     The depth-first search is iterative, with an explicit candidate cursor
     per depth, so it has no depth limit: any input size runs without
     touching the recursion limit.  Candidates are tried in a fixed order,
     which makes the sequence of yielded maps deterministic."""
-    if x.n != y.n or len(x.lines) != len(y.lines):
+    n = len(x.points)
+    if n != len(y.points) or len(x.lines) != len(y.lines):
         return
-    raw_x = [[x.degree[i], x.k5_count[i], 0] for i in range(x.n)]
-    raw_y = [[y.degree[i], y.k5_count[i], 0] for i in range(y.n)]
+    raw_x = [[*t, 0] for t in _seed_colors(x)]
+    raw_y = [[*t, 0] for t in _seed_colors(y)]
     if fix is not None:
         px, py = fix
         if px not in x.index or py not in y.index:
@@ -277,7 +247,7 @@ def _search(x: _Indexed, y: _Indexed, fix: tuple[str, str] | None):
         raw_y[y.index[py]][2] = 1
     raw = [tuple(t) for t in raw_x + raw_y]
     ranked = _rank_raw(raw)
-    refined = _refine_pair(x, ranked[: x.n], y, ranked[x.n :])
+    refined = _refine_pair(x, ranked[:n], y, ranked[n:])
     if refined is None:
         return
     cx, cy = refined
@@ -286,10 +256,9 @@ def _search(x: _Indexed, y: _Indexed, fix: tuple[str, str] | None):
     for j, c in enumerate(cy):
         by_color.setdefault(c, []).append(j)
 
-    n = x.n
     mapping = [-1] * n
     inverse = [-1] * n
-    y_lines = set(y.lines)
+    y_lines = set(y.line_sets)
 
     partners_x = x.partners
     third_x, third_y = x.third, y.third
@@ -324,9 +293,9 @@ def _search(x: _Indexed, y: _Indexed, fix: tuple[str, str] | None):
     depth = 0
     while depth >= 0:
         if depth == n:
-            image = {frozenset(mapping[i] for i in ln) for ln in x.lines}
+            image = {frozenset(mapping[i] for i in ln) for ln in x.line_sets}
             if image == y_lines:
-                yield {x.names[i]: y.names[mapping[i]] for i in range(n)}
+                yield {x.points[i]: y.points[mapping[i]] for i in range(n)}
             depth -= 1
             continue
         i = order[depth]
@@ -352,14 +321,14 @@ def find_isomorphism(
     """First isomorphism of x onto y under a fixed deterministic search
     order, honoring the optional constraint fix = (px, py) meaning
     f(px) = py.  Returns None exactly when no such isomorphism exists."""
-    for m in _search(_indexed(x), _indexed(y), fix):
+    for m in _search(x, y, fix):
         return m
     return None
 
 
 def all_isomorphisms(x: Psts, y: Psts, fix: tuple[str, str] | None = None):
     """Every isomorphism of x onto y, deterministically ordered."""
-    yield from _search(_indexed(x), _indexed(y), fix)
+    yield from _search(x, y, fix)
 
 
 def verify_point_map(x: Psts, y: Psts, mapping: dict[str, str]) -> bool:

@@ -19,8 +19,10 @@ tetrahedra A* and B*.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .indices import (
     CORRELATION,
@@ -138,7 +140,7 @@ class LabeledPsts:
     """A built perspective: the bare structure plus the role of each point."""
 
     psts: Psts
-    roles: dict[str, Role]
+    roles: Mapping[str, Role]
 
 
 def _roles() -> dict[str, Role]:
@@ -150,6 +152,10 @@ def _roles() -> dict[str, Role]:
     for u in PAIRS:
         out[c_name(u)] = Role(RoleKind.C, pair=u)
     return out
+
+
+#: one read-only role map, shared by every built perspective
+_ROLES: Mapping[str, Role] = MappingProxyType(_roles())
 
 
 def build(spec: PerspectiveSpec) -> LabeledPsts:
@@ -167,7 +173,7 @@ def build(spec: PerspectiveSpec) -> LabeledPsts:
     for i in INDICES:
         lines.append((CENTER, a_name(i), b_name(i)))
     points = (CENTER, *A_NAMES, *B_NAMES, *C_NAMES)
-    return LabeledPsts(Psts(points, lines), _roles())
+    return LabeledPsts(Psts(points, lines), _ROLES)
 
 
 def b_join(spec: PerspectiveSpec, i: int, j: int) -> Pair:

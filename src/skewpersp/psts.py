@@ -5,13 +5,16 @@ which two distinct lines meet in at most one point.  Points are plain
 strings; all geometry below identifies structures only up to renaming, so
 nothing downstream may depend on what the names look like.
 
+Each structure holds its incidence once, over point indices; the
+isomorphism machinery works on that core, and names meet it only at the
+boundary.
+
 Construction validates; an invalid line set raises ``PstsError`` carrying
 the full list of problems found, not just the first.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -35,15 +38,19 @@ class Psts:
     """Immutable partial Steiner triple system.
 
     ``points`` is a sorted tuple of names, ``lines`` a sorted tuple of sorted
-    3-tuples of names.  Incidence lookups are precomputed:
+    3-tuples of names.  Incidence is held once, over point indices, where a
+    point's index is its position in ``points``:
 
-    * ``lines_through[x]``   tuple of lines containing x,
-    * ``collinear[x]``       frozenset of points collinear with x (x excluded),
-    * ``third[(x, y)]``      the third point of the line through x and y,
-                             present only when that line exists.
+    * ``index[x]``       the index of the point named x,
+    * ``line_sets``      the lines as frozensets of indices, in ``lines`` order,
+    * ``partners[i]``    sorted (j, k) pairs, one per line {i, j, k} with j < k,
+    * ``third[i][j]``    the third point of the line through i and j, present
+                         only when that line exists.
+
+    The lookups by name answer through ``index``.
     """
 
-    __slots__ = ("points", "lines", "lines_through", "collinear", "third", "_hash")
+    __slots__ = ("points", "lines", "index", "line_sets", "partners", "third", "_hash")
 
     def __init__(self, points, lines):
         problems: list[str] = []
@@ -53,7 +60,7 @@ class Psts:
         dup = [x for x, n in Counter(pts).items() if n > 1]
         if dup:
             problems.append(f"duplicate points: {sorted(dup)}")
-        pset = set(pts)
+        index = {x: i for i, x in enumerate(pts)}
 
         norm: list[tuple[str, str, str]] = []
         for ln in lines:
@@ -61,7 +68,7 @@ class Psts:
             if len(set(ln)) != 3:
                 problems.append(f"line is not a 3-set: {ln}")
                 continue
-            missing = [x for x in ln if x not in pset]
+            missing = [x for x in ln if x not in index]
             if missing:
                 problems.append(f"line {tuple(sorted(ln))} uses unknown points {missing}")
                 continue
@@ -71,31 +78,33 @@ class Psts:
             problems.append(f"duplicate lines: {sorted(dup_lines)}")
         norm = sorted(set(norm))
 
-        third: dict[tuple[str, str], str] = {}
-        for ln in norm:
-            for x, y in itertools.permutations(ln, 2):
-                z = next(w for w in ln if w != x and w != y)
-                prev = third.get((x, y))
-                if prev is not None and prev != z:
-                    problems.append(
-                        f"points {x}, {y} lie on two lines (third points {min(prev, z)} and {max(prev, z)})"
-                    )
-                third[(x, y)] = z
+        line_sets = tuple(frozenset(index[x] for x in ln) for ln in norm)
+        partners: list[list[tuple[int, int]]] = [[] for _ in pts]
+        third: list[dict[int, int]] = [{} for _ in pts]
+        for ln in line_sets:
+            i, j, k = sorted(ln)
+            for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
+                partners[c].append((a, b))
+                prev = third[a].get(b)
+                if prev is not None:
+                    # lines are distinct, so prev differs from c; both
+                    # orders of the pair are reported
+                    lo, hi = sorted((pts[prev], pts[c]))
+                    for x, y in ((pts[a], pts[b]), (pts[b], pts[a])):
+                        problems.append(
+                            f"points {x}, {y} lie on two lines (third points {lo} and {hi})"
+                        )
+                third[a][b] = third[b][a] = c
 
         if problems:
             raise PstsError(sorted(set(problems)))
 
         self.points = tuple(pts)
         self.lines = tuple(norm)
-        through: dict[str, list] = {x: [] for x in self.points}
-        coll: dict[str, set] = {x: set() for x in self.points}
-        for ln in self.lines:
-            for x in ln:
-                through[x].append(ln)
-                coll[x].update(w for w in ln if w != x)
-        self.lines_through = {x: tuple(v) for x, v in through.items()}
-        self.collinear = {x: frozenset(v) for x, v in coll.items()}
-        self.third = third
+        self.index = index
+        self.line_sets = line_sets
+        self.partners = tuple(tuple(sorted(v)) for v in partners)
+        self.third = tuple(third)
         self._hash = hash((self.points, self.lines))
 
     def __eq__(self, other) -> bool:
@@ -112,17 +121,18 @@ class Psts:
         return f"Psts({len(self.points)} points, {len(self.lines)} lines)"
 
     def degree(self, x: str) -> int:
-        return len(self.lines_through[x])
+        return len(self.partners[self.index[x]])
 
     def are_collinear(self, x: str, y: str) -> bool:
-        return y in self.collinear[x]
+        return self.index[y] in self.third[self.index[x]]
 
     def third_point(self, x: str, y: str) -> str | None:
         """Third point of the line joining x and y, or None if they are not
         collinear.  Symmetric in x and y; x == y is an error."""
         if x == y:
             raise ValueError(f"third_point needs two distinct points, got {x!r} twice")
-        return self.third.get((x, y))
+        k = self.third[self.index[x]].get(self.index[y])
+        return None if k is None else self.points[k]
 
     def relabel(self, mapping: dict[str, str]) -> "Psts":
         """Structure with every point renamed through ``mapping``."""
@@ -172,36 +182,36 @@ def free_complete_subgraphs(s: Psts, n: int) -> tuple[frozenset[str], ...]:
     """All n-point sets that are pairwise collinear with no line of the
     structure containing three of them.
 
-    Since lines have 3 points, freeness is equivalent to the joining lines
-    of the n points being pairwise distinct.  Sets grow over common
-    neighbours: each added point cuts the candidates down to its own line
-    partners, so the work follows point degree, not point count.  Returned
-    sorted by the sorted point tuple.
+    Sets grow over common neighbours in index order: each added point cuts
+    the candidates down to its own later line partners, minus the third
+    points of its lines to the points already chosen, so the work follows
+    point degree, not point count.  Returned sorted by the sorted point
+    tuple.
     """
     if n < 0:
         raise ValueError(f"subgraph size must be nonnegative, got {n}")
-    found: list[frozenset[str]] = []
+    third = s.third
+    found: list[tuple[int, ...]] = []
 
-    def grow(chosen: list[str], cands: set[str]) -> None:
+    def grow(chosen: list[int], cands: set[int]) -> None:
         # cands: points after every chosen one, collinear with all of them
+        # and on no line through two of them
         if len(chosen) == n:
-            used = set()
-            for x, y in itertools.combinations(chosen, 2):
-                ln = frozenset((x, y, s.third[(x, y)]))
-                if ln in used:
-                    return
-                used.add(ln)
-            found.append(frozenset(chosen))
+            found.append(tuple(chosen))
             return
         if len(chosen) + len(cands) < n:
             return
         for x in sorted(cands):
+            t = third[x]
+            nxt = {y for y in t.keys() & cands if y > x}
+            nxt.difference_update(t[c] for c in chosen)
             chosen.append(x)
-            grow(chosen, {y for y in s.collinear[x] & cands if y > x})
+            grow(chosen, nxt)
             chosen.pop()
 
-    grow([], set(s.points))
-    return tuple(sorted(found, key=lambda f: tuple(sorted(f))))
+    grow([], set(range(len(s.points))))
+    # the search runs in lexicographic index order, which is name order
+    return tuple(frozenset(s.points[i] for i in f) for f in found)
 
 
 def to_text(s: Psts) -> str:

@@ -116,12 +116,6 @@ class TestPartition:
         )
         assert {c.key for c in full} == {c.key for c in perm_classes}
 
-    def test_parallel_partition_identical(self, perm_specs, perm_classes):
-        again = partition_into_classes(perm_specs, jobs=2)
-        assert [
-            (c.class_id, c.representative, c.members) for c in again
-        ] == [(c.class_id, c.representative, c.members) for c in perm_classes]
-
 
 SWEEPS = [
     pytest.param(classify._prop_3_2, "perm", id="prop_3_2"),

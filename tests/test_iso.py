@@ -13,7 +13,6 @@ from skewpersp.indices import ALL_PERMS, IDENTITY, parse_cycles
 from skewpersp.iso import (
     MAX_POINTS,
     IsoCase,
-    _indexed,
     _rank_raw,
     _refine_pair,
     all_isomorphisms,
@@ -27,7 +26,7 @@ from skewpersp.iso import (
     verify_point_map,
 )
 from skewpersp.perspective import CENTER, PerspectiveSpec, Skew, SkewFamily, build, parse_spec_text
-from skewpersp.psts import Psts, to_text
+from skewpersp.psts import Psts, free_complete_subgraphs, to_text
 from skewpersp.veblen import CanonicalKind, canonical, to_psts
 
 
@@ -195,37 +194,47 @@ class TestLargeInputs:
 def reference_isomorphisms(x, y, fix=None):
     """The witness search as it stood before the degree-bounded check: a
     full scan over every mapped point at each candidate, in a recursive
-    DFS over the same refinement, order and candidate lists."""
-    x, y = _indexed(x), _indexed(y)
-    if x.n != y.n or len(x.lines) != len(y.lines):
+    DFS over the same refinement, order and candidate lists.  Its dense
+    view is built from the point names and name lines alone."""
+    n = len(x.points)
+    if n != len(y.points) or len(x.lines) != len(y.lines):
         return
-    raw_x = [[x.degree[i], x.k5_count[i], 0] for i in range(x.n)]
-    raw_y = [[y.degree[i], y.k5_count[i], 0] for i in range(y.n)]
+
+    def seed(s):
+        index = {p: i for i, p in enumerate(s.points)}
+        k5 = [0] * n
+        for clique in free_complete_subgraphs(s, 5):
+            for p in clique:
+                k5[index[p]] += 1
+        return [[sum(p in ln for ln in s.lines), k5[i], 0] for i, p in enumerate(s.points)]
+
+    raw_x, raw_y = seed(x), seed(y)
     if fix is not None:
-        raw_x[x.index[fix[0]]][2] = 1
-        raw_y[y.index[fix[1]]][2] = 1
+        raw_x[x.points.index(fix[0])][2] = 1
+        raw_y[y.points.index(fix[1])][2] = 1
     ranked = _rank_raw([tuple(t) for t in raw_x + raw_y])
-    refined = _refine_pair(x, ranked[: x.n], y, ranked[x.n :])
+    refined = _refine_pair(x, ranked[:n], y, ranked[n:])
     if refined is None:
         return
     cx, cy = refined
     by_color = {}
     for j, c in enumerate(cy):
         by_color.setdefault(c, []).append(j)
-    n = x.n
 
-    def dense(st):
+    def dense(s):
+        index = {p: i for i, p in enumerate(s.points)}
+        lines = [frozenset(index[p] for p in ln) for ln in s.lines]
         coll = [[False] * n for _ in range(n)]
         third = {}
-        for ln in st.lines:
+        for ln in lines:
             for i, j in itertools.permutations(ln, 2):
                 coll[i][j] = True
                 third[(i, j)] = next(k for k in ln if k != i and k != j)
-        return coll, third
+        return coll, third, lines
 
-    (coll_x, third_x), (coll_y, third_y) = dense(x), dense(y)
+    (coll_x, third_x, lines_x), (coll_y, third_y, lines_y) = dense(x), dense(y)
     mapping, inverse = [-1] * n, [-1] * n
-    y_lines = set(y.lines)
+    y_lines = set(lines_y)
 
     def ok(i, j):
         for i2 in range(n):
@@ -247,8 +256,8 @@ def reference_isomorphisms(x, y, fix=None):
 
     def dfs(depth):
         if depth == n:
-            if {frozenset(mapping[i] for i in ln) for ln in x.lines} == y_lines:
-                yield {x.names[i]: y.names[mapping[i]] for i in range(n)}
+            if {frozenset(mapping[i] for i in ln) for ln in lines_x} == y_lines:
+                yield {x.points[i]: y.points[mapping[i]] for i in range(n)}
             return
         i = order[depth]
         for j in by_color.get(cx[i], ()):

@@ -1,6 +1,7 @@
 """Partial Steiner triple systems: validation, lookups, serialization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -65,6 +66,31 @@ class TestConstruction:
             Psts(["a", "b", "c", "d"], [("a", "b", "c"), ("a", "b", "d")])
         assert any("two lines" in p for p in e.value.problems)
 
+    def test_three_lines_through_one_pair_exact(self):
+        # the problem list as the name-keyed check reported it
+        with pytest.raises(PstsError) as e:
+            Psts(["a", "b", "c", "d", "e"], [("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e")])
+        assert e.value.problems == [
+            "points a, b lie on two lines (third points c and d)",
+            "points a, b lie on two lines (third points d and e)",
+            "points b, a lie on two lines (third points c and d)",
+            "points b, a lie on two lines (third points d and e)",
+        ]
+
+    def test_mixed_problems_exact(self):
+        with pytest.raises(PstsError) as e:
+            Psts(
+                ["a", "a", "b", "c", "d", "e"],
+                [("a", "b", "c"), ("b", "a", "d"), ("a", "b", "q"), ("c", "d", "e"), ("e", "d", "c")],
+            )
+        assert e.value.problems == [
+            "duplicate lines: [('c', 'd', 'e')]",
+            "duplicate points: ['a']",
+            "line ('a', 'b', 'q') uses unknown points ['q']",
+            "points a, b lie on two lines (third points c and d)",
+            "points b, a lie on two lines (third points c and d)",
+        ]
+
     def test_problems_are_collected(self):
         with pytest.raises(PstsError) as e:
             Psts(["a", "a", "b"], [("a", "b", "q")])
@@ -99,11 +125,6 @@ class TestLookups:
     def test_no_join_inside_perspective(self):
         s = perspective("perm:id@G2")
         assert s.third_point("a1", "b2") is None
-
-    def test_lines_through(self):
-        s = perspective("perm:id@G2")
-        assert len(s.lines_through["a1"]) == 4
-        assert all("a1" in ln for ln in s.lines_through["a1"])
 
 
 class TestSignature:
@@ -206,6 +227,46 @@ def test_free_subgraphs_match_brute_force(s):
     for n in range(7):
         assert free_complete_subgraphs(s, n) == brute_force_free(s, n), n
     assert free_complete_subgraphs(s, 0) == (frozenset(),)
+
+
+def relabeled(s, seed):
+    """s under a seeded renaming that also reorders the sorted points."""
+    names = [f"q{k:02d}" for k in range(len(s.points))]
+    random.Random(seed).shuffle(names)
+    return s.relabel(dict(zip(s.points, names)))
+
+
+CORE_CASES = [PASCH, FANO, perspective("perm:id@G2"), perspective("kappa:id@V5")]
+
+
+@pytest.mark.parametrize(
+    "s",
+    CORE_CASES + [relabeled(s, seed) for seed, s in enumerate(CORE_CASES, 11)],
+    ids=["pasch", "fano", "plain", "complementing"]
+    + ["pasch-relabeled", "fano-relabeled", "plain-relabeled", "complementing-relabeled"],
+)
+def test_core_matches_brute_force(s):
+    """The index core against a scan of the name-level lines."""
+    index = {x: i for i, x in enumerate(s.points)}
+    lines = tuple(frozenset(index[x] for x in ln) for ln in s.lines)
+    assert s.index == index
+    assert s.line_sets == lines
+    for i in range(len(s.points)):
+        through = [ln - {i} for ln in lines if i in ln]
+        assert s.partners[i] == tuple(sorted(tuple(sorted(rest)) for rest in through))
+        third = {}
+        for j, k in (tuple(rest) for rest in through):
+            third[j], third[k] = k, j
+        assert s.third[i] == third
+    for x, y in itertools.permutations(s.points, 2):
+        carriers = [ln for ln in s.lines if x in ln and y in ln]
+        assert len(carriers) <= 1
+        assert s.are_collinear(x, y) == bool(carriers)
+        expected = (set(carriers[0]) - {x, y}).pop() if carriers else None
+        assert s.third_point(x, y) == expected
+    for x in s.points:
+        assert not s.are_collinear(x, x)
+        assert s.degree(x) == sum(x in ln for ln in s.lines)
 
 
 class TestRelabel:
