@@ -191,17 +191,6 @@ def parse_cycles(text: str) -> Perm4:
     return Perm4(tuple(img[i] for i in INDICES))
 
 
-def cycle_type(phi: Perm4) -> tuple[int, ...]:
-    """Cycle type as a non-decreasing partition of 4, e.g. (1, 1, 2)."""
-    return tuple(sorted(len(c) for c in phi.cycles()))
-
-
-#: The five cycle types of S4 in lexicographic order.
-CYCLE_TYPES: tuple[tuple[int, ...], ...] = (
-    (1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,),
-)
-
-
 @dataclass(frozen=True)
 class PairMap:
     """Bijection of the six pairs, stored as images in global pair order."""

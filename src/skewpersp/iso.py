@@ -13,9 +13,11 @@ Three layers, all deterministic:
                           checks each candidate against its line partners
                           only, so it has no depth limit and its cost per
                           step follows point degree, not point count,
-* ``perm_family_iso`` / ``kappa_family_iso``
-                          the closed-form criteria for the two perspective
-                          families, phrased entirely over S4 and the axis.
+* ``family_images``     the closed-form criteria of the two perspective
+                          families, phrased over S4 and the axis and solved
+                          for the second spec: the 48 specs one spec is
+                          related to; ``perm_family_iso`` and
+                          ``kappa_family_iso`` scan them for the second.
 
 Everything here treats structures as abstract incidence data; point names
 never influence the outcome, only the formatting of witnesses.
@@ -29,7 +31,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .indices import ALL_PERMS, CORRELATION, Perm4, extend
-from .perspective import PerspectiveSpec, SkewFamily
+from .perspective import PerspectiveSpec, Skew, SkewFamily
 from .psts import Psts, free_complete_subgraphs
 
 MAX_POINTS = 32
@@ -390,6 +392,32 @@ class IsoCase(Enum):
     B = "B"
 
 
+def family_images(s: PerspectiveSpec):
+    """The 48 specs the family criteria relate to ``s``, with their maps.
+
+    Each case of the two-case conjugation criteria solves for the second
+    spec.  For s = (sigma, N) and phi in S4, case A gives
+    (phi sigma phi^-1, extend(phi) N) and case B gives
+    (phi sigma^-1 phi^-1, extend(phi sigma) N), with the complement
+    involution also applied to case B's axis in the boolean-complementing
+    family.  Yields ((phi, case), image), case A first, phi in
+    ``ALL_PERMS`` order: the scan order of the two criteria.
+    """
+    family, sigma, axis = s.skew.family, s.skew.perm, s.axis
+    for phi in ALL_PERMS:
+        yield (phi, IsoCase.A), PerspectiveSpec(
+            Skew(family, sigma.conjugate_by(phi)), axis.apply(extend(phi))
+        )
+    sigma_inv = sigma.inverse()
+    for phi in ALL_PERMS:
+        image = axis.apply(extend(phi.compose(sigma)))
+        if family is SkewFamily.PERM_KAPPA:
+            image = image.apply(CORRELATION)
+        yield (phi, IsoCase.B), PerspectiveSpec(
+            Skew(family, sigma_inv.conjugate_by(phi)), image
+        )
+
+
 def perm_family_iso(
     s1: PerspectiveSpec, s2: PerspectiveSpec
 ) -> tuple[Perm4, IsoCase] | None:
@@ -404,17 +432,7 @@ def perm_family_iso(
     """
     if s1.skew.family is not SkewFamily.PERM or s2.skew.family is not SkewFamily.PERM:
         raise ValueError("perm_family_iso expects two PERM-family specs")
-    sg1, sg2 = s1.skew.perm, s2.skew.perm
-    for phi in ALL_PERMS:
-        if phi.compose(sg1) == sg2.compose(phi) and s1.axis.apply(extend(phi)) == s2.axis:
-            return phi, IsoCase.A
-    sg2_inv = sg2.inverse()
-    for phi in ALL_PERMS:
-        if phi.compose(sg1) == sg2_inv.compose(phi) and s1.axis.apply(
-            extend(sg2_inv.compose(phi))
-        ) == s2.axis:
-            return phi, IsoCase.B
-    return None
+    return next((w for w, image in family_images(s1) if image == s2), None)
 
 
 def kappa_family_iso(
@@ -433,31 +451,4 @@ def kappa_family_iso(
         or s2.skew.family is not SkewFamily.PERM_KAPPA
     ):
         raise ValueError("kappa_family_iso expects two PERM_KAPPA-family specs")
-    f1, f2 = s1.skew.perm, s2.skew.perm
-    for alpha in ALL_PERMS:
-        if f1.conjugate_by(alpha) == f2 and s1.axis.apply(extend(alpha)) == s2.axis:
-            return alpha, IsoCase.A
-    f2_inv = f2.inverse()
-    for alpha in ALL_PERMS:
-        if f1.conjugate_by(alpha) == f2_inv and s1.axis.apply(
-            CORRELATION.compose(extend(f2_inv.compose(alpha)))
-        ) == s2.axis:
-            return alpha, IsoCase.B
-    return None
-
-
-def kappa_self_witness_count(s: PerspectiveSpec) -> int:
-    """Number of (alpha, case) witnesses of kappa_family_iso(s, s); equals
-    the automorphism group order of the built structure."""
-    f = s.skew.perm
-    count = 0
-    for alpha in ALL_PERMS:
-        if f.conjugate_by(alpha) == f and s.axis.apply(extend(alpha)) == s.axis:
-            count += 1
-    f_inv = f.inverse()
-    for alpha in ALL_PERMS:
-        if f.conjugate_by(alpha) == f_inv and s.axis.apply(
-            CORRELATION.compose(extend(f_inv.compose(alpha)))
-        ) == s.axis:
-            count += 1
-    return count
+    return next((w for w, image in family_images(s1) if image == s2), None)

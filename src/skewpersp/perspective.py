@@ -176,11 +176,6 @@ def build(spec: PerspectiveSpec) -> LabeledPsts:
     return LabeledPsts(Psts(points, lines), _ROLES)
 
 
-def b_join(spec: PerspectiveSpec, i: int, j: int) -> Pair:
-    """The pair u with c_u on the line through b_i and b_j: delta^-1({i,j})."""
-    return spec.skew.delta_inverse()(Pair.of(i, j))
-
-
 def predicted_free_k5(spec: PerspectiveSpec) -> tuple[frozenset[str], ...]:
     """Closed-form list of the free K5 subgraphs of the built structure.
 

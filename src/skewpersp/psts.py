@@ -16,7 +16,6 @@ the full list of problems found, not just the first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -145,36 +144,9 @@ class Psts:
         )
 
 
-@dataclass(frozen=True)
-class ConfigSignature:
-    """Point/line counts with uniform degrees: an (n_r m_k) configuration."""
-
-    point_count: int
-    point_degree: int
-    line_count: int
-    line_size: int
-
-    def __str__(self) -> str:
-        return (
-            f"({self.point_count}_{self.point_degree} "
-            f"{self.line_count}_{self.line_size})"
-        )
-
-
-def signature(s: Psts) -> ConfigSignature | None:
-    """The (n_r m_k) signature when degrees are uniform, else None."""
-    degs = {s.degree(x) for x in s.points}
-    if len(degs) != 1:
-        return None
-    return ConfigSignature(len(s.points), degs.pop(), len(s.lines), 3)
-
-
-def validate_configuration(s: Psts, point_degree: int, line_size: int) -> bool:
-    """True when every point lies on exactly ``point_degree`` lines and every
-    line has exactly ``line_size`` points.  Line size 3 is structural here,
-    so any other requested size is False."""
-    if line_size != 3:
-        return False
+def validate_configuration(s: Psts, point_degree: int) -> bool:
+    """True when every point lies on exactly ``point_degree`` lines; every
+    line has three points by construction."""
     return all(s.degree(x) == point_degree for x in s.points)
 
 

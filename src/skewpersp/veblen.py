@@ -34,8 +34,6 @@ from .indices import (
 )
 from .psts import Psts
 
-Line = frozenset  # of Pair
-
 
 def star(i: int) -> frozenset[Pair]:
     """S(i): the three pairs containing i."""
@@ -79,8 +77,13 @@ class VeblenConfig:
             if len(l1 & l2) > 1:
                 raise ValueError(f"lines share two pairs: {set(l1)} and {set(l2)}")
 
+    @functools.lru_cache(maxsize=None)
     def apply(self, m: PairMap) -> "VeblenConfig":
-        return VeblenConfig(tuple(m.apply_line(ln) for ln in self.lines))
+        """The image labeling under a pair bijection.  A bijection of the
+        six pairs carries a labeling onto a labeling, so the image is the
+        census instance with those lines, looked up without re-validation.
+        The memo is bounded by 30 labelings times 720 pair bijections."""
+        return _census_by_lines()[frozenset(m.apply_line(ln) for ln in self.lines)]
 
     def has_line(self, line: frozenset[Pair]) -> bool:
         return line in self.lines
@@ -132,7 +135,9 @@ for _plain, _starred in (
     (CanonicalKind.B2, CanonicalKind.V4),
     (CanonicalKind.V5, CanonicalKind.V6),
 ):
-    _CANONICAL[_starred] = _CANONICAL[_plain].apply(CORRELATION)
+    _CANONICAL[_starred] = VeblenConfig(
+        tuple(CORRELATION.apply_line(ln) for ln in _CANONICAL[_plain].lines)
+    )
 
 
 def canonical(kind: CanonicalKind) -> VeblenConfig:
@@ -161,14 +166,10 @@ def enumerate_labelings() -> tuple[VeblenConfig, ...]:
     return tuple(sorted(out, key=VeblenConfig.sort_key))
 
 
-def top_lines(v: VeblenConfig) -> tuple[frozenset[Pair], ...]:
-    """The lines of v of the form T(i), in index order of i."""
-    return tuple(top(i) for i in INDICES if v.has_line(top(i)))
-
-
-def star_lines(v: VeblenConfig) -> tuple[frozenset[Pair], ...]:
-    """The lines of v of the form S(i), in index order of i."""
-    return tuple(star(i) for i in INDICES if v.has_line(star(i)))
+@functools.lru_cache(maxsize=1)
+def _census_by_lines() -> dict[frozenset, VeblenConfig]:
+    # built on the first apply, so importing the package stays cheap
+    return {frozenset(v.lines): v for v in enumerate_labelings()}
 
 
 def star_triangles(v: VeblenConfig) -> tuple[int, ...]:

@@ -68,7 +68,7 @@ def test_criterion_01_construction_validity(census):
         for perm in ALL_PERMS:
             for axis in census:
                 spec = PerspectiveSpec(Skew(family, perm), axis)
-                if not validate_configuration(build(spec).psts, 4, 3):
+                if not validate_configuration(build(spec).psts, 4):
                     bad.append(spec_text(spec))
     total = 2 * len(ALL_PERMS) * len(census)
     report(

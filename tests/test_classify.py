@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from skewpersp import classify
+from skewpersp import classify, veblen
 from skewpersp.classify import (
     FACT_2_2_PUBLISHED_ORDERS,
     LEMMA_2_3_PUBLISHED,
@@ -21,8 +21,9 @@ from skewpersp.classify import (
     render_structured,
     render_text,
 )
-from skewpersp.iso import canonical_key, find_isomorphism
+from skewpersp.iso import IsoCase, canonical_key, family_images, find_isomorphism
 from skewpersp.perspective import CENTER, SkewFamily, build, parse_spec_text, spec_text
+from skewpersp.veblen import VeblenConfig, aut_perms
 
 EXPECTED_VERDICTS = {
     # the audit's honest divergence set, frozen
@@ -192,6 +193,51 @@ class TestOracleSweep:
             + len(kappa_specs) - kappa + pairs(kappa)
         )
         assert calls == expected
+
+
+class TestCriterionSweep:
+    def test_sweeps_catch_a_criterion_without_case_b(self, monkeypatch, perm_specs, kappa_specs):
+        real = classify.family_images
+
+        def case_a_only(s):
+            return ((w, image) for w, image in real(s) if w[1] is IsoCase.A)
+
+        monkeypatch.setattr(classify, "family_images", case_a_only)
+        for sweep, specs in ((classify._prop_3_2, perm_specs), (classify._prop_4_5, kappa_specs)):
+            f = sweep(specs)
+            assert f.verdict == "MISMATCH"
+            assert f.computed["disagreements"] > 0
+            assert f.computed["pairs_checked"] == 10440
+
+
+class TestNoRevalidation:
+    """Labelings are validated where they are constructed, never when a
+    pair bijection moves them; a call counter makes this a gate that
+    cannot flake."""
+
+    def test_algebraic_claims_construct_no_labeling(self, monkeypatch, census, perm_specs, kappa_specs):
+        calls = 0
+        real = VeblenConfig.__post_init__
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            real(self)
+
+        monkeypatch.setattr(VeblenConfig, "__post_init__", counting)
+        # start cold, so every image goes through the census lookup
+        VeblenConfig.apply.cache_clear()
+        veblen._census_by_lines.cache_clear()
+        for v in census:
+            aut_perms(v)
+        classify._fact_2_1(census)
+        classify._cor_4_6()
+        for s in perm_specs + kappa_specs:
+            for _ in family_images(s):
+                pass
+        assert calls == 0
+        VeblenConfig(census[0].lines)
+        assert calls == 1
 
 
 class TestPublishedData:

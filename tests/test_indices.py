@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from skewpersp.indices import (
     ALL_PERMS,
     CORRELATION,
-    CYCLE_TYPES,
     IDENTITY,
     INDICES,
     PAIR_INDEX,
@@ -17,7 +16,6 @@ from skewpersp.indices import (
     Perm4,
     conjugacy_classes_under,
     correlation,
-    cycle_type,
     extend,
     is_subgroup,
     parse_cycles,
@@ -135,20 +133,18 @@ class TestCycleText:
             parse_cycles("(1,2)(2,3)")
 
 
+def cycle_type(phi):
+    return tuple(sorted(len(c) for c in phi.cycles()))
+
+
 class TestCycleType:
-    def test_examples(self):
-        assert cycle_type(IDENTITY) == (1, 1, 1, 1)
-        assert cycle_type(parse_cycles("(1,2)")) == (1, 1, 2)
-        assert cycle_type(parse_cycles("(2,3,4)")) == (1, 3)
-        assert cycle_type(parse_cycles("(1,2)(3,4)")) == (2, 2)
-        assert cycle_type(parse_cycles("(1,2,3,4)")) == (4,)
+    """Cycle types read off ``Perm4.cycles``."""
 
     @given(perms)
     def test_partition_of_four(self, f):
-        t = cycle_type(f)
-        assert sum(t) == 4
-        assert t == tuple(sorted(t))
-        assert t in CYCLE_TYPES
+        assert sorted(i for c in f.cycles() for i in c) == list(INDICES)
+        for c in f.cycles():
+            assert [f(i) for i in c] == list(c[1:] + c[:1])
 
     def test_census_of_types(self):
         from collections import Counter

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewpersp import cli
-from skewpersp.indices import ALL_PERMS, IDENTITY, parse_cycles
+from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, extend, parse_cycles
 from skewpersp.iso import (
     MAX_POINTS,
     IsoCase,
@@ -18,16 +18,16 @@ from skewpersp.iso import (
     all_isomorphisms,
     automorphism_group,
     canonical_key,
+    family_images,
     find_isomorphism,
     kappa_family_iso,
-    kappa_self_witness_count,
     perm_family_iso,
     point_map_text,
     verify_point_map,
 )
 from skewpersp.perspective import CENTER, PerspectiveSpec, Skew, SkewFamily, build, parse_spec_text
 from skewpersp.psts import Psts, free_complete_subgraphs, to_text
-from skewpersp.veblen import CanonicalKind, canonical, to_psts
+from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical, enumerate_labelings, to_psts
 
 
 def perspective(text):
@@ -400,9 +400,11 @@ class TestKappaFamilyCriterion:
             assert algebraic == oracle
 
     def test_self_witness_count_is_aut_order(self, kappa_specs):
+        # every automorphism fixes the center (Cor 4.2), so the maps whose
+        # image is the spec itself are exactly the automorphisms
         for spec in kappa_specs[:8]:
             order = automorphism_group(build(spec).psts)[1]
-            assert kappa_self_witness_count(spec) == order
+            assert sum(image == spec for _, image in family_images(spec)) == order
 
     def test_case_b_example(self):
         # a 4-cycle and its inverse over complement-swapped axes
@@ -421,3 +423,74 @@ class TestKappaFamilyCriterion:
         p = parse_spec_text("perm:id@G2")
         with pytest.raises(ValueError):
             kappa_family_iso(p, p)
+
+
+def reference_perm_family_iso(s1, s2):
+    """The plain-family criterion as two literal scans over S4."""
+    sg1, sg2 = s1.skew.perm, s2.skew.perm
+    for phi in ALL_PERMS:
+        if phi.compose(sg1) == sg2.compose(phi) and s1.axis.apply(extend(phi)) == s2.axis:
+            return phi, IsoCase.A
+    sg2_inv = sg2.inverse()
+    for phi in ALL_PERMS:
+        if phi.compose(sg1) == sg2_inv.compose(phi) and s1.axis.apply(
+            extend(sg2_inv.compose(phi))
+        ) == s2.axis:
+            return phi, IsoCase.B
+    return None
+
+
+def reference_kappa_family_iso(s1, s2):
+    """The boolean-complementing criterion as two literal scans over S4."""
+    f1, f2 = s1.skew.perm, s2.skew.perm
+    for alpha in ALL_PERMS:
+        if f1.conjugate_by(alpha) == f2 and s1.axis.apply(extend(alpha)) == s2.axis:
+            return alpha, IsoCase.A
+    f2_inv = f2.inverse()
+    for alpha in ALL_PERMS:
+        if f1.conjugate_by(alpha) == f2_inv and s1.axis.apply(
+            CORRELATION.compose(extend(f2_inv.compose(alpha)))
+        ) == s2.axis:
+            return alpha, IsoCase.B
+    return None
+
+
+class TestFamilyImages:
+    """The criteria scan the images of ``family_images``; the two-case
+    scans over S4 are the reference."""
+
+    @pytest.mark.parametrize(
+        "criterion,reference,specs",
+        [
+            (perm_family_iso, reference_perm_family_iso, "perm_specs"),
+            (kappa_family_iso, reference_kappa_family_iso, "kappa_specs"),
+        ],
+        ids=["perm", "kappa"],
+    )
+    def test_criteria_match_reference_on_all_pairs(self, request, criterion, reference, specs):
+        specs = request.getfixturevalue(specs)
+        assert len(specs) == 144
+        for s1, s2 in itertools.product(specs, repeat=2):
+            assert criterion(s1, s2) == reference(s1, s2)
+
+    def test_images_in_scan_order(self, perm_specs, kappa_specs):
+        for spec in (perm_specs[7], kappa_specs[7]):
+            witnesses = [w for w, _ in family_images(spec)]
+            assert witnesses == [(phi, case) for case in IsoCase for phi in ALL_PERMS]
+
+
+class TestApply:
+    def test_apply_returns_the_census_instance(self, census):
+        maps = [extend(phi) for phi in ALL_PERMS]
+        maps += [CORRELATION.compose(m) for m in maps]
+        for v in census:
+            for m in maps:
+                image = v.apply(m)
+                assert image is census[census.index(image)]
+                assert image == VeblenConfig(tuple(m.apply_line(ln) for ln in v.lines))
+
+    def test_canonical_images_are_census_instances(self):
+        census = enumerate_labelings()
+        for kind in CanonicalKind:
+            image = canonical(kind).apply(extend(IDENTITY))
+            assert image == canonical(kind) and any(image is v for v in census)

@@ -18,7 +18,6 @@ from skewpersp.perspective import (
     SkewFamily,
     a_name,
     axis_token,
-    b_join,
     b_name,
     build,
     c_name,
@@ -26,7 +25,7 @@ from skewpersp.perspective import (
     predicted_free_k5,
     spec_text,
 )
-from skewpersp.psts import free_complete_subgraphs, signature, validate_configuration
+from skewpersp.psts import free_complete_subgraphs, validate_configuration
 from skewpersp.veblen import CanonicalKind, canonical
 
 perms = st.sampled_from(ALL_PERMS)
@@ -42,8 +41,8 @@ class TestBuild:
     @given(families, perms, kinds)
     def test_always_a_15_4_20_3_configuration(self, family, perm, kind):
         s = build(spec_of(family, perm, kind)).psts
-        assert validate_configuration(s, 4, 3)
-        assert str(signature(s)) == "(15_4 20_3)"
+        assert validate_configuration(s, 4)
+        assert (len(s.points), len(s.lines)) == (15, 20)
 
     def test_point_roster(self):
         s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)).psts
@@ -84,25 +83,23 @@ class TestBuild:
 
 
 class TestBJoin:
+    """The line through b_i and b_j meets the axis in c_u, u = delta^-1({i,j})."""
+
     def test_identity_skew(self):
-        spec = spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)
+        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)).psts
         for u in PAIRS:
-            assert b_join(spec, u.lo, u.hi) == u
+            assert s.third_point(b_name(u.lo), b_name(u.hi)) == c_name(u)
 
     def test_three_cycle(self):
-        spec = spec_of(SkewFamily.PERM, parse_cycles("(2,3,4)"), CanonicalKind.G2)
-        assert b_join(spec, 1, 2) == Pair(1, 4)
-
-    def test_kappa_identity(self):
-        spec = spec_of(SkewFamily.PERM_KAPPA, IDENTITY, CanonicalKind.G2)
-        assert b_join(spec, 1, 3) == Pair(2, 4)
+        s = build(spec_of(SkewFamily.PERM, parse_cycles("(2,3,4)"), CanonicalKind.G2)).psts
+        assert s.third_point("b1", "b2") == c_name(Pair(1, 4))
 
     @given(families, perms, st.sampled_from(PAIRS))
     def test_matches_built_lines(self, family, perm, u):
         spec = spec_of(family, perm, CanonicalKind.B2)
         s = build(spec).psts
         assert s.third_point(b_name(u.lo), b_name(u.hi)) == c_name(
-            b_join(spec, u.lo, u.hi)
+            spec.skew.delta_inverse()(u)
         )
 
 

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from skewpersp.perspective import parse_spec_text, build
 from skewpersp.psts import (
-    ConfigSignature,
     Psts,
     PstsError,
     free_complete_subgraphs,
     from_text,
-    signature,
     to_text,
     validate_configuration,
 )
@@ -128,18 +126,13 @@ class TestLookups:
 
 
 class TestSignature:
-    def test_pasch(self):
-        assert signature(PASCH) == ConfigSignature(6, 2, 4, 3)
-        assert str(signature(PASCH)) == "(6_2 4_3)"
-
     def test_non_uniform(self):
         s = Psts(["a", "b", "c", "d"], [("a", "b", "c")])
-        assert signature(s) is None
+        assert not any(validate_configuration(s, d) for d in range(3))
 
     def test_validate(self):
-        assert validate_configuration(PASCH, 2, 3)
-        assert not validate_configuration(PASCH, 3, 3)
-        assert not validate_configuration(PASCH, 2, 4)
+        assert validate_configuration(PASCH, 2)
+        assert not validate_configuration(PASCH, 3)
 
 
 class TestFreeSubgraphs:
