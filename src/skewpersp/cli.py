@@ -6,7 +6,10 @@ Subcommands:
                  Levi incidence graph in DOT),
 * ``census``     the labeling census with its orbit table,
 * ``iso``        decide isomorphism of two structures, printing a witness,
-* ``aut``        automorphism group generators and order,
+* ``aut``        the exact order of the automorphism group and a generating
+                 set found by the canonical search; each generator lies
+                 outside the group of those before it, so the identity is
+                 never printed,
 * ``classify``   isomorphism classes of one family,
 * ``audit``      the full published-claim audit report.
 

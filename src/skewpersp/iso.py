@@ -1,11 +1,15 @@
 """Exact isomorphism machinery for small partial Steiner triple systems.
 
-Three layers, all deterministic:
+Four layers, all deterministic:
 
 * ``canonical_key``       a complete relabeling invariant, computed by
                           individualization-refinement backtracking; equal
                           keys if and only if isomorphic (optionally pinning
                           one point onto itself),
+* ``automorphism_group``  generators and exact order, read from the same
+                          cached search: the automorphisms it finds generate
+                          the group, and Schreier-Sims over them gives the
+                          order without listing the group,
 * ``find_isomorphism``    explicit witness search (optionally pinning one
                           point pair), sound and complete; this is the
                           ground-truth oracle the algebraic criteria are
@@ -29,6 +33,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import prod
 
 from .indices import ALL_PERMS, CORRELATION, Perm4, extend
 from .perspective import PerspectiveSpec, Skew, SkewFamily
@@ -128,6 +133,17 @@ def _is_automorphism(s: Psts, g: tuple[int, ...]) -> bool:
 
 
 class _Canonicalizer:
+    """One individualization-refinement search over a structure.
+
+    Leaves with equal encodings compose to automorphisms, which prune
+    the children of later nodes.  The search explores every child that
+    no automorphism found so far maps onto an explored sibling, so the
+    automorphisms it finds generate the whole group (of the structure
+    with ``pin`` fixed): any automorphism h carries the first leaf onto a
+    leaf with its encoding; found automorphisms carry that leaf, one
+    pruned branch at a time, onto an explored one, whose automorphism
+    then makes h a product of found ones."""
+
     def __init__(self, s: Psts, pin: int | None):
         self.s = s
         self.n = len(s.points)
@@ -137,31 +153,37 @@ class _Canonicalizer:
         self.auts: list[tuple[int, ...]] = []
 
     def run(self) -> tuple:
+        """Depth-first over the search tree, with an explicit stack of
+        (colors, path, rest of the target cell, explored children)."""
         raw = _seed_colors(self.s)
         if self.pin is not None:
             raw = [t + (i == self.pin,) for i, t in enumerate(raw)]
-        self._descend(_rank_raw(raw), ())
+        stack: list[tuple] = []
+        self._visit(_rank_raw(raw), (), stack)
+        while stack:
+            colors, path, children, explored = stack[-1]
+            for x in children:
+                if not self._pruned(x, explored, path):
+                    explored.append(x)
+                    child = list(colors)
+                    child[x] = self.n + len(path)  # fresh color above all ranks
+                    self._visit(child, path + (x,), stack)
+                    break
+            else:
+                stack.pop()
         assert self.best is not None
         return self.best
 
-    def _descend(self, colors: list[int], path: tuple[int, ...]) -> None:
+    def _visit(self, colors: list[int], path: tuple[int, ...], stack: list[tuple]) -> None:
         colors = _refine(self.s, colors)
-        cells = _cells(colors)
         target = None
-        for cell in cells:
+        for cell in _cells(colors):
             if len(cell) > 1 and (target is None or len(cell) > len(target)):
                 target = cell
         if target is None:
             self._leaf(colors)
-            return
-        explored: list[int] = []
-        for x in target:
-            if self._pruned(x, explored, path):
-                continue
-            explored.append(x)
-            child = list(colors)
-            child[x] = self.n + len(path)  # fresh color above all ranks
-            self._descend(child, path + (x,))
+        else:
+            stack.append((colors, path, iter(target), []))
 
     def _leaf(self, colors: list[int]) -> None:
         enc = _encode_leaf(self.s, colors)
@@ -209,6 +231,14 @@ class _Canonicalizer:
 
 
 @lru_cache(maxsize=None)
+def _canonical_search(s: Psts, pin: int | None) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The least leaf encoding of one search, and the automorphisms that
+    search found, as index tuples; they generate the group fixing pin."""
+    c = _Canonicalizer(s, pin)
+    return c.run(), tuple(c.auts)
+
+
+@lru_cache(maxsize=None)
 def canonical_key(s: Psts, pin: str | None = None) -> CanonicalKey:
     """Relabeling-invariant complete invariant of a structure.
 
@@ -222,7 +252,124 @@ def canonical_key(s: Psts, pin: str | None = None) -> CanonicalKey:
         raise ValueError(f"canonical_key capped at {MAX_POINTS} points, got {len(s.points)}")
     if pin is not None and pin not in s.index:
         raise ValueError(f"pin point {pin!r} not present")
-    return CanonicalKey(len(s.points), len(s.lines), _Canonicalizer(s, s.index.get(pin)).run())
+    return CanonicalKey(len(s.points), len(s.lines), _canonical_search(s, s.index.get(pin))[0])
+
+
+# ---------------------------------------------------------------------------
+# automorphism groups
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a after b."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
+class _StabilizerChain:
+    """Base and strong generating set of a permutation group on range(n),
+    grown one generator at a time by deterministic Schreier-Sims (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).
+
+    Level l has base point ``base[l]``, the strong generators ``gens[l]``
+    that fix ``base[:l]``, and ``orbits[l]``: for each point x in the
+    orbit of ``base[l]`` a pair (u, u^-1) with u(base[l]) = x.  The
+    representatives never change once set, so ``checked[l]`` can record
+    the Schreier generators (orbit point, generator number) already
+    sifted to the identity.  The order is the product of the orbit sizes.
+    """
+
+    def __init__(self, n: int):
+        self.identity = tuple(range(n))
+        self.base: list[int] = []
+        self.gens: list[list[tuple[int, ...]]] = []
+        self.orbits: list[dict[int, tuple]] = []
+        self.checked: list[set[tuple[int, int]]] = []
+
+    def order(self) -> int:
+        return prod(len(orbit) for orbit in self.orbits)
+
+    def sift(self, g: tuple[int, ...], level: int = 0) -> tuple[tuple[int, ...], int]:
+        """Strip g down the chain from ``level``: the residue, and the
+        level where it left the orbits (``len(base)`` if it got through)."""
+        for lv in range(level, len(self.base)):
+            rep = self.orbits[lv].get(g[self.base[lv]])
+            if rep is None:
+                return g, lv
+            g = _compose(rep[1], g)
+        return g, len(self.base)
+
+    def add(self, g: tuple[int, ...]) -> bool:
+        """Extend the group by g; False when g is already in it."""
+        residue = self.sift(g)
+        if residue[0] == self.identity:
+            return False
+        while residue is not None:
+            g, level = residue
+            self._insert(g, level)
+            # the levels below the insertion are complete; restore the
+            # Schreier-Sims condition from there up to the top
+            residue = next(
+                (r for lv in range(level, -1, -1) if (r := self._schreier_residue(lv))), None
+            )
+        return True
+
+    def _insert(self, g: tuple[int, ...], level: int) -> None:
+        # g fixes base[:level]: a strong generator of every level up to it
+        if level == len(self.base):
+            b = next(i for i, x in enumerate(g) if i != x)
+            self.base.append(b)
+            self.gens.append([])
+            self.orbits.append({b: (self.identity, self.identity)})
+            self.checked.append(set())
+        for lv in range(level + 1):
+            gens, orbit = self.gens[lv], self.orbits[lv]
+            gens.append(g)
+            queue = list(orbit)
+            for x in queue:
+                u = orbit[x][0]
+                for s in gens:
+                    y = s[x]
+                    if y not in orbit:
+                        uy = _compose(s, u)
+                        orbit[y] = (uy, _inverse(uy))
+                        queue.append(y)
+
+    def _schreier_residue(self, level: int) -> tuple[tuple[int, ...], int] | None:
+        """The first Schreier generator of ``level`` that does not sift to
+        the identity through the levels below, as its residue and level."""
+        gens, orbit, checked = self.gens[level], self.orbits[level], self.checked[level]
+        for x, (u, _) in orbit.items():
+            for k, s in enumerate(gens):
+                if (x, k) in checked:
+                    continue
+                checked.add((x, k))
+                h = _compose(orbit[s[x]][1], _compose(s, u))
+                h, stop = self.sift(h, level + 1)
+                if h != self.identity:
+                    return h, stop
+        return None
+
+
+def automorphism_group(s: Psts) -> tuple[tuple[dict[str, str], ...], int]:
+    """Generators and exact order of the automorphism group.
+
+    The canonical search behind ``canonical_key`` (one cached run per
+    structure) finds automorphisms that generate the group.  Each is kept
+    as a generator only when it is not in the group of those kept before
+    it, so the identity never is; Schreier-Sims over the kept ones gives
+    the order.  Nothing enumerates the group."""
+    _, found = _canonical_search(s, None)
+    chain = _StabilizerChain(len(s.points))
+    gens = tuple(
+        {p: s.points[i] for p, i in zip(s.points, g)} for g in found if chain.add(g)
+    )
+    return gens, chain.order()
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +475,6 @@ def find_isomorphism(
     return None
 
 
-def all_isomorphisms(x: Psts, y: Psts, fix: tuple[str, str] | None = None):
-    """Every isomorphism of x onto y, deterministically ordered."""
-    yield from _search(x, y, fix)
-
-
 def verify_point_map(x: Psts, y: Psts, mapping: dict[str, str]) -> bool:
     """Check a claimed isomorphism: bijection on points carrying the lines
     of x exactly onto the lines of y."""
@@ -347,40 +489,6 @@ def verify_point_map(x: Psts, y: Psts, mapping: dict[str, str]) -> bool:
 def point_map_text(mapping: dict[str, str]) -> str:
     """Serialize a witness map, one 'x -> y' row per point, by point name."""
     return "\n".join(f"{p} -> {mapping[p]}" for p in sorted(mapping))
-
-
-def automorphism_group(s: Psts) -> tuple[tuple[dict[str, str], ...], int]:
-    """Generators and exact order of the automorphism group.
-
-    The full group is enumerated by the witness search; the generating set
-    is then greedily thinned (smallest maps first) until it regenerates the
-    group, which keeps the printed output short."""
-    auts = list(all_isomorphisms(s, s))
-    order = len(auts)
-    identity = {p: p for p in s.points}
-    rest = sorted(
-        (a for a in auts if a != identity),
-        key=lambda a: tuple(a[p] for p in s.points),
-    )
-    gens: list[dict[str, str]] = []
-    reach: set[tuple[str, ...]] = {tuple(identity[p] for p in s.points)}
-    for a in rest:
-        if tuple(a[p] for p in s.points) in reach:
-            continue
-        gens.append(a)
-        frontier = [identity]
-        reach = {tuple(identity[p] for p in s.points)}
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = {p: g[cur[p]] for p in s.points}
-                key = tuple(nxt[p] for p in s.points)
-                if key not in reach:
-                    reach.add(key)
-                    frontier.append(nxt)
-        if len(reach) == order:
-            break
-    return tuple(gens), order
 
 
 # ---------------------------------------------------------------------------

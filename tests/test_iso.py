@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewpersp import cli
+from skewpersp.classify import FamilyTag, enumerate_family
 from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, extend, parse_cycles
 from skewpersp.iso import (
     MAX_POINTS,
     IsoCase,
     _rank_raw,
     _refine_pair,
-    all_isomorphisms,
+    _search,
+    _StabilizerChain,
     automorphism_group,
     canonical_key,
     family_images,
@@ -148,9 +150,9 @@ class TestWitnessSearch:
         # the boolean-complementing family pins the center
         assert find_isomorphism(s, s, fix=(CENTER, "a1")) is None
 
-    def test_all_isomorphisms_count_matches_group(self):
+    def test_search_count_matches_group(self):
         s = perspective("kappa:id@V5")
-        assert len(list(all_isomorphisms(s, s))) == 3
+        assert len(list(_search(s, s, None))) == 3
 
     def test_non_isomorphic(self):
         assert (
@@ -286,7 +288,7 @@ class TestSearchOrder:
     def test_self_pairs(self, family, kind):
         s = perspective(f"{family}:id@{kind}")
         for fix in (None, (CENTER, CENTER), (CENTER, "a1")):
-            assert list(all_isomorphisms(s, s, fix)) == list(reference_isomorphisms(s, s, fix))
+            assert list(_search(s, s, fix)) == list(reference_isomorphisms(s, s, fix))
 
     @pytest.mark.parametrize(
         "first,second",
@@ -306,13 +308,73 @@ class TestSearchOrder:
     def test_cross_pairs(self, first, second):
         x, y = perspective(first), perspective(second)
         for fix in (None, (CENTER, CENTER)):
-            assert list(all_isomorphisms(x, y, fix)) == list(reference_isomorphisms(x, y, fix))
+            assert list(_search(x, y, fix)) == list(reference_isomorphisms(x, y, fix))
 
     @pytest.mark.parametrize("s", [to_psts(canonical(CanonicalKind.G2)), FANO], ids=["pasch", "fano"])
     def test_small_systems(self, s):
-        maps = list(all_isomorphisms(s, s))
+        maps = list(_search(s, s, None))
         assert maps == list(reference_isomorphisms(s, s))
         assert len(maps) == {6: 24, 7: 168}[len(s.points)]
+
+
+def projective_space(d):
+    """PG(d-1, 2): the nonzero vectors of GF(2)^d, lines {a, b, a xor b}."""
+    pts = range(1, 2**d)
+    lines = {tuple(sorted((a, b, a ^ b))) for a, b in itertools.combinations(pts, 2)}
+    return Psts([f"v{p:02d}" for p in pts], [tuple(f"v{p:02d}" for p in ln) for ln in lines])
+
+
+def seeded_copies(copies, points=12, lines=12, seed=0):
+    """``copies`` disjoint copies of one seeded random partial triple
+    system; the copy itself is rigid, so the group permutes the copies."""
+    rng = random.Random(seed)
+    covered, blocks = set(), []
+    while len(blocks) < lines:
+        ln = rng.sample(range(points), 3)
+        pairs = {frozenset(p) for p in itertools.combinations(ln, 2)}
+        if not pairs & covered:
+            covered |= pairs
+            blocks.append(ln)
+    names = [[f"c{c}p{i:02d}" for i in range(points)] for c in range(copies)]
+    return Psts(
+        [p for copy in names for p in copy],
+        [tuple(copy[i] for i in ln) for copy in names for ln in blocks],
+    )
+
+
+def as_index_tuple(s, mapping):
+    return tuple(s.index[mapping[p]] for p in s.points)
+
+
+def closure(n, gens):
+    """Every element of the group generated by index tuples, by brute force."""
+    identity = tuple(range(n))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple(g[i] for i in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def parse_aut_rows(s, text):
+    """``aut`` output as (order, generator maps); each generator row is
+    ``generator: `` and disjoint cycles of point names."""
+    order_row, *rows = text.splitlines()
+    gens = []
+    for row in rows:
+        cycles = row.removeprefix("generator: ")
+        assert cycles != row
+        mapping = {p: p for p in s.points}
+        for cycle in cycles[1:-1].split(")("):
+            pts = cycle.split()
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                mapping[a] = b
+        gens.append(mapping)
+    return int(order_row.removeprefix("order ")), gens
 
 
 class TestAutomorphismGroup:
@@ -342,6 +404,133 @@ class TestAutomorphismGroup:
                     reach.add(key)
                     frontier.append(nxt)
         assert len(reach) == order
+
+
+    @pytest.mark.parametrize("d,order", [(4, 20160), (5, 9999360)], ids=["pg32", "pg42"])
+    def test_projective_space_orders(self, d, order):
+        s = projective_space(d)
+        gens, found = automorphism_group(s)
+        assert found == order
+        assert gens and all(verify_point_map(s, s, g) for g in gens)
+
+    def test_class_orders_match_enumeration(self, perm_classes, kappa_classes):
+        # the 68 classes; the census axes add none (test_classify)
+        classes = perm_classes + kappa_classes
+        assert len(classes) == 68
+        for c in classes:
+            s = build(c.representative).psts
+            gens, order = automorphism_group(s)
+            assert order == c.aut_order == len(list(_search(s, s, None)))
+            assert all(verify_point_map(s, s, g) for g in gens)
+
+    def test_kappa_census_orders_match_enumeration(self, census):
+        specs = enumerate_family(FamilyTag.KAPPA_FAMILY, tuple(census))
+        assert len(specs) == 720
+        for spec in specs:
+            s = build(spec).psts
+            gens, order = automorphism_group(s)
+            assert order == len(list(_search(s, s, None)))
+            assert all(verify_point_map(s, s, g) for g in gens)
+
+    def test_each_generator_is_new(self, perm_classes):
+        for c in perm_classes:
+            s = build(c.representative).psts
+            gens = [as_index_tuple(s, g) for g in automorphism_group(s)[0]]
+            for k, g in enumerate(gens):
+                assert g not in closure(len(s.points), gens[:k])
+
+    def test_aut_beyond_key_cap_without_recursion(self, capsys, tmp_path):
+        s = seeded_copies(3)
+        assert len(s.points) > MAX_POINTS
+        path = tmp_path / "copies.psts"
+        path.write_text(to_text(s))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            code = cli.main(["aut", str(path)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == cli.EX_OK
+        order, gens = parse_aut_rows(s, capsys.readouterr().out)
+        assert order == len(list(_search(s, s, None))) == 6
+        assert gens and all(verify_point_map(s, s, g) for g in gens)
+
+    def test_identity_only_group(self, capsys, tmp_path):
+        s = seeded_copies(1)
+        assert len(list(_search(s, s, None))) == 1
+        path = tmp_path / "rigid.psts"
+        path.write_text(to_text(s))
+        assert cli.main(["aut", str(path)]) == cli.EX_OK
+        assert capsys.readouterr().out == "order 1\n"
+
+    def test_aut_output_repeats(self, capsys, tmp_path):
+        path = tmp_path / "pg32.psts"
+        path.write_text(to_text(projective_space(4)))
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["aut", str(path)]) == cli.EX_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("order 20160\n")
+
+
+class TestSchreierSims:
+    """The stabilizer chain's order against a brute-force closure."""
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            to_psts(canonical(CanonicalKind.G2)),
+            FANO,
+            perspective("perm:id@G2"),
+            perspective("perm:(1,2)@B2"),
+            perspective("kappa:(1,2,3,4)@V4"),
+            perspective("kappa:id@G2"),
+        ],
+        ids=["pasch", "fano", "perm-id-G2", "perm-12-B2", "kappa-1234-V4", "kappa-id-G2"],
+    )
+    def test_order_matches_closure(self, s):
+        auts = [as_index_tuple(s, m) for m in _search(s, s, None)]
+        # every prefix of the automorphism list generates a subgroup
+        for k in (1, 2, 3, len(auts)):
+            chain = _StabilizerChain(len(s.points))
+            for g in auts[:k]:
+                chain.add(g)
+            assert chain.order() == len(closure(len(s.points), auts[:k]))
+        assert chain.order() == len(auts)
+
+    def test_random_generator_lists(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(4, 7)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                # a product of one or two transpositions
+                g = list(range(n))
+                for _ in range(rng.randint(1, 2)):
+                    a, b = rng.sample(range(n), 2)
+                    g[a], g[b] = g[b], g[a]
+                gens.append(tuple(g))
+            chain = _StabilizerChain(n)
+            for g in gens:
+                chain.add(g)
+            assert chain.order() == len(closure(n, gens)), gens
+
+    def test_duplicated_and_redundant_generators(self):
+        s = FANO
+        auts = [as_index_tuple(s, m) for m in _search(s, s, None)]
+        a, b = auts[1], auts[-1]
+        chain = _StabilizerChain(len(s.points))
+        assert chain.add(a) and not chain.add(a)
+        assert chain.add(b) and not chain.add(b)
+        order = chain.order()
+        ab = tuple(a[i] for i in b)
+        assert not chain.add(ab) and not chain.add(tuple(ab[i] for i in a))
+        assert chain.order() == order == len(closure(len(s.points), [a, b]))
+
+    def test_identity_only(self):
+        chain = _StabilizerChain(5)
+        assert not chain.add(tuple(range(5)))
+        assert chain.order() == 1 and chain.base == []
 
 
 class TestPermFamilyCriterion:
