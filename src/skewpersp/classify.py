@@ -21,6 +21,11 @@ equality.  The witness search checks the key partition itself: one witness
 from each member onto its class representative and one refutation for each
 pair of representatives, which by transitivity decides every pair.  The
 plain family's classes are center-fixing ones, keyed with the center pinned.
+
+One audit holds one structure per spec: each spec is built once, on first
+use, and every claim reads that structure.  Its free K5 subgraphs are
+searched once too (``iso.free_k5``), for the seed colouring of its key and
+for every claim that counts them.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .iso import (
     canonical_key,
     family_images,
     find_isomorphism,
+    free_k5,
     verify_point_map,
 )
 from .perspective import (
@@ -59,7 +65,7 @@ from .perspective import (
     predicted_free_k5,
     spec_text,
 )
-from .psts import free_complete_subgraphs, validate_configuration
+from .psts import Psts, validate_configuration
 from .veblen import (
     PAIRS,
     CanonicalKind,
@@ -130,17 +136,28 @@ class IsoClass:
         }
 
 
-def partition_into_classes(specs) -> tuple[IsoClass, ...]:
+class _Structures(dict):
+    """Spec -> its built structure, each spec built on first use."""
+
+    def __missing__(self, spec: PerspectiveSpec) -> Psts:
+        s = self[spec] = build(spec).psts
+        return s
+
+
+def partition_into_classes(specs, *, structures: _Structures | None = None) -> tuple[IsoClass, ...]:
     """Group specs by the canonical key of their built structures.
 
     Representatives are the sort-least members (canonical-kind axes rank
     before the rest, so representatives read as plain kind names whenever
     the class touches a canonical axis).  Output is independent of input
-    order.
+    order.  The audit passes its ``structures`` so that no spec is built
+    twice; the classes do not depend on it.
     """
+    if structures is None:
+        structures = _Structures()
     groups: dict[CanonicalKey, list[PerspectiveSpec]] = {}
     for s in specs:
-        groups.setdefault(canonical_key(build(s).psts), []).append(s)
+        groups.setdefault(canonical_key(structures[s]), []).append(s)
     ordered = sorted(
         groups.items(), key=lambda kv: min(s.sort_key() for s in kv[1])
     )
@@ -148,8 +165,8 @@ def partition_into_classes(specs) -> tuple[IsoClass, ...]:
     for idx, (key, members) in enumerate(ordered, 1):
         members = tuple(sorted(set(members), key=PerspectiveSpec.sort_key))
         rep = members[0]
-        built = build(rep).psts
-        k5 = len(free_complete_subgraphs(built, 5))
+        built = structures[rep]
+        k5 = len(free_k5(built))
         aut = automorphism_group(built)[1]
         prefix = "P" if rep.skew.family is SkewFamily.PERM else "K"
         classes.append(
@@ -473,10 +490,10 @@ def _lemma_2_3(kind: CanonicalKind) -> Finding:
     )
 
 
-def _construction(all_specs) -> Finding:
+def _construction(structures, all_specs) -> Finding:
     bad = []
     for s in all_specs:
-        if not validate_configuration(build(s).psts, 4):
+        if not validate_configuration(structures[s], 4):
             bad.append(spec_text(s))
     return Finding(
         claim_id="construction",
@@ -488,12 +505,11 @@ def _construction(all_specs) -> Finding:
     )
 
 
-def _lemma_3_1(perm_specs) -> Finding:
+def _lemma_3_1(structures, perm_specs) -> Finding:
     mismatches = []
     dichotomy_fail = []
     for s in perm_specs:
-        built = build(s).psts
-        oracle = set(free_complete_subgraphs(built, 5))
+        oracle = set(free_k5(structures[s]))
         predicted = set(predicted_free_k5(s))
         if oracle != predicted:
             mismatches.append(spec_text(s))
@@ -578,8 +594,8 @@ def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
     )
 
 
-def _prop_3_2(perm_specs) -> Finding:
-    builds = [build(s).psts for s in perm_specs]
+def _prop_3_2(structures, perm_specs) -> Finding:
+    builds = [structures[s] for s in perm_specs]
     pinned = [canonical_key(b, CENTER) for b in builds]
     plain = [canonical_key(b) for b in builds]
     _check_partition(perm_specs, builds, pinned, fix=(CENTER, CENTER))
@@ -596,8 +612,8 @@ def _prop_3_2(perm_specs) -> Finding:
     )
 
 
-def _prop_4_5(kappa_specs) -> Finding:
-    builds = [build(s).psts for s in kappa_specs]
+def _prop_4_5(structures, kappa_specs) -> Finding:
+    builds = [structures[s] for s in kappa_specs]
     keys = [canonical_key(b) for b in builds]
     _check_partition(kappa_specs, builds, keys)
     return _criterion_sweep(
@@ -608,10 +624,10 @@ def _prop_4_5(kappa_specs) -> Finding:
     )
 
 
-def _lemma_4_1(kappa_specs) -> Finding:
+def _lemma_4_1(structures, kappa_specs) -> Finding:
     bad = []
     for s in kappa_specs:
-        if len(free_complete_subgraphs(build(s).psts, 5)) != 2:
+        if len(free_k5(structures[s])) != 2:
             bad.append(spec_text(s))
     return Finding(
         claim_id="lemma_4_1",
@@ -623,10 +639,10 @@ def _lemma_4_1(kappa_specs) -> Finding:
     )
 
 
-def _cor_4_2(kappa_specs) -> Finding:
+def _cor_4_2(structures, kappa_specs) -> Finding:
     moved = []
     for s in kappa_specs:
-        gens, _ = automorphism_group(build(s).psts)
+        gens, _ = automorphism_group(structures[s])
         for g in gens:
             if g[CENTER] != CENTER:
                 moved.append(f"{spec_text(s)}: generator moves the center")
@@ -659,7 +675,7 @@ def _lemma_4_3(perm_classes, kappa_classes) -> Finding:
     )
 
 
-def _lemma_4_4(census) -> Finding:
+def _lemma_4_4(structures, census) -> Finding:
     """The tetrahedron swap a_i <-> b_i with c_u -> c_complement(u) carries
     the identity-skew boolean-complementing perspective over any axis onto
     the one over the complemented axis."""
@@ -674,7 +690,7 @@ def _lemma_4_4(census) -> Finding:
     for idx, axis in enumerate(census):
         s1 = PerspectiveSpec(Skew(SkewFamily.PERM_KAPPA, IDENTITY), axis)
         s2 = PerspectiveSpec(Skew(SkewFamily.PERM_KAPPA, IDENTITY), axis.apply(CORRELATION))
-        b1, b2 = build(s1).psts, build(s2).psts
+        b1, b2 = structures[s1], structures[s2]
         if not verify_point_map(b1, b2, explicit):
             failures.append(f"axis census:{idx}")
         if canonical_key(b1) != canonical_key(b2):
@@ -724,7 +740,7 @@ def _cor_4_6() -> Finding:
     )
 
 
-def _lemma_4_8() -> Finding:
+def _lemma_4_8(structures) -> Finding:
     checked = 0
     failures = []
     for kind in CanonicalKind:
@@ -733,7 +749,7 @@ def _lemma_4_8() -> Finding:
         keys = {}
         for beta in ALL_PERMS:
             s = PerspectiveSpec(Skew(SkewFamily.PERM_KAPPA, beta), axis)
-            keys[beta] = canonical_key(build(s).psts)
+            keys[beta] = canonical_key(structures[s])
         for b1, b2 in itertools.combinations_with_replacement(ALL_PERMS, 2):
             checked += 1
             conjugate = any(b1.conjugate_by(alpha) == b2 for alpha in group)
@@ -752,6 +768,7 @@ def _lemma_4_8() -> Finding:
 
 
 def _match_entries(
+    structures,
     classes: tuple[IsoClass, ...],
     entries,
     family: SkewFamily,
@@ -759,12 +776,12 @@ def _match_entries(
     """Attach published labels to classes; report distinctness and the
     classes no entry reaches, with exhaustive non-isomorphism witnesses."""
     by_key = {c.key: c for c in classes}
+    entry_specs = [_entry_spec(family, kind, cycles) for _, kind, cycles in entries]
     entry_keys = {}
     labels: dict[str, list[str]] = {}
     problems = []
-    for label, kind, cycles in entries:
-        s = _entry_spec(family, kind, cycles)
-        k = canonical_key(build(s).psts)
+    for (label, _, _), s in zip(entries, entry_specs):
+        k = canonical_key(structures[s])
         entry_keys[label] = k
         if k not in by_key:
             problems.append(f"entry ({label}) matches no computed class")
@@ -795,11 +812,8 @@ def _match_entries(
     unmatched = [c for c in labeled if c.published_label is None]
     witnesses = list(problems)
     for c in unmatched:
-        refuted = all(
-            find_isomorphism(build(c.representative).psts, build(_entry_spec(family, kind, cyc)).psts)
-            is None
-            for _, kind, cyc in entries
-        )
+        rep = structures[c.representative]
+        refuted = all(find_isomorphism(rep, structures[s]) is None for s in entry_specs)
         if not refuted:
             raise OracleInconsistencyError(
                 f"{spec_text(c.representative)} has a fresh key yet a witness onto a listed entry"
@@ -819,6 +833,7 @@ def _match_entries(
 
 
 def _theorem_finding(
+    structures,
     claim_id: str,
     claim: str,
     classes,
@@ -827,7 +842,7 @@ def _theorem_finding(
     published_count: int,
     census_note: dict | None,
 ) -> tuple[tuple[IsoClass, ...], Finding]:
-    labeled, summary, witnesses, entries_ok = _match_entries(classes, entries, family)
+    labeled, summary, witnesses, entries_ok = _match_entries(structures, classes, entries, family)
     if census_note:
         summary.update(census_note)
     ok = entries_ok and len(classes) == published_count and not summary["unmatched"]
@@ -860,13 +875,14 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
     perm_specs = perm_canonical if axes_mode == "canonical" else enumerate_family(FamilyTag.PERM_FAMILY, axes)
     kappa_specs = kappa_canonical if axes_mode == "canonical" else enumerate_family(FamilyTag.KAPPA_FAMILY, axes)
 
-    perm_classes = partition_into_classes(perm_specs)
-    kappa_classes = partition_into_classes(kappa_specs)
+    structures = _Structures()
+    perm_classes = partition_into_classes(perm_specs, structures=structures)
+    kappa_classes = partition_into_classes(kappa_specs, structures=structures)
 
     census_note_perm = census_note_kappa = None
     if axes_mode == "census":
-        canon_perm_keys = {canonical_key(build(s).psts) for s in perm_canonical}
-        canon_kappa_keys = {canonical_key(build(s).psts) for s in kappa_canonical}
+        canon_perm_keys = {canonical_key(structures[s]) for s in perm_canonical}
+        canon_kappa_keys = {canonical_key(structures[s]) for s in kappa_canonical}
         census_note_perm = {
             "classes_beyond_canonical_axes": len({c.key for c in perm_classes} - canon_perm_keys)
         }
@@ -875,6 +891,7 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
         }
 
     perm_classes, theorem_3_4 = _theorem_finding(
+        structures,
         "theorem_3_4",
         "the plain family over the canonical kinds falls into exactly the 42 listed isomorphism classes",
         perm_classes,
@@ -884,6 +901,7 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
         census_note_perm,
     )
     kappa_classes, theorem_4_9 = _theorem_finding(
+        structures,
         "theorem_4_9",
         "the boolean-complementing family over the canonical kinds has exactly 20 isomorphism types",
         kappa_classes,
@@ -913,24 +931,24 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
     )
 
     findings = (
-        _construction(tuple(perm_specs) + tuple(kappa_specs)),
+        _construction(structures, tuple(perm_specs) + tuple(kappa_specs)),
         _fact_2_1(census),
         _eq_2(),
         _fact_2_2(),
         _lemma_2_3(_K.G2),
         _lemma_2_3(_K.B2),
         _lemma_2_3(_K.V5),
-        _lemma_3_1(perm_specs),
+        _lemma_3_1(structures, perm_specs),
         _lemma_3_3(),
-        _prop_3_2(perm_canonical),
+        _prop_3_2(structures, perm_canonical),
         theorem_3_4,
-        _lemma_4_1(kappa_specs),
-        _cor_4_2(kappa_specs),
+        _lemma_4_1(structures, kappa_specs),
+        _cor_4_2(structures, kappa_specs),
         _lemma_4_3(perm_classes, kappa_classes),
-        _lemma_4_4(census),
-        _prop_4_5(kappa_canonical),
+        _lemma_4_4(structures, census),
+        _prop_4_5(structures, kappa_canonical),
         _cor_4_6(),
-        _lemma_4_8(),
+        _lemma_4_8(structures),
         theorem_4_9,
         total,
     )

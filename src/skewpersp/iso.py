@@ -43,11 +43,17 @@ MAX_POINTS = 32
 
 
 @lru_cache(maxsize=None)
+def free_k5(s: Psts) -> tuple[frozenset[str], ...]:
+    """The free K5 subgraphs of a structure, searched once per structure:
+    the seed coloring and the audit's clique claims all read them here."""
+    return free_complete_subgraphs(s, 5)
+
+
 def _seed_colors(s: Psts) -> tuple[tuple[int, int], ...]:
     """(degree, free-K5 membership count) of each point: the cheap
     isomorphism-invariant seed coloring."""
     k5 = [0] * len(s.points)
-    for clique in free_complete_subgraphs(s, 5):
+    for clique in free_k5(s):
         for x in clique:
             k5[s.index[x]] += 1
     return tuple((len(p), c) for p, c in zip(s.partners, k5))

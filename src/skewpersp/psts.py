@@ -133,16 +133,6 @@ class Psts:
         k = self.third[self.index[x]].get(self.index[y])
         return None if k is None else self.points[k]
 
-    def relabel(self, mapping: dict[str, str]) -> "Psts":
-        """Structure with every point renamed through ``mapping``."""
-        missing = [x for x in self.points if x not in mapping]
-        if missing:
-            raise ValueError(f"relabel mapping misses points {missing}")
-        return Psts(
-            [mapping[x] for x in self.points],
-            [tuple(mapping[x] for x in ln) for ln in self.lines],
-        )
-
 
 def validate_configuration(s: Psts, point_degree: int) -> bool:
     """True when every point lies on exactly ``point_degree`` lines; every

@@ -247,17 +247,9 @@ PAIR_NAMES: dict[Pair, str] = {u: f"c{u}" for u in PAIRS}
 _NAME_TO_PAIR: dict[str, Pair] = {name: u for u, name in PAIR_NAMES.items()}
 
 
-def to_psts(v: VeblenConfig) -> Psts:
-    """The labeling as a named structure on points c12 .. c34."""
-    return Psts(
-        [PAIR_NAMES[u] for u in PAIRS],
-        [tuple(PAIR_NAMES[u] for u in ln) for ln in v.lines],
-    )
-
-
 def from_psts(s: Psts) -> VeblenConfig:
-    """Inverse of ``to_psts``; the structure must use exactly the six pair
-    names.  Raises ValueError otherwise."""
+    """The labeling of a structure on the six pair points c12 .. c34, as
+    an axis file gives it.  Raises ValueError on any other points."""
     if set(s.points) != set(_NAME_TO_PAIR):
         raise ValueError(
             f"expected points {sorted(_NAME_TO_PAIR)}, got {list(s.points)}"

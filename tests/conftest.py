@@ -14,7 +14,19 @@ from skewpersp.classify import (
     enumerate_family,
     partition_into_classes,
 )
-from skewpersp.veblen import enumerate_labelings
+from skewpersp.psts import Psts
+from skewpersp.veblen import PAIR_NAMES, enumerate_labelings
+
+
+def relabel(s, mapping):
+    """``s`` with every point renamed through ``mapping``."""
+    return Psts([mapping[x] for x in s.points], [[mapping[x] for x in ln] for ln in s.lines])
+
+
+def axis_psts(v):
+    """The labeling ``v`` as a structure on the pair points c12 .. c34,
+    the names an axis file uses."""
+    return Psts(PAIR_NAMES.values(), [[PAIR_NAMES[u] for u in ln] for ln in v.lines])
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from skewpersp import classify, veblen
+from skewpersp import classify, iso, veblen
 from skewpersp.classify import (
     FACT_2_2_PUBLISHED_ORDERS,
     LEMMA_2_3_PUBLISHED,
@@ -150,7 +150,7 @@ class TestOracleSweep:
         victim_built = build(victim).psts
         self._patch(monkeypatch, lambda x, y, m: None if victim_built in (x, y) else m)
         with pytest.raises(OracleInconsistencyError, match="no witness") as e:
-            sweep(specs)
+            sweep(classify._Structures(), specs)
         assert spec_text(victim) in str(e.value)
 
     @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
@@ -160,7 +160,7 @@ class TestOracleSweep:
         pair = {build(r1).psts, build(r2).psts}
         self._patch(monkeypatch, lambda x, y, m: {} if {x, y} == pair else m)
         with pytest.raises(OracleInconsistencyError, match="keys differ") as e:
-            sweep(specs)
+            sweep(classify._Structures(), specs)
         assert f"{spec_text(r1)} vs {spec_text(r2)}" in str(e.value)
 
     def test_search_count_follows_the_partitions(
@@ -175,8 +175,9 @@ class TestOracleSweep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(classify, "find_isomorphism", counting)
-        classify._prop_3_2(perm_specs)
-        classify._prop_4_5(kappa_specs)
+        structures = classify._Structures()
+        classify._prop_3_2(structures, perm_specs)
+        classify._prop_4_5(structures, kappa_specs)
 
         def pairs(k):
             return k * (k - 1) // 2
@@ -204,7 +205,7 @@ class TestCriterionSweep:
 
         monkeypatch.setattr(classify, "family_images", case_a_only)
         for sweep, specs in ((classify._prop_3_2, perm_specs), (classify._prop_4_5, kappa_specs)):
-            f = sweep(specs)
+            f = sweep(classify._Structures(), specs)
             assert f.verdict == "MISMATCH"
             assert f.computed["disagreements"] > 0
             assert f.computed["pairs_checked"] == 10440
@@ -238,6 +239,46 @@ class TestNoRevalidation:
         assert calls == 0
         VeblenConfig(census[0].lines)
         assert calls == 1
+
+
+class TestAuditWork:
+    """What one audit builds and searches, counted from cold caches: each
+    spec is built once and its free K5 subgraphs are searched once.  The
+    counts are deterministic, so this is a work gate that cannot flake."""
+
+    @pytest.mark.parametrize(
+        "axes_mode,expected",
+        [
+            # builds, clique searches, canonical searches, witness searches
+            ("census", (1440, 1440, 1584, 1708)),
+            # lemma 4.4 adds kappa:id over the 24 non-canonical census axes
+            ("canonical", (312, 312, 456, 1708)),
+        ],
+    )
+    def test_each_spec_built_and_searched_once(self, monkeypatch, axes_mode, expected):
+        counts = dict.fromkeys(("build", "cliques", "canonical", "witness"), 0)
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(classify, "build", counting("build", classify.build))
+        monkeypatch.setattr(
+            iso, "free_complete_subgraphs", counting("cliques", iso.free_complete_subgraphs)
+        )
+        monkeypatch.setattr(
+            iso._Canonicalizer, "run", counting("canonical", iso._Canonicalizer.run)
+        )
+        monkeypatch.setattr(
+            classify, "find_isomorphism", counting("witness", classify.find_isomorphism)
+        )
+        for cache in (iso.canonical_key, iso._canonical_search, iso.free_k5):
+            cache.cache_clear()
+        classify.audit_claims(axes_mode)
+        assert tuple(counts.values()) == expected
 
 
 class TestPublishedData:

@@ -8,6 +8,7 @@ audit run (the slow part) is shared module-wide.
 import json
 
 import pytest
+from conftest import axis_psts
 
 from skewpersp import cli, psts
 from skewpersp.cli import (
@@ -24,7 +25,7 @@ from skewpersp.cli import (
 )
 from skewpersp.iso import verify_point_map
 from skewpersp.perspective import build, parse_spec_text
-from skewpersp.veblen import CanonicalKind, canonical, to_psts
+from skewpersp.veblen import CanonicalKind, canonical
 
 
 def run(capsys, *argv):
@@ -66,7 +67,7 @@ class TestBuild:
         assert a == b
 
     def test_levi_of_axis_structure(self):
-        dot = emit_levi_dot(to_psts(canonical(CanonicalKind.V5)))
+        dot = emit_levi_dot(axis_psts(canonical(CanonicalKind.V5)))
         node_rows = [r for r in dot.splitlines() if "shape=" in r]
         edge_rows = [r for r in dot.splitlines() if " -- " in r]
         assert len(node_rows) == 6 + 4
@@ -74,7 +75,7 @@ class TestBuild:
 
     def test_axis_from_file(self, capsys, tmp_path):
         axis = tmp_path / "axis.psts"
-        axis.write_text(psts.to_text(to_psts(canonical(CanonicalKind.B2))))
+        axis.write_text(psts.to_text(axis_psts(canonical(CanonicalKind.B2))))
         code, out, _ = run(capsys, "build", f"perm:id@{axis}")
         ref_code, ref_out, _ = run(capsys, "build", "perm:id@B2")
         assert code == ref_code == EX_OK
@@ -165,9 +166,8 @@ class TestAut:
         gens = [r for r in rows[1:] if r.startswith("generator: ")]
         assert len(gens) >= 1
 
-    def test_identity_only_group(self, capsys):
-        # the two B2 plain-family classes with trivial-free automorphisms
-        # still have order 8; use a file round trip to cover the path
+    def test_order_of_perm_id_b2(self, capsys):
+        # the order line comes first; test_iso covers the identity-only group
         code, out, _ = run(capsys, "aut", "perm:id@B2")
         assert code == EX_OK
         assert out.splitlines()[0] == "order 8"

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from conftest import relabel
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -175,7 +176,7 @@ class TestFreeSubgraphs:
     @given(st.permutations(list(PASCH.points)))
     def test_relabel_commutes(self, perm):
         mapping = dict(zip(PASCH.points, perm))
-        relabeled = PASCH.relabel(mapping)
+        relabeled = relabel(PASCH, mapping)
         direct = {
             frozenset(mapping[x] for x in clique)
             for clique in free_complete_subgraphs(PASCH, 3)
@@ -226,7 +227,7 @@ def relabeled(s, seed):
     """s under a seeded renaming that also reorders the sorted points."""
     names = [f"q{k:02d}" for k in range(len(s.points))]
     random.Random(seed).shuffle(names)
-    return s.relabel(dict(zip(s.points, names)))
+    return relabel(s, dict(zip(s.points, names)))
 
 
 CORE_CASES = [PASCH, FANO, perspective("perm:id@G2"), perspective("kappa:id@V5")]
@@ -260,17 +261,6 @@ def test_core_matches_brute_force(s):
     for x in s.points:
         assert not s.are_collinear(x, x)
         assert s.degree(x) == sum(x in ln for ln in s.lines)
-
-
-class TestRelabel:
-    def test_round_trip(self):
-        mapping = {x: x.upper() for x in PASCH.points}
-        back = {v: k for k, v in mapping.items()}
-        assert PASCH.relabel(mapping).relabel(back) == PASCH
-
-    def test_missing_point(self):
-        with pytest.raises(ValueError, match="misses"):
-            PASCH.relabel({"u": "q"})
 
 
 class TestText:

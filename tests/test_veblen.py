@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import axis_psts
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from skewpersp.indices import (
     extend,
     parse_cycles,
 )
-from skewpersp.psts import validate_configuration
+from skewpersp.psts import from_text, validate_configuration
 from skewpersp.veblen import (
     PARTNER,
     CanonicalKind,
@@ -31,7 +32,6 @@ from skewpersp.veblen import (
     lemma23_representatives,
     star,
     star_triangles,
-    to_psts,
     top,
 )
 
@@ -117,7 +117,7 @@ class TestCensus:
 
     def test_all_valid_configurations(self, census):
         for v in census:
-            assert validate_configuration(to_psts(v), 2)
+            assert validate_configuration(axis_psts(v), 2)
 
     def test_sorted_and_duplicate_free(self, census):
         keys = [v.sort_key() for v in census]
@@ -240,11 +240,12 @@ class TestLemma23Representatives:
 class TestPstsBoundary:
     def test_round_trip(self, census):
         for v in census:
-            assert from_psts(to_psts(v)) == v
+            assert from_psts(axis_psts(v)) == v
 
     def test_point_names(self):
-        s = to_psts(canonical(CanonicalKind.G2))
-        assert s.points == ("c12", "c13", "c14", "c23", "c24", "c34")
+        # an axis file names the six pair points c12 .. c34
+        text = "psts 6 4\nc12 c13 c14 c23 c24 c34\nc12 c13 c23\nc12 c14 c24\nc13 c14 c34\nc23 c24 c34\n"
+        assert from_psts(from_text(text)) == canonical(CanonicalKind.G2)
 
     def test_wrong_points_rejected(self):
         from skewpersp.psts import Psts
