@@ -5,7 +5,10 @@ Four layers, all deterministic:
 * ``canonical_key``       a complete relabeling invariant, computed by
                           individualization-refinement backtracking; equal
                           keys if and only if isomorphic (optionally pinning
-                          one point onto itself),
+                          one point onto itself).  Its refinement is
+                          incremental: a round re-signs only the cells that
+                          hold a line partner of a point whose cell split in
+                          the round before,
 * ``automorphism_group``  generators and exact order, read from the same
                           cached search: the automorphisms it finds generate
                           the group, and Schreier-Sims over them gives the
@@ -30,6 +33,7 @@ never influence the outcome, only the formatting of witnesses.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -59,28 +63,89 @@ def _seed_colors(s: Psts) -> tuple[tuple[int, int], ...]:
     return tuple((len(p), c) for p, c in zip(s.partners, k5))
 
 
-def _signatures(s: Psts, colors: list[int]) -> list[tuple]:
-    # line partners packed as (lo << 10) | hi: cheap flat int tuples
+def _pack_shift(bound: int) -> int:
+    """Bits per colour when a pair of colours below ``bound`` is packed
+    into one int as (lo << shift) | hi: enough that the pack is injective
+    and orders packs as it orders the pairs."""
+    return max(10, bound.bit_length())
+
+
+def _signatures(s: Psts, colors: list[int], shift: int) -> list[tuple]:
+    # line partners packed as (lo << shift) | hi: cheap flat int tuples
     sigs = []
     for i, partners in enumerate(s.partners):
         part = sorted(
-            (colors[j] << 10) | colors[k]
+            (colors[j] << shift) | colors[k]
             if colors[j] <= colors[k]
-            else (colors[k] << 10) | colors[j]
+            else (colors[k] << shift) | colors[j]
             for j, k in partners
         )
         sigs.append((colors[i], *part))
     return sigs
 
 
-def _refine(s: Psts, colors: list[int]) -> list[int]:
+def _refine(s: Psts, colors: list[int], moved: Iterable[int]) -> list[int]:
+    """Refine dense ``colors`` (every value in 0..max used) until stable.
+
+    ``moved`` holds every point whose colour changed since the colours
+    were last stable: all points at the root, the individualized point at
+    a child.  The result equals that of full rounds, each of which gives
+    every point the dense rank of (its colour, the sorted packed colours
+    of its line partners) until nothing changes.  A round here re-signs
+    only the non-singleton cells that hold a line partner of a moved
+    point, and the points of the cells that split are the next round's
+    moved points.  Three facts make the two equal:
+
+    * Rounds are synchronous: every cell signed in a round reads the
+      colours of the round before, and renumbering waits for all of them.
+    * Colours are dense on entry.  A full round then keeps the cells in
+      order, numbers each cell's fragments in signature order after the
+      fragments of the cells before it, and changes nothing once no cell
+      splits.
+    * The pair pack is injective and preserves order.  A full round's
+      renumbering is then one increasing map on the colours of the points
+      that did not move, so two points of a cell with no moved partner
+      keep equal signatures, and the cell neither splits nor moves.
+    """
+    partners = s.partners
+    shift = _pack_shift(len(colors))
+    colors = list(colors)
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for i, c in enumerate(colors):
+        cells[c].append(i)
     while True:
-        sigs = _signatures(s, colors)
-        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
-        new = [rank[sig] for sig in sigs]
-        if new == colors:
+        touched = {colors[j] for i in moved for pair in partners[i] for j in pair}
+        splits = {}
+        for c in touched:
+            cell = cells[c]
+            if len(cell) == 1:
+                continue
+            by_sig: dict[tuple, list[int]] = {}
+            for i in cell:
+                part = []
+                for j, k in partners[i]:
+                    a, b = colors[j], colors[k]
+                    part.append((a << shift) | b if a <= b else (b << shift) | a)
+                part.sort()
+                by_sig.setdefault(tuple(part), []).append(i)
+            if len(by_sig) > 1:
+                splits[c] = [by_sig[sig] for sig in sorted(by_sig)]
+        if not splits:
             return colors
-        colors = new
+        first = min(splits)
+        renumbered = cells[:first]
+        moved = []
+        for c in range(first, len(cells)):
+            fragments = splits.get(c)
+            if fragments is None:
+                renumbered.append(cells[c])
+            else:
+                renumbered.extend(fragments)
+                moved.extend(cells[c])
+        for c in range(first, len(renumbered)):
+            for i in renumbered[c]:
+                colors[i] = c
+        cells = renumbered
 
 
 def _refine_pair(
@@ -89,8 +154,9 @@ def _refine_pair(
     """Joint refinement with shared ranks so colors stay comparable across
     the two structures; returns None as soon as the color histograms
     diverge (a sound non-isomorphism refutation)."""
+    shift = _pack_shift(len(ca) + len(cb))
     while True:
-        sa, sb = _signatures(a, ca), _signatures(b, cb)
+        sa, sb = _signatures(a, ca, shift), _signatures(b, cb, shift)
         rank = {sig: r for r, sig in enumerate(sorted(set(sa) | set(sb)))}
         na, nb = [rank[s] for s in sa], [rank[s] for s in sb]
         if sorted(na) != sorted(nb):
@@ -103,13 +169,6 @@ def _refine_pair(
 def _rank_raw(raw: list[tuple]) -> list[int]:
     rank = {t: r for r, t in enumerate(sorted(set(raw)))}
     return [rank[t] for t in raw]
-
-
-def _cells(colors: list[int]) -> list[list[int]]:
-    by: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        by.setdefault(c, []).append(i)
-    return [by[c] for c in sorted(by)]
 
 
 @dataclass(frozen=True, order=True)
@@ -130,7 +189,19 @@ class CanonicalKey:
 
 
 def _encode_leaf(s: Psts, colors: list[int]) -> tuple:
-    return tuple(sorted(tuple(sorted(colors[i] for i in ln)) for ln in s.line_sets))
+    """The lines under a discrete colouring, as sorted colour triples."""
+    triples = []
+    for i, j, k in s.line_sets:
+        a, b, c = colors[i], colors[j], colors[k]
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        triples.append((a, b, c))
+    triples.sort()
+    return tuple(triples)
 
 
 def _is_automorphism(s: Psts, g: tuple[int, ...]) -> bool:
@@ -165,31 +236,37 @@ class _Canonicalizer:
         if self.pin is not None:
             raw = [t + (i == self.pin,) for i, t in enumerate(raw)]
         stack: list[tuple] = []
-        self._visit(_rank_raw(raw), (), stack)
+        self._visit(_rank_raw(raw), range(self.n), (), stack)
         while stack:
             colors, path, children, explored = stack[-1]
             for x in children:
                 if not self._pruned(x, explored, path):
                     explored.append(x)
                     child = list(colors)
-                    child[x] = self.n + len(path)  # fresh color above all ranks
-                    self._visit(child, path + (x,), stack)
+                    # a fresh colour just above the others keeps them dense
+                    child[x] = max(colors) + 1
+                    self._visit(child, (x,), path + (x,), stack)
                     break
             else:
                 stack.pop()
         assert self.best is not None
         return self.best
 
-    def _visit(self, colors: list[int], path: tuple[int, ...], stack: list[tuple]) -> None:
-        colors = _refine(self.s, colors)
-        target = None
-        for cell in _cells(colors):
-            if len(cell) > 1 and (target is None or len(cell) > len(target)):
-                target = cell
-        if target is None:
+    def _visit(
+        self, colors: list[int], moved: Iterable[int], path: tuple[int, ...], stack: list[tuple]
+    ) -> None:
+        colors = _refine(self.s, colors, moved)
+        sizes = [0] * self.n
+        for c in colors:
+            sizes[c] += 1
+        largest = max(sizes)
+        if largest == 1:
             self._leaf(colors)
         else:
-            stack.append((colors, path, iter(target), []))
+            # the first of the largest cells, in colour order
+            target = sizes.index(largest)
+            children = [i for i, c in enumerate(colors) if c == target]
+            stack.append((colors, path, iter(children), []))
 
     def _leaf(self, colors: list[int]) -> None:
         enc = _encode_leaf(self.s, colors)

@@ -1,5 +1,6 @@
 """Family enumeration, isomorphism classes, and the published-claim audit."""
 
+import hashlib
 import json
 
 import pytest
@@ -243,20 +244,22 @@ class TestNoRevalidation:
 
 class TestAuditWork:
     """What one audit builds and searches, counted from cold caches: each
-    spec is built once and its free K5 subgraphs are searched once.  The
-    counts are deterministic, so this is a work gate that cannot flake."""
+    spec is built once and its free K5 subgraphs are searched once, and
+    the canonical searches visit a fixed tree.  The counts are
+    deterministic, so this is a work gate that cannot flake."""
 
     @pytest.mark.parametrize(
         "axes_mode,expected",
         [
-            # builds, clique searches, canonical searches, witness searches
-            ("census", (1440, 1440, 1584, 1708)),
+            # builds, clique searches, canonical searches, witness searches,
+            # canonical search nodes, canonical search leaves
+            ("census", (1440, 1440, 1584, 1708, 14290, 11100)),
             # lemma 4.4 adds kappa:id over the 24 non-canonical census axes
-            ("canonical", (312, 312, 456, 1708)),
+            ("canonical", (312, 312, 456, 1708, 3999, 2836)),
         ],
     )
     def test_each_spec_built_and_searched_once(self, monkeypatch, axes_mode, expected):
-        counts = dict.fromkeys(("build", "cliques", "canonical", "witness"), 0)
+        counts = dict.fromkeys(("build", "cliques", "canonical", "witness", "nodes", "leaves"), 0)
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -274,6 +277,12 @@ class TestAuditWork:
         )
         monkeypatch.setattr(
             classify, "find_isomorphism", counting("witness", classify.find_isomorphism)
+        )
+        monkeypatch.setattr(
+            iso._Canonicalizer, "_visit", counting("nodes", iso._Canonicalizer._visit)
+        )
+        monkeypatch.setattr(
+            iso._Canonicalizer, "_leaf", counting("leaves", iso._Canonicalizer._leaf)
         )
         for cache in (iso.canonical_key, iso._canonical_search, iso.free_k5):
             cache.cache_clear()
@@ -410,3 +419,13 @@ class TestRendering:
     def test_rendering_is_deterministic(self, census_audit):
         assert render_text(census_audit) == render_text(census_audit)
         assert render_structured(census_audit) == render_structured(census_audit)
+
+    def test_census_report_bytes(self, census_audit):
+        digest = hashlib.sha256(render_text(census_audit).encode()).hexdigest()
+        assert digest == "8d4c6cad82db229d194ae7895372d093b7881450a224d71980e37c5b781c3bdc"
+
+    def test_class_key_digests(self, perm_classes, kappa_classes):
+        # every key of the canonical-axes partition, frozen as one digest
+        joined = " ".join(c.key.digest for c in perm_classes + kappa_classes)
+        digest = hashlib.sha256(joined.encode()).hexdigest()
+        assert digest == "c91088feb571b91e195565d95940cbcc262d2cb686a61a6658e4b55fc83ea61c"

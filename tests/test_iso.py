@@ -17,8 +17,10 @@ from skewpersp.iso import (
     IsoCase,
     _Canonicalizer,
     _rank_raw,
+    _refine,
     _refine_pair,
     _search,
+    _seed_colors,
     _StabilizerChain,
     automorphism_group,
     canonical_key,
@@ -486,6 +488,133 @@ class TestPruning:
         assert not c._pruned(x, [sibling], path)
         c.auts = [next(g for g in auts if g[0] == 0 and g[x] == sibling)]
         assert c._pruned(x, [sibling], path)
+
+
+def reference_refine(s, colors):
+    """Full rounds of colour refinement: every point gets the dense rank
+    of (its colour, the sorted colour pairs of its lines) until nothing
+    changes.  Pairs stay tuples, so no packing is involved."""
+    colors = list(colors)
+    while True:
+        sigs = [
+            (colors[i], tuple(sorted(tuple(sorted((colors[j], colors[k]))) for j, k in pairs)))
+            for i, pairs in enumerate(s.partners)
+        ]
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        new = [rank[sig] for sig in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def first_largest_cell(colors):
+    """The points of the first largest colour class, or [] if discrete."""
+    cells = {}
+    for i, c in enumerate(colors):
+        cells.setdefault(c, []).append(i)
+    largest = max(len(cell) for cell in cells.values())
+    if largest == 1:
+        return []
+    return next(cells[c] for c in sorted(cells) if len(cells[c]) == largest)
+
+
+def random_lines(rng, points, attempts):
+    """Greedily drawn random lines on range(points), no pair covered twice."""
+    covered, lines = set(), []
+    for _ in range(attempts):
+        ln = rng.sample(range(points), 3)
+        pairs = {frozenset(p) for p in itertools.combinations(ln, 2)}
+        if not pairs & covered:
+            covered |= pairs
+            lines.append(ln)
+    return lines
+
+
+def random_psts(rng):
+    """A seeded random partial triple system on about 6-20 points: one to
+    three components of random lines (half the time copies of one
+    another), plus up to three isolated points."""
+    pieces = rng.choice((1, 1, 2, 3))
+    size = max(3, rng.randint(6, 20) // pieces)
+    copies = rng.random() < 0.5
+    lines = []
+    for piece in range(pieces):
+        if piece == 0 or not copies:
+            blocks = random_lines(rng, size, rng.randint(1, 2 * size))
+        lines += [[size * piece + i for i in ln] for ln in blocks]
+    names = [f"p{i:02d}" for i in range(size * pieces + rng.randint(0, 3))]
+    return Psts(names, [[names[i] for i in ln] for ln in lines])
+
+
+class TestRefine:
+    """The incremental refinement of the canonical search against literal
+    full rounds, at the nodes the search visits."""
+
+    @staticmethod
+    def assert_matches_reference(s, pin=None, depth=2):
+        # root, then the children of the target cell, then (down to depth)
+        # the children of each first child.  The search individualizes x
+        # with max + 1, the reference with n + level: both lie above every
+        # other colour, so the results must agree
+        n = len(s.points)
+        raw = _seed_colors(s)
+        if pin is not None:
+            raw = [t + (i == pin,) for i, t in enumerate(raw)]
+        start = _rank_raw(raw)
+        expected = reference_refine(s, start)
+        assert _refine(s, start, range(n)) == expected
+        for level in range(depth):
+            cell = first_largest_cell(expected)
+            refined = []
+            for x in cell:
+                child = list(expected)
+                child[x] = max(expected) + 1
+                ref_child = list(expected)
+                ref_child[x] = n + level
+                refined.append(reference_refine(s, ref_child))
+                assert _refine(s, child, (x,)) == refined[-1], (level, x)
+            if not refined:
+                return
+            expected = refined[0]
+
+    def test_class_representatives(self, perm_classes, kappa_classes):
+        for cls in perm_classes + kappa_classes:
+            s = build(cls.representative).psts
+            for pin in (None, s.index[CENTER]):
+                self.assert_matches_reference(s, pin, depth=1)
+
+    def test_random_structures(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            s = random_psts(rng)
+            pin = rng.choice([None, rng.randrange(len(s.points))])
+            self.assert_matches_reference(s, pin)
+
+    def test_colours_past_1024(self):
+        # two copies of a connected random system on 588 points: refinement
+        # leaves every point with its twin, and individualizing one point
+        # tells all 1,176 apart
+        lines = random_lines(random.Random(5), 600, 800)
+        used = sorted({i for ln in lines for i in ln})
+        s = Psts(
+            [f"{c}{i:03d}" for c in "ab" for i in used],
+            [[f"{c}{i:03d}" for i in ln] for c in "ab" for ln in lines],
+        )
+        root = reference_refine(s, _rank_raw(_seed_colors(s)))
+        x = first_largest_cell(root)[0]
+        assert max(root) < 1024 <= max(reference_refine(s, [*root[:x], len(root), *root[x + 1 :]]))
+        self.assert_matches_reference(s, depth=2)
+
+    def test_pair_pack_past_1024(self):
+        # with ten bits per colour the pairs (1, 1) and (0, 1025) both pack
+        # to 1025, which would leave points 1027 and 1028 in one cell
+        names = [f"q{i:04d}" for i in range(1029)]
+        s = Psts(names, [(names[1027], names[1], names[2]), (names[1028], names[0], names[1026])])
+        colors = [0, 1, 1, *range(2, 1025), 1025, 1026, 1026]
+        refined = _refine(s, colors, range(len(colors)))
+        assert refined[1027:] == [1027, 1026]
+        assert refined == reference_refine(s, colors)
+        assert _refine_pair(s, colors, s, colors) == (refined, refined)
 
 
 class TestSchreierSims:
