@@ -509,7 +509,8 @@ def _lemma_3_1(structures, perm_specs) -> Finding:
     mismatches = []
     dichotomy_fail = []
     for s in perm_specs:
-        oracle = set(free_k5(structures[s]))
+        built = structures[s]
+        oracle = {frozenset(built.points[i] for i in f) for f in free_k5(built)}
         predicted = set(predicted_free_k5(s))
         if oracle != predicted:
             mismatches.append(spec_text(s))

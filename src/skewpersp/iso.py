@@ -47,10 +47,11 @@ MAX_POINTS = 32
 
 
 @lru_cache(maxsize=None)
-def free_k5(s: Psts) -> tuple[frozenset[str], ...]:
-    """The free K5 subgraphs of a structure, searched once per structure:
-    the seed coloring and the audit's clique claims all read them here."""
-    return free_complete_subgraphs(s, 5)
+def free_k5(s: Psts) -> tuple[tuple[int, ...], ...]:
+    """The free K5 subgraphs of a structure as sorted index tuples,
+    searched once per structure: the seed coloring and the audit's clique
+    claims all read them here."""
+    return tuple(tuple(sorted(s.index[x] for x in f)) for f in free_complete_subgraphs(s, 5))
 
 
 def _seed_colors(s: Psts) -> tuple[tuple[int, int], ...]:
@@ -58,8 +59,8 @@ def _seed_colors(s: Psts) -> tuple[tuple[int, int], ...]:
     isomorphism-invariant seed coloring."""
     k5 = [0] * len(s.points)
     for clique in free_k5(s):
-        for x in clique:
-            k5[s.index[x]] += 1
+        for i in clique:
+            k5[i] += 1
     return tuple((len(p), c) for p, c in zip(s.partners, k5))
 
 
@@ -206,7 +207,7 @@ def _encode_leaf(s: Psts, colors: list[int]) -> tuple:
 
 def _is_automorphism(s: Psts, g: tuple[int, ...]) -> bool:
     lines = set(s.line_sets)
-    return all(frozenset(g[i] for i in ln) in lines for ln in s.line_sets)
+    return all(tuple(sorted([g[i], g[j], g[k]])) in lines for i, j, k in s.line_sets)
 
 
 class _Canonicalizer:
@@ -525,7 +526,9 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     depth = 0
     while depth >= 0:
         if depth == n:
-            image = {frozenset(mapping[i] for i in ln) for ln in x.line_sets}
+            image = {
+                tuple(sorted([mapping[i], mapping[j], mapping[k]])) for i, j, k in x.line_sets
+            }
             if image == y_lines:
                 yield {x.points[i]: y.points[mapping[i]] for i in range(n)}
             depth -= 1

@@ -53,11 +53,13 @@ C_NAMES = tuple(PAIR_NAMES[u] for u in PAIRS)
 
 
 def a_name(i: int) -> str:
-    return f"a{i}"
+    """The name of A-vertex i: one shared string, so the structures that
+    hold it hold no copy."""
+    return A_NAMES[i - 1]
 
 
 def b_name(i: int) -> str:
-    return f"b{i}"
+    return B_NAMES[i - 1]
 
 
 def c_name(u: Pair) -> str:

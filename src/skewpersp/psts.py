@@ -5,9 +5,13 @@ which two distinct lines meet in at most one point.  Points are plain
 strings; all geometry below identifies structures only up to renaming, so
 nothing downstream may depend on what the names look like.
 
-Each structure holds its incidence once, over point indices; the
+Each structure holds its incidence once, over point indices: the lines as
+sorted index triples and each point's line partners as index pairs.  The
 isomorphism machinery works on that core, and names meet it only at the
-boundary.
+boundary.  The third-point table, a dict per point, is built only for the
+structures that look points up in it (the witness search and the lookups
+by name); the audit keeps every structure it builds, and most are never
+searched that way.
 
 Construction validates; an invalid line set raises ``PstsError`` carrying
 the full list of problems found, not just the first.
@@ -41,15 +45,18 @@ class Psts:
     point's index is its position in ``points``:
 
     * ``index[x]``       the index of the point named x,
-    * ``line_sets``      the lines as frozensets of indices, in ``lines`` order,
+    * ``line_sets``      the lines as sorted index triples, in ``lines`` order,
     * ``partners[i]``    sorted (j, k) pairs, one per line {i, j, k} with j < k,
     * ``third[i][j]``    the third point of the line through i and j, present
-                         only when that line exists.
+                         only when that line exists; built from ``partners``
+                         on first use, never by the constructor.
 
-    The lookups by name answer through ``index``.
+    The lookups by name answer through ``index``.  The names in ``lines``
+    are the strings of ``points``, so a caller that passes one string per
+    point keeps one copy of each name.
     """
 
-    __slots__ = ("points", "lines", "index", "line_sets", "partners", "third", "_hash")
+    __slots__ = ("points", "lines", "index", "line_sets", "partners", "_third", "_hash")
 
     def __init__(self, points, lines):
         problems: list[str] = []
@@ -77,14 +84,17 @@ class Psts:
             problems.append(f"duplicate lines: {sorted(dup_lines)}")
         norm = sorted(set(norm))
 
-        line_sets = tuple(frozenset(index[x] for x in ln) for ln in norm)
+        # a point's index is its rank in name order, so each sorted name
+        # triple maps onto a sorted index triple
+        line_sets = tuple(tuple(index[x] for x in ln) for ln in norm)
         partners: list[list[tuple[int, int]]] = [[] for _ in pts]
-        third: list[dict[int, int]] = [{} for _ in pts]
-        for ln in line_sets:
-            i, j, k = sorted(ln)
+        # the third point of each collinear pair (a, b), a < b, kept only to
+        # catch a pair on two lines
+        on_line: dict[tuple[int, int], int] = {}
+        for i, j, k in line_sets:
             for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
                 partners[c].append((a, b))
-                prev = third[a].get(b)
+                prev = on_line.get((a, b))
                 if prev is not None:
                     # lines are distinct, so prev differs from c; both
                     # orders of the pair are reported
@@ -93,7 +103,7 @@ class Psts:
                         problems.append(
                             f"points {x}, {y} lie on two lines (third points {lo} and {hi})"
                         )
-                third[a][b] = third[b][a] = c
+                on_line[a, b] = c
 
         if problems:
             raise PstsError(sorted(set(problems)))
@@ -103,8 +113,22 @@ class Psts:
         self.index = index
         self.line_sets = line_sets
         self.partners = tuple(tuple(sorted(v)) for v in partners)
-        self.third = tuple(third)
+        self._third = None
         self._hash = hash((self.points, self.lines))
+
+    @property
+    def third(self) -> tuple[dict[int, int], ...]:
+        """The third-point table of the class docstring, built from
+        ``partners`` on first use."""
+        if self._third is None:
+            tables = []
+            for pairs in self.partners:
+                t = {}
+                for j, k in pairs:
+                    t[j], t[k] = k, j
+                tables.append(t)
+            self._third = tuple(tables)
+        return self._third
 
     def __eq__(self, other) -> bool:
         return (
@@ -152,7 +176,7 @@ def free_complete_subgraphs(s: Psts, n: int) -> tuple[frozenset[str], ...]:
     """
     if n < 0:
         raise ValueError(f"subgraph size must be nonnegative, got {n}")
-    third = s.third
+    partners = s.partners
     found: list[tuple[int, ...]] = []
 
     def grow(chosen: list[int], cands: set[int]) -> None:
@@ -164,9 +188,15 @@ def free_complete_subgraphs(s: Psts, n: int) -> tuple[frozenset[str], ...]:
         if len(chosen) + len(cands) < n:
             return
         for x in sorted(cands):
-            t = third[x]
-            nxt = {y for y in t.keys() & cands if y > x}
-            nxt.difference_update(t[c] for c in chosen)
+            # a line through x and a chosen point rules out its third point;
+            # the chosen point itself comes before x
+            nxt = {
+                y
+                for j, k in partners[x]
+                if j not in chosen and k not in chosen
+                for y in (j, k)
+                if y > x and y in cands
+            }
             chosen.append(x)
             grow(chosen, nxt)
             chosen.pop()

@@ -1,6 +1,8 @@
 """Perspective construction, predictions, and spec text."""
 
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -67,6 +69,33 @@ class TestBuild:
         s = build(spec_of(SkewFamily.PERM_KAPPA, IDENTITY, CanonicalKind.G2)).psts
         for u in PAIRS:
             assert s.third_point(b_name(u.lo), b_name(u.hi)) == c_name(correlation(u))
+
+    def test_names_are_shared(self):
+        # every name a line holds is the point's own string, not a copy
+        for family in SkewFamily:
+            s = build(spec_of(family, parse_cycles("(1,2,3)"), CanonicalKind.B2)).psts
+            for ln in s.lines:
+                for x in ln:
+                    assert x is s.points[s.index[x]]
+        for i in (1, 2, 3, 4):
+            assert a_name(i) is A_NAMES[i - 1] and b_name(i) is B_NAMES[i - 1]
+
+    def test_retained_bytes_per_structure(self, perm_specs, kappa_specs):
+        """A memory gate that cannot flake: the bytes tracemalloc sees held
+        by freshly built structures, none of which has been searched."""
+        specs = [*perm_specs, *kappa_specs]
+        assert len(specs) == 288
+        for spec in specs:  # fill what building memoizes, so only structures count
+            build(spec)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = [build(spec).psts for spec in specs]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(built) <= 11 * 1024
 
     def test_roles(self):
         labeled = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.B2))

@@ -244,7 +244,7 @@ def test_core_matches_brute_force(s):
     index = {x: i for i, x in enumerate(s.points)}
     lines = tuple(frozenset(index[x] for x in ln) for ln in s.lines)
     assert s.index == index
-    assert s.line_sets == lines
+    assert s.line_sets == tuple(tuple(sorted(ln)) for ln in lines)
     for i in range(len(s.points)):
         through = [ln - {i} for ln in lines if i in ln]
         assert s.partners[i] == tuple(sorted(tuple(sorted(rest)) for rest in through))
@@ -258,6 +258,12 @@ def test_core_matches_brute_force(s):
         assert s.are_collinear(x, y) == bool(carriers)
         expected = (set(carriers[0]) - {x, y}).pop() if carriers else None
         assert s.third_point(x, y) == expected
+        # s has built its table above; the same answers from a structure
+        # whose table the lookup itself builds
+        for lookup, answer in ((Psts.are_collinear, bool(carriers)), (Psts.third_point, expected)):
+            fresh = Psts(s.points, s.lines)
+            assert fresh._third is None  # built on first use, never by the constructor
+            assert lookup(fresh, x, y) == answer
     for x in s.points:
         assert not s.are_collinear(x, x)
         assert s.degree(x) == sum(x in ln for ln in s.lines)
