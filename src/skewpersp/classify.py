@@ -26,6 +26,15 @@ One audit holds one structure per spec: each spec is built once, on first
 use, and every claim reads that structure.  Its free K5 subgraphs are
 searched once too (``iso.free_k5``), for the seed colouring of its key and
 for every claim that counts them.
+
+Only specs over a canonical axis are keyed by a canonical search.  Every
+other census spec takes its key and automorphism generators from a
+canonical-axis spec, along an explicit point map built from the first of
+its family images over a canonical axis; the map is checked as an
+isomorphism and every carried generator as an automorphism.  So
+``classes_beyond_canonical_axes: 0`` is backed by a verified isomorphism
+from each census spec onto a canonical-axis spec, not by key equality.  A
+failed check raises ``OracleInconsistencyError`` (exit 70).
 """
 
 from __future__ import annotations
@@ -46,11 +55,15 @@ from .indices import (
 )
 from .iso import (
     CanonicalKey,
+    _canonical_search,
+    _inverse,
+    _is_automorphism,
     automorphism_group,
     canonical_key,
     family_images,
     find_isomorphism,
     free_k5,
+    image_point_map,
     verify_point_map,
 )
 from .perspective import (
@@ -137,11 +150,56 @@ class IsoClass:
 
 
 class _Structures(dict):
-    """Spec -> its built structure, each spec built on first use."""
+    """Spec -> its built structure, each spec built on first use; and
+    (``search``) each spec's canonical key and automorphism generators,
+    searched over a canonical axis and carried along a checked map from
+    there anywhere else.  A failed check raises; nothing falls back to a
+    search."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._canonical_axes = frozenset(canonical_axes())
+        self._found: dict[PerspectiveSpec, tuple] = {}
 
     def __missing__(self, spec: PerspectiveSpec) -> Psts:
         s = self[spec] = build(spec).psts
         return s
+
+    def search(self, spec: PerspectiveSpec) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
+        """The canonical key of the spec's structure and automorphisms of
+        it, as index tuples, that generate its group."""
+        found = self._found.get(spec)
+        if found is None:
+            if spec.axis in self._canonical_axes:
+                s = self[spec]
+                found = canonical_key(s), _canonical_search(s, None)[1]
+            else:
+                found = self._carry(spec)
+            self._found[spec] = found
+        return found
+
+    def _carry(self, spec: PerspectiveSpec) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
+        for (phi, case), image in family_images(spec):
+            if image.axis in self._canonical_axes:
+                break
+        else:
+            raise OracleInconsistencyError(f"{spec_text(spec)} has no image over a canonical axis")
+        s, t, m = self[spec], self[image], image_point_map(spec, phi, case)
+        if not verify_point_map(s, t, m):
+            raise OracleInconsistencyError(
+                f"the case {case.value} map of {spec_text(spec)} onto {spec_text(image)} is no isomorphism"
+            )
+        key, found = self.search(image)
+        to_t = tuple(t.index[m[x]] for x in s.points)
+        from_t = _inverse(to_t)
+        # g conjugated back along the map: an automorphism of s
+        carried = tuple(tuple(from_t[g[j]] for j in to_t) for g in found)
+        for g in carried:
+            if not _is_automorphism(s, g):
+                raise OracleInconsistencyError(
+                    f"an automorphism of {spec_text(image)} carried onto {spec_text(spec)} is none"
+                )
+        return key, carried
 
 
 def partition_into_classes(specs, *, structures: _Structures | None = None) -> tuple[IsoClass, ...]:
@@ -157,7 +215,7 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
         structures = _Structures()
     groups: dict[CanonicalKey, list[PerspectiveSpec]] = {}
     for s in specs:
-        groups.setdefault(canonical_key(structures[s]), []).append(s)
+        groups.setdefault(structures.search(s)[0], []).append(s)
     ordered = sorted(
         groups.items(), key=lambda kv: min(s.sort_key() for s in kv[1])
     )
@@ -643,11 +701,9 @@ def _lemma_4_1(structures, kappa_specs) -> Finding:
 def _cor_4_2(structures, kappa_specs) -> Finding:
     moved = []
     for s in kappa_specs:
-        gens, _ = automorphism_group(structures[s])
-        for g in gens:
-            if g[CENTER] != CENTER:
-                moved.append(f"{spec_text(s)}: generator moves the center")
-                break
+        center = structures[s].index[CENTER]
+        if any(g[center] != center for g in structures.search(s)[1]):
+            moved.append(f"{spec_text(s)}: generator moves the center")
     return Finding(
         claim_id="cor_4_2",
         claim="every automorphism of a boolean-complementing perspective fixes the center",
@@ -694,7 +750,7 @@ def _lemma_4_4(structures, census) -> Finding:
         b1, b2 = structures[s1], structures[s2]
         if not verify_point_map(b1, b2, explicit):
             failures.append(f"axis census:{idx}")
-        if canonical_key(b1) != canonical_key(b2):
+        if structures.search(s1)[0] != structures.search(s2)[0]:
             keys_differ.append(f"axis census:{idx}")
     ok = not failures and not keys_differ
     return Finding(

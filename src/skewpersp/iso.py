@@ -23,8 +23,12 @@ Four layers, all deterministic:
 * ``family_images``     the closed-form criteria of the two perspective
                           families, phrased over S4 and the axis and solved
                           for the second spec: the 48 specs one spec is
-                          related to; ``perm_family_iso`` and
-                          ``kappa_family_iso`` scan them for the second.
+                          related to.  In the plain family those are exactly
+                          the specs a center-fixing isomorphism reaches, in
+                          the boolean-complementing family (where every
+                          isomorphism fixes the center) exactly the
+                          isomorphic ones.  ``image_point_map`` spells out
+                          the isomorphism onto an image point by point.
 
 Everything here treats structures as abstract incidence data; point names
 never influence the outcome, only the formatting of witnesses.
@@ -39,8 +43,8 @@ from enum import Enum
 from functools import lru_cache
 from math import prod
 
-from .indices import ALL_PERMS, CORRELATION, Perm4, extend
-from .perspective import PerspectiveSpec, Skew, SkewFamily
+from .indices import ALL_PERMS, CORRELATION, INDICES, PAIRS, Perm4, extend
+from .perspective import CENTER, PerspectiveSpec, Skew, SkewFamily, a_name, b_name, c_name
 from .psts import Psts, free_complete_subgraphs
 
 MAX_POINTS = 32
@@ -589,13 +593,23 @@ class IsoCase(Enum):
 def family_images(s: PerspectiveSpec):
     """The 48 specs the family criteria relate to ``s``, with their maps.
 
-    Each case of the two-case conjugation criteria solves for the second
-    spec.  For s = (sigma, N) and phi in S4, case A gives
-    (phi sigma phi^-1, extend(phi) N) and case B gives
-    (phi sigma^-1 phi^-1, extend(phi sigma) N), with the complement
-    involution also applied to case B's axis in the boolean-complementing
-    family.  Yields ((phi, case), image), case A first, phi in
-    ``ALL_PERMS`` order: the scan order of the two criteria.
+    Two specs of the plain family are related by its criterion exactly
+    when a center-fixing isomorphism joins their structures, and two
+    specs of the boolean-complementing family exactly when any
+    isomorphism does (all of them fix the center there).  The criterion
+    has two cases.  Case A keeps the two tetrahedra apart: some phi in S4
+    has extend(phi) carrying axis1 onto axis2 and conjugates sigma1 to
+    sigma2.  Case B swaps them: phi conjugates sigma1 to sigma2's inverse
+    and extend(sigma2^-1 phi) carries axis1 onto axis2, after the
+    complement involution in the boolean-complementing family.
+
+    Each case is solved here for the second spec.  For s = (sigma, N)
+    and phi in S4, case A gives (phi sigma phi^-1, extend(phi) N) and
+    case B gives (phi sigma^-1 phi^-1, extend(phi sigma) N), with the
+    complement involution also applied to case B's axis in the
+    boolean-complementing family.  Yields ((phi, case), image), case A
+    first, phi in ``ALL_PERMS`` order: the first (phi, case) whose image
+    is a given spec is the first witness of a scan over S4.
     """
     family, sigma, axis = s.skew.family, s.skew.perm, s.axis
     for phi in ALL_PERMS:
@@ -612,37 +626,25 @@ def family_images(s: PerspectiveSpec):
         )
 
 
-def perm_family_iso(
-    s1: PerspectiveSpec, s2: PerspectiveSpec
-) -> tuple[Perm4, IsoCase] | None:
-    """Decide center-fixing isomorphism inside the plain permutation family.
+def image_point_map(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> dict[str, str]:
+    """The point map that carries the structure of ``s`` onto that of its
+    family image under (phi, case), with the center fixed.
 
-    Case A keeps the two tetrahedra apart: some phi has extend(phi) carrying
-    axis1 onto axis2 with phi after sigma1 equal to sigma2 after phi.  Case
-    B swaps them: the conjugation condition runs through sigma2's inverse
-    and the axis is carried by extend(sigma2^-1 phi).  The first witness in
-    (case, phi) scan order is returned; None means no center-fixing
-    isomorphism exists, which the oracle audit confirms pair by pair.
-    """
-    if s1.skew.family is not SkewFamily.PERM or s2.skew.family is not SkewFamily.PERM:
-        raise ValueError("perm_family_iso expects two PERM-family specs")
-    return next((w for w, image in family_images(s1) if image == s2), None)
-
-
-def kappa_family_iso(
-    s1: PerspectiveSpec, s2: PerspectiveSpec
-) -> tuple[Perm4, IsoCase] | None:
-    """Decide isomorphism inside the boolean-complementing family.
-
-    Case A: extend(alpha) carries axis1 onto axis2 and conjugates phi1 to
-    phi2.  Case B: the complement involution composed with
-    extend(phi2^-1 alpha) carries axis1 onto axis2 and alpha conjugates
-    phi1 to phi2's inverse.  Every isomorphism in this family fixes the
-    center, so no constraint argument exists here.
-    """
-    if (
-        s1.skew.family is not SkewFamily.PERM_KAPPA
-        or s2.skew.family is not SkewFamily.PERM_KAPPA
-    ):
-        raise ValueError("kappa_family_iso expects two PERM_KAPPA-family specs")
-    return next((w for w, image in family_images(s1) if image == s2), None)
+    Case A keeps the tetrahedra: a_i -> a_phi(i), b_i -> b_phi(i) and
+    c_u -> c_extend(phi)(u).  Case B swaps them: a_i -> b_phi(i),
+    b_i -> a_phi(i), and the c points follow extend(phi sigma), then the
+    complement involution in the boolean-complementing family.  The c
+    points always follow the pair map that moves the axis."""
+    if case is IsoCase.A:
+        a_to, b_to, pairs = a_name, b_name, extend(phi)
+    else:
+        a_to, b_to, pairs = b_name, a_name, extend(phi.compose(s.skew.perm))
+        if s.skew.family is SkewFamily.PERM_KAPPA:
+            pairs = pairs.compose(CORRELATION)
+    m = {CENTER: CENTER}
+    for i in INDICES:
+        m[a_name(i)] = a_to(phi(i))
+        m[b_name(i)] = b_to(phi(i))
+    for u in PAIRS:
+        m[c_name(u)] = c_name(pairs(u))
+    return m

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from skewpersp import classify, iso, veblen
+from skewpersp import classify, cli, iso, veblen
 from skewpersp.classify import (
     FACT_2_2_PUBLISHED_ORDERS,
     LEMMA_2_3_PUBLISHED,
@@ -22,8 +22,9 @@ from skewpersp.classify import (
     render_structured,
     render_text,
 )
-from skewpersp.iso import IsoCase, canonical_key, family_images, find_isomorphism
-from skewpersp.perspective import CENTER, SkewFamily, build, parse_spec_text, spec_text
+from skewpersp.indices import PAIRS
+from skewpersp.iso import IsoCase, canonical_key, family_images, find_isomorphism, verify_point_map
+from skewpersp.perspective import CENTER, SkewFamily, build, c_name, parse_spec_text, spec_text
 from skewpersp.veblen import VeblenConfig, aut_perms
 
 EXPECTED_VERDICTS = {
@@ -244,22 +245,28 @@ class TestNoRevalidation:
 
 class TestAuditWork:
     """What one audit builds and searches, counted from cold caches: each
-    spec is built once and its free K5 subgraphs are searched once, and
-    the canonical searches visit a fixed tree.  The counts are
-    deterministic, so this is a work gate that cannot flake."""
+    spec is built once and its free K5 subgraphs are searched once, only
+    specs over a canonical axis are keyed by a search, and the canonical
+    searches visit a fixed tree.  Every other spec's key comes along a
+    checked map, so a silent fallback to searching moves two counts.  The
+    counts are deterministic, so this is a work gate that cannot flake."""
 
     @pytest.mark.parametrize(
         "axes_mode,expected",
         [
             # builds, clique searches, canonical searches, witness searches,
-            # canonical search nodes, canonical search leaves
-            ("census", (1440, 1440, 1584, 1708, 14290, 11100)),
-            # lemma 4.4 adds kappa:id over the 24 non-canonical census axes
-            ("canonical", (312, 312, 456, 1708, 3999, 2836)),
+            # canonical search nodes, canonical search leaves, checked maps
+            # (1,152 carrying maps and lemma 4.4's 30)
+            ("census", (1440, 1440, 432, 1708, 3735, 2686, 1182)),
+            # lemma 4.4 adds kappa:id over the 24 non-canonical census axes,
+            # whose keys are carried, so they need no clique search
+            ("canonical", (312, 288, 432, 1708, 3735, 2686, 54)),
         ],
     )
     def test_each_spec_built_and_searched_once(self, monkeypatch, axes_mode, expected):
-        counts = dict.fromkeys(("build", "cliques", "canonical", "witness", "nodes", "leaves"), 0)
+        counts = dict.fromkeys(
+            ("build", "cliques", "canonical", "witness", "nodes", "leaves", "maps"), 0
+        )
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -284,10 +291,92 @@ class TestAuditWork:
         monkeypatch.setattr(
             iso._Canonicalizer, "_leaf", counting("leaves", iso._Canonicalizer._leaf)
         )
+        monkeypatch.setattr(
+            classify, "verify_point_map", counting("maps", classify.verify_point_map)
+        )
         for cache in (iso.canonical_key, iso._canonical_search, iso.free_k5):
             cache.cache_clear()
         classify.audit_claims(axes_mode)
         assert tuple(counts.values()) == expected
+
+
+def cold_caches():
+    for cache in (iso.canonical_key, iso._canonical_search, iso.free_k5):
+        cache.cache_clear()
+
+
+class TestCarriedSearch:
+    """Specs off the canonical axes take their key and automorphisms along
+    a checked map instead of a search; this keeps the evidence a search of
+    every census spec would give."""
+
+    def test_carried_keys_and_groups_match_a_search(self, census):
+        cold_caches()
+        structures = classify._Structures()
+        specs = enumerate_family(FamilyTag.PERM_FAMILY, census) + enumerate_family(
+            FamilyTag.KAPPA_FAMILY, census
+        )
+        carried = {spec: structures.search(spec) for spec in specs}
+        assert iso._canonical_search.cache_info().currsize == 288
+        for spec, (key, gens) in carried.items():
+            s = structures[spec]
+            assert key == canonical_key(s), spec_text(spec)
+            chain = iso._StabilizerChain(len(s.points))
+            for g in gens:
+                chain.add(g)
+                assert verify_point_map(s, s, {x: s.points[j] for x, j in zip(s.points, g)})
+            assert chain.order() == iso.automorphism_group(s)[1], spec_text(spec)
+        assert iso._canonical_search.cache_info().currsize == 1440
+
+
+def swap_two_c_points(monkeypatch):
+    real = classify.image_point_map
+
+    def swapped(spec, phi, case):
+        m = real(spec, phi, case)
+        x, y = c_name(PAIRS[0]), c_name(PAIRS[-1])
+        m[x], m[y] = m[y], m[x]
+        return m
+
+    monkeypatch.setattr(classify, "image_point_map", swapped)
+
+
+def add_a_non_automorphism(monkeypatch):
+    real = classify._canonical_search
+
+    def corrupted(s, pin):
+        key, found = real(s, pin)
+        swap = list(range(len(s.points)))
+        swap[0], swap[1] = 1, 0
+        return key, found + (tuple(swap),)
+
+    monkeypatch.setattr(classify, "_canonical_search", corrupted)
+
+
+FAULTS = [
+    pytest.param(swap_two_c_points, "is no isomorphism", id="map"),
+    pytest.param(add_a_non_automorphism, "carried onto .* is none", id="generator"),
+]
+
+
+class TestCarriedSearchFaults:
+    """A carrying map or a carried automorphism that fails its check is a
+    program bug: the audit raises instead of searching."""
+
+    @pytest.mark.parametrize("fault,message", FAULTS)
+    def test_audit_raises(self, monkeypatch, fault, message):
+        fault(monkeypatch)
+        with pytest.raises(OracleInconsistencyError, match=message):
+            classify.audit_claims("census")
+
+    @pytest.mark.parametrize("fault,message", FAULTS)
+    def test_cli_exits_70(self, monkeypatch, capsys, fault, message):
+        fault(monkeypatch)
+        code = cli.main(["audit", "--axes", "census"])
+        out, err = capsys.readouterr()
+        assert code == cli.EX_SOFTWARE == 70
+        assert out == ""
+        assert err.startswith("internal oracle inconsistency: ")
 
 
 class TestPublishedData:

@@ -5,6 +5,7 @@ here; the audit content itself is exercised in test_classify.  One canonical
 audit run (the slow part) is shared module-wide.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -197,6 +198,26 @@ class TestClassify:
         a = run(capsys, "classify", "perm", "--jobs", "1")
         b = run(capsys, "classify", "perm", "--jobs", "2")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("classify", "perm", "--axes", "census"),
+                "0610b41b6b6a1521270b940fb08caf6c32bfd8d0fed564bd22e4b48b072674cf",
+            ),
+            (
+                ("classify", "kappa", "--axes", "census", "--format", "structured"),
+                "ddad927f818757b10f32f1e417b19fd6baf181293519fcd1774b6b9d9f492f76",
+            ),
+        ],
+        ids=["perm-text", "kappa-structured"],
+    )
+    def test_census_output_bytes(self, capsys, argv, digest):
+        # the census classes key most specs along carried maps
+        code, out, err = run(capsys, *argv)
+        assert code == EX_OK and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- audit

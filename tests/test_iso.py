@@ -26,8 +26,7 @@ from skewpersp.iso import (
     canonical_key,
     family_images,
     find_isomorphism,
-    kappa_family_iso,
-    perm_family_iso,
+    image_point_map,
     point_map_text,
     verify_point_map,
 )
@@ -677,6 +676,26 @@ class TestSchreierSims:
         assert chain.order() == 1 and chain.base == []
 
 
+def perm_family_iso(s1, s2):
+    """The plain family's criterion for one pair of specs: the first
+    witness (phi, case) of ``family_images`` whose image is s2, or None,
+    which means no center-fixing isomorphism exists."""
+    if s1.skew.family is not SkewFamily.PERM or s2.skew.family is not SkewFamily.PERM:
+        raise ValueError("perm_family_iso expects two PERM-family specs")
+    return next((w for w, image in family_images(s1) if image == s2), None)
+
+
+def kappa_family_iso(s1, s2):
+    """The boolean-complementing family's criterion for one pair of specs,
+    as in ``perm_family_iso``; None means no isomorphism exists."""
+    if (
+        s1.skew.family is not SkewFamily.PERM_KAPPA
+        or s2.skew.family is not SkewFamily.PERM_KAPPA
+    ):
+        raise ValueError("kappa_family_iso expects two PERM_KAPPA-family specs")
+    return next((w for w, image in family_images(s1) if image == s2), None)
+
+
 class TestPermFamilyCriterion:
     def test_self_witness(self, perm_specs):
         for spec in perm_specs[:6]:
@@ -835,6 +854,16 @@ class TestFamilyImages:
         for spec in (perm_specs[7], kappa_specs[7]):
             witnesses = [w for w, _ in family_images(spec)]
             assert witnesses == [(phi, case) for case in IsoCase for phi in ALL_PERMS]
+
+    def test_image_point_maps_are_isomorphisms(self, census):
+        # both cases of both families, over canonical and census axes
+        for family in SkewFamily:
+            for spec in enumerate_family(FamilyTag(family.value), tuple(census))[::60]:
+                s = build(spec).psts
+                for (phi, case), image in family_images(spec):
+                    m = image_point_map(spec, phi, case)
+                    assert m[CENTER] == CENTER
+                    assert verify_point_map(s, build(image).psts, m), (spec, phi, case)
 
 
 class TestApply:
