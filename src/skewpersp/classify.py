@@ -24,8 +24,9 @@ plain family's classes are center-fixing ones, keyed with the center pinned.
 
 One audit holds one structure per spec: each spec is built once, on first
 use, and every claim reads that structure.  Its free K5 subgraphs are
-searched once too (``iso.free_k5``), for the seed colouring of its key and
-for every claim that counts them.
+searched once too (``Psts.free_k5``), for the seed colouring of its key and
+for every claim that counts them.  The same record is the only memo of
+keys and automorphism generators, and it goes when the audit ends.
 
 Only specs over a canonical axis are keyed by a canonical search.  Every
 other census spec takes its key and automorphism generators from a
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .indices import (
@@ -55,14 +56,13 @@ from .indices import (
 )
 from .iso import (
     CanonicalKey,
+    OracleInconsistencyError,
     _canonical_search,
     _inverse,
     _is_automorphism,
-    automorphism_group,
-    canonical_key,
+    _StabilizerChain,
     family_images,
     find_isomorphism,
-    free_k5,
     image_point_map,
     verify_point_map,
 )
@@ -90,11 +90,6 @@ from .veblen import (
     lemma23_representatives,
     star_triangles,
 )
-
-
-class OracleInconsistencyError(RuntimeError):
-    """The two independent isomorphism deciders disagreed; this is an
-    internal bug, never a reportable finding."""
 
 
 class FamilyTag(Enum):
@@ -171,8 +166,7 @@ class _Structures(dict):
         found = self._found.get(spec)
         if found is None:
             if spec.axis in self._canonical_axes:
-                s = self[spec]
-                found = canonical_key(s), _canonical_search(s, None)[1]
+                found = _canonical_search(self[spec], None)
             else:
                 found = self._carry(spec)
             self._found[spec] = found
@@ -223,9 +217,10 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
     for idx, (key, members) in enumerate(ordered, 1):
         members = tuple(sorted(set(members), key=PerspectiveSpec.sort_key))
         rep = members[0]
-        built = structures[rep]
-        k5 = len(free_k5(built))
-        aut = automorphism_group(built)[1]
+        k5 = len(structures[rep].free_k5)
+        chain = _StabilizerChain(len(structures[rep].points))
+        for g in structures.search(rep)[1]:
+            chain.add(g)
         prefix = "P" if rep.skew.family is SkewFamily.PERM else "K"
         classes.append(
             IsoClass(
@@ -234,7 +229,7 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
                 members=members,
                 key=key,
                 free_k5_count=k5,
-                aut_order=aut,
+                aut_order=chain.order(),
                 branch="A" if k5 >= 3 else "B",
             )
         )
@@ -568,7 +563,7 @@ def _lemma_3_1(structures, perm_specs) -> Finding:
     dichotomy_fail = []
     for s in perm_specs:
         built = structures[s]
-        oracle = {frozenset(built.points[i] for i in f) for f in free_k5(built)}
+        oracle = {frozenset(built.points[i] for i in f) for f in built.free_k5}
         predicted = set(predicted_free_k5(s))
         if oracle != predicted:
             mismatches.append(spec_text(s))
@@ -655,8 +650,8 @@ def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
 
 def _prop_3_2(structures, perm_specs) -> Finding:
     builds = [structures[s] for s in perm_specs]
-    pinned = [canonical_key(b, CENTER) for b in builds]
-    plain = [canonical_key(b) for b in builds]
+    pinned = [_canonical_search(b, b.index[CENTER])[0] for b in builds]
+    plain = [structures.search(s)[0] for s in perm_specs]
     _check_partition(perm_specs, builds, pinned, fix=(CENTER, CENTER))
     # a center-fixing isomorphism is an isomorphism: each center-fixing
     # class must lie inside one plain class, whose members need witnesses
@@ -673,7 +668,7 @@ def _prop_3_2(structures, perm_specs) -> Finding:
 
 def _prop_4_5(structures, kappa_specs) -> Finding:
     builds = [structures[s] for s in kappa_specs]
-    keys = [canonical_key(b) for b in builds]
+    keys = [structures.search(s)[0] for s in kappa_specs]
     _check_partition(kappa_specs, builds, keys)
     return _criterion_sweep(
         "prop_4_5",
@@ -686,7 +681,7 @@ def _prop_4_5(structures, kappa_specs) -> Finding:
 def _lemma_4_1(structures, kappa_specs) -> Finding:
     bad = []
     for s in kappa_specs:
-        if len(free_k5(structures[s])) != 2:
+        if len(structures[s].free_k5) != 2:
             bad.append(spec_text(s))
     return Finding(
         claim_id="lemma_4_1",
@@ -806,7 +801,7 @@ def _lemma_4_8(structures) -> Finding:
         keys = {}
         for beta in ALL_PERMS:
             s = PerspectiveSpec(Skew(SkewFamily.PERM_KAPPA, beta), axis)
-            keys[beta] = canonical_key(structures[s])
+            keys[beta] = structures.search(s)[0]
         for b1, b2 in itertools.combinations_with_replacement(ALL_PERMS, 2):
             checked += 1
             conjugate = any(b1.conjugate_by(alpha) == b2 for alpha in group)
@@ -838,7 +833,7 @@ def _match_entries(
     labels: dict[str, list[str]] = {}
     problems = []
     for (label, _, _), s in zip(entries, entry_specs):
-        k = canonical_key(structures[s])
+        k = structures.search(s)[0]
         entry_keys[label] = k
         if k not in by_key:
             problems.append(f"entry ({label}) matches no computed class")
@@ -854,16 +849,7 @@ def _match_entries(
                 )
             seen[k] = label
     labeled = tuple(
-        IsoClass(
-            c.class_id,
-            c.representative,
-            c.members,
-            c.key,
-            c.free_k5_count,
-            c.aut_order,
-            c.branch,
-            ", ".join(labels[c.class_id]) if c.class_id in labels else None,
-        )
+        replace(c, published_label=", ".join(labels[c.class_id]) if c.class_id in labels else None)
         for c in classes
     )
     unmatched = [c for c in labeled if c.published_label is None]
@@ -938,8 +924,8 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
 
     census_note_perm = census_note_kappa = None
     if axes_mode == "census":
-        canon_perm_keys = {canonical_key(structures[s]) for s in perm_canonical}
-        canon_kappa_keys = {canonical_key(structures[s]) for s in kappa_canonical}
+        canon_perm_keys = {structures.search(s)[0] for s in perm_canonical}
+        canon_kappa_keys = {structures.search(s)[0] for s in kappa_canonical}
         census_note_perm = {
             "classes_beyond_canonical_axes": len({c.key for c in perm_classes} - canon_perm_keys)
         }

@@ -35,9 +35,8 @@ import sys
 from collections.abc import Mapping
 from pathlib import Path
 
-from . import classify as cls
 from . import psts as psts_mod
-from .iso import automorphism_group, find_isomorphism, point_map_text
+from .iso import OracleInconsistencyError, automorphism_group, find_isomorphism, point_map_text
 from .perspective import PerspectiveSpec, Role, build, parse_spec_text, spec_text
 from .psts import Psts, PstsError
 from .veblen import (
@@ -208,6 +207,8 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import classify as cls
+
     axes = cls.canonical_axes() if args.axes == "canonical" else enumerate_labelings()
     tag = cls.FamilyTag.PERM_FAMILY if args.family == "perm" else cls.FamilyTag.KAPPA_FAMILY
     classes = cls.partition_into_classes(cls.enumerate_family(tag, axes))
@@ -234,6 +235,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from . import classify as cls
+
     report = cls.audit_claims(axes_mode=args.axes)
     text = (
         cls.render_structured(report)
@@ -302,7 +305,7 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except cls.OracleInconsistencyError as e:
+    except OracleInconsistencyError as e:
         print(f"internal oracle inconsistency: {e}", file=sys.stderr)
         return EX_SOFTWARE
     except PstsError as e:

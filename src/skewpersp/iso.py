@@ -9,10 +9,10 @@ Four layers, all deterministic:
                           incremental: a round re-signs only the cells that
                           hold a line partner of a point whose cell split in
                           the round before,
-* ``automorphism_group``  generators and exact order, read from the same
-                          cached search: the automorphisms it finds generate
-                          the group, and Schreier-Sims over them gives the
-                          order without listing the group,
+* ``automorphism_group``  generators and exact order, read from one run of
+                          the same search: the automorphisms it finds
+                          generate the group, and Schreier-Sims over them
+                          gives the order without listing the group,
 * ``find_isomorphism``    explicit witness search (optionally pinning one
                           point pair), sound and complete; this is the
                           ground-truth oracle the algebraic criteria are
@@ -40,29 +40,25 @@ import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import prod
 
 from .indices import ALL_PERMS, CORRELATION, INDICES, PAIRS, Perm4, extend
 from .perspective import CENTER, PerspectiveSpec, Skew, SkewFamily, a_name, b_name, c_name
-from .psts import Psts, free_complete_subgraphs
+from .psts import Psts
 
 MAX_POINTS = 32
 
 
-@lru_cache(maxsize=None)
-def free_k5(s: Psts) -> tuple[tuple[int, ...], ...]:
-    """The free K5 subgraphs of a structure as sorted index tuples,
-    searched once per structure: the seed coloring and the audit's clique
-    claims all read them here."""
-    return tuple(tuple(sorted(s.index[x] for x in f)) for f in free_complete_subgraphs(s, 5))
+class OracleInconsistencyError(RuntimeError):
+    """The two independent isomorphism deciders disagreed; this is an
+    internal bug, never a reportable finding."""
 
 
 def _seed_colors(s: Psts) -> tuple[tuple[int, int], ...]:
     """(degree, free-K5 membership count) of each point: the cheap
     isomorphism-invariant seed coloring."""
     k5 = [0] * len(s.points)
-    for clique in free_k5(s):
+    for clique in s.free_k5:
         for i in clique:
             k5[i] += 1
     return tuple((len(p), c) for p, c in zip(s.partners, k5))
@@ -318,15 +314,13 @@ class _Canonicalizer:
         return any(find(y) == root for y in explored)
 
 
-@lru_cache(maxsize=None)
-def _canonical_search(s: Psts, pin: int | None) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """The least leaf encoding of one search, and the automorphisms that
-    search found, as index tuples; they generate the group fixing pin."""
+def _canonical_search(s: Psts, pin: int | None) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
+    """The key of one search, and the automorphisms that search found, as
+    index tuples; they generate the group fixing pin."""
     c = _Canonicalizer(s, pin)
-    return c.run(), tuple(c.auts)
+    return CanonicalKey(len(s.points), len(s.lines), c.run()), tuple(c.auts)
 
 
-@lru_cache(maxsize=None)
 def canonical_key(s: Psts, pin: str | None = None) -> CanonicalKey:
     """Relabeling-invariant complete invariant of a structure.
 
@@ -340,7 +334,7 @@ def canonical_key(s: Psts, pin: str | None = None) -> CanonicalKey:
         raise ValueError(f"canonical_key capped at {MAX_POINTS} points, got {len(s.points)}")
     if pin is not None and pin not in s.index:
         raise ValueError(f"pin point {pin!r} not present")
-    return CanonicalKey(len(s.points), len(s.lines), _canonical_search(s, s.index.get(pin))[0])
+    return _canonical_search(s, s.index.get(pin))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +441,11 @@ class _StabilizerChain:
 def automorphism_group(s: Psts) -> tuple[tuple[dict[str, str], ...], int]:
     """Generators and exact order of the automorphism group.
 
-    The canonical search behind ``canonical_key`` (one cached run per
-    structure) finds automorphisms that generate the group.  Each is kept
-    as a generator only when it is not in the group of those kept before
-    it, so the identity never is; Schreier-Sims over the kept ones gives
-    the order.  Nothing enumerates the group."""
+    One run of the canonical search behind ``canonical_key`` finds
+    automorphisms that generate the group.  Each is kept as a generator
+    only when it is not in the group of those kept before it, so the
+    identity never is; Schreier-Sims over the kept ones gives the order.
+    Nothing enumerates the group."""
     _, found = _canonical_search(s, None)
     chain = _StabilizerChain(len(s.points))
     gens = tuple(
@@ -471,6 +465,8 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     per depth, so it has no depth limit: any input size runs without
     touching the recursion limit.  Candidates are tried in a fixed order,
     which makes the sequence of yielded maps deterministic."""
+    if fix is not None and (fix[0] not in x.index or fix[1] not in y.index):
+        raise ValueError(f"fix points {fix!r} not present")
     n = len(x.points)
     if n != len(y.points) or len(x.lines) != len(y.lines):
         return
@@ -478,8 +474,6 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     raw_y = [[*t, 0] for t in _seed_colors(y)]
     if fix is not None:
         px, py = fix
-        if px not in x.index or py not in y.index:
-            raise ValueError(f"fix points {fix!r} not present")
         raw_x[x.index[px]][2] = 1
         raw_y[y.index[py]][2] = 1
     raw = [tuple(t) for t in raw_x + raw_y]

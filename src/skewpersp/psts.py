@@ -8,10 +8,10 @@ nothing downstream may depend on what the names look like.
 Each structure holds its incidence once, over point indices: the lines as
 sorted index triples and each point's line partners as index pairs.  The
 isomorphism machinery works on that core, and names meet it only at the
-boundary.  The third-point table, a dict per point, is built only for the
-structures that look points up in it (the witness search and the lookups
-by name); the audit keeps every structure it builds, and most are never
-searched that way.
+boundary.  The third-point table, a dict per point, and the free K5
+subgraphs are built on first use only: the witness search and the lookups
+by name read the table, the seed colouring of both searches the subgraphs.
+The audit keeps every structure it builds, and most never need the table.
 
 Construction validates; an invalid line set raises ``PstsError`` carrying
 the full list of problems found, not just the first.
@@ -49,14 +49,17 @@ class Psts:
     * ``partners[i]``    sorted (j, k) pairs, one per line {i, j, k} with j < k,
     * ``third[i][j]``    the third point of the line through i and j, present
                          only when that line exists; built from ``partners``
-                         on first use, never by the constructor.
+                         on first use, never by the constructor,
+    * ``free_k5``        the free K5 subgraphs as sorted index tuples, in
+                         ``free_complete_subgraphs`` order; searched on
+                         first use, never by the constructor.
 
     The lookups by name answer through ``index``.  The names in ``lines``
     are the strings of ``points``, so a caller that passes one string per
     point keeps one copy of each name.
     """
 
-    __slots__ = ("points", "lines", "index", "line_sets", "partners", "_third", "_hash")
+    __slots__ = ("points", "lines", "index", "line_sets", "partners", "_third", "_free_k5", "_hash")
 
     def __init__(self, points, lines):
         problems: list[str] = []
@@ -114,6 +117,7 @@ class Psts:
         self.line_sets = line_sets
         self.partners = tuple(tuple(sorted(v)) for v in partners)
         self._third = None
+        self._free_k5 = None
         self._hash = hash((self.points, self.lines))
 
     @property
@@ -129,6 +133,13 @@ class Psts:
                 tables.append(t)
             self._third = tuple(tables)
         return self._third
+
+    @property
+    def free_k5(self) -> tuple[tuple[int, ...], ...]:
+        """The free K5 subgraphs of the class docstring, searched on first use."""
+        if self._free_k5 is None:
+            self._free_k5 = _free_cliques(self, 5)
+        return self._free_k5
 
     def __eq__(self, other) -> bool:
         return (
@@ -166,13 +177,18 @@ def validate_configuration(s: Psts, point_degree: int) -> bool:
 
 def free_complete_subgraphs(s: Psts, n: int) -> tuple[frozenset[str], ...]:
     """All n-point sets that are pairwise collinear with no line of the
-    structure containing three of them.
+    structure containing three of them, sorted by the sorted point tuple."""
+    # the search runs in lexicographic index order, which is name order
+    return tuple(frozenset(s.points[i] for i in f) for f in _free_cliques(s, n))
+
+
+def _free_cliques(s: Psts, n: int) -> tuple[tuple[int, ...], ...]:
+    """``free_complete_subgraphs`` as increasing index tuples, in order.
 
     Sets grow over common neighbours in index order: each added point cuts
     the candidates down to its own later line partners, minus the third
     points of its lines to the points already chosen, so the work follows
-    point degree, not point count.  Returned sorted by the sorted point
-    tuple.
+    point degree, not point count.
     """
     if n < 0:
         raise ValueError(f"subgraph size must be nonnegative, got {n}")
@@ -202,8 +218,7 @@ def free_complete_subgraphs(s: Psts, n: int) -> tuple[frozenset[str], ...]:
             chosen.pop()
 
     grow([], set(range(len(s.points))))
-    # the search runs in lexicographic index order, which is name order
-    return tuple(frozenset(s.points[i] for i in f) for f in found)
+    return tuple(found)
 
 
 def to_text(s: Psts) -> str:
@@ -220,7 +235,7 @@ def from_text(text: str) -> Psts:
     if not rows:
         raise PstsError(["empty input"])
     head = rows[0].split()
-    if len(head) != 3 or head[0] != "psts" or not head[1].isdigit() or not head[2].isdigit():
+    if len(head) != 3 or head[0] != "psts" or not head[1].isdecimal() or not head[2].isdecimal():
         raise PstsError([f"bad header {rows[0]!r} (expected 'psts <points> <lines>')"])
     np_, nl = int(head[1]), int(head[2])
     if len(rows) != 2 + nl:

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from skewpersp import classify, cli, iso, veblen
+from skewpersp import classify, cli, iso, psts, veblen
 from skewpersp.classify import (
     FACT_2_2_PUBLISHED_ORDERS,
     LEMMA_2_3_PUBLISHED,
@@ -243,66 +248,90 @@ class TestNoRevalidation:
         assert calls == 1
 
 
-class TestAuditWork:
-    """What one audit builds and searches, counted from cold caches: each
-    spec is built once and its free K5 subgraphs are searched once, only
-    specs over a canonical axis are keyed by a search, and the canonical
-    searches visit a fixed tree.  Every other spec's key comes along a
-    checked map, so a silent fallback to searching moves two counts.  The
-    counts are deterministic, so this is a work gate that cannot flake."""
-
-    @pytest.mark.parametrize(
-        "axes_mode,expected",
-        [
-            # builds, clique searches, canonical searches, witness searches,
-            # canonical search nodes, canonical search leaves, checked maps
-            # (1,152 carrying maps and lemma 4.4's 30)
-            ("census", (1440, 1440, 432, 1708, 3735, 2686, 1182)),
-            # lemma 4.4 adds kappa:id over the 24 non-canonical census axes,
-            # whose keys are carried, so they need no clique search
-            ("canonical", (312, 288, 432, 1708, 3735, 2686, 54)),
-        ],
+def count_audit_work(monkeypatch, axes_mode: str) -> tuple[int, ...]:
+    counts = dict.fromkeys(
+        ("build", "cliques", "canonical", "witness", "nodes", "leaves", "maps"), 0
     )
-    def test_each_spec_built_and_searched_once(self, monkeypatch, axes_mode, expected):
-        counts = dict.fromkeys(
-            ("build", "cliques", "canonical", "witness", "nodes", "leaves", "maps"), 0
-        )
 
-        def counting(name, real):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
 
-            return wrapper
+        return wrapper
 
-        monkeypatch.setattr(classify, "build", counting("build", classify.build))
-        monkeypatch.setattr(
-            iso, "free_complete_subgraphs", counting("cliques", iso.free_complete_subgraphs)
-        )
-        monkeypatch.setattr(
-            iso._Canonicalizer, "run", counting("canonical", iso._Canonicalizer.run)
-        )
-        monkeypatch.setattr(
-            classify, "find_isomorphism", counting("witness", classify.find_isomorphism)
-        )
-        monkeypatch.setattr(
-            iso._Canonicalizer, "_visit", counting("nodes", iso._Canonicalizer._visit)
-        )
-        monkeypatch.setattr(
-            iso._Canonicalizer, "_leaf", counting("leaves", iso._Canonicalizer._leaf)
-        )
-        monkeypatch.setattr(
-            classify, "verify_point_map", counting("maps", classify.verify_point_map)
-        )
-        for cache in (iso.canonical_key, iso._canonical_search, iso.free_k5):
-            cache.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(classify, "build", counting("build", classify.build))
+        m.setattr(psts, "_free_cliques", counting("cliques", psts._free_cliques))
+        m.setattr(iso._Canonicalizer, "run", counting("canonical", iso._Canonicalizer.run))
+        m.setattr(classify, "find_isomorphism", counting("witness", classify.find_isomorphism))
+        m.setattr(iso._Canonicalizer, "_visit", counting("nodes", iso._Canonicalizer._visit))
+        m.setattr(iso._Canonicalizer, "_leaf", counting("leaves", iso._Canonicalizer._leaf))
+        m.setattr(classify, "verify_point_map", counting("maps", classify.verify_point_map))
         classify.audit_claims(axes_mode)
-        assert tuple(counts.values()) == expected
+    return tuple(counts.values())
 
 
-def cold_caches():
-    for cache in (iso.canonical_key, iso._canonical_search, iso.free_k5):
-        cache.cache_clear()
+class TestAuditWork:
+    """What one audit builds and searches: each spec is built once and its
+    free K5 subgraphs are searched once, only specs over a canonical axis
+    are keyed by a search, and the canonical searches visit a fixed tree.
+    Every other spec's key comes along a checked map, so a silent fallback
+    to searching moves two counts.  The audit's record is its only memo,
+    so the counts do not depend on what ran before in the process; they
+    are deterministic, and this is a work gate that cannot flake."""
+
+    WORK = {
+        # builds, clique searches, canonical searches, witness searches,
+        # canonical search nodes, canonical search leaves, checked maps
+        # (1,152 carrying maps and lemma 4.4's 30)
+        "census": (1440, 1440, 432, 1708, 3735, 2686, 1182),
+        # lemma 4.4 adds kappa:id over the 24 non-canonical census axes,
+        # whose keys are carried, so they need no clique search
+        "canonical": (312, 288, 432, 1708, 3735, 2686, 54),
+    }
+
+    @pytest.mark.parametrize("axes_mode,expected", WORK.items())
+    def test_each_spec_built_and_searched_once(self, monkeypatch, axes_mode, expected):
+        assert count_audit_work(monkeypatch, axes_mode) == expected
+
+    def test_second_audit_does_the_same_work(self, monkeypatch):
+        for _ in range(2):
+            assert count_audit_work(monkeypatch, "canonical") == self.WORK["canonical"]
+
+
+MEMORY_GATE = textwrap.dedent(
+    """
+    import gc, tracemalloc
+    from skewpersp.classify import audit_claims
+
+    gc.collect()
+    tracemalloc.start()
+    report = audit_claims("census")
+    del report
+    gc.collect()
+    print(tracemalloc.get_traced_memory()[0])
+    """
+)
+
+
+def test_audit_retains_nothing_once_its_report_is_dropped():
+    """Run in a fresh interpreter, so nothing the session built counts:
+    once a census audit's report is dropped, its structures, keys and
+    generators are freed with it.  Only the memos of the index algebra
+    stay, about 0.3 MB, as their domains are finite.  No audit runs
+    before the traced one: it would fill any cache keyed by structure
+    with the very structures the traced audit asks for."""
+    src = str(Path(classify.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_GATE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1024 * 1024
 
 
 class TestCarriedSearch:
@@ -310,23 +339,37 @@ class TestCarriedSearch:
     a checked map instead of a search; this keeps the evidence a search of
     every census spec would give."""
 
-    def test_carried_keys_and_groups_match_a_search(self, census):
-        cold_caches()
+    def test_carried_keys_and_groups_match_a_search(self, monkeypatch, census):
+        runs = 0
+        real = iso._Canonicalizer.run
+
+        def counting(self):
+            nonlocal runs
+            runs += 1
+            return real(self)
+
+        monkeypatch.setattr(iso._Canonicalizer, "run", counting)
         structures = classify._Structures()
         specs = enumerate_family(FamilyTag.PERM_FAMILY, census) + enumerate_family(
             FamilyTag.KAPPA_FAMILY, census
         )
         carried = {spec: structures.search(spec) for spec in specs}
-        assert iso._canonical_search.cache_info().currsize == 288
+        assert runs == 288
         for spec, (key, gens) in carried.items():
             s = structures[spec]
-            assert key == canonical_key(s), spec_text(spec)
-            chain = iso._StabilizerChain(len(s.points))
             for g in gens:
-                chain.add(g)
                 assert verify_point_map(s, s, {x: s.points[j] for x, j in zip(s.points, g)})
-            assert chain.order() == iso.automorphism_group(s)[1], spec_text(spec)
-        assert iso._canonical_search.cache_info().currsize == 1440
+            searched_key, searched_gens = iso._canonical_search(s, None)
+            assert key == searched_key, spec_text(spec)
+            assert group_order(s, gens) == group_order(s, searched_gens), spec_text(spec)
+        assert runs == 288 + 1440
+
+
+def group_order(s, gens) -> int:
+    chain = iso._StabilizerChain(len(s.points))
+    for g in gens:
+        chain.add(g)
+    return chain.order()
 
 
 def swap_two_c_points(monkeypatch):

@@ -157,6 +157,13 @@ class TestIso:
         assert code == EX_DATAERR
         assert "bad PSTS file" in err
 
+    def test_non_decimal_count_is_bad_data(self, capsys, tmp_path):
+        f = tmp_path / "superscript.psts"
+        f.write_text("psts \u00b2 0\n")
+        code, _, err = run(capsys, "aut", str(f))
+        assert code == EX_DATAERR
+        assert "bad header" in err
+
 
 class TestAut:
     def test_order_and_generators(self, capsys):

@@ -145,8 +145,10 @@ class TestWitnessSearch:
 
     def test_fix_unknown_point(self):
         s = perspective("perm:id@G2")
-        with pytest.raises(ValueError, match="not present"):
-            find_isomorphism(s, s, fix=("nope", CENTER))
+        # checked before the sizes are compared, so it never reads as a verdict
+        for y, fix in ((s, ("nope", CENTER)), (Psts(["p"], []), ("nope", "nope"))):
+            with pytest.raises(ValueError, match="not present"):
+                find_isomorphism(s, y, fix=fix)
 
     def test_fix_can_rule_out(self):
         s = perspective("kappa:id@B2")

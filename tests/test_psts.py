@@ -286,6 +286,9 @@ class TestText:
             from_text("nope 1 2\n")
         with pytest.raises(PstsError):
             from_text("")
+        # a digit that is no decimal digit, which int() rejects
+        with pytest.raises(PstsError, match="bad header"):
+            from_text("psts \u00b2 0\n")
 
     def test_row_count_mismatch(self):
         with pytest.raises(PstsError):
