@@ -16,7 +16,10 @@ Four layers, all deterministic:
 * ``find_isomorphism``    explicit witness search (optionally pinning one
                           point pair), sound and complete; this is the
                           ground-truth oracle the algebraic criteria are
-                          audited against.  The search is iterative and
+                          audited against.  It seeds its refinement with
+                          per-point Pasch counts, not the canonical
+                          search's free-K5 counts, and refines in full
+                          rounds of its own.  The search is iterative and
                           checks each candidate against its line partners
                           only, so it has no depth limit and its cost per
                           step follows point degree, not point count,
@@ -55,8 +58,9 @@ class OracleInconsistencyError(RuntimeError):
 
 
 def _seed_colors(s: Psts) -> tuple[tuple[int, int], ...]:
-    """(degree, free-K5 membership count) of each point: the cheap
-    isomorphism-invariant seed coloring."""
+    """(degree, free-K5 membership count) of each point: the canonical
+    search's isomorphism-invariant seed coloring.  The witness search
+    seeds from ``_pasch_seed`` instead."""
     k5 = [0] * len(s.points)
     for clique in s.free_k5:
         for i in clique:
@@ -458,26 +462,30 @@ def automorphism_group(s: Psts) -> tuple[tuple[dict[str, str], ...], int]:
 # witness search
 
 
+def _pasch_seed(s: Psts, fix: int | None) -> list[tuple[int, int, bool]]:
+    """(degree, Pasch count, is the fixed point) of each point: the witness
+    search's seed colouring, which shares nothing with ``_seed_colors``."""
+    return [(len(p), c, i == fix) for i, (p, c) in enumerate(zip(s.partners, s.pasch))]
+
+
 def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     """Backtracking isomorphism search; yields mappings as name dicts.
 
-    The depth-first search is iterative, with an explicit candidate cursor
-    per depth, so it has no depth limit: any input size runs without
-    touching the recursion limit.  Candidates are tried in a fixed order,
-    which makes the sequence of yielded maps deterministic."""
+    Joint colour refinement from the (degree, Pasch count, fix flag) seed
+    refutes most non-isomorphic pairs before any point is placed (Colbourn
+    & Rosa, *Triple Systems*, 1999, on Pasch configurations as the local
+    invariant of triple systems).  The depth-first search is iterative,
+    with an explicit candidate cursor per depth, so it has no depth limit:
+    any input size runs without touching the recursion limit.  Candidates
+    are tried in a fixed order, which makes the sequence of yielded maps
+    deterministic."""
     if fix is not None and (fix[0] not in x.index or fix[1] not in y.index):
         raise ValueError(f"fix points {fix!r} not present")
     n = len(x.points)
     if n != len(y.points) or len(x.lines) != len(y.lines):
         return
-    raw_x = [[*t, 0] for t in _seed_colors(x)]
-    raw_y = [[*t, 0] for t in _seed_colors(y)]
-    if fix is not None:
-        px, py = fix
-        raw_x[x.index[px]][2] = 1
-        raw_y[y.index[py]][2] = 1
-    raw = [tuple(t) for t in raw_x + raw_y]
-    ranked = _rank_raw(raw)
+    px, py = (None, None) if fix is None else (x.index[fix[0]], y.index[fix[1]])
+    ranked = _rank_raw(_pasch_seed(x, px) + _pasch_seed(y, py))
     refined = _refine_pair(x, ranked[:n], y, ranked[n:])
     if refined is None:
         return

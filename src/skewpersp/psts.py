@@ -8,10 +8,12 @@ nothing downstream may depend on what the names look like.
 Each structure holds its incidence once, over point indices: the lines as
 sorted index triples and each point's line partners as index pairs.  The
 isomorphism machinery works on that core, and names meet it only at the
-boundary.  The third-point table, a dict per point, and the free K5
-subgraphs are built on first use only: the witness search and the lookups
-by name read the table, the seed colouring of both searches the subgraphs.
-The audit keeps every structure it builds, and most never need the table.
+boundary.  The third-point table, a dict per point, the per-point Pasch
+counts and the free K5 subgraphs are built on first use only: the witness
+search and the lookups by name read the table, the witness search's seed
+colouring the Pasch counts, and the canonical search's seed colouring the
+subgraphs.  The audit keeps every structure it builds, and most never need
+the table.
 
 Construction validates; an invalid line set raises ``PstsError`` carrying
 the full list of problems found, not just the first.
@@ -20,6 +22,7 @@ the full list of problems found, not just the first.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -50,6 +53,9 @@ class Psts:
     * ``third[i][j]``    the third point of the line through i and j, present
                          only when that line exists; built from ``partners``
                          on first use, never by the constructor,
+    * ``pasch[i]``       the number of Pasch configurations (four lines on
+                         six points, any two meeting) through point i;
+                         counted from ``third`` on first use,
     * ``free_k5``        the free K5 subgraphs as sorted index tuples, in
                          ``free_complete_subgraphs`` order; searched on
                          first use, never by the constructor.
@@ -59,7 +65,9 @@ class Psts:
     point keeps one copy of each name.
     """
 
-    __slots__ = ("points", "lines", "index", "line_sets", "partners", "_third", "_free_k5", "_hash")
+    __slots__ = (
+        "points", "lines", "index", "line_sets", "partners", "_third", "_pasch", "_free_k5", "_hash"
+    )
 
     def __init__(self, points, lines):
         problems: list[str] = []
@@ -117,6 +125,7 @@ class Psts:
         self.line_sets = line_sets
         self.partners = tuple(tuple(sorted(v)) for v in partners)
         self._third = None
+        self._pasch = None
         self._free_k5 = None
         self._hash = hash((self.points, self.lines))
 
@@ -133,6 +142,29 @@ class Psts:
                 tables.append(t)
             self._third = tuple(tables)
         return self._third
+
+    @property
+    def pasch(self) -> tuple[int, ...]:
+        """The Pasch counts of the class docstring, counted on first use.
+
+        A point lies on two lines of each Pasch configuration through it,
+        and two lines {i, y, z}, {i, u, v} lie in two of them at most: one
+        with lines {w, y, u}, {w, z, v} for some w, the other with
+        {w, y, v}, {w, z, u}.  So the work is O(deg^2) per point."""
+        if self._pasch is None:
+            third = self.third
+            counts = []
+            for pairs in self.partners:
+                n = 0
+                for (y, z), (u, v) in combinations(pairs, 2):
+                    ty, tz = third[y], third[z]
+                    for a, b in ((u, v), (v, u)):
+                        w = ty.get(a)
+                        if w is not None and tz.get(b) == w:
+                            n += 1
+                counts.append(n)
+            self._pasch = tuple(counts)
+        return self._pasch
 
     @property
     def free_k5(self) -> tuple[tuple[int, ...], ...]:

@@ -5,6 +5,8 @@ so it is computed once per session and shared; everything downstream treats
 the report as read-only.
 """
 
+import itertools
+
 import pytest
 
 from skewpersp.classify import (
@@ -21,6 +23,40 @@ from skewpersp.veblen import PAIR_NAMES, enumerate_labelings
 def relabel(s, mapping):
     """``s`` with every point renamed through ``mapping``."""
     return Psts([mapping[x] for x in s.points], [[mapping[x] for x in ln] for ln in s.lines])
+
+
+def projective_space(d):
+    """PG(d-1, 2): the nonzero vectors of GF(2)^d, lines {a, b, a xor b}."""
+    pts = range(1, 2**d)
+    lines = {tuple(sorted((a, b, a ^ b))) for a, b in itertools.combinations(pts, 2)}
+    return Psts([f"v{p:02d}" for p in pts], [tuple(f"v{p:02d}" for p in ln) for ln in lines])
+
+
+def pasch_configurations(s):
+    """Every Pasch configuration of ``s``, as a set of four name lines:
+    four lines on six points, any two meeting, found by a scan over the
+    4-sets of lines that drops a set as soon as two of its lines miss."""
+    lines = [frozenset(ln) for ln in s.lines]
+
+    def grow(chosen, start):
+        if len(chosen) == 4:
+            if len(frozenset().union(*chosen)) == 6:
+                yield frozenset(chosen)
+            return
+        for k in range(start, len(lines)):
+            if all(len(lines[k] & ln) == 1 for ln in chosen):
+                yield from grow(chosen + [lines[k]], k + 1)
+
+    yield from grow([], 0)
+
+
+def pasch_counts(s):
+    """The number of Pasch configurations through each point, by name."""
+    counts = dict.fromkeys(s.points, 0)
+    for quad in pasch_configurations(s):
+        for x in frozenset().union(*quad):
+            counts[x] += 1
+    return counts
 
 
 def axis_psts(v):

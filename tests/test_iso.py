@@ -5,11 +5,11 @@ import random
 import sys
 
 import pytest
-from conftest import axis_psts, relabel
+from conftest import axis_psts, pasch_configurations, pasch_counts, projective_space, relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewpersp import cli
+from skewpersp import cli, iso
 from skewpersp.classify import FamilyTag, enumerate_family
 from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, extend, parse_cycles
 from skewpersp.iso import (
@@ -31,7 +31,7 @@ from skewpersp.iso import (
     verify_point_map,
 )
 from skewpersp.perspective import CENTER, PerspectiveSpec, Skew, SkewFamily, build, parse_spec_text
-from skewpersp.psts import Psts, free_complete_subgraphs, to_text
+from skewpersp.psts import Psts, to_text
 from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical, enumerate_labelings
 
 
@@ -201,19 +201,16 @@ class TestLargeInputs:
 def reference_isomorphisms(x, y, fix=None):
     """The witness search as it stood before the degree-bounded check: a
     full scan over every mapped point at each candidate, in a recursive
-    DFS over the same refinement, order and candidate lists.  Its dense
-    view is built from the point names and name lines alone."""
+    DFS over the same refinement, order and candidate lists.  Its seed,
+    (degree, Pasch count, fix flag), and its dense view are built from the
+    point names and name lines alone."""
     n = len(x.points)
     if n != len(y.points) or len(x.lines) != len(y.lines):
         return
 
     def seed(s):
-        index = {p: i for i, p in enumerate(s.points)}
-        k5 = [0] * n
-        for clique in free_complete_subgraphs(s, 5):
-            for p in clique:
-                k5[index[p]] += 1
-        return [[sum(p in ln for ln in s.lines), k5[i], 0] for i, p in enumerate(s.points)]
+        pasch = pasch_counts(s)
+        return [[sum(p in ln for ln in s.lines), pasch[p], 0] for p in s.points]
 
     raw_x, raw_y = seed(x), seed(y)
     if fix is not None:
@@ -298,8 +295,8 @@ class TestSearchOrder:
     @pytest.mark.parametrize(
         "first,second",
         [
-            # not isomorphic: the first three pass joint refinement, so the
-            # DFS runs dry; refinement alone refutes the fourth
+            # not isomorphic: the first and fourth pass joint refinement, so
+            # the DFS runs dry; refinement alone refutes the other two
             ("perm:id@G2_STAR", "perm:id@V4"),
             ("perm:id@G2_STAR", "perm:(3,4)@V5"),
             ("kappa:id@G2", "kappa:id@V5"),
@@ -322,11 +319,51 @@ class TestSearchOrder:
         assert len(maps) == {6: 24, 7: 168}[len(s.points)]
 
 
-def projective_space(d):
-    """PG(d-1, 2): the nonzero vectors of GF(2)^d, lines {a, b, a xor b}."""
-    pts = range(1, 2**d)
-    lines = {tuple(sorted((a, b, a ^ b))) for a, b in itertools.combinations(pts, 2)}
-    return Psts([f"v{p:02d}" for p in pts], [tuple(f"v{p:02d}" for p in ln) for ln in lines])
+def pasch_switch(s):
+    """``s`` with one Pasch configuration xyz, xuv, wyu, wzv traded for
+    xyu, xzv, wyz, wuv: the same twelve pairs, covered the other way."""
+    quad = next(pasch_configurations(s))
+    l1, l2, l3, l4 = (frozenset(ln) for ln in sorted(tuple(sorted(ln)) for ln in quad))
+    (x,) = l1 & l2
+    y, z = sorted(l1 - {x})
+    (w,) = (l3 | l4) - l1 - l2
+    (u,) = next(ln for ln in (l3, l4) if y in ln) - {w, y}
+    (v,) = l2 - {x, u}
+    kept = [ln for ln in s.lines if frozenset(ln) not in quad]
+    return Psts(s.points, kept + [(x, y, u), (x, z, v), (w, y, z), (w, u, v)])
+
+
+class TestPaschSwitch:
+    """PG(3,2) against a Pasch switch of itself, an STS(15) with fewer Pasch
+    configurations: the Pasch counts of the seed tell them apart before the
+    witness search places a point."""
+
+    def pair(self):
+        x = projective_space(4)
+        y = relabel(pasch_switch(x), {p: f"c{p}" for p in x.points})
+        assert sum(y.pasch) < sum(x.pasch)
+        return x, y
+
+    def test_not_isomorphic(self):
+        assert find_isomorphism(*self.pair()) is None
+
+    def test_refuted_by_refinement(self, monkeypatch):
+        results = []
+
+        def recording(*args):
+            results.append(_refine_pair(*args))
+            return results[-1]
+
+        monkeypatch.setattr(iso, "_refine_pair", recording)
+        assert list(_search(*self.pair(), None)) == []
+        assert results == [None]
+
+    def test_cli_exits_non_isomorphic(self, capsys, tmp_path):
+        f1, f2 = tmp_path / "x.psts", tmp_path / "y.psts"
+        for path, s in zip((f1, f2), self.pair()):
+            path.write_text(to_text(s))
+        assert cli.main(["iso", str(f1), str(f2)]) == cli.EX_NONISO
+        assert capsys.readouterr().out == ""
 
 
 def seeded_copies(copies, points=12, lines=12, seed=0):

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from conftest import relabel
+from conftest import pasch_counts, projective_space, relabel
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -267,6 +267,54 @@ def test_core_matches_brute_force(s):
     for x in s.points:
         assert not s.are_collinear(x, x)
         assert s.degree(x) == sum(x in ln for ln in s.lines)
+
+
+class TestPaschCounts:
+    """``Psts.pasch`` against closed forms and the name-level scan of
+    ``conftest.pasch_configurations``."""
+
+    @staticmethod
+    def by_name(s):
+        return dict(zip(s.points, s.pasch))
+
+    @pytest.mark.parametrize("d,per_point,total", [(3, 6, 7), (4, 42, 105)])
+    def test_projective_spaces(self, d, per_point, total):
+        # in PG(d-1, 2) any two lines through a point span a plane, which
+        # is a Fano plane, and both Pasch configurations on them lie in it
+        s = projective_space(d)
+        assert set(s.pasch) == {per_point}
+        assert sum(s.pasch) == 6 * total
+        assert self.by_name(s) == pasch_counts(s)
+
+    def test_pg42(self):
+        assert set(projective_space(5).pasch) == {210}
+
+    def test_pasch_and_triangles(self):
+        assert PASCH.pasch == (1,) * 6
+        names = [f"t{i:04d}" for i in range(1200)]
+        s = Psts(names, [names[k : k + 3] for k in range(0, 1200, 3)])
+        assert s.pasch == (0,) * 1200
+
+    def test_counted_on_first_use(self):
+        s = perspective("perm:id@G2")
+        assert s._pasch is None
+        assert s.pasch is s.pasch
+
+    @given(st.randoms(use_true_random=False))
+    def test_relabel_invariant(self, rng):
+        s = perspective("kappa:(1,2,4)@V5")
+        names = [f"q{k:02d}" for k in range(len(s.points))]
+        rng.shuffle(names)
+        mapping = dict(zip(s.points, names))
+        moved = self.by_name(relabel(s, mapping))
+        assert {mapping[x]: c for x, c in self.by_name(s).items()} == moved
+
+    def test_canonical_axis_specs_match_scan(self, perm_specs, kappa_specs):
+        specs = [*perm_specs, *kappa_specs]
+        assert len(specs) == 288
+        for spec in specs:
+            s = build(spec).psts
+            assert self.by_name(s) == pasch_counts(s), spec
 
 
 class TestText:
