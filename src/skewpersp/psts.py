@@ -9,11 +9,11 @@ Each structure holds its incidence once, over point indices: the lines as
 sorted index triples and each point's line partners as index pairs.  The
 isomorphism machinery works on that core, and names meet it only at the
 boundary.  The third-point table, a dict per point, the per-point Pasch
-counts and the free K5 subgraphs are built on first use only: the witness
-search and the lookups by name read the table, the witness search's seed
-colouring the Pasch counts, and the canonical search's seed colouring the
-subgraphs.  The audit keeps every structure it builds, and most never need
-the table.
+counts and the free K5 subgraphs, searched over int bitmasks of points, are
+built on first use only: the witness search and the lookups by name read
+the table, the witness search's seed colouring the Pasch counts, and the
+canonical search's seed colouring the subgraphs.  The audit keeps every
+structure it builds, and most never need the table.
 
 Construction validates; an invalid line set raises ``PstsError`` carrying
 the full list of problems found, not just the first.
@@ -217,39 +217,35 @@ def free_complete_subgraphs(s: Psts, n: int) -> tuple[frozenset[str], ...]:
 def _free_cliques(s: Psts, n: int) -> tuple[tuple[int, ...], ...]:
     """``free_complete_subgraphs`` as increasing index tuples, in order.
 
-    Sets grow over common neighbours in index order: each added point cuts
-    the candidates down to its own later line partners, minus the third
-    points of its lines to the points already chosen, so the work follows
-    point degree, not point count.
+    Sets grow over common neighbours in index order, held as int bitmasks:
+    each added point cuts the candidates to its own later line partners,
+    minus the third points of its lines to chosen points, and a branch ends
+    once it cannot reach n points, so work follows degree, not point count.
     """
     if n < 0:
         raise ValueError(f"subgraph size must be nonnegative, got {n}")
     partners = s.partners
     found: list[tuple[int, ...]] = []
 
-    def grow(chosen: list[int], cands: set[int]) -> None:
-        # cands: points after every chosen one, collinear with all of them
-        # and on no line through two of them
+    def grow(chosen: tuple[int, ...], mask: int, cands: int) -> None:
+        # mask: the chosen points; cands: points after every chosen one,
+        # collinear with all of them and on no line through two of them
         if len(chosen) == n:
-            found.append(tuple(chosen))
+            found.append(chosen)
             return
-        if len(chosen) + len(cands) < n:
-            return
-        for x in sorted(cands):
-            # a line through x and a chosen point rules out its third point;
-            # the chosen point itself comes before x
-            nxt = {
-                y
-                for j, k in partners[x]
-                if j not in chosen and k not in chosen
-                for y in (j, k)
-                if y > x and y in cands
-            }
-            chosen.append(x)
-            grow(chosen, nxt)
-            chosen.pop()
+        while len(chosen) + cands.bit_count() >= n:
+            low = cands & -cands
+            cands ^= low
+            x = low.bit_length() - 1
+            # a line through x and a chosen point rules out its third point
+            nxt = 0
+            for j, k in partners[x]:
+                line = (1 << j) | (1 << k)
+                if not line & mask:
+                    nxt |= line
+            grow(chosen + (x,), mask | low, nxt & cands)
 
-    grow([], set(range(len(s.points))))
+    grow((), 0, (1 << len(s.points)) - 1)
     return tuple(found)
 
 

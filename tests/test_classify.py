@@ -248,10 +248,18 @@ class TestNoRevalidation:
         assert calls == 1
 
 
-def count_audit_work(monkeypatch, axes_mode: str) -> tuple[int, ...]:
-    counts = dict.fromkeys(
-        ("build", "cliques", "canonical", "witness", "nodes", "leaves", "maps"), 0
-    )
+WORK_FIELDS = (
+    # counted calls: builds, clique searches, canonical searches, witness
+    # searches, canonical search nodes, canonical search leaves, checked
+    # maps; then the witness searches refuted by joint refinement
+    "build", "cliques", "canonical", "witness", "nodes", "leaves", "maps", "refuted"
+)
+
+
+def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
+    """The work of one audit per mode, run in turn under counting wrappers
+    patched once around them all."""
+    counts = dict.fromkeys(WORK_FIELDS, 0)
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -260,7 +268,15 @@ def count_audit_work(monkeypatch, axes_mode: str) -> tuple[int, ...]:
 
         return wrapper
 
-    with monkeypatch.context() as m:
+    real_refine = iso._refine_pair
+
+    def refine(*args):
+        result = real_refine(*args)
+        counts["refuted"] += result is None
+        return result
+
+    work = {}
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(classify, "build", counting("build", classify.build))
         m.setattr(psts, "_free_cliques", counting("cliques", psts._free_cliques))
         m.setattr(iso._Canonicalizer, "run", counting("canonical", iso._Canonicalizer.run))
@@ -268,8 +284,18 @@ def count_audit_work(monkeypatch, axes_mode: str) -> tuple[int, ...]:
         m.setattr(iso._Canonicalizer, "_visit", counting("nodes", iso._Canonicalizer._visit))
         m.setattr(iso._Canonicalizer, "_leaf", counting("leaves", iso._Canonicalizer._leaf))
         m.setattr(classify, "verify_point_map", counting("maps", classify.verify_point_map))
-        classify.audit_claims(axes_mode)
-    return tuple(counts.values())
+        m.setattr(iso, "_refine_pair", refine)
+        for axes_mode in axes_modes:
+            counts.update(dict.fromkeys(WORK_FIELDS, 0))
+            classify.audit_claims(axes_mode)
+            work[axes_mode] = dict(counts)
+    return work
+
+
+@pytest.fixture(scope="module")
+def audit_work():
+    """One instrumented audit per mode, shared by the work gates below."""
+    return count_audit_work("census", "canonical")
 
 
 class TestAuditWork:
@@ -282,22 +308,27 @@ class TestAuditWork:
     are deterministic, and this is a work gate that cannot flake."""
 
     WORK = {
-        # builds, clique searches, canonical searches, witness searches,
-        # canonical search nodes, canonical search leaves, checked maps
-        # (1,152 carrying maps and lemma 4.4's 30)
+        # the first seven of WORK_FIELDS; the checked maps are 1,152
+        # carrying maps and lemma 4.4's 30
         "census": (1440, 1440, 432, 1708, 3735, 2686, 1182),
         # lemma 4.4 adds kappa:id over the 24 non-canonical census axes,
         # whose keys are carried, so they need no clique search
         "canonical": (312, 288, 432, 1708, 3735, 2686, 54),
     }
 
-    @pytest.mark.parametrize("axes_mode,expected", WORK.items())
-    def test_each_spec_built_and_searched_once(self, monkeypatch, axes_mode, expected):
-        assert count_audit_work(monkeypatch, axes_mode) == expected
+    @staticmethod
+    def calls(work):
+        return tuple(work[name] for name in WORK_FIELDS[:7])
 
-    def test_second_audit_does_the_same_work(self, monkeypatch):
-        for _ in range(2):
-            assert count_audit_work(monkeypatch, "canonical") == self.WORK["canonical"]
+    @pytest.mark.parametrize("axes_mode,expected", WORK.items())
+    def test_each_spec_built_and_searched_once(self, audit_work, axes_mode, expected):
+        assert self.calls(audit_work[axes_mode]) == expected
+
+    def test_second_audit_does_the_same_work(self, audit_work):
+        # the shared fixture ran the first canonical audit of the pair
+        first = self.calls(audit_work["canonical"])
+        second = self.calls(count_audit_work("canonical")["canonical"])
+        assert first == second == self.WORK["canonical"]
 
 
 class TestWitnessRefutations:
@@ -308,25 +339,9 @@ class TestWitnessRefutations:
     gate without flaking."""
 
     @pytest.mark.parametrize("axes_mode", ["census", "canonical"])
-    def test_refinement_refutes_before_backtracking(self, monkeypatch, axes_mode):
-        searches = refuted = 0
-        real_search, real_refine = classify.find_isomorphism, iso._refine_pair
-
-        def search(*args, **kwargs):
-            nonlocal searches
-            searches += 1
-            return real_search(*args, **kwargs)
-
-        def refine(*args):
-            nonlocal refuted
-            result = real_refine(*args)
-            refuted += result is None
-            return result
-
-        monkeypatch.setattr(classify, "find_isomorphism", search)
-        monkeypatch.setattr(iso, "_refine_pair", refine)
-        classify.audit_claims(axes_mode)
-        assert (refuted, searches) == (1314, 1708)
+    def test_refinement_refutes_before_backtracking(self, audit_work, axes_mode):
+        work = audit_work[axes_mode]
+        assert (work["refuted"], work["witness"]) == (1314, 1708)
 
 
 MEMORY_GATE = textwrap.dedent(

@@ -142,6 +142,9 @@ class TestFreeSubgraphs:
         s = perspective("perm:id@G2")
         assert len(free_complete_subgraphs(s, 5)) == 6
 
+    def test_pg32_count(self):
+        assert len(projective_space(4).free_k5) == 1008
+
     def test_free_means_distinct_joins(self):
         s = perspective("perm:id@G2")
         for clique in free_complete_subgraphs(s, 5):
@@ -214,13 +217,50 @@ TRIANGLE_POINTS = [f"t{i:02d}" for i in range(12)]
         perspective("perm:(1,2)@B2"),
         perspective("kappa:(1,2,4)@V5"),
         Psts(TRIANGLE_POINTS, [TRIANGLE_POINTS[k : k + 3] for k in range(0, 12, 3)]),
+        projective_space(4),
     ],
-    ids=["pasch", "fano", "plain", "complementing", "triangles"],
+    ids=["pasch", "fano", "plain", "complementing", "triangles", "pg32"],
 )
 def test_free_subgraphs_match_brute_force(s):
     for n in range(7):
         assert free_complete_subgraphs(s, n) == brute_force_free(s, n), n
     assert free_complete_subgraphs(s, 0) == (frozenset(),)
+
+
+@st.composite
+def small_psts(draw):
+    """A structure on at most 12 points: the triples in a drawn order, each
+    kept unless it shares a pair with a line kept before it, up to a drawn
+    number of lines."""
+    points = [f"p{i:02d}" for i in range(draw(st.integers(0, 12)))]
+    triples = list(itertools.combinations(points, 3))
+    draw(st.randoms(use_true_random=False)).shuffle(triples)
+    limit = draw(st.integers(0, 20))
+    lines, covered = [], set()
+    for ln in triples:
+        pairs = {frozenset(p) for p in itertools.combinations(ln, 2)}
+        if len(lines) < limit and not pairs & covered:
+            covered |= pairs
+            lines.append(ln)
+    return Psts(points, lines)
+
+
+@given(small_psts())
+def test_free_subgraphs_of_random_structures(s):
+    for n in range(7):
+        assert free_complete_subgraphs(s, n) == brute_force_free(s, n), n
+
+
+def test_free_subgraphs_span_many_words():
+    # 1,200 points: the candidate masks run to many machine words
+    names = [f"t{i:04d}" for i in range(1200)]
+    triangles = [names[k : k + 3] for k in range(0, 1200, 3)]
+    s = Psts(names, triangles)
+    assert free_complete_subgraphs(s, 1) == tuple(frozenset([x]) for x in names)
+    assert free_complete_subgraphs(s, 2) == tuple(
+        frozenset(p) for t in triangles for p in itertools.combinations(t, 2)
+    )
+    assert free_complete_subgraphs(s, 3) == ()
 
 
 def relabeled(s, seed):

@@ -1,12 +1,18 @@
 """Axis labelings: census, canonical kinds, classification witnesses."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from conftest import axis_psts
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skewpersp import veblen
 from skewpersp.indices import (
     ALL_PERMS,
     CORRELATION,
@@ -111,9 +117,65 @@ class TestCanonicalKinds:
             assert stars == tops
 
 
+def scan_labelings():
+    """The reference census: ``VeblenConfig`` tried on every 4-subset of
+    the twenty 3-subsets of pairs, the ones that validate sorted."""
+    triples = [frozenset(c) for c in itertools.combinations(PAIRS, 3)]
+    out = []
+    for quad in itertools.combinations(triples, 4):
+        try:
+            out.append(VeblenConfig(quad))
+        except ValueError:
+            continue
+    return tuple(sorted(out, key=VeblenConfig.sort_key))
+
+
+IMPORT_GUARD = textwrap.dedent(
+    """
+    import skewpersp.cli
+    from skewpersp import veblen
+
+    print(veblen.enumerate_labelings.cache_info().currsize,
+          veblen._census_by_lines.cache_info().currsize)
+    """
+)
+
+
 class TestCensus:
     def test_count(self, census):
         assert len(census) == 30
+
+    def test_matches_the_exhaustive_scan(self, census):
+        assert census == scan_labelings()
+
+    def test_validates_only_the_mask_survivors(self, monkeypatch):
+        # a cold census validates 30 labelings; the exhaustive scan
+        # validates all 4,845 quadruples
+        calls = 0
+        real = VeblenConfig.__post_init__
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            real(self)
+
+        monkeypatch.setattr(VeblenConfig, "__post_init__", counting)
+        veblen.enumerate_labelings.__wrapped__()
+        assert calls == 30
+
+    def test_importing_the_cli_builds_no_census(self):
+        """A fresh interpreter, so the session's census does not count:
+        ``aut`` and ``iso`` on structure files never need the labelings."""
+        src = str(Path(veblen.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
     def test_all_valid_configurations(self, census):
         for v in census:
