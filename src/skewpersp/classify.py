@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .indices import (
     ALL_PERMS,
@@ -81,6 +80,7 @@ from .perspective import (
 from .psts import Psts, validate_configuration
 from .veblen import (
     PAIRS,
+    PARTNER,
     CanonicalKind,
     VeblenConfig,
     aut_perms,
@@ -92,27 +92,18 @@ from .veblen import (
 )
 
 
-class FamilyTag(Enum):
-    PERM_FAMILY = "perm"
-    KAPPA_FAMILY = "kappa"
-
-    @property
-    def skew_family(self) -> SkewFamily:
-        return SkewFamily.PERM if self is FamilyTag.PERM_FAMILY else SkewFamily.PERM_KAPPA
-
-
 def canonical_axes() -> tuple[VeblenConfig, ...]:
     return tuple(canonical(kind) for kind in CanonicalKind)
 
 
 def enumerate_family(
-    tag: FamilyTag, axes: tuple[VeblenConfig, ...]
+    family: SkewFamily, axes: tuple[VeblenConfig, ...]
 ) -> tuple[PerspectiveSpec, ...]:
     """All 24 x |axes| specs of one family, in spec sort order."""
     if not axes:
         raise ValueError("need at least one axis")
     specs = [
-        PerspectiveSpec(Skew(tag.skew_family, perm), axis)
+        PerspectiveSpec(Skew(family, perm), axis)
         for perm in ALL_PERMS
         for axis in axes
     ]
@@ -157,7 +148,7 @@ class _Structures(dict):
         self._found: dict[PerspectiveSpec, tuple] = {}
 
     def __missing__(self, spec: PerspectiveSpec) -> Psts:
-        s = self[spec] = build(spec).psts
+        s = self[spec] = build(spec)
         return s
 
     def search(self, spec: PerspectiveSpec) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
@@ -430,7 +421,6 @@ def _fact_2_1(census) -> Finding:
     # the kinds must be pairwise inequivalent under the 24 extended maps;
     # under all 48 maps the only mergers allowed are the three partner pairs
     ext_distinct = True
-    partner_pairs = {frozenset(p) for p in ((_K.G2, _K.G2_STAR), (_K.B2, _K.V4), (_K.V5, _K.V6))}
     merges_ok = True
     pair_witness = []
     for k1, k2 in itertools.combinations(CanonicalKind, 2):
@@ -439,7 +429,7 @@ def _fact_2_1(census) -> Finding:
             ext_distinct = False
             pair_witness.append(f"{k1} maps onto {k2} under an extended permutation")
         full = any(v1.apply(m) == v2 for m in all_maps)
-        if full != (frozenset((k1, k2)) in partner_pairs):
+        if full != (PARTNER[k1] is k2):
             merges_ok = False
             pair_witness.append(
                 f"{k1} vs {k2}: equivalent under the 48 maps = {full}, expected otherwise"
@@ -465,7 +455,8 @@ def _fact_2_1(census) -> Finding:
 def _eq_2() -> Finding:
     pairings = {}
     ok = True
-    for kind, partner in ((_K.G2, _K.G2_STAR), (_K.B2, _K.V4), (_K.V5, _K.V6)):
+    for kind in (_K.G2, _K.B2, _K.V5):
+        partner = PARTNER[kind]
         holds = canonical(kind).apply(CORRELATION) == canonical(partner)
         pairings[f"{kind}->{partner}"] = holds
         ok = ok and holds
@@ -819,14 +810,19 @@ def _lemma_4_8(structures) -> Finding:
     )
 
 
-def _match_entries(
+def _theorem_finding(
     structures,
+    claim_id: str,
+    claim: str,
     classes: tuple[IsoClass, ...],
     entries,
     family: SkewFamily,
-) -> tuple[tuple[IsoClass, ...], dict, tuple[str, ...], bool]:
-    """Attach published labels to classes; report distinctness and the
-    classes no entry reaches, with exhaustive non-isomorphism witnesses."""
+    published_count: int,
+    census_note: dict | None,
+) -> tuple[tuple[IsoClass, ...], Finding]:
+    """Attach published labels to classes and compare the class count;
+    report distinctness and the classes no entry reaches, with exhaustive
+    non-isomorphism witnesses."""
     by_key = {c.key: c for c in classes}
     entry_specs = [_entry_spec(family, kind, cycles) for _, kind, cycles in entries]
     entry_keys = {}
@@ -865,37 +861,22 @@ def _match_entries(
             f"{spec_text(c.representative)} (key {c.key.digest}) admits no isomorphism onto any "
             f"listed entry; exhaustive witness search refutes all {len(entries)}"
         )
-    summary = {
+    computed = {
         "classes": len(classes),
         "entries": len(entries),
         "entries_in_distinct_classes": distinct,
         "classes_without_entry": len(unmatched),
         "unmatched": [spec_text(c.representative) for c in unmatched],
+        **(census_note or {}),
     }
-    return labeled, summary, tuple(witnesses), distinct and not problems
-
-
-def _theorem_finding(
-    structures,
-    claim_id: str,
-    claim: str,
-    classes,
-    entries,
-    family,
-    published_count: int,
-    census_note: dict | None,
-) -> tuple[tuple[IsoClass, ...], Finding]:
-    labeled, summary, witnesses, entries_ok = _match_entries(structures, classes, entries, family)
-    if census_note:
-        summary.update(census_note)
-    ok = entries_ok and len(classes) == published_count and not summary["unmatched"]
+    ok = distinct and not problems and len(classes) == published_count and not unmatched
     return labeled, Finding(
         claim_id=claim_id,
         claim=claim,
-        computed=summary,
+        computed=computed,
         published={"classes": published_count},
         verdict=_verdict(ok),
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
     )
 
 
@@ -913,10 +894,10 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
     census = enumerate_labelings()
     axes = canonical_axes() if axes_mode == "canonical" else census
 
-    perm_canonical = enumerate_family(FamilyTag.PERM_FAMILY, canonical_axes())
-    kappa_canonical = enumerate_family(FamilyTag.KAPPA_FAMILY, canonical_axes())
-    perm_specs = perm_canonical if axes_mode == "canonical" else enumerate_family(FamilyTag.PERM_FAMILY, axes)
-    kappa_specs = kappa_canonical if axes_mode == "canonical" else enumerate_family(FamilyTag.KAPPA_FAMILY, axes)
+    perm_canonical = enumerate_family(SkewFamily.PERM, canonical_axes())
+    kappa_canonical = enumerate_family(SkewFamily.PERM_KAPPA, canonical_axes())
+    perm_specs = perm_canonical if axes_mode == "canonical" else enumerate_family(SkewFamily.PERM, axes)
+    kappa_specs = kappa_canonical if axes_mode == "canonical" else enumerate_family(SkewFamily.PERM_KAPPA, axes)
 
     structures = _Structures()
     perm_classes = partition_into_classes(perm_specs, structures=structures)

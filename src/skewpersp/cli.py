@@ -37,7 +37,7 @@ from pathlib import Path
 
 from . import psts as psts_mod
 from .iso import OracleInconsistencyError, automorphism_group, find_isomorphism, point_map_text
-from .perspective import PerspectiveSpec, Role, build, parse_spec_text, spec_text
+from .perspective import ROLE_LABELS, PerspectiveSpec, SkewFamily, build, parse_spec_text, spec_text
 from .psts import Psts, PstsError
 from .veblen import (
     CanonicalKind,
@@ -97,7 +97,7 @@ def parse_spec(text: str) -> PerspectiveSpec:
 
 def _load_structure(text: str) -> Psts:
     if text.startswith(("perm:", "kappa:")):
-        return build(parse_spec(text)).psts
+        return build(parse_spec(text))
     p = Path(text)
     if not p.is_file():
         raise _CliError(EX_NOINPUT, f"no such file (and not spec text): {text}")
@@ -117,13 +117,14 @@ def _emit(text: str, out: str | None) -> None:
         raise _CliError(EX_IOERR, f"cannot write {out}: {e}") from e
 
 
-def emit_levi_dot(s: Psts, roles: Mapping[str, Role] | None = None) -> str:
-    """Bipartite point/line incidence graph in DOT, deterministic order."""
+def emit_levi_dot(s: Psts, roles: Mapping[str, str] | None = None) -> str:
+    """Bipartite point/line incidence graph in DOT, deterministic order.
+    A point named in ``roles`` carries its label as a ``role`` attribute."""
     rows = ["graph levi {", "  node [fontsize=10];"]
     for x in s.points:
         attrs = ['shape=circle']
         if roles and x in roles:
-            attrs.append(f'role="{roles[x].label}"')
+            attrs.append(f'role="{roles[x]}"')
         rows.append(f'  "{x}" [{", ".join(attrs)}];')
     for k, ln in enumerate(s.lines, 1):
         rows.append(f'  "L{k:02d}" [shape=box, label="{" ".join(ln)}"];')
@@ -135,12 +136,8 @@ def emit_levi_dot(s: Psts, roles: Mapping[str, Role] | None = None) -> str:
 
 
 def _cmd_build(args) -> int:
-    spec = parse_spec(args.spec)
-    labeled = build(spec)
-    if args.levi:
-        _emit(emit_levi_dot(labeled.psts, labeled.roles), args.out)
-    else:
-        _emit(psts_mod.to_text(labeled.psts), args.out)
+    s = build(parse_spec(args.spec))
+    _emit(emit_levi_dot(s, ROLE_LABELS) if args.levi else psts_mod.to_text(s), args.out)
     return EX_OK
 
 
@@ -210,8 +207,7 @@ def _cmd_classify(args) -> int:
     from . import classify as cls
 
     axes = cls.canonical_axes() if args.axes == "canonical" else enumerate_labelings()
-    tag = cls.FamilyTag.PERM_FAMILY if args.family == "perm" else cls.FamilyTag.KAPPA_FAMILY
-    classes = cls.partition_into_classes(cls.enumerate_family(tag, axes))
+    classes = cls.partition_into_classes(cls.enumerate_family(SkewFamily(args.family), axes))
     if args.format == "structured":
         doc = {
             "family": args.family,

@@ -58,13 +58,6 @@ class Pair:
         yield self.lo
         yield self.hi
 
-    def other(self, i: int) -> int:
-        if i == self.lo:
-            return self.hi
-        if i == self.hi:
-            return self.lo
-        raise ValueError(f"{i} not in pair {self}")
-
     def __str__(self) -> str:
         return f"{self.lo}{self.hi}"
 

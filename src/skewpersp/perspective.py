@@ -14,15 +14,16 @@ B-side then mirrors the A-side through sigma.  PERM_KAPPA ("boolean
 complementing") takes delta = extend(phi) composed with the complement
 involution, which is what kills all free K5 subgraphs beyond the two
 tetrahedra A* and B*.
+
+``build`` returns the bare structure; a point's role (center, A_i, B_i or
+C_u) is its name, spelled out in ``ROLE_LABELS``.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 
 from .indices import (
     CORRELATION,
@@ -50,6 +51,13 @@ CENTER = "p"
 A_NAMES = tuple(f"a{i}" for i in INDICES)
 B_NAMES = tuple(f"b{i}" for i in INDICES)
 C_NAMES = tuple(PAIR_NAMES[u] for u in PAIRS)
+
+#: the role of each point, as ``build --levi`` prints it: center, A1..A4,
+#: B1..B4, C12..C34
+ROLE_LABELS: dict[str, str] = {
+    CENTER: "center",
+    **{x: x.upper() for x in (*A_NAMES, *B_NAMES, *C_NAMES)},
+}
 
 
 def a_name(i: int) -> str:
@@ -92,9 +100,6 @@ class Skew:
             m = m.compose(CORRELATION)
         return m
 
-    def delta_inverse(self) -> PairMap:
-        return self.delta().inverse()
-
 
 @dataclass(frozen=True)
 class PerspectiveSpec:
@@ -115,56 +120,12 @@ class PerspectiveSpec:
         )
 
 
-class RoleKind(Enum):
-    CENTER = "center"
-    A = "A"
-    B = "B"
-    C = "C"
-
-
-@dataclass(frozen=True)
-class Role:
-    kind: RoleKind
-    index: int | None = None
-    pair: Pair | None = None
-
-    @property
-    def label(self) -> str:
-        if self.kind is RoleKind.CENTER:
-            return "center"
-        if self.kind is RoleKind.C:
-            return f"C{self.pair}"
-        return f"{self.kind.value}{self.index}"
-
-
-@dataclass(frozen=True)
-class LabeledPsts:
-    """A built perspective: the bare structure plus the role of each point."""
-
-    psts: Psts
-    roles: Mapping[str, Role]
-
-
-def _roles() -> dict[str, Role]:
-    out = {CENTER: Role(RoleKind.CENTER)}
-    for i in INDICES:
-        out[a_name(i)] = Role(RoleKind.A, index=i)
-    for i in INDICES:
-        out[b_name(i)] = Role(RoleKind.B, index=i)
-    for u in PAIRS:
-        out[c_name(u)] = Role(RoleKind.C, pair=u)
-    return out
-
-
-#: one read-only role map, shared by every built perspective
-_ROLES: Mapping[str, Role] = MappingProxyType(_roles())
-
-
-def build(spec: PerspectiveSpec) -> LabeledPsts:
-    """Construct the perspective.  The result is always a (15_4 20_3)
-    configuration for a valid spec; a corrupted axis surfaces as a
-    PstsError from the structure constructor."""
-    dinv = spec.skew.delta_inverse()
+def build(spec: PerspectiveSpec) -> Psts:
+    """Construct the perspective on the points center, A, B, C in that
+    order.  The result is always a (15_4 20_3) configuration for a valid
+    spec; a corrupted axis surfaces as a PstsError from the structure
+    constructor."""
+    dinv = spec.skew.delta().inverse()
     lines: list[tuple[str, str, str]] = []
     for ln in spec.axis.lines:
         lines.append(tuple(c_name(u) for u in sorted(ln)))
@@ -175,7 +136,7 @@ def build(spec: PerspectiveSpec) -> LabeledPsts:
     for i in INDICES:
         lines.append((CENTER, a_name(i), b_name(i)))
     points = (CENTER, *A_NAMES, *B_NAMES, *C_NAMES)
-    return LabeledPsts(Psts(points, lines), _ROLES)
+    return Psts(points, lines)
 
 
 def predicted_free_k5(spec: PerspectiveSpec) -> tuple[frozenset[str], ...]:

@@ -130,12 +130,8 @@ _CANONICAL[CanonicalKind.B2] = VeblenConfig(
 _CANONICAL[CanonicalKind.V5] = VeblenConfig(
     (top(3), _pairs("13", "23", "14"), _pairs("13", "34", "24"), _pairs("23", "34", "12"))
 )
-for _plain, _starred in (
-    (CanonicalKind.G2, CanonicalKind.G2_STAR),
-    (CanonicalKind.B2, CanonicalKind.V4),
-    (CanonicalKind.V5, CanonicalKind.V6),
-):
-    _CANONICAL[_starred] = VeblenConfig(
+for _plain in tuple(_CANONICAL):
+    _CANONICAL[PARTNER[_plain]] = VeblenConfig(
         tuple(CORRELATION.apply_line(ln) for ln in _CANONICAL[_plain].lines)
     )
 
@@ -195,41 +191,22 @@ def aut_perms(v: VeblenConfig) -> tuple[Perm4, ...]:
     return tuple(phi for phi in ALL_PERMS if v.apply(extend(phi)) == v)
 
 
-class Side(Enum):
-    PLAIN = "PLAIN"
-    KAPPA = "KAPPA"
+def classify_labeling(v: VeblenConfig) -> CanonicalKind | None:
+    """The canonical kind onto which one of the 48 candidate maps carries v:
+    extend(alpha), or the complement involution followed by extend(alpha).
 
-
-@dataclass(frozen=True)
-class LabelingWitness:
-    """classify_labeling result: applying extend(alpha) (PLAIN) or
-    correlation then extend(alpha) (KAPPA) maps the labeling onto
-    canonical(kind)."""
-
-    kind: CanonicalKind
-    alpha: Perm4
-    side: Side
-
-    def verify(self, v: VeblenConfig) -> bool:
-        image = v.apply(CORRELATION) if self.side is Side.KAPPA else v
-        return image.apply(extend(self.alpha)) == canonical(self.kind)
-
-
-def classify_labeling(v: VeblenConfig) -> LabelingWitness | None:
-    """Identify v among the 48 candidate maps onto the canonical kinds.
-
-    Returns the first witness found, scanning the PLAIN side over all kinds
-    and permutations before the KAPPA side, or None when nothing among the
-    48 maps works (such an outcome would falsify the census coverage claim,
-    so the audit counts it explicitly rather than raising).
+    Scans the extended maps over all kinds and permutations before the
+    complemented ones.  Returns None when nothing among the 48 maps works
+    (such an outcome would falsify the census coverage claim, so the audit
+    counts it explicitly rather than raising).
     """
-    for side in (Side.PLAIN, Side.KAPPA):
-        image = v.apply(CORRELATION) if side is Side.KAPPA else v
+    for complemented in (False, True):
+        image = v.apply(CORRELATION) if complemented else v
         for kind in CanonicalKind:
             target = canonical(kind)
             for alpha in ALL_PERMS:
                 if image.apply(extend(alpha)) == target:
-                    return LabelingWitness(kind, alpha, side)
+                    return kind
     return None
 
 

@@ -10,12 +10,12 @@ import itertools
 import pytest
 
 from skewpersp.classify import (
-    FamilyTag,
     audit_claims,
     canonical_axes,
     enumerate_family,
     partition_into_classes,
 )
+from skewpersp.perspective import SkewFamily
 from skewpersp.psts import Psts
 from skewpersp.veblen import PAIR_NAMES, enumerate_labelings
 
@@ -77,12 +77,12 @@ def axes():
 
 @pytest.fixture(scope="session")
 def perm_specs(axes):
-    return enumerate_family(FamilyTag.PERM_FAMILY, axes)
+    return enumerate_family(SkewFamily.PERM, axes)
 
 
 @pytest.fixture(scope="session")
 def kappa_specs(axes):
-    return enumerate_family(FamilyTag.KAPPA_FAMILY, axes)
+    return enumerate_family(SkewFamily.PERM_KAPPA, axes)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ import pytest
 
 from skewpersp.classify import (
     THEOREM_3_4_ENTRIES,
-    FamilyTag,
     enumerate_family,
     partition_into_classes,
     render_text,
@@ -68,7 +67,7 @@ def test_criterion_01_construction_validity(census):
         for perm in ALL_PERMS:
             for axis in census:
                 spec = PerspectiveSpec(Skew(family, perm), axis)
-                if not validate_configuration(build(spec).psts, 4):
+                if not validate_configuration(build(spec), 4):
                     bad.append(spec_text(spec))
     total = 2 * len(ALL_PERMS) * len(census)
     report(
@@ -107,7 +106,7 @@ def test_criterion_02_labeling_census(census, census_audit):
         for k, m in itertools.permutations(kinds, 2)
     )
     pairing_ok = all(
-        classify_labeling(canonical(k).apply(CORRELATION)).kind == PARTNER[k]
+        classify_labeling(canonical(k).apply(CORRELATION)) == PARTNER[k]
         for k in kinds
     )
 
@@ -145,7 +144,7 @@ def test_criterion_04_free_k5_closed_form(perm_specs):
     bad = [
         spec_text(s)
         for s in perm_specs
-        if set(predicted_free_k5(s)) != set(free_complete_subgraphs(build(s).psts, 5))
+        if set(predicted_free_k5(s)) != set(free_complete_subgraphs(build(s), 5))
     ]
     report(
         4,
@@ -162,7 +161,7 @@ def test_criterion_05_two_free_k5_and_center_fixed(kappa_specs):
     wrong_count = []
     moved = []
     for s in kappa_specs:
-        built = build(s).psts
+        built = build(s)
         if len(free_complete_subgraphs(built, 5)) != 2:
             wrong_count.append(spec_text(s))
         gens, _ = automorphism_group(built)
@@ -252,7 +251,7 @@ def test_criterion_09_published_complementing_class_count(kappa_classes):
 def test_criterion_10_plain_family_vs_listed_entries(census_audit, perm_classes, axes):
     # (a) the computed partition is stable: a fresh run reproduces the same
     # class keys in the same order
-    fresh = partition_into_classes(enumerate_family(FamilyTag.PERM_FAMILY, axes))
+    fresh = partition_into_classes(enumerate_family(SkewFamily.PERM, axes))
     stable = [c.key for c in fresh] == [c.key for c in perm_classes] and len(fresh) == 43
 
     # (b) the 42 listed entries land in 42 distinct computed classes
@@ -260,7 +259,7 @@ def test_criterion_10_plain_family_vs_listed_entries(census_audit, perm_classes,
     entry_keys = []
     for _, kind, cyc in THEOREM_3_4_ENTRIES:
         spec = PerspectiveSpec(Skew(SkewFamily.PERM, parse_cycles(cyc)), canonical(kind))
-        entry_keys.append(canonical_key(build(spec).psts))
+        entry_keys.append(canonical_key(build(spec)))
     entries_ok = (
         len(THEOREM_3_4_ENTRIES) == 42
         and len(set(entry_keys)) == 42
@@ -271,11 +270,11 @@ def test_criterion_10_plain_family_vs_listed_entries(census_audit, perm_classes,
     # to every listed entry
     unmatched = [c for c in perm_classes if c.key not in set(entry_keys)]
     entry_builds = [
-        build(PerspectiveSpec(Skew(SkewFamily.PERM, parse_cycles(cyc)), canonical(kind))).psts
+        build(PerspectiveSpec(Skew(SkewFamily.PERM, parse_cycles(cyc)), canonical(kind)))
         for _, kind, cyc in THEOREM_3_4_ENTRIES
     ]
     witnessed = all(
-        find_isomorphism(build(c.representative).psts, eb) is None
+        find_isomorphism(build(c.representative), eb) is None
         for c in unmatched
         for eb in entry_builds
     )

@@ -19,7 +19,6 @@ from skewpersp.classify import (
     PUBLISHED_TOTAL_COUNT,
     THEOREM_3_4_ENTRIES,
     THEOREM_4_9_ENTRIES,
-    FamilyTag,
     OracleInconsistencyError,
     canonical_axes,
     enumerate_family,
@@ -59,20 +58,20 @@ EXPECTED_VERDICTS = {
 
 class TestEnumeration:
     def test_sizes(self, axes, census):
-        assert len(enumerate_family(FamilyTag.PERM_FAMILY, axes)) == 144
-        assert len(enumerate_family(FamilyTag.KAPPA_FAMILY, tuple(census))) == 720
+        assert len(enumerate_family(SkewFamily.PERM, axes)) == 144
+        assert len(enumerate_family(SkewFamily.PERM_KAPPA, tuple(census))) == 720
 
     def test_families_have_equal_sizes(self, axes):
-        assert len(enumerate_family(FamilyTag.PERM_FAMILY, axes)) == len(
-            enumerate_family(FamilyTag.KAPPA_FAMILY, axes)
+        assert len(enumerate_family(SkewFamily.PERM, axes)) == len(
+            enumerate_family(SkewFamily.PERM_KAPPA, axes)
         )
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_family(FamilyTag.PERM_FAMILY, ())
+            enumerate_family(SkewFamily.PERM, ())
 
     def test_deterministic_order(self, axes, perm_specs):
-        again = enumerate_family(FamilyTag.PERM_FAMILY, tuple(reversed(axes)))
+        again = enumerate_family(SkewFamily.PERM, tuple(reversed(axes)))
         assert again == perm_specs
 
 
@@ -84,7 +83,7 @@ class TestPartition:
     def test_members_share_keys(self, kappa_classes):
         for c in kappa_classes:
             for member in c.members:
-                assert canonical_key(build(member).psts) == c.key
+                assert canonical_key(build(member)) == c.key
             assert c.representative == c.members[0]
 
     def test_branch_rule(self, perm_classes, kappa_classes):
@@ -120,7 +119,7 @@ class TestPartition:
 
     def test_census_adds_no_classes(self, census, perm_classes):
         full = partition_into_classes(
-            enumerate_family(FamilyTag.PERM_FAMILY, tuple(census))
+            enumerate_family(SkewFamily.PERM, tuple(census))
         )
         assert {c.key for c in full} == {c.key for c in perm_classes}
 
@@ -154,7 +153,7 @@ class TestOracleSweep:
     def test_member_without_witness_raises(self, monkeypatch, sweep, family):
         specs, classes = family
         victim = next(c for c in classes if len(c.members) > 1).members[-1]
-        victim_built = build(victim).psts
+        victim_built = build(victim)
         self._patch(monkeypatch, lambda x, y, m: None if victim_built in (x, y) else m)
         with pytest.raises(OracleInconsistencyError, match="no witness") as e:
             sweep(classify._Structures(), specs)
@@ -164,7 +163,7 @@ class TestOracleSweep:
     def test_witness_between_representatives_raises(self, monkeypatch, sweep, family):
         specs, classes = family
         r1, r2 = (c.representative for c in classes[:2])
-        pair = {build(r1).psts, build(r2).psts}
+        pair = {build(r1), build(r2)}
         self._patch(monkeypatch, lambda x, y, m: {} if {x, y} == pair else m)
         with pytest.raises(OracleInconsistencyError, match="keys differ") as e:
             sweep(classify._Structures(), specs)
@@ -189,7 +188,7 @@ class TestOracleSweep:
         def pairs(k):
             return k * (k - 1) // 2
 
-        pinned = len({canonical_key(build(s).psts, CENTER) for s in perm_specs})
+        pinned = len({canonical_key(build(s), CENTER) for s in perm_specs})
         plain, kappa = len(perm_classes), len(kappa_classes)
         assert (pinned, plain, kappa) == (44, 43, 25)
         # one witness per non-representative member and one refutation per
@@ -394,8 +393,8 @@ class TestCarriedSearch:
 
         monkeypatch.setattr(iso._Canonicalizer, "run", counting)
         structures = classify._Structures()
-        specs = enumerate_family(FamilyTag.PERM_FAMILY, census) + enumerate_family(
-            FamilyTag.KAPPA_FAMILY, census
+        specs = enumerate_family(SkewFamily.PERM, census) + enumerate_family(
+            SkewFamily.PERM_KAPPA, census
         )
         carried = {spec: structures.search(spec) for spec in specs}
         assert runs == 288
@@ -529,7 +528,7 @@ class TestAudit:
         assert spec_text(rep) == "perm:(1,2)@B2"
         for _, kind, cycles in THEOREM_3_4_ENTRIES:
             entry = parse_spec_text(f"perm:{cycles}@{kind.value}")
-            assert find_isomorphism(build(rep).psts, build(entry).psts) is None
+            assert find_isomorphism(build(rep), build(entry)) is None
 
     def test_theorem_4_9_details(self, census_audit):
         f = census_audit.finding("theorem_4_9")

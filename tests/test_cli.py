@@ -25,7 +25,7 @@ from skewpersp.cli import (
     main,
 )
 from skewpersp.iso import verify_point_map
-from skewpersp.perspective import build, parse_spec_text
+from skewpersp.perspective import ROLE_LABELS, build, parse_spec_text
 from skewpersp.veblen import CanonicalKind, canonical
 
 
@@ -44,7 +44,7 @@ class TestBuild:
         assert code == EX_OK and err == ""
         s = psts.from_text(out)
         assert len(s.points) == 15 and len(s.lines) == 20
-        assert s == build(parse_spec_text("perm:id@G2")).psts
+        assert s == build(parse_spec_text("perm:id@G2"))
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "g2.psts"
@@ -61,6 +61,31 @@ class TestBuild:
         edge_rows = [r for r in out.splitlines() if " -- " in r]
         assert len(node_rows) == 15 + 20
         assert len(edge_rows) == 20 * 3
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            ("perm:(1,2)@B2", "defb4fa62be0fad66e63e62c62aafe013e25a12dabb481c023f68e8de4c4604b"),
+            (
+                "kappa:(1,2,3)@census:17",
+                "cab4ed0c1cee942292aa3bc173fac6020f7e4099d63f167c654f77c7b10ed41d",
+            ),
+        ],
+        ids=["perm", "kappa"],
+    )
+    def test_levi_pinned(self, capsys, spec, digest):
+        code, out, _ = run(capsys, "build", spec, "--levi")
+        assert code == EX_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_levi_roles(self, capsys):
+        _, out, _ = run(capsys, "build", "perm:(1,2)@B2", "--levi")
+        rows = out.splitlines()
+        assert '  "p" [shape=circle, role="center"];' in rows
+        assert '  "a2" [shape=circle, role="A2"];' in rows
+        assert '  "c12" [shape=circle, role="C12"];' in rows
+        for spec in ("perm:(1,2)@B2", "kappa:(1,2,3)@census:17"):
+            assert set(ROLE_LABELS) == set(build(parse_spec_text(spec)).points)
 
     def test_levi_deterministic(self, capsys):
         a = run(capsys, "build", "kappa:id@B2", "--levi")
@@ -128,8 +153,8 @@ class TestIso:
         for row in out.splitlines():
             src, _, dst = row.partition(" -> ")
             mapping[src] = dst
-        x = build(parse_spec_text("perm:(1,2,4)@V5")).psts
-        y = build(parse_spec_text("perm:(1,4,2)@V5")).psts
+        x = build(parse_spec_text("perm:(1,2,4)@V5"))
+        y = build(parse_spec_text("perm:(1,4,2)@V5"))
         assert verify_point_map(x, y, mapping)
 
     def test_non_isomorphic(self, capsys):
@@ -140,7 +165,7 @@ class TestIso:
 
     def test_file_input(self, capsys, tmp_path):
         f = tmp_path / "x.psts"
-        f.write_text(psts.to_text(build(parse_spec_text("kappa:id@G2")).psts))
+        f.write_text(psts.to_text(build(parse_spec_text("kappa:id@G2"))))
         code, out, _ = run(capsys, "iso", str(f), "kappa:id@G2")
         assert code == EX_OK
         assert " -> " in out

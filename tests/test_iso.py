@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewpersp import cli, iso
-from skewpersp.classify import FamilyTag, enumerate_family
+from skewpersp.classify import enumerate_family
 from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, extend, parse_cycles
 from skewpersp.iso import (
     MAX_POINTS,
@@ -36,7 +36,7 @@ from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical, enumerate_l
 
 
 def perspective(text):
-    return build(parse_spec_text(text)).psts
+    return build(parse_spec_text(text))
 
 
 REFERENCE_AUT_ORDERS = {
@@ -68,7 +68,7 @@ class TestCanonicalKey:
         )
 
     def test_equals_iff_witness(self, perm_specs):
-        sample = [build(s).psts for s in perm_specs[:10]]
+        sample = [build(s) for s in perm_specs[:10]]
         for x, y in itertools.combinations(sample, 2):
             same_key = canonical_key(x) == canonical_key(y)
             assert same_key == (find_isomorphism(x, y) is not None)
@@ -125,12 +125,12 @@ class TestCanonicalKey:
 class TestWitnessSearch:
     def test_reflexive(self, kappa_specs):
         for spec in kappa_specs[:6]:
-            s = build(spec).psts
+            s = build(spec)
             m = find_isomorphism(s, s)
             assert m is not None and verify_point_map(s, s, m)
 
     def test_witnesses_verify(self, perm_specs):
-        reps = [build(s).psts for s in perm_specs[:8]]
+        reps = [build(s) for s in perm_specs[:8]]
         for x, y in itertools.combinations(reps, 2):
             m = find_isomorphism(x, y)
             if m is not None:
@@ -460,23 +460,23 @@ class TestAutomorphismGroup:
         classes = perm_classes + kappa_classes
         assert len(classes) == 68
         for c in classes:
-            s = build(c.representative).psts
+            s = build(c.representative)
             gens, order = automorphism_group(s)
             assert order == c.aut_order == len(list(_search(s, s, None)))
             assert all(verify_point_map(s, s, g) for g in gens)
 
     def test_kappa_census_orders_match_enumeration(self, census):
-        specs = enumerate_family(FamilyTag.KAPPA_FAMILY, tuple(census))
+        specs = enumerate_family(SkewFamily.PERM_KAPPA, tuple(census))
         assert len(specs) == 720
         for spec in specs:
-            s = build(spec).psts
+            s = build(spec)
             gens, order = automorphism_group(s)
             assert order == len(list(_search(s, s, None)))
             assert all(verify_point_map(s, s, g) for g in gens)
 
     def test_each_generator_is_new(self, perm_classes):
         for c in perm_classes:
-            s = build(c.representative).psts
+            s = build(c.representative)
             gens = [as_index_tuple(s, g) for g in automorphism_group(s)[0]]
             for k, g in enumerate(gens):
                 assert g not in closure(len(s.points), gens[:k])
@@ -617,7 +617,7 @@ class TestRefine:
 
     def test_class_representatives(self, perm_classes, kappa_classes):
         for cls in perm_classes + kappa_classes:
-            s = build(cls.representative).psts
+            s = build(cls.representative)
             for pin in (None, s.index[CENTER]):
                 self.assert_matches_reference(s, pin, depth=1)
 
@@ -753,14 +753,14 @@ class TestPermFamilyCriterion:
         assert perm_family_iso(s1, s2) is None
         assert (
             find_isomorphism(
-                build(s1).psts, build(s2).psts, fix=(CENTER, CENTER)
+                build(s1), build(s2), fix=(CENTER, CENTER)
             )
             is None
         )
 
     def test_agrees_with_oracle_on_sample(self, perm_specs):
         sample = perm_specs[:16]
-        builds = [build(s).psts for s in sample]
+        builds = [build(s) for s in sample]
         for (i, s1), (j, s2) in itertools.combinations(enumerate(sample), 2):
             algebraic = perm_family_iso(s1, s2) is not None
             oracle = (
@@ -784,7 +784,7 @@ class TestKappaFamilyCriterion:
 
     def test_agrees_with_oracle_on_sample(self, kappa_specs):
         sample = kappa_specs[:16]
-        builds = [build(s).psts for s in sample]
+        builds = [build(s) for s in sample]
         for (i, s1), (j, s2) in itertools.combinations(enumerate(sample), 2):
             algebraic = kappa_family_iso(s1, s2) is not None
             oracle = find_isomorphism(builds[i], builds[j]) is not None
@@ -794,7 +794,7 @@ class TestKappaFamilyCriterion:
         # every automorphism fixes the center (Cor 4.2), so the maps whose
         # image is the spec itself are exactly the automorphisms
         for spec in kappa_specs[:8]:
-            order = automorphism_group(build(spec).psts)[1]
+            order = automorphism_group(build(spec))[1]
             assert sum(image == spec for _, image in family_images(spec)) == order
 
     def test_case_b_example(self):
@@ -897,12 +897,12 @@ class TestFamilyImages:
     def test_image_point_maps_are_isomorphisms(self, census):
         # both cases of both families, over canonical and census axes
         for family in SkewFamily:
-            for spec in enumerate_family(FamilyTag(family.value), tuple(census))[::60]:
-                s = build(spec).psts
+            for spec in enumerate_family(family, tuple(census))[::60]:
+                s = build(spec)
                 for (phi, case), image in family_images(spec):
                     m = image_point_map(spec, phi, case)
                     assert m[CENTER] == CENTER
-                    assert verify_point_map(s, build(image).psts, m), (spec, phi, case)
+                    assert verify_point_map(s, build(image), m), (spec, phi, case)
 
 
 class TestApply:

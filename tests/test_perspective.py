@@ -15,7 +15,6 @@ from skewpersp.perspective import (
     C_NAMES,
     CENTER,
     PerspectiveSpec,
-    RoleKind,
     Skew,
     SkewFamily,
     a_name,
@@ -42,38 +41,38 @@ def spec_of(family, perm, axis_kind):
 class TestBuild:
     @given(families, perms, kinds)
     def test_always_a_15_4_20_3_configuration(self, family, perm, kind):
-        s = build(spec_of(family, perm, kind)).psts
+        s = build(spec_of(family, perm, kind))
         assert validate_configuration(s, 4)
         assert (len(s.points), len(s.lines)) == (15, 20)
 
     def test_point_roster(self):
-        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)).psts
+        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2))
         assert set(s.points) == {CENTER, *A_NAMES, *B_NAMES, *C_NAMES}
 
     def test_center_lines(self):
-        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)).psts
+        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2))
         for i in (1, 2, 3, 4):
             assert s.third_point(a_name(i), b_name(i)) == CENTER
 
     def test_a_side_joins_are_fixed(self):
-        s = build(spec_of(SkewFamily.PERM_KAPPA, IDENTITY, CanonicalKind.V5)).psts
+        s = build(spec_of(SkewFamily.PERM_KAPPA, IDENTITY, CanonicalKind.V5))
         for u in PAIRS:
             assert s.third_point(a_name(u.lo), a_name(u.hi)) == c_name(u)
 
     def test_identity_b_side(self):
-        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)).psts
+        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2))
         assert s.are_collinear("b1", "b2")
         assert s.third_point("b1", "b2") == "c12"
 
     def test_kappa_b_side_is_complemented(self):
-        s = build(spec_of(SkewFamily.PERM_KAPPA, IDENTITY, CanonicalKind.G2)).psts
+        s = build(spec_of(SkewFamily.PERM_KAPPA, IDENTITY, CanonicalKind.G2))
         for u in PAIRS:
             assert s.third_point(b_name(u.lo), b_name(u.hi)) == c_name(correlation(u))
 
     def test_names_are_shared(self):
         # every name a line holds is the point's own string, not a copy
         for family in SkewFamily:
-            s = build(spec_of(family, parse_cycles("(1,2,3)"), CanonicalKind.B2)).psts
+            s = build(spec_of(family, parse_cycles("(1,2,3)"), CanonicalKind.B2))
             for ln in s.lines:
                 for x in ln:
                     assert x is s.points[s.index[x]]
@@ -91,44 +90,31 @@ class TestBuild:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            built = [build(spec).psts for spec in specs]
+            built = [build(spec) for spec in specs]
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert retained / len(built) <= 11 * 1024
-
-    def test_roles(self):
-        labeled = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.B2))
-        kinds_seen = {}
-        for name, role in labeled.roles.items():
-            kinds_seen.setdefault(role.kind, []).append(name)
-        assert len(kinds_seen[RoleKind.CENTER]) == 1
-        assert len(kinds_seen[RoleKind.A]) == 4
-        assert len(kinds_seen[RoleKind.B]) == 4
-        assert len(kinds_seen[RoleKind.C]) == 6
-        assert labeled.roles["a2"].label == "A2"
-        assert labeled.roles["c12"].label == "C12"
-        assert labeled.roles[CENTER].label == "center"
 
 
 class TestBJoin:
     """The line through b_i and b_j meets the axis in c_u, u = delta^-1({i,j})."""
 
     def test_identity_skew(self):
-        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)).psts
+        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2))
         for u in PAIRS:
             assert s.third_point(b_name(u.lo), b_name(u.hi)) == c_name(u)
 
     def test_three_cycle(self):
-        s = build(spec_of(SkewFamily.PERM, parse_cycles("(2,3,4)"), CanonicalKind.G2)).psts
+        s = build(spec_of(SkewFamily.PERM, parse_cycles("(2,3,4)"), CanonicalKind.G2))
         assert s.third_point("b1", "b2") == c_name(Pair(1, 4))
 
     @given(families, perms, st.sampled_from(PAIRS))
     def test_matches_built_lines(self, family, perm, u):
         spec = spec_of(family, perm, CanonicalKind.B2)
-        s = build(spec).psts
+        s = build(spec)
         assert s.third_point(b_name(u.lo), b_name(u.hi)) == c_name(
-            spec.skew.delta_inverse()(u)
+            spec.skew.delta().inverse()(u)
         )
 
 
@@ -152,7 +138,7 @@ class TestPredictedFreeK5:
     def test_agrees_with_oracle_perm(self, perm, kind):
         spec = spec_of(SkewFamily.PERM, perm, kind)
         assert predicted_free_k5(spec) == free_complete_subgraphs(
-            build(spec).psts, 5
+            build(spec), 5
         )
 
     @given(perms, kinds)
@@ -160,7 +146,7 @@ class TestPredictedFreeK5:
         spec = spec_of(SkewFamily.PERM_KAPPA, perm, kind)
         predicted = predicted_free_k5(spec)
         assert len(predicted) == 2
-        assert predicted == free_complete_subgraphs(build(spec).psts, 5)
+        assert predicted == free_complete_subgraphs(build(spec), 5)
 
 
 class TestSpecText:

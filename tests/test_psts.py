@@ -25,7 +25,7 @@ PASCH = Psts(
 
 
 def perspective(text):
-    return build(parse_spec_text(text)).psts
+    return build(parse_spec_text(text))
 
 
 class TestConstruction:
@@ -353,7 +353,7 @@ class TestPaschCounts:
         specs = [*perm_specs, *kappa_specs]
         assert len(specs) == 288
         for spec in specs:
-            s = build(spec).psts
+            s = build(spec)
             assert self.by_name(s) == pasch_counts(s), spec
 
 
