@@ -175,7 +175,7 @@ class _Structures(dict):
                 f"the case {case.value} map of {spec_text(spec)} onto {spec_text(image)} is no isomorphism"
             )
         key, found = self.search(image)
-        to_t = tuple(t.index[m[x]] for x in s.points)
+        to_t = tuple(t.points.index(m[x]) for x in s.points)
         from_t = _inverse(to_t)
         # g conjugated back along the map: an automorphism of s
         carried = tuple(tuple(from_t[g[j]] for j in to_t) for g in found)
@@ -641,7 +641,7 @@ def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
 
 def _prop_3_2(structures, perm_specs) -> Finding:
     builds = [structures[s] for s in perm_specs]
-    pinned = [_canonical_search(b, b.index[CENTER])[0] for b in builds]
+    pinned = [_canonical_search(b, b.points.index(CENTER))[0] for b in builds]
     plain = [structures.search(s)[0] for s in perm_specs]
     _check_partition(perm_specs, builds, pinned, fix=(CENTER, CENTER))
     # a center-fixing isomorphism is an isomorphism: each center-fixing
@@ -687,7 +687,7 @@ def _lemma_4_1(structures, kappa_specs) -> Finding:
 def _cor_4_2(structures, kappa_specs) -> Finding:
     moved = []
     for s in kappa_specs:
-        center = structures[s].index[CENTER]
+        center = structures[s].points.index(CENTER)
         if any(g[center] != center for g in structures.search(s)[1]):
             moved.append(f"{spec_text(s)}: generator moves the center")
     return Finding(

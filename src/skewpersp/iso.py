@@ -2,7 +2,7 @@
 
 Four layers, all deterministic:
 
-* ``canonical_key``       a complete relabeling invariant, computed by
+* ``_canonical_search``   a complete relabeling invariant, computed by
                           individualization-refinement backtracking; equal
                           keys if and only if isomorphic (optionally pinning
                           one point onto itself).  Its refinement is
@@ -48,8 +48,6 @@ from math import prod
 from .indices import ALL_PERMS, CORRELATION, INDICES, PAIRS, Perm4, extend
 from .perspective import CENTER, PerspectiveSpec, Skew, SkewFamily, a_name, b_name, c_name
 from .psts import Psts
-
-MAX_POINTS = 32
 
 
 class OracleInconsistencyError(RuntimeError):
@@ -115,7 +113,7 @@ def _refine(s: Psts, colors: list[int], moved: Iterable[int]) -> list[int]:
     partners = s.partners
     shift = _pack_shift(len(colors))
     colors = list(colors)
-    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for i, c in enumerate(colors):
         cells[c].append(i)
     while True:
@@ -264,7 +262,7 @@ class _Canonicalizer:
         sizes = [0] * self.n
         for c in colors:
             sizes[c] += 1
-        largest = max(sizes)
+        largest = max(sizes, default=1)
         if largest == 1:
             self._leaf(colors)
         else:
@@ -294,51 +292,33 @@ class _Canonicalizer:
             self.best = enc
 
     def _pruned(self, x: int, explored: list[int], path: tuple[int, ...]) -> bool:
-        # only automorphisms fixing every individualized point so far are
-        # guaranteed to permute the current cell structure
+        # x is pruned when its orbit meets an explored sibling, under the
+        # found automorphisms that fix every individualized point so far:
+        # only those are guaranteed to permute the current cell structure
         if not explored:
             return False
         usable = [g for g in self.auts if all(g[v] == v for v in path)]
-        if not usable:
-            return False
-        parent = list(range(self.n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for g in usable:
-            for i in range(self.n):
-                ri, rj = find(i), find(g[i])
-                if ri != rj:
-                    parent[ri] = rj
-        root = find(x)
-        return any(find(y) == root for y in explored)
+        orbit = [x]
+        seen = {x}
+        for i in orbit:
+            for g in usable:
+                j = g[i]
+                if j not in seen:
+                    if j in explored:
+                        return True
+                    seen.add(j)
+                    orbit.append(j)
+        return False
 
 
 def _canonical_search(s: Psts, pin: int | None) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
-    """The key of one search, and the automorphisms that search found, as
-    index tuples; they generate the group fixing pin."""
+    """The canonical key of ``s``, totally ordered and stable across runs,
+    and the automorphisms its search found, as index tuples; they generate
+    the group fixing ``pin``.  The point ``pin`` is individualized first
+    (McKay & Piperno, "Practical graph isomorphism II", 2014), so pinned
+    keys are equal exactly when an isomorphism maps pin onto pin."""
     c = _Canonicalizer(s, pin)
-    return CanonicalKey(len(s.points), len(s.lines), c.run()), tuple(c.auts)
-
-
-def canonical_key(s: Psts, pin: str | None = None) -> CanonicalKey:
-    """Relabeling-invariant complete invariant of a structure.
-
-    Structures compare isomorphic exactly when their keys are equal; keys
-    are totally ordered and stable across runs and processes.  With ``pin``
-    the point of that name is individualized first (McKay & Piperno,
-    "Practical graph isomorphism II", 2014): two pinned keys are equal
-    exactly when an isomorphism maps one pinned point onto the other.
-    """
-    if len(s.points) > MAX_POINTS:
-        raise ValueError(f"canonical_key capped at {MAX_POINTS} points, got {len(s.points)}")
-    if pin is not None and pin not in s.index:
-        raise ValueError(f"pin point {pin!r} not present")
-    return _canonical_search(s, s.index.get(pin))[0]
+    return CanonicalKey(len(s.points), len(s.line_sets), c.run()), tuple(c.auts)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +425,10 @@ class _StabilizerChain:
 def automorphism_group(s: Psts) -> tuple[tuple[dict[str, str], ...], int]:
     """Generators and exact order of the automorphism group.
 
-    One run of the canonical search behind ``canonical_key`` finds
-    automorphisms that generate the group.  Each is kept as a generator
-    only when it is not in the group of those kept before it, so the
-    identity never is; Schreier-Sims over the kept ones gives the order.
-    Nothing enumerates the group."""
+    One run of the canonical search finds automorphisms that generate the
+    group.  Each is kept as a generator only when it is not in the group of
+    those kept before it, so the identity never is; Schreier-Sims over the
+    kept ones gives the order.  Nothing enumerates the group."""
     _, found = _canonical_search(s, None)
     chain = _StabilizerChain(len(s.points))
     gens = tuple(
@@ -479,12 +458,12 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     any input size runs without touching the recursion limit.  Candidates
     are tried in a fixed order, which makes the sequence of yielded maps
     deterministic."""
-    if fix is not None and (fix[0] not in x.index or fix[1] not in y.index):
+    if fix is not None and (fix[0] not in x.points or fix[1] not in y.points):
         raise ValueError(f"fix points {fix!r} not present")
     n = len(x.points)
-    if n != len(y.points) or len(x.lines) != len(y.lines):
+    if n != len(y.points) or len(x.line_sets) != len(y.line_sets):
         return
-    px, py = (None, None) if fix is None else (x.index[fix[0]], y.index[fix[1]])
+    px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
     ranked = _rank_raw(_pasch_seed(x, px) + _pasch_seed(y, py))
     refined = _refine_pair(x, ranked[:n], y, ranked[n:])
     if refined is None:

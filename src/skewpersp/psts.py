@@ -10,10 +10,10 @@ sorted index triples and each point's line partners as index pairs.  The
 isomorphism machinery works on that core, and names meet it only at the
 boundary.  The third-point table, a dict per point, the per-point Pasch
 counts and the free K5 subgraphs, searched over int bitmasks of points, are
-built on first use only: the witness search and the lookups by name read
-the table, the witness search's seed colouring the Pasch counts, and the
-canonical search's seed colouring the subgraphs.  The audit keeps every
-structure it builds, and most never need the table.
+built on first use only: the witness search reads the table, its seed
+colouring the Pasch counts, and the canonical search's seed colouring the
+subgraphs.  The audit keeps every structure it builds, and most never need
+the table.
 
 Construction validates; an invalid line set raises ``PstsError`` carrying
 the full list of problems found, not just the first.
@@ -43,12 +43,10 @@ def _check_name(name: str, problems: list[str]) -> None:
 class Psts:
     """Immutable partial Steiner triple system.
 
-    ``points`` is a sorted tuple of names, ``lines`` a sorted tuple of sorted
-    3-tuples of names.  Incidence is held once, over point indices, where a
-    point's index is its position in ``points``:
+    ``points`` is a sorted tuple of names.  Incidence is held once, over
+    point indices, where a point's index is its position in ``points``:
 
-    * ``index[x]``       the index of the point named x,
-    * ``line_sets``      the lines as sorted index triples, in ``lines`` order,
+    * ``line_sets``      the lines as sorted index triples, sorted,
     * ``partners[i]``    sorted (j, k) pairs, one per line {i, j, k} with j < k,
     * ``third[i][j]``    the third point of the line through i and j, present
                          only when that line exists; built from ``partners``
@@ -57,17 +55,14 @@ class Psts:
                          six points, any two meeting) through point i;
                          counted from ``third`` on first use,
     * ``free_k5``        the free K5 subgraphs as sorted index tuples, in
-                         ``free_complete_subgraphs`` order; searched on
-                         first use, never by the constructor.
+                         lexicographic order; searched on first use, never
+                         by the constructor.
 
-    The lookups by name answer through ``index``.  The names in ``lines``
-    are the strings of ``points``, so a caller that passes one string per
-    point keeps one copy of each name.
+    ``lines`` reads the lines back as sorted name triples, in ``line_sets``
+    order, which is name order too: indices are ranks in name order.
     """
 
-    __slots__ = (
-        "points", "lines", "index", "line_sets", "partners", "_third", "_pasch", "_free_k5", "_hash"
-    )
+    __slots__ = ("points", "line_sets", "partners", "_third", "_pasch", "_free_k5", "_hash")
 
     def __init__(self, points, lines):
         problems: list[str] = []
@@ -79,7 +74,9 @@ class Psts:
             problems.append(f"duplicate points: {sorted(dup)}")
         index = {x: i for i, x in enumerate(pts)}
 
-        norm: list[tuple[str, str, str]] = []
+        # a point's index is its rank in name order, so sorted index
+        # triples sort the way the sorted name triples would
+        triples: list[tuple[int, int, int]] = []
         for ln in lines:
             ln = tuple(ln)
             if len(set(ln)) != 3:
@@ -89,15 +86,12 @@ class Psts:
             if missing:
                 problems.append(f"line {tuple(sorted(ln))} uses unknown points {missing}")
                 continue
-            norm.append(tuple(sorted(ln)))
-        dup_lines = [ln for ln, n in Counter(norm).items() if n > 1]
+            triples.append(tuple(sorted(index[x] for x in ln)))
+        dup_lines = [tuple(pts[i] for i in t) for t, n in Counter(triples).items() if n > 1]
         if dup_lines:
             problems.append(f"duplicate lines: {sorted(dup_lines)}")
-        norm = sorted(set(norm))
+        line_sets = tuple(sorted(set(triples)))
 
-        # a point's index is its rank in name order, so each sorted name
-        # triple maps onto a sorted index triple
-        line_sets = tuple(tuple(index[x] for x in ln) for ln in norm)
         partners: list[list[tuple[int, int]]] = [[] for _ in pts]
         # the third point of each collinear pair (a, b), a < b, kept only to
         # catch a pair on two lines
@@ -120,14 +114,18 @@ class Psts:
             raise PstsError(sorted(set(problems)))
 
         self.points = tuple(pts)
-        self.lines = tuple(norm)
-        self.index = index
         self.line_sets = line_sets
         self.partners = tuple(tuple(sorted(v)) for v in partners)
         self._third = None
         self._pasch = None
         self._free_k5 = None
-        self._hash = hash((self.points, self.lines))
+        self._hash = hash((self.points, self.line_sets))
+
+    @property
+    def lines(self) -> tuple[tuple[str, str, str], ...]:
+        """The lines as sorted name triples, in ``line_sets`` order."""
+        pts = self.points
+        return tuple((pts[i], pts[j], pts[k]) for i, j, k in self.line_sets)
 
     @property
     def third(self) -> tuple[dict[int, int], ...]:
@@ -177,45 +175,26 @@ class Psts:
         return (
             isinstance(other, Psts)
             and self.points == other.points
-            and self.lines == other.lines
+            and self.line_sets == other.line_sets
         )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Psts({len(self.points)} points, {len(self.lines)} lines)"
-
-    def degree(self, x: str) -> int:
-        return len(self.partners[self.index[x]])
-
-    def are_collinear(self, x: str, y: str) -> bool:
-        return self.index[y] in self.third[self.index[x]]
-
-    def third_point(self, x: str, y: str) -> str | None:
-        """Third point of the line joining x and y, or None if they are not
-        collinear.  Symmetric in x and y; x == y is an error."""
-        if x == y:
-            raise ValueError(f"third_point needs two distinct points, got {x!r} twice")
-        k = self.third[self.index[x]].get(self.index[y])
-        return None if k is None else self.points[k]
+        return f"Psts({len(self.points)} points, {len(self.line_sets)} lines)"
 
 
 def validate_configuration(s: Psts, point_degree: int) -> bool:
     """True when every point lies on exactly ``point_degree`` lines; every
     line has three points by construction."""
-    return all(s.degree(x) == point_degree for x in s.points)
-
-
-def free_complete_subgraphs(s: Psts, n: int) -> tuple[frozenset[str], ...]:
-    """All n-point sets that are pairwise collinear with no line of the
-    structure containing three of them, sorted by the sorted point tuple."""
-    # the search runs in lexicographic index order, which is name order
-    return tuple(frozenset(s.points[i] for i in f) for f in _free_cliques(s, n))
+    return all(len(p) == point_degree for p in s.partners)
 
 
 def _free_cliques(s: Psts, n: int) -> tuple[tuple[int, ...], ...]:
-    """``free_complete_subgraphs`` as increasing index tuples, in order.
+    """All n-point sets that are pairwise collinear with no line of the
+    structure containing three of them, as increasing index tuples in
+    lexicographic order.
 
     Sets grow over common neighbours in index order, held as int bitmasks:
     each added point cuts the candidates to its own later line partners,
@@ -252,7 +231,7 @@ def _free_cliques(s: Psts, n: int) -> tuple[tuple[int, ...], ...]:
 def to_text(s: Psts) -> str:
     """Serialize:  header 'psts <points> <lines>', then the point names on
     one line, then one line of the structure per text line."""
-    rows = [f"psts {len(s.points)} {len(s.lines)}", " ".join(s.points)]
+    rows = [f"psts {len(s.points)} {len(s.line_sets)}", " ".join(s.points)]
     rows.extend(" ".join(ln) for ln in s.lines)
     return "\n".join(rows) + "\n"
 
@@ -266,6 +245,10 @@ def from_text(text: str) -> Psts:
     if len(head) != 3 or head[0] != "psts" or not head[1].isdecimal() or not head[2].isdecimal():
         raise PstsError([f"bad header {rows[0]!r} (expected 'psts <points> <lines>')"])
     np_, nl = int(head[1]), int(head[2])
+    if np_ == 0 and len(rows) == 1 + nl:
+        rows.insert(1, "")  # the blank points row of no points, dropped above
+    if len(rows) == 1:
+        raise PstsError([f"no points row after the header {rows[0]!r}"])
     if len(rows) != 2 + nl:
         raise PstsError([f"expected {nl} line rows after the points row, got {len(rows) - 2}"])
     points = rows[1].split()

@@ -88,9 +88,6 @@ class VeblenConfig:
     def has_line(self, line: frozenset[Pair]) -> bool:
         return line in self.lines
 
-    def are_collinear(self, u: Pair, v: Pair) -> bool:
-        return any(u in ln and v in ln for ln in self.lines)
-
     def sort_key(self) -> tuple:
         return tuple(_line_key(ln) for ln in self.lines)
 
@@ -180,7 +177,7 @@ def star_triangles(v: VeblenConfig) -> tuple[int, ...]:
         s = star(i)
         if v.has_line(s):
             continue
-        if all(v.are_collinear(u, w) for u, w in itertools.combinations(s, 2)):
+        if all(any(u in ln and w in ln for ln in v.lines) for u, w in itertools.combinations(s, 2)):
             out.append(i)
     return tuple(out)
 

@@ -15,14 +15,32 @@ from skewpersp.classify import (
     enumerate_family,
     partition_into_classes,
 )
+from skewpersp.iso import _canonical_search
 from skewpersp.perspective import SkewFamily
-from skewpersp.psts import Psts
+from skewpersp.psts import Psts, _free_cliques
 from skewpersp.veblen import PAIR_NAMES, enumerate_labelings
 
 
 def relabel(s, mapping):
     """``s`` with every point renamed through ``mapping``."""
     return Psts([mapping[x] for x in s.points], [[mapping[x] for x in ln] for ln in s.lines])
+
+
+def canonical_key(s, pin=None):
+    """The canonical key of ``s``, with the point named ``pin`` pinned."""
+    return _canonical_search(s, None if pin is None else s.points.index(pin))[0]
+
+
+def free_complete_subgraphs(s, n):
+    """The free complete subgraphs on n points of ``s``, as name sets, in
+    the lexicographic order of their index tuples."""
+    return tuple(frozenset(s.points[i] for i in f) for f in _free_cliques(s, n))
+
+
+def third_point(s, x, y):
+    """The third point of the line through x and y, or None."""
+    k = s.third[s.points.index(x)].get(s.points.index(y))
+    return None if k is None else s.points[k]
 
 
 def projective_space(d):

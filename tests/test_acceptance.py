@@ -18,6 +18,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import canonical_key, free_complete_subgraphs
 
 from skewpersp.classify import (
     THEOREM_3_4_ENTRIES,
@@ -26,7 +27,7 @@ from skewpersp.classify import (
     render_text,
 )
 from skewpersp.indices import ALL_PERMS, CORRELATION, PAIRS, extend, parse_cycles
-from skewpersp.iso import automorphism_group, canonical_key, find_isomorphism
+from skewpersp.iso import automorphism_group, find_isomorphism
 from skewpersp.perspective import (
     CENTER,
     PerspectiveSpec,
@@ -36,7 +37,7 @@ from skewpersp.perspective import (
     predicted_free_k5,
     spec_text,
 )
-from skewpersp.psts import free_complete_subgraphs, validate_configuration
+from skewpersp.psts import validate_configuration
 from skewpersp.veblen import (
     PARTNER,
     CanonicalKind,

@@ -9,6 +9,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from conftest import canonical_key
 
 from skewpersp import classify, cli, iso, psts, veblen
 from skewpersp.classify import (
@@ -20,14 +21,13 @@ from skewpersp.classify import (
     THEOREM_3_4_ENTRIES,
     THEOREM_4_9_ENTRIES,
     OracleInconsistencyError,
-    canonical_axes,
     enumerate_family,
     partition_into_classes,
     render_structured,
     render_text,
 )
 from skewpersp.indices import PAIRS
-from skewpersp.iso import IsoCase, canonical_key, family_images, find_isomorphism, verify_point_map
+from skewpersp.iso import IsoCase, family_images, find_isomorphism, verify_point_map
 from skewpersp.perspective import CENTER, SkewFamily, build, c_name, parse_spec_text, spec_text
 from skewpersp.veblen import VeblenConfig, aut_perms
 

@@ -182,6 +182,19 @@ class TestIso:
         assert code == EX_DATAERR
         assert "bad PSTS file" in err
 
+    def test_missing_points_row(self, capsys, tmp_path):
+        f = tmp_path / "headless.psts"
+        f.write_text("psts 2 0\n")
+        code, _, err = run(capsys, "aut", str(f))
+        assert code == EX_DATAERR
+        assert "no points row" in err
+
+    def test_empty_structure_with_itself(self, capsys, tmp_path):
+        f = tmp_path / "empty.psts"
+        f.write_text(psts.to_text(psts.Psts([], [])))
+        code, _, err = run(capsys, "iso", str(f), str(f))
+        assert code == EX_OK and err == ""
+
     def test_non_decimal_count_is_bad_data(self, capsys, tmp_path):
         f = tmp_path / "superscript.psts"
         f.write_text("psts \u00b2 0\n")
@@ -204,6 +217,12 @@ class TestAut:
         code, out, _ = run(capsys, "aut", "perm:id@B2")
         assert code == EX_OK
         assert out.splitlines()[0] == "order 8"
+
+    def test_empty_structure(self, capsys, tmp_path):
+        f = tmp_path / "empty.psts"
+        f.write_text(psts.to_text(psts.Psts([], [])))
+        code, out, err = run(capsys, "aut", str(f))
+        assert (code, out, err) == (EX_OK, "order 1\n", "")
 
 
 # ---------------------------------------------------------------- classify

@@ -1,0 +1,36 @@
+"""Every top-level import of the package and of the tests is used."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted([*(ROOT / "src" / "skewpersp").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the module-level imports of ``source`` that no
+    name or attribute base in the module reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_the_scan_sees_an_unused_import():
+    assert unused_imports("import os\nimport sys as system\nfrom a.b import c, d\nprint(d)\n") == [
+        "os",
+        "system",
+        "c",
+    ]
+    assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
+
+
+def test_no_unused_top_level_imports():
+    found = {path.relative_to(ROOT).as_posix(): unused_imports(path.read_text()) for path in FILES}
+    assert {path: names for path, names in found.items() if names} == {}

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from conftest import pasch_counts, projective_space, relabel
+from conftest import free_complete_subgraphs, pasch_counts, projective_space, relabel, third_point
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from skewpersp.perspective import parse_spec_text, build
 from skewpersp.psts import (
     Psts,
     PstsError,
-    free_complete_subgraphs,
     from_text,
     to_text,
     validate_configuration,
@@ -102,28 +101,26 @@ class TestConstruction:
 
 class TestLookups:
     def test_degree_sum(self):
-        assert sum(PASCH.degree(x) for x in PASCH.points) == 3 * len(PASCH.lines)
+        assert sum(len(PASCH.partners[PASCH.points.index(x)]) for x in PASCH.points) == 3 * len(PASCH.lines)
 
     def test_collinearity(self):
-        assert PASCH.are_collinear("u", "v")
-        assert not PASCH.are_collinear("u", "z")
+        assert third_point(PASCH, "u", "v") is not None
+        assert third_point(PASCH, "u", "z") is None
 
     def test_third_point(self):
-        assert PASCH.third_point("u", "v") == "w"
-        assert PASCH.third_point("v", "u") == "w"
-        assert PASCH.third_point("u", "z") is None
-        with pytest.raises(ValueError):
-            PASCH.third_point("u", "u")
+        assert third_point(PASCH, "u", "v") == "w"
+        assert third_point(PASCH, "v", "u") == "w"
+        assert third_point(PASCH, "u", "z") is None
 
     def test_unique_joining_line(self):
         for x, y in itertools.combinations(PASCH.points, 2):
-            if PASCH.are_collinear(x, y):
+            if third_point(PASCH, x, y) is not None:
                 carriers = [ln for ln in PASCH.lines if x in ln and y in ln]
                 assert len(carriers) == 1
 
     def test_no_join_inside_perspective(self):
         s = perspective("perm:id@G2")
-        assert s.third_point("a1", "b2") is None
+        assert third_point(s, "a1", "b2") is None
 
 
 class TestSignature:
@@ -149,7 +146,7 @@ class TestFreeSubgraphs:
         s = perspective("perm:id@G2")
         for clique in free_complete_subgraphs(s, 5):
             joins = {
-                frozenset((x, y, s.third_point(x, y)))
+                frozenset((x, y, third_point(s, x, y)))
                 for x, y in itertools.combinations(sorted(clique), 2)
             }
             assert len(joins) == 10
@@ -165,7 +162,7 @@ class TestFreeSubgraphs:
         for t in tris:
             pts = sorted(t)
             assert all(
-                PASCH.are_collinear(x, y)
+                third_point(PASCH, x, y) is not None
                 for x, y in itertools.combinations(pts, 2)
             )
             assert tuple(pts) not in PASCH.lines
@@ -192,9 +189,9 @@ def brute_force_free(s, n):
     with pairwise distinct joining lines."""
     found = []
     for pts in itertools.combinations(s.points, n):
-        if not all(s.are_collinear(x, y) for x, y in itertools.combinations(pts, 2)):
+        if not all(third_point(s, x, y) is not None for x, y in itertools.combinations(pts, 2)):
             continue
-        joins = [frozenset((x, y, s.third_point(x, y))) for x, y in itertools.combinations(pts, 2)]
+        joins = [frozenset((x, y, third_point(s, x, y))) for x, y in itertools.combinations(pts, 2)]
         if len(set(joins)) == len(joins):
             found.append(frozenset(pts))
     return tuple(found)
@@ -283,7 +280,6 @@ def test_core_matches_brute_force(s):
     """The index core against a scan of the name-level lines."""
     index = {x: i for i, x in enumerate(s.points)}
     lines = tuple(frozenset(index[x] for x in ln) for ln in s.lines)
-    assert s.index == index
     assert s.line_sets == tuple(tuple(sorted(ln)) for ln in lines)
     for i in range(len(s.points)):
         through = [ln - {i} for ln in lines if i in ln]
@@ -295,18 +291,16 @@ def test_core_matches_brute_force(s):
     for x, y in itertools.permutations(s.points, 2):
         carriers = [ln for ln in s.lines if x in ln and y in ln]
         assert len(carriers) <= 1
-        assert s.are_collinear(x, y) == bool(carriers)
         expected = (set(carriers[0]) - {x, y}).pop() if carriers else None
-        assert s.third_point(x, y) == expected
-        # s has built its table above; the same answers from a structure
+        assert third_point(s, x, y) == expected
+        # s has built its table above; the same answer from a structure
         # whose table the lookup itself builds
-        for lookup, answer in ((Psts.are_collinear, bool(carriers)), (Psts.third_point, expected)):
-            fresh = Psts(s.points, s.lines)
-            assert fresh._third is None  # built on first use, never by the constructor
-            assert lookup(fresh, x, y) == answer
+        fresh = Psts(s.points, s.lines)
+        assert fresh._third is None  # built on first use, never by the constructor
+        assert third_point(fresh, x, y) == expected
     for x in s.points:
-        assert not s.are_collinear(x, x)
-        assert s.degree(x) == sum(x in ln for ln in s.lines)
+        assert third_point(s, x, x) is None
+        assert len(s.partners[s.points.index(x)]) == sum(x in ln for ln in s.lines)
 
 
 class TestPaschCounts:
@@ -364,6 +358,16 @@ class TestText:
     def test_round_trip_perspective(self):
         s = perspective("kappa:(1,2,4)@V5")
         assert from_text(to_text(s)) == s
+
+    def test_round_trip_empty(self):
+        s = Psts([], [])
+        assert to_text(s) == "psts 0 0\n\n"
+        assert from_text(to_text(s)) == s
+        assert from_text("psts 0 0\n") == s
+
+    def test_missing_points_row(self):
+        with pytest.raises(PstsError, match="no points row"):
+            from_text("psts 2 0\n")
 
     def test_header_shape(self):
         text = to_text(PASCH)

@@ -18,7 +18,6 @@ from skewpersp.indices import (
     CORRELATION,
     INDICES,
     PAIRS,
-    Pair,
     extend,
     parse_cycles,
 )
