@@ -28,11 +28,13 @@ searched once too (``Psts.free_k5``), for the seed colouring of its key and
 for every claim that counts them.  The same record is the only memo of
 keys and automorphism generators, and it goes when the audit ends.
 
-Only specs over a canonical axis are keyed by a canonical search.  Every
-other census spec takes its key and automorphism generators from a
-canonical-axis spec, along an explicit point map built from the first of
-its family images over a canonical axis; the map is checked as an
-isomorphism and every carried generator as an automorphism.  So
+One canonical search keys each criterion orbit, plain or with the center
+pinned: the search of the first member the audit asks for.  Every other
+member takes its key and automorphism generators from that spec, along
+the inverse of the explicit point map of the criterion; the map is
+checked as an isomorphism that fixes the center, and every carried
+generator as an automorphism.  Canonical-axis specs sort first, so each
+orbit's searched spec lies over a canonical axis, and
 ``classes_beyond_canonical_axes: 0`` is backed by a verified isomorphism
 from each census spec onto a canonical-axis spec, not by key equality.  A
 failed check raises ``OracleInconsistencyError`` (exit 70).
@@ -138,51 +140,80 @@ class IsoClass:
 class _Structures(dict):
     """Spec -> its built structure, each spec built on first use; and
     (``search``) each spec's canonical key and automorphism generators,
-    searched over a canonical axis and carried along a checked map from
-    there anywhere else.  A failed check raises; nothing falls back to a
-    search."""
+    plain or with the center pinned.
+
+    A family criterion relates a spec exactly to the specs that a
+    center-fixing isomorphism reaches (Prop. 3.2 and 4.5), so a criterion
+    orbit shares one plain and one pinned key.  The first spec of an orbit
+    asked for, in either kind, is searched, and one pass over its family
+    images records every other member as its image under some (phi,
+    case).  Each other member takes the searched spec's key and
+    generators back along the inverse of ``image_point_map``: the map must
+    fix the center and pass ``verify_point_map``, every carried generator
+    ``_is_automorphism``, and a carried pinned generator must fix the
+    center too.  A failed check raises; nothing falls back to a search."""
 
     def __init__(self) -> None:
         super().__init__()
-        self._canonical_axes = frozenset(canonical_axes())
-        self._found: dict[PerspectiveSpec, tuple] = {}
+        self._found: tuple[dict, dict] = ({}, {})  # plain, pinned
+        # (family, perm, axis) of a member -> (searched spec, phi, case):
+        # shared parts, so an entry holds no spec object of its own
+        self._source: dict[tuple, tuple] = {}
 
     def __missing__(self, spec: PerspectiveSpec) -> Psts:
         s = self[spec] = build(spec)
         return s
 
-    def search(self, spec: PerspectiveSpec) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
-        """The canonical key of the spec's structure and automorphisms of
-        it, as index tuples, that generate its group."""
-        found = self._found.get(spec)
+    def search(
+        self, spec: PerspectiveSpec, pinned: bool = False
+    ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
+        """The canonical key of the spec's structure, with the center
+        pinned if asked, and automorphisms of it, as index tuples, that
+        generate its group (the center-fixing one, if pinned)."""
+        found = self._found[pinned].get(spec)
         if found is None:
-            if spec.axis in self._canonical_axes:
-                found = _canonical_search(self[spec], None)
+            source = self._source.get((spec.skew.family, spec.skew.perm, spec.axis))
+            if source is not None:
+                found = self._carry(spec, pinned, *source)
             else:
-                found = self._carry(spec)
-            self._found[spec] = found
+                s = self[spec]
+                found = _canonical_search(s, s.points.index(CENTER) if pinned else None)
+                if spec not in self._found[not pinned]:  # its orbit is not recorded yet
+                    for (phi, case), image in family_images(spec):
+                        if image != spec:
+                            member = image.skew.family, image.skew.perm, image.axis
+                            self._source.setdefault(member, (spec, phi, case))
+            self._found[pinned][spec] = found
         return found
 
-    def _carry(self, spec: PerspectiveSpec) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
-        for (phi, case), image in family_images(spec):
-            if image.axis in self._canonical_axes:
-                break
-        else:
-            raise OracleInconsistencyError(f"{spec_text(spec)} has no image over a canonical axis")
-        s, t, m = self[spec], self[image], image_point_map(spec, phi, case)
-        if not verify_point_map(s, t, m):
+    def _carry(
+        self, spec: PerspectiveSpec, pinned: bool, source: PerspectiveSpec, phi, case
+    ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
+        """The key and generators of the searched ``source``, taken onto
+        its image ``spec`` under (phi, case) and checked there."""
+        s, t = self[spec], self[source]
+        m = {y: x for x, y in image_point_map(source, phi, case).items()}
+        moves = m.get(CENTER) != CENTER
+        if moves or not verify_point_map(s, t, m):
             raise OracleInconsistencyError(
-                f"the case {case.value} map of {spec_text(spec)} onto {spec_text(image)} is no isomorphism"
+                f"the inverse of the case {case.value} map of {spec_text(source)} onto {spec_text(spec)} "
+                + ("moves the center" if moves else "is no isomorphism")
             )
-        key, found = self.search(image)
-        to_t = tuple(t.points.index(m[x]) for x in s.points)
+        key, found = self.search(source, pinned)
+        rank = {x: i for i, x in enumerate(t.points)}
+        to_t = tuple(rank[m[x]] for x in s.points)
         from_t = _inverse(to_t)
+        center = s.points.index(CENTER)
         # g conjugated back along the map: an automorphism of s
         carried = tuple(tuple(from_t[g[j]] for j in to_t) for g in found)
         for g in carried:
             if not _is_automorphism(s, g):
                 raise OracleInconsistencyError(
-                    f"an automorphism of {spec_text(image)} carried onto {spec_text(spec)} is none"
+                    f"an automorphism of {spec_text(source)} carried onto {spec_text(spec)} is none"
+                )
+            if pinned and g[center] != center:
+                raise OracleInconsistencyError(
+                    f"a pinned automorphism of {spec_text(source)} carried onto {spec_text(spec)} moves the center"
                 )
         return key, carried
 
@@ -641,7 +672,7 @@ def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
 
 def _prop_3_2(structures, perm_specs) -> Finding:
     builds = [structures[s] for s in perm_specs]
-    pinned = [_canonical_search(b, b.points.index(CENTER))[0] for b in builds]
+    pinned = [structures.search(s, pinned=True)[0] for s in perm_specs]
     plain = [structures.search(s)[0] for s in perm_specs]
     _check_partition(perm_specs, builds, pinned, fix=(CENTER, CENTER))
     # a center-fixing isomorphism is an isomorphism: each center-fixing

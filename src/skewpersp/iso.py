@@ -553,8 +553,11 @@ def verify_point_map(x: Psts, y: Psts, mapping: dict[str, str]) -> bool:
         return False
     if sorted(mapping.values()) != list(y.points):
         return False
-    image = {tuple(sorted(mapping[p] for p in ln)) for ln in x.lines}
-    return image == set(y.lines)
+    # over indices: ranks in y keep name order, so sorted triples match
+    rank = {p: i for i, p in enumerate(y.points)}
+    m = [rank[mapping[p]] for p in x.points]
+    image = {tuple(sorted((m[i], m[j], m[k]))) for i, j, k in x.line_sets}
+    return image == set(y.line_sets)
 
 
 def point_map_text(mapping: dict[str, str]) -> str:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -299,20 +300,23 @@ def audit_work():
 
 class TestAuditWork:
     """What one audit builds and searches: each spec is built once and its
-    free K5 subgraphs are searched once, only specs over a canonical axis
-    are keyed by a search, and the canonical searches visit a fixed tree.
-    Every other spec's key comes along a checked map, so a silent fallback
-    to searching moves two counts.  The audit's record is its only memo,
-    so the counts do not depend on what ran before in the process; they
-    are deterministic, and this is a work gate that cannot flake."""
+    free K5 subgraphs are searched once, and one canonical search keys
+    each criterion orbit and key kind: 44 plain and 44 pinned orbits of
+    the plain family, 25 orbits of the boolean-complementing one.  The
+    searches visit a fixed tree.  Every other key comes along a checked
+    map, so a silent fallback to searching moves two counts.  The audit's
+    record is its only memo, so the counts do not depend on what ran
+    before in the process; they are deterministic, and this is a work
+    gate that cannot flake."""
 
     WORK = {
-        # the first seven of WORK_FIELDS; the checked maps are 1,152
-        # carrying maps and lemma 4.4's 30
-        "census": (1440, 1440, 432, 1708, 3735, 2686, 1182),
-        # lemma 4.4 adds kappa:id over the 24 non-canonical census axes,
-        # whose keys are carried, so they need no clique search
-        "canonical": (312, 288, 432, 1708, 3735, 2686, 54),
+        # the first seven of WORK_FIELDS; the checked maps are 1,371 plain
+        # and 100 pinned carrying maps and lemma 4.4's 30
+        "census": (1440, 1440, 113, 1708, 1052, 688, 1501),
+        # 219 plain and 100 pinned carrying maps, lemma 4.4's 30, and 24
+        # more for kappa:id over the non-canonical census axes, whose keys
+        # are carried, so they need no clique search
+        "canonical": (312, 288, 113, 1708, 1052, 688, 373),
     }
 
     @staticmethod
@@ -378,11 +382,12 @@ def test_audit_retains_nothing_once_its_report_is_dropped():
 
 
 class TestCarriedSearch:
-    """Specs off the canonical axes take their key and automorphisms along
-    a checked map instead of a search; this keeps the evidence a search of
-    every census spec would give."""
+    """One spec of each criterion orbit is searched, plain or with the
+    center pinned; every other spec takes its key and automorphisms along
+    a checked map.  This keeps the evidence a search of every spec would
+    give."""
 
-    def test_carried_keys_and_groups_match_a_search(self, monkeypatch, census):
+    def test_carried_keys_and_groups_match_a_search(self, monkeypatch, census, perm_specs):
         runs = 0
         real = iso._Canonicalizer.run
 
@@ -397,7 +402,9 @@ class TestCarriedSearch:
             SkewFamily.PERM_KAPPA, census
         )
         carried = {spec: structures.search(spec) for spec in specs}
-        assert runs == 288
+        assert runs == 69
+        pinned = {spec: structures.search(spec, pinned=True) for spec in perm_specs}
+        assert runs == 69 + 44
         for spec, (key, gens) in carried.items():
             s = structures[spec]
             for g in gens:
@@ -405,7 +412,16 @@ class TestCarriedSearch:
             searched_key, searched_gens = iso._canonical_search(s, None)
             assert key == searched_key, spec_text(spec)
             assert group_order(s, gens) == group_order(s, searched_gens), spec_text(spec)
-        assert runs == 288 + 1440
+        for spec, (key, gens) in pinned.items():
+            s = structures[spec]
+            center = s.points.index(CENTER)
+            for g in gens:
+                assert g[center] == center, spec_text(spec)
+                assert verify_point_map(s, s, {x: s.points[j] for x, j in zip(s.points, g)})
+            searched_key, searched_gens = iso._canonical_search(s, center)
+            assert key == searched_key, spec_text(spec)
+            assert group_order(s, gens) == group_order(s, searched_gens), spec_text(spec)
+        assert runs == 69 + 44 + 1440 + 144
 
 
 def group_order(s, gens) -> int:
@@ -427,6 +443,17 @@ def swap_two_c_points(monkeypatch):
     monkeypatch.setattr(classify, "image_point_map", swapped)
 
 
+def move_the_center(monkeypatch):
+    real = classify.image_point_map
+
+    def moved(spec, phi, case):
+        m = real(spec, phi, case)
+        m[CENTER], m["a1"] = m["a1"], m[CENTER]
+        return m
+
+    monkeypatch.setattr(classify, "image_point_map", moved)
+
+
 def add_a_non_automorphism(monkeypatch):
     real = classify._canonical_search
 
@@ -439,9 +466,23 @@ def add_a_non_automorphism(monkeypatch):
     monkeypatch.setattr(classify, "_canonical_search", corrupted)
 
 
+def add_center_moving_automorphisms(monkeypatch):
+    # a pinned search that also returns the automorphisms moving the
+    # center: perm:(1,2,4)@V5 has some, and a second spec in its orbit
+    real = classify._canonical_search
+
+    def unpinned(s, pin):
+        key, found = real(s, pin)
+        return key, found if pin is None else found + real(s, None)[1]
+
+    monkeypatch.setattr(classify, "_canonical_search", unpinned)
+
+
 FAULTS = [
     pytest.param(swap_two_c_points, "is no isomorphism", id="map"),
+    pytest.param(move_the_center, "map .* moves the center", id="map-moves-center"),
     pytest.param(add_a_non_automorphism, "carried onto .* is none", id="generator"),
+    pytest.param(add_center_moving_automorphisms, "pinned automorphism .* moves the center", id="pinned-generator"),
 ]
 
 
@@ -463,6 +504,7 @@ class TestCarriedSearchFaults:
         assert code == cli.EX_SOFTWARE == 70
         assert out == ""
         assert err.startswith("internal oracle inconsistency: ")
+        assert re.search(message, err)
 
 
 class TestPublishedData:
@@ -598,6 +640,10 @@ class TestRendering:
     def test_census_report_bytes(self, census_audit):
         digest = hashlib.sha256(render_text(census_audit).encode()).hexdigest()
         assert digest == "8d4c6cad82db229d194ae7895372d093b7881450a224d71980e37c5b781c3bdc"
+
+    def test_census_structured_bytes(self, census_audit):
+        digest = hashlib.sha256(render_structured(census_audit).encode()).hexdigest()
+        assert digest == "f42f9f011a113681e694230c664373021db127f63203c6c537ad16e364f405a6"
 
     def test_class_key_digests(self, perm_classes, kappa_classes):
         # every key of the canonical-axes partition, frozen as one digest

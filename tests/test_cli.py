@@ -273,15 +273,24 @@ class TestClassify:
 
 # ---------------------------------------------------------------- audit
 
-# one canonical-axes audit run shared by the assertions below (they only
-# read the emitted text, so a module-scoped capture keeps this at ~12 s)
+# one canonical-axes audit run per format shared by the assertions below
+# (they only read the emitted text, so module-scoped captures run each once)
+
+
+def run_canonical_audit(tmp_path_factory, *fmt):
+    target = tmp_path_factory.mktemp("audit") / "report"
+    code = main(["audit", "--axes", "canonical", *fmt, "--out", str(target)])
+    return code, target.read_text()
 
 
 @pytest.fixture(scope="module")
 def audit_run(tmp_path_factory):
-    target = tmp_path_factory.mktemp("audit") / "report.txt"
-    code = main(["audit", "--axes", "canonical", "--out", str(target)])
-    return code, target.read_text()
+    return run_canonical_audit(tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def structured_audit_run(tmp_path_factory):
+    return run_canonical_audit(tmp_path_factory, "--format", "structured")
 
 
 class TestAudit:
@@ -297,6 +306,15 @@ class TestAudit:
         _, text = audit_run
         for cid in ("fact_2_1", "lemma_3_3", "prop_4_5", "theorem_3_4", "theorem_4_9"):
             assert cid in text, cid
+
+    def test_canonical_report_bytes(self, audit_run, structured_audit_run):
+        # nearly every key of this report is carried along a checked map
+        for (code, text), digest in (
+            (audit_run, "590cbb50f8d9c29c6534d5a47342422bc125c8ba0acf893eda2a8f67d9588cff"),
+            (structured_audit_run, "698fae44d1c8fb70ae0397e616fa8869b65186d9a02845ab710e8f26c784b4de"),
+        ):
+            assert code == EX_MISMATCH
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- errors

@@ -167,6 +167,53 @@ class TestWitnessSearch:
         assert text == "a -> y\nb -> x"
 
 
+def reference_verify(x, y, mapping):
+    """``verify_point_map`` as it stood over name triples: the image of
+    every line of x, by name, against the lines of y."""
+    if sorted(mapping) != list(x.points):
+        return False
+    if sorted(mapping.values()) != list(y.points):
+        return False
+    image = {tuple(sorted(mapping[p] for p in ln)) for ln in x.lines}
+    return image == set(y.lines)
+
+
+class TestVerifyPointMap:
+    def test_not_bijective(self):
+        x = perspective("perm:id@G2")
+        m = dict(zip(x.points, x.points))
+        m["a1"] = "a2"
+        assert not verify_point_map(x, x, m)
+
+    def test_onto_the_wrong_points(self):
+        x = perspective("perm:(1,2)@B2")
+        y = relabel(x, {p: p.upper() for p in x.points})
+        assert not verify_point_map(x, y, dict(zip(x.points, x.points)))
+        # one point short, and one extra
+        assert not verify_point_map(x, x, {p: p for p in x.points[1:]})
+        assert not verify_point_map(x, x, {**dict(zip(x.points, x.points)), "q": "q"})
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_name_level_check(self, seed):
+        rng = random.Random(seed)
+        x = random_psts(rng)
+        names = list(x.points)
+        shuffled = rng.sample(names, len(names))
+        y = relabel(x, dict(zip(names, shuffled)))
+        collapsed = dict(zip(names, shuffled))
+        collapsed[names[0]] = shuffled[-1]
+        maps = [
+            dict(zip(names, shuffled)),  # an isomorphism onto y
+            dict(zip(names, rng.sample(names, len(names)))),  # any bijection
+            collapsed,  # not injective
+            {p: p + "_" for p in names},  # onto other points
+        ]
+        for m in maps:
+            assert verify_point_map(x, y, m) == reference_verify(x, y, m)
+        assert verify_point_map(x, y, maps[0])
+
+
 def triangles_pair(count=400, seed=11):
     """``count`` disjoint triangles, and a copy under a seeded renaming."""
     names = [f"t{i:04d}" for i in range(3 * count)]
