@@ -14,10 +14,10 @@ between the two independent in-package oracles (canonical keys versus
 explicit witness search), on the other hand, is a bug and aborts the audit
 out loud.
 
-The two criterion-vs-oracle sweeps compute each spec's 48 images under its
-family's algebraic criterion once, decide every pair of specs by membership
-of the second in the first's images, and compare that with canonical-key
-equality.  The witness search checks the key partition itself: one witness
+The two criterion-vs-oracle sweeps compute each spec's 48 image ids under
+its family's algebraic criterion once, decide every pair of specs by
+membership of the second's id in the first's images, and compare that with
+canonical-key equality.  The witness search checks the key partition itself: one witness
 from each member onto its class representative and one refutation for each
 pair of representatives, which by transitivity decides every pair.  The
 plain family's classes are center-fixing ones, keyed with the center pinned.
@@ -61,10 +61,12 @@ from .iso import (
     _canonical_search,
     _inverse,
     _is_automorphism,
+    IMAGE_WITNESSES,
     _StabilizerChain,
-    family_images,
     find_isomorphism,
+    image_ids,
     image_point_map,
+    spec_id,
     verify_point_map,
 )
 from .perspective import (
@@ -146,7 +148,7 @@ class _Structures(dict):
     center-fixing isomorphism reaches (Prop. 3.2 and 4.5), so a criterion
     orbit shares one plain and one pinned key.  The first spec of an orbit
     asked for, in either kind, is searched, and one pass over its family
-    images records every other member as its image under some (phi,
+    image ids records every other member as its image under some (phi,
     case).  Each other member takes the searched spec's key and
     generators back along the inverse of ``image_point_map``: the map must
     fix the center and pass ``verify_point_map``, every carried generator
@@ -156,7 +158,7 @@ class _Structures(dict):
     def __init__(self) -> None:
         super().__init__()
         self._found: tuple[dict, dict] = ({}, {})  # plain, pinned
-        # (family, perm, axis) of a member -> (searched spec, phi, case):
+        # (family, spec id) of a member -> (searched spec, phi, case):
         # shared parts, so an entry holds no spec object of its own
         self._source: dict[tuple, tuple] = {}
 
@@ -172,17 +174,17 @@ class _Structures(dict):
         generate its group (the center-fixing one, if pinned)."""
         found = self._found[pinned].get(spec)
         if found is None:
-            source = self._source.get((spec.skew.family, spec.skew.perm, spec.axis))
+            family, sid = spec.skew.family, spec_id(spec.skew.perm, spec.axis)
+            source = self._source.get((family, sid))
             if source is not None:
                 found = self._carry(spec, pinned, *source)
             else:
                 s = self[spec]
                 found = _canonical_search(s, s.points.index(CENTER) if pinned else None)
                 if spec not in self._found[not pinned]:  # its orbit is not recorded yet
-                    for (phi, case), image in family_images(spec):
-                        if image != spec:
-                            member = image.skew.family, image.skew.perm, image.axis
-                            self._source.setdefault(member, (spec, phi, case))
+                    for w, image in zip(IMAGE_WITNESSES, image_ids(family, sid)):
+                        if image != sid:
+                            self._source.setdefault((family, image), (spec, *w))
             self._found[pinned][spec] = found
         return found
 
@@ -590,9 +592,8 @@ def _lemma_3_1(structures, perm_specs) -> Finding:
         if oracle != predicted:
             mismatches.append(spec_text(s))
         has_extra = len(oracle) >= 3
-        condition = any(
-            i in star_triangles(s.axis) for i in s.skew.perm.fixed_points()
-        )
+        triangles = star_triangles(s.axis)
+        condition = any(i in triangles for i in s.skew.perm.fixed_points())
         if has_extra != condition:
             dichotomy_fail.append(spec_text(s))
     ok = not mismatches and not dichotomy_fail
@@ -647,18 +648,24 @@ def _check_partition(specs, builds, keys, fix=None, refute=True) -> None:
 
 def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
     """The family's algebraic criterion against key equality on all pairs
-    i <= j.  Each spec's images are computed once; the criterion relates
-    a pair exactly when the second spec is an image of the first."""
+    i <= j of specs of one family.  Each spec's image ids are computed
+    once; the criterion relates a pair exactly when the second spec's id
+    is among the first's images."""
     texts = [spec_text(s) for s in specs]
-    images = [{image for _, image in family_images(s)} for s in specs]
+    family = specs[0].skew.family
+    ids = [spec_id(s.skew.perm, s.axis) for s in specs]
+    rank: dict[CanonicalKey, int] = {}
+    classes = [rank.setdefault(k, len(rank)) for k in keys]
     disagreements = []
-    for i, j in itertools.combinations_with_replacement(range(len(specs)), 2):
-        algebraic = specs[j] in images[i]
-        oracle = keys[i] == keys[j]
-        if algebraic != oracle:
-            disagreements.append(
-                f"{texts[i]} vs {texts[j]}: criterion={algebraic} oracle={oracle}"
-            )
+    for i in range(len(specs)):
+        images = set(image_ids(family, ids[i]))
+        for j in range(i, len(specs)):
+            algebraic = ids[j] in images
+            oracle = classes[i] == classes[j]
+            if algebraic != oracle:
+                disagreements.append(
+                    f"{texts[i]} vs {texts[j]}: criterion={algebraic} oracle={oracle}"
+                )
     checked = len(specs) * (len(specs) + 1) // 2
     return Finding(
         claim_id=claim_id,
@@ -785,22 +792,20 @@ def _lemma_4_4(structures, census) -> Finding:
 
 
 def _cor_4_6() -> Finding:
+    """The second spec is moved by the object algebra, the images come
+    from the integer tables; the two meet as spec ids."""
     checked = 0
     failures = []
-    images = {}
+    kappa = SkewFamily.PERM_KAPPA
     for phi in ALL_PERMS:
-        for kind in CanonicalKind:
-            s1 = PerspectiveSpec(Skew(SkewFamily.PERM_KAPPA, phi), canonical(kind))
-            images[phi, kind] = {image for _, image in family_images(s1)}
-    for phi in ALL_PERMS:
+        images = {
+            kind: set(image_ids(kappa, spec_id(phi, canonical(kind)))) for kind in CanonicalKind
+        }
         for alpha in ALL_PERMS:
             conj = phi.conjugate_by(alpha)
             for kind in CanonicalKind:
                 checked += 1
-                s2 = PerspectiveSpec(
-                    Skew(SkewFamily.PERM_KAPPA, conj), canonical(kind).apply(extend(alpha))
-                )
-                if s2 not in images[phi, kind]:
+                if spec_id(conj, canonical(kind).apply(extend(alpha))) not in images[kind]:
                     failures.append(
                         f"phi={render_cycles(phi)} alpha={render_cycles(alpha)} axis={kind}"
                     )

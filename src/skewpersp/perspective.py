@@ -15,7 +15,8 @@ complementing") takes delta = extend(phi) composed with the complement
 involution, which is what kills all free K5 subgraphs beyond the two
 tetrahedra A* and B*.
 
-``build`` returns the bare structure; a point's role (center, A_i, B_i or
+``build`` returns the bare structure, on one frame of 15 sorted point
+names that every perspective shares; a point's role (center, A_i, B_i or
 C_u) is its name, spelled out in ``ROLE_LABELS``.
 """
 
@@ -28,6 +29,7 @@ from enum import Enum
 from .indices import (
     CORRELATION,
     INDICES,
+    PAIR_INDEX,
     PAIRS,
     Pair,
     PairMap,
@@ -36,7 +38,7 @@ from .indices import (
     parse_cycles,
     render_cycles,
 )
-from .psts import Psts
+from .psts import Psts, PstsError
 from .veblen import (
     PAIR_NAMES,
     CanonicalKind,
@@ -120,23 +122,39 @@ class PerspectiveSpec:
         )
 
 
+#: The frame every perspective is built on: its 15 point names in sorted
+#: order, shared by all the structures ``build`` returns, and their index.
+POINTS: tuple[str, ...] = tuple(sorted((CENTER, *A_NAMES, *B_NAMES, *C_NAMES)))
+_INDEX = {x: i for i, x in enumerate(POINTS)}
+_C = tuple(_INDEX[c_name(u)] for u in PAIRS)  # by position in PAIRS
+_B_ENDS = tuple((_INDEX[b_name(u.lo)], _INDEX[b_name(u.hi)]) for u in PAIRS)
+#: the six A-side joins and the four center lines, the same in every perspective
+_FIXED_LINES = tuple(
+    tuple(sorted(_INDEX[x] for x in ln))
+    for ln in [
+        *((a_name(u.lo), a_name(u.hi), c_name(u)) for u in PAIRS),
+        *((CENTER, a_name(i), b_name(i)) for i in INDICES),
+    ]
+)
+
+
 def build(spec: PerspectiveSpec) -> Psts:
-    """Construct the perspective on the points center, A, B, C in that
-    order.  The result is always a (15_4 20_3) configuration for a valid
-    spec; a corrupted axis surfaces as a PstsError from the structure
-    constructor."""
-    dinv = spec.skew.delta().inverse()
-    lines: list[tuple[str, str, str]] = []
+    """Construct the perspective on the frame ``POINTS``: sorted index
+    triples straight from the pair algebra, the B-side join of u meeting
+    the axis in c_delta^-1(u).  The result is always a (15_4 20_3)
+    configuration for a valid spec.  Lines are checked at index level,
+    three distinct points each and no pair on two of them, so a corrupted
+    axis surfaces as a PstsError."""
+    lines = list(_FIXED_LINES)
     for ln in spec.axis.lines:
-        lines.append(tuple(c_name(u) for u in sorted(ln)))
-    for u in PAIRS:
-        lines.append((a_name(u.lo), a_name(u.hi), c_name(u)))
-    for u in PAIRS:
-        lines.append((b_name(u.lo), b_name(u.hi), c_name(dinv(u))))
-    for i in INDICES:
-        lines.append((CENTER, a_name(i), b_name(i)))
-    points = (CENTER, *A_NAMES, *B_NAMES, *C_NAMES)
-    return Psts(points, lines)
+        t = tuple(sorted(_C[PAIR_INDEX[u]] for u in ln))
+        if len(set(t)) != 3:
+            raise PstsError([f"axis line is not a 3-set of pairs: {sorted(map(str, ln))}"])
+        lines.append(t)
+    dinv = spec.skew.delta().inverse()
+    for (lo, hi), u in zip(_B_ENDS, dinv.images):
+        lines.append(tuple(sorted((lo, hi, _C[u]))))
+    return Psts._from_triples(POINTS, tuple(sorted(lines)))
 
 
 def predicted_free_k5(spec: PerspectiveSpec) -> tuple[frozenset[str], ...]:

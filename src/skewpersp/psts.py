@@ -16,7 +16,12 @@ subgraphs.  The audit keeps every structure it builds, and most never need
 the table.
 
 Construction validates; an invalid line set raises ``PstsError`` carrying
-the full list of problems found, not just the first.
+the full list of problems found, not just the first.  Both ways in share
+one index-level core, which builds the partners and finds every pair of
+points on two lines: the name-level constructor (used by ``from_text``)
+checks names, unknown points and repeated lines first, and a caller that
+has index triples already, such as a perspective built on its fixed
+frame of points, hands them over directly.
 """
 
 from __future__ import annotations
@@ -90,36 +95,57 @@ class Psts:
         dup_lines = [tuple(pts[i] for i in t) for t, n in Counter(triples).items() if n > 1]
         if dup_lines:
             problems.append(f"duplicate lines: {sorted(dup_lines)}")
-        line_sets = tuple(sorted(set(triples)))
+        self._incidence(tuple(pts), tuple(sorted(set(triples))), problems)
 
-        partners: list[list[tuple[int, int]]] = [[] for _ in pts]
-        # the third point of each collinear pair (a, b), a < b, kept only to
-        # catch a pair on two lines
-        on_line: dict[tuple[int, int], int] = {}
+    @classmethod
+    def _from_triples(cls, points: tuple[str, ...], line_sets) -> "Psts":
+        """A structure straight from index triples, for callers whose
+        triples are sorted, distinct and of three points each by
+        construction; ``_incidence`` still finds every pair on two lines."""
+        s = cls.__new__(cls)
+        s._incidence(points, line_sets, [])
+        return s
+
+    def _incidence(self, points: tuple[str, ...], line_sets, problems: list[str]) -> None:
+        """The index-level core of both constructors.
+
+        ``points`` are the names in sorted order and ``line_sets`` a sorted
+        tuple of distinct sorted index triples of three points each.  Adds
+        a problem for each pair of points on two lines, and raises
+        ``PstsError`` if any problem is known; else the structure holds
+        ``points`` and ``line_sets`` themselves, no copy."""
+        partners: list[list[tuple[int, int]]] = [[] for _ in points]
+        n = len(points)
+        on_lines = set()  # each pair {i, j}, i < j, of points on a line, as i * n + j
         for i, j, k in line_sets:
-            for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
-                partners[c].append((a, b))
-                prev = on_line.get((a, b))
-                if prev is not None:
-                    # lines are distinct, so prev differs from c; both
-                    # orders of the pair are reported
-                    lo, hi = sorted((pts[prev], pts[c]))
-                    for x, y in ((pts[a], pts[b]), (pts[b], pts[a])):
+            partners[i].append((j, k))
+            partners[j].append((i, k))
+            partners[k].append((i, j))
+            on_lines.update((i * n + j, i * n + k, j * n + k))
+        if len(on_lines) < 3 * len(line_sets):
+            # a pair {x, y} on two lines: y ends two of x's partner pairs;
+            # each end reports the pair, so both orders are listed
+            for x, pairs in enumerate(partners):
+                thirds: dict[int, list[int]] = {}
+                for j, k in pairs:
+                    thirds.setdefault(j, []).append(k)
+                    thirds.setdefault(k, []).append(j)
+                for y, ts in thirds.items():
+                    ts.sort()
+                    for lo, hi in zip(ts, ts[1:]):
                         problems.append(
-                            f"points {x}, {y} lie on two lines (third points {lo} and {hi})"
+                            f"points {points[x]}, {points[y]} lie on two lines "
+                            f"(third points {points[lo]} and {points[hi]})"
                         )
-                on_line[a, b] = c
-
         if problems:
             raise PstsError(sorted(set(problems)))
-
-        self.points = tuple(pts)
+        self.points = points
         self.line_sets = line_sets
         self.partners = tuple(tuple(sorted(v)) for v in partners)
         self._third = None
         self._pasch = None
         self._free_k5 = None
-        self._hash = hash((self.points, self.line_sets))
+        self._hash = hash((points, line_sets))
 
     @property
     def lines(self) -> tuple[tuple[str, str, str], ...]:

@@ -28,7 +28,7 @@ from skewpersp.classify import (
     render_text,
 )
 from skewpersp.indices import PAIRS
-from skewpersp.iso import IsoCase, family_images, find_isomorphism, verify_point_map
+from skewpersp.iso import IMAGE_WITNESSES, IsoCase, family_images, find_isomorphism, verify_point_map
 from skewpersp.perspective import CENTER, SkewFamily, build, c_name, parse_spec_text, spec_text
 from skewpersp.veblen import VeblenConfig, aut_perms
 
@@ -205,12 +205,12 @@ class TestOracleSweep:
 
 class TestCriterionSweep:
     def test_sweeps_catch_a_criterion_without_case_b(self, monkeypatch, perm_specs, kappa_specs):
-        real = classify.family_images
+        real = classify.image_ids
 
-        def case_a_only(s):
-            return ((w, image) for w, image in real(s) if w[1] is IsoCase.A)
+        def case_a_only(family, sid):
+            return [k for (_, case), k in zip(IMAGE_WITNESSES, real(family, sid)) if case is IsoCase.A]
 
-        monkeypatch.setattr(classify, "family_images", case_a_only)
+        monkeypatch.setattr(classify, "image_ids", case_a_only)
         for sweep, specs in ((classify._prop_3_2, perm_specs), (classify._prop_4_5, kappa_specs)):
             f = sweep(classify._Structures(), specs)
             assert f.verdict == "MISMATCH"
@@ -236,6 +236,7 @@ class TestNoRevalidation:
         # start cold, so every image goes through the census lookup
         VeblenConfig.apply.cache_clear()
         veblen._census_by_lines.cache_clear()
+        iso._family_tables.cache_clear()
         for v in census:
             aut_perms(v)
         classify._fact_2_1(census)

@@ -1,8 +1,12 @@
 """Canonical keys, witness search, and the family criteria."""
 
 import itertools
+import os
 import random
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -33,9 +37,10 @@ from skewpersp.iso import (
     find_isomorphism,
     image_point_map,
     point_map_text,
+    spec_id,
     verify_point_map,
 )
-from skewpersp.perspective import CENTER, SkewFamily, build, parse_spec_text
+from skewpersp.perspective import CENTER, PerspectiveSpec, Skew, SkewFamily, build, parse_spec_text, spec_text
 from skewpersp.psts import Psts, to_text
 from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical, enumerate_labelings
 
@@ -944,6 +949,59 @@ class TestFamilyImages:
                     m = image_point_map(spec, phi, case)
                     assert m[CENTER] == CENTER
                     assert verify_point_map(s, build(image), m), (spec, phi, case)
+
+
+def reference_family_images(s):
+    """The family images of ``s`` computed on spec objects, by the object
+    algebra of ``indices`` and ``veblen``: the reference for the integer
+    tables."""
+    family, sigma, axis = s.skew.family, s.skew.perm, s.axis
+    for phi in ALL_PERMS:
+        yield (phi, IsoCase.A), PerspectiveSpec(
+            Skew(family, sigma.conjugate_by(phi)), axis.apply(extend(phi))
+        )
+    sigma_inv = sigma.inverse()
+    for phi in ALL_PERMS:
+        image = axis.apply(extend(phi.compose(sigma)))
+        if family is SkewFamily.PERM_KAPPA:
+            image = image.apply(CORRELATION)
+        yield (phi, IsoCase.B), PerspectiveSpec(Skew(family, sigma_inv.conjugate_by(phi)), image)
+
+
+SETUP_PATH = textwrap.dedent(
+    """
+    import skewpersp.cli
+    from skewpersp import iso, veblen
+    veblen.enumerate_labelings()
+    print(iso._family_tables.cache_info().currsize)
+    """
+)
+
+
+class TestFamilyTables:
+    def test_images_match_the_object_level_reference(self, census):
+        specs = [*enumerate_family(SkewFamily.PERM, census), *enumerate_family(SkewFamily.PERM_KAPPA, census)]
+        assert len(specs) == 1440
+        for s in specs:
+            assert list(family_images(s)) == list(reference_family_images(s)), spec_text(s)
+
+    def test_ids_round_trip(self, census):
+        ids = [spec_id(phi, v) for phi in ALL_PERMS for v in census]
+        assert ids == list(range(len(ALL_PERMS) * len(census)))
+
+    def test_not_built_on_import(self):
+        """Importing the CLI and enumerating the labelings, the set-up every
+        command pays, builds no table: run in a fresh interpreter."""
+        src = str(Path(iso.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", SETUP_PATH],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestApply:

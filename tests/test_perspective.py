@@ -9,11 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewpersp.indices import ALL_PERMS, IDENTITY, PAIRS, Pair, correlation, parse_cycles
+from skewpersp.classify import enumerate_family
 from skewpersp.perspective import (
     A_NAMES,
     B_NAMES,
     C_NAMES,
     CENTER,
+    POINTS,
     PerspectiveSpec,
     Skew,
     SkewFamily,
@@ -26,8 +28,8 @@ from skewpersp.perspective import (
     predicted_free_k5,
     spec_text,
 )
-from skewpersp.psts import validate_configuration
-from skewpersp.veblen import CanonicalKind, canonical
+from skewpersp.psts import Psts, PstsError, validate_configuration
+from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical
 
 perms = st.sampled_from(ALL_PERMS)
 kinds = st.sampled_from(tuple(CanonicalKind))
@@ -88,7 +90,33 @@ class TestBuild:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained / len(built) <= 7 * 1024
+        assert all(s.points is POINTS for s in built)
+        assert retained / len(built) <= 6 * 1024
+
+    def test_frame_path_matches_the_name_level_constructor(self, census):
+        specs = [*enumerate_family(SkewFamily.PERM, census), *enumerate_family(SkewFamily.PERM_KAPPA, census)]
+        assert len(specs) == 1440
+        for spec in specs:
+            s = build(spec)
+            named = Psts(s.points, s.lines)
+            assert s == named and s.partners == named.partners, spec_text(spec)
+
+    @pytest.mark.parametrize(
+        "lines,problem",
+        [
+            # T(1) and a line sharing its pairs 23 and 24
+            (("23 24 34", "12 13 14", "12 23 24", "13 14 34"), "lie on two lines"),
+            (("23 24", "12 13 14 34", "12 23 34", "13 14 24"), "not a 3-set"),
+        ],
+        ids=["pair-on-two-lines", "two-pair-line"],
+    )
+    def test_corrupted_axis_raises(self, lines, problem):
+        axis = object.__new__(VeblenConfig)
+        object.__setattr__(
+            axis, "lines", tuple(frozenset(Pair(int(p[0]), int(p[1])) for p in ln.split()) for ln in lines)
+        )
+        with pytest.raises(PstsError, match=problem):
+            build(PerspectiveSpec(Skew(SkewFamily.PERM, IDENTITY), axis))
 
 
 class TestBJoin:
