@@ -13,8 +13,8 @@ Subpackage map:
     indices      index set {1,2,3,4}, unordered pairs, permutation algebra
     psts         partial Steiner triple systems, free complete subgraphs
     veblen       Veblen (Pasch) configurations labeled by the six pairs
-    perspective  construction of the two perspective families
-    iso          canonical forms, isomorphism search, family criteria
+    perspective  construction of the two perspective families, their criteria
+    iso          canonical forms, isomorphism search
     classify     family enumeration, class partition, claim audit
     cli          command line front end
 """

@@ -61,24 +61,23 @@ from .iso import (
     _canonical_search,
     _inverse,
     _is_automorphism,
-    IMAGE_WITNESSES,
     _StabilizerChain,
     find_isomorphism,
-    image_ids,
-    image_point_map,
-    spec_id,
     verify_point_map,
 )
 from .perspective import (
     CENTER,
+    IMAGE_WITNESSES,
     PerspectiveSpec,
-    Skew,
     SkewFamily,
     a_name,
     b_name,
     build,
     c_name,
+    image_ids,
+    image_point_map,
     predicted_free_k5,
+    spec_id,
     spec_text,
 )
 from .psts import Psts, validate_configuration
@@ -107,7 +106,7 @@ def enumerate_family(
     if not axes:
         raise ValueError("need at least one axis")
     specs = [
-        PerspectiveSpec(Skew(family, perm), axis)
+        PerspectiveSpec(family, perm, axis)
         for perm in ALL_PERMS
         for axis in axes
     ]
@@ -174,7 +173,7 @@ class _Structures(dict):
         generate its group (the center-fixing one, if pinned)."""
         found = self._found[pinned].get(spec)
         if found is None:
-            family, sid = spec.skew.family, spec_id(spec.skew.perm, spec.axis)
+            family, sid = spec.family, spec_id(spec.perm, spec.axis)
             source = self._source.get((family, sid))
             if source is not None:
                 found = self._carry(spec, pinned, *source)
@@ -245,7 +244,7 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
         chain = _StabilizerChain(len(structures[rep].points))
         for g in structures.search(rep)[1]:
             chain.add(g)
-        prefix = "P" if rep.skew.family is SkewFamily.PERM else "K"
+        prefix = "P" if rep.family is SkewFamily.PERM else "K"
         classes.append(
             IsoClass(
                 class_id=f"{prefix}{idx:02d}",
@@ -383,7 +382,7 @@ PUBLISHED_TOTAL_COUNT = 62
 
 
 def _entry_spec(family: SkewFamily, kind: CanonicalKind, cycles: str) -> PerspectiveSpec:
-    return PerspectiveSpec(Skew(family, parse_cycles(cycles)), canonical(kind))
+    return PerspectiveSpec(family, parse_cycles(cycles), canonical(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +592,7 @@ def _lemma_3_1(structures, perm_specs) -> Finding:
             mismatches.append(spec_text(s))
         has_extra = len(oracle) >= 3
         triangles = star_triangles(s.axis)
-        condition = any(i in triangles for i in s.skew.perm.fixed_points())
+        condition = any(i in triangles for i in s.perm.fixed_points())
         if has_extra != condition:
             dichotomy_fail.append(spec_text(s))
     ok = not mismatches and not dichotomy_fail
@@ -652,8 +651,8 @@ def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
     once; the criterion relates a pair exactly when the second spec's id
     is among the first's images."""
     texts = [spec_text(s) for s in specs]
-    family = specs[0].skew.family
-    ids = [spec_id(s.skew.perm, s.axis) for s in specs]
+    family = specs[0].family
+    ids = [spec_id(s.perm, s.axis) for s in specs]
     rank: dict[CanonicalKey, int] = {}
     classes = [rank.setdefault(k, len(rank)) for k in keys]
     disagreements = []
@@ -769,8 +768,8 @@ def _lemma_4_4(structures, census) -> Finding:
     failures = []
     keys_differ = []
     for idx, axis in enumerate(census):
-        s1 = PerspectiveSpec(Skew(SkewFamily.PERM_KAPPA, IDENTITY), axis)
-        s2 = PerspectiveSpec(Skew(SkewFamily.PERM_KAPPA, IDENTITY), axis.apply(CORRELATION))
+        s1 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, axis)
+        s2 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, axis.apply(CORRELATION))
         b1, b2 = structures[s1], structures[s2]
         if not verify_point_map(b1, b2, explicit):
             failures.append(f"axis census:{idx}")
@@ -824,14 +823,15 @@ def _lemma_4_8(structures) -> Finding:
     failures = []
     for kind in CanonicalKind:
         axis = canonical(kind)
-        group = aut_perms(axis)
+        # S4's classes under conjugation by the axis automorphisms (Lemma 2.3)
+        cls = {b: k for k, members in enumerate(lemma23_representatives(kind)) for b in members}
         keys = {}
         for beta in ALL_PERMS:
-            s = PerspectiveSpec(Skew(SkewFamily.PERM_KAPPA, beta), axis)
+            s = PerspectiveSpec(SkewFamily.PERM_KAPPA, beta, axis)
             keys[beta] = structures.search(s)[0]
         for b1, b2 in itertools.combinations_with_replacement(ALL_PERMS, 2):
             checked += 1
-            conjugate = any(b1.conjugate_by(alpha) == b2 for alpha in group)
+            conjugate = cls[b1] == cls[b2]
             if conjugate != (keys[b1] == keys[b2]):
                 failures.append(
                     f"axis={kind} {render_cycles(b1)} vs {render_cycles(b2)}: conjugate={conjugate}"

@@ -1,6 +1,6 @@
 """Exact isomorphism machinery for small partial Steiner triple systems.
 
-Four layers, all deterministic:
+Three layers, all deterministic:
 
 * ``_canonical_search``   a complete relabeling invariant, computed by
                           individualization-refinement backtracking; equal
@@ -22,37 +22,22 @@ Four layers, all deterministic:
                           rounds of its own.  The search is iterative and
                           checks each candidate against its line partners
                           only, so it has no depth limit and its cost per
-                          step follows point degree, not point count,
-* ``image_ids``         the closed-form criteria of the two perspective
-                          families, phrased over S4 and the axis and solved
-                          for the second spec: the 48 specs one spec is
-                          related to, as integer spec ids read from small
-                          tables of the S4 and axis actions, built on first
-                          use.  In the plain family those are exactly the
-                          specs a center-fixing isomorphism reaches, in the
-                          boolean-complementing family (where every
-                          isomorphism fixes the center) exactly the
-                          isomorphic ones.  ``family_images`` turns the ids
-                          back into specs, and ``image_point_map`` spells
-                          out the isomorphism onto an image point by point.
+                          step follows point degree, not point count.
 
 Everything here treats structures as abstract incidence data; point names
-never influence the outcome, only the formatting of witnesses.
+never influence the outcome, only the formatting of witnesses.  The family
+criteria these oracles are audited against live beside the spec, in
+``perspective``; this module imports nothing from the package but ``psts``.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
 from math import prod
 
-from .indices import ALL_PERMS, CORRELATION, INDICES, PAIRS, Perm4, extend
-from .perspective import CENTER, PerspectiveSpec, Skew, SkewFamily, a_name, b_name, c_name
 from .psts import Psts
-from .veblen import VeblenConfig, enumerate_labelings
 
 
 class OracleInconsistencyError(RuntimeError):
@@ -568,122 +553,3 @@ def verify_point_map(x: Psts, y: Psts, mapping: dict[str, str]) -> bool:
 def point_map_text(mapping: dict[str, str]) -> str:
     """Serialize a witness map, one 'x -> y' row per point, by point name."""
     return "\n".join(f"{p} -> {mapping[p]}" for p in sorted(mapping))
-
-
-# ---------------------------------------------------------------------------
-# family criteria
-
-
-class IsoCase(Enum):
-    A = "A"
-    B = "B"
-
-
-#: The (phi, case) of each family image, in the order ``image_ids`` lists
-#: them: case A first, phi in ``ALL_PERMS`` order.
-IMAGE_WITNESSES: tuple[tuple[Perm4, IsoCase], ...] = tuple(
-    (phi, case) for case in IsoCase for phi in ALL_PERMS
-)
-
-
-class _FamilyTables:
-    """The spec algebra over small integers.  A spec's id is
-    ``perm * n_axes + axis``: the index of its permutation in ``ALL_PERMS``
-    and of its axis in the labeling census.  ``conj[phi][sigma]`` is
-    phi sigma phi^-1, ``comp[phi][sigma]`` is phi sigma, ``inv[sigma]`` is
-    sigma^-1, ``ext[phi][axis]`` moves the axis by extend(phi) and
-    ``cor[axis]`` by the complement involution, all as indices."""
-
-    def __init__(self) -> None:
-        census = enumerate_labelings()
-        self.n_axes = len(census)
-        self.perm_index = {phi: k for k, phi in enumerate(ALL_PERMS)}
-        self.axis_index = {v: k for k, v in enumerate(census)}
-        perm, axis = self.perm_index, self.axis_index
-        self.conj = tuple(tuple(perm[s.conjugate_by(phi)] for s in ALL_PERMS) for phi in ALL_PERMS)
-        self.comp = tuple(tuple(perm[phi.compose(s)] for s in ALL_PERMS) for phi in ALL_PERMS)
-        self.inv = tuple(perm[s.inverse()] for s in ALL_PERMS)
-        self.ext = tuple(tuple(axis[v.apply(extend(phi))] for v in census) for phi in ALL_PERMS)
-        self.cor = tuple(axis[v.apply(CORRELATION)] for v in census)
-
-
-@functools.cache
-def _family_tables() -> _FamilyTables:
-    # built on first use, so importing the package stays cheap
-    return _FamilyTables()
-
-
-def spec_id(perm: Perm4, axis: VeblenConfig) -> int:
-    """The integer id of the spec with skew permutation ``perm`` over
-    ``axis``, in either family."""
-    t = _family_tables()
-    return t.perm_index[perm] * t.n_axes + t.axis_index[axis]
-
-
-def image_ids(family: SkewFamily, sid: int) -> list[int]:
-    """The ids of the 48 specs the family criteria relate to the spec with
-    id ``sid`` in ``family``, in the order of ``IMAGE_WITNESSES``.
-
-    Two specs of the plain family are related by its criterion exactly
-    when a center-fixing isomorphism joins their structures, and two
-    specs of the boolean-complementing family exactly when any
-    isomorphism does (all of them fix the center there).  The criterion
-    has two cases.  Case A keeps the two tetrahedra apart: some phi in S4
-    has extend(phi) carrying axis1 onto axis2 and conjugates sigma1 to
-    sigma2.  Case B swaps them: phi conjugates sigma1 to sigma2's inverse
-    and extend(sigma2^-1 phi) carries axis1 onto axis2, after the
-    complement involution in the boolean-complementing family.
-
-    Each case is solved here for the second spec.  For s = (sigma, N)
-    and phi in S4, case A gives (phi sigma phi^-1, extend(phi) N) and
-    case B gives (phi sigma^-1 phi^-1, extend(phi sigma) N), with the
-    complement involution also applied to case B's axis in the
-    boolean-complementing family.  The first (phi, case) whose image is a
-    given spec is the first witness of a scan over S4.
-    """
-    t = _family_tables()
-    n = t.n_axes
-    sigma, axis = divmod(sid, n)
-    sigma_inv = t.inv[sigma]
-    ids = [conj[sigma] * n + ext[axis] for conj, ext in zip(t.conj, t.ext)]
-    moved = [t.ext[comp[sigma]][axis] for comp in t.comp]
-    if family is SkewFamily.PERM_KAPPA:
-        moved = [t.cor[a] for a in moved]
-    ids += [conj[sigma_inv] * n + a for conj, a in zip(t.conj, moved)]
-    return ids
-
-
-def family_images(s: PerspectiveSpec):
-    """The 48 specs the family criteria relate to ``s`` (see
-    ``image_ids``), as ((phi, case), image) pairs in the order of
-    ``IMAGE_WITNESSES``."""
-    family = s.skew.family
-    n = _family_tables().n_axes
-    census = enumerate_labelings()
-    for w, k in zip(IMAGE_WITNESSES, image_ids(family, spec_id(s.skew.perm, s.axis))):
-        perm, axis = divmod(k, n)
-        yield w, PerspectiveSpec(Skew(family, ALL_PERMS[perm]), census[axis])
-
-
-def image_point_map(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> dict[str, str]:
-    """The point map that carries the structure of ``s`` onto that of its
-    family image under (phi, case), with the center fixed.
-
-    Case A keeps the tetrahedra: a_i -> a_phi(i), b_i -> b_phi(i) and
-    c_u -> c_extend(phi)(u).  Case B swaps them: a_i -> b_phi(i),
-    b_i -> a_phi(i), and the c points follow extend(phi sigma), then the
-    complement involution in the boolean-complementing family.  The c
-    points always follow the pair map that moves the axis."""
-    if case is IsoCase.A:
-        a_to, b_to, pairs = a_name, b_name, extend(phi)
-    else:
-        a_to, b_to, pairs = b_name, a_name, extend(phi.compose(s.skew.perm))
-        if s.skew.family is SkewFamily.PERM_KAPPA:
-            pairs = pairs.compose(CORRELATION)
-    m = {CENTER: CENTER}
-    for i in INDICES:
-        m[a_name(i)] = a_to(phi(i))
-        m[b_name(i)] = b_to(phi(i))
-    for u in PAIRS:
-        m[c_name(u)] = c_name(pairs(u))
-    return m

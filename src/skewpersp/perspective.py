@@ -18,21 +18,32 @@ tetrahedra A* and B*.
 ``build`` returns the bare structure, on one frame of 15 sorted point
 names that every perspective shares; a point's role (center, A_i, B_i or
 C_u) is its name, spelled out in ``ROLE_LABELS``.
+
+The closed-form criteria of the two families (Prop. 3.2 and 4.5) live
+here too, phrased over S4 and the axis and solved for the second spec:
+``image_ids`` lists the 48 specs one spec is related to, as integer spec
+ids read from small tables of the S4 and axis actions, built on first use.
+In the plain family those are exactly the specs a center-fixing
+isomorphism reaches, in the boolean-complementing family (where every
+isomorphism fixes the center) exactly the isomorphic ones.
+``image_point_map`` spells out the isomorphism onto an image point by
+point.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .indices import (
+    ALL_PERMS,
     CORRELATION,
     INDICES,
     PAIR_INDEX,
     PAIRS,
     Pair,
-    PairMap,
     Perm4,
     extend,
     parse_cycles,
@@ -85,8 +96,9 @@ class SkewFamily(Enum):
 
 
 @dataclass(frozen=True)
-class Skew:
-    """A pair bijection in one of the two families.
+class PerspectiveSpec:
+    """A skew, by its family and permutation, plus an axis labeling; the
+    center carries no freedom.
 
     PERM carries sigma with delta = extend(sigma).  PERM_KAPPA carries phi
     with delta = extend(phi) after the complement involution; the two
@@ -95,31 +107,13 @@ class Skew:
 
     family: SkewFamily
     perm: Perm4
-
-    def delta(self) -> PairMap:
-        m = extend(self.perm)
-        if self.family is SkewFamily.PERM_KAPPA:
-            m = m.compose(CORRELATION)
-        return m
-
-
-@dataclass(frozen=True)
-class PerspectiveSpec:
-    """A skew plus an axis labeling; the center carries no freedom."""
-
-    skew: Skew
     axis: VeblenConfig
 
     def sort_key(self) -> tuple:
         # canonical-kind axes outrank census ones so representatives keep
         # their kind-name spelling whichever axis set was enumerated
         rank = _axis_rank(self.axis)
-        return (
-            self.skew.family.value,
-            rank[0],
-            self.skew.perm.images,
-            rank,
-        )
+        return (self.family.value, rank[0], self.perm.images, rank)
 
 
 #: The frame every perspective is built on: its 15 point names in sorted
@@ -151,7 +145,10 @@ def build(spec: PerspectiveSpec) -> Psts:
         if len(set(t)) != 3:
             raise PstsError([f"axis line is not a 3-set of pairs: {sorted(map(str, ln))}"])
         lines.append(t)
-    dinv = spec.skew.delta().inverse()
+    delta = extend(spec.perm)
+    if spec.family is SkewFamily.PERM_KAPPA:
+        delta = delta.compose(CORRELATION)
+    dinv = delta.inverse()
     for (lo, hi), u in zip(_B_ENDS, dinv.images):
         lines.append(tuple(sorted((lo, hi, _C[u]))))
     return Psts._from_triples(POINTS, tuple(sorted(lines)))
@@ -170,14 +167,121 @@ def predicted_free_k5(spec: PerspectiveSpec) -> tuple[frozenset[str], ...]:
         frozenset((CENTER, *A_NAMES)),
         frozenset((CENTER, *B_NAMES)),
     ]
-    if spec.skew.family is SkewFamily.PERM:
+    if spec.family is SkewFamily.PERM:
         triangles = set(star_triangles(spec.axis))
-        for i in spec.skew.perm.fixed_points():
+        for i in spec.perm.fixed_points():
             if i in triangles:
                 sets.append(
                     frozenset({a_name(i), b_name(i), *(c_name(u) for u in star(i))})
                 )
     return tuple(sorted(sets, key=lambda f: tuple(sorted(f))))
+
+
+# ---------------------------------------------------------------------------
+# family criteria
+
+
+class IsoCase(Enum):
+    A = "A"
+    B = "B"
+
+
+#: The (phi, case) of each family image, in the order ``image_ids`` lists
+#: them: case A first, phi in ``ALL_PERMS`` order.
+IMAGE_WITNESSES: tuple[tuple[Perm4, IsoCase], ...] = tuple(
+    (phi, case) for case in IsoCase for phi in ALL_PERMS
+)
+
+
+class _FamilyTables:
+    """The spec algebra over small integers.  A spec's id is
+    ``perm * n_axes + axis``: the index of its permutation in ``ALL_PERMS``
+    and of its axis in the labeling census.  ``conj[phi][sigma]`` is
+    phi sigma phi^-1, ``comp[phi][sigma]`` is phi sigma, ``inv[sigma]`` is
+    sigma^-1, ``ext[phi][axis]`` moves the axis by extend(phi) and
+    ``cor[axis]`` by the complement involution, all as indices."""
+
+    def __init__(self) -> None:
+        census = enumerate_labelings()
+        self.n_axes = len(census)
+        self.perm_index = {phi: k for k, phi in enumerate(ALL_PERMS)}
+        self.axis_index = {v: k for k, v in enumerate(census)}
+        perm, axis = self.perm_index, self.axis_index
+        self.conj = tuple(tuple(perm[s.conjugate_by(phi)] for s in ALL_PERMS) for phi in ALL_PERMS)
+        self.comp = tuple(tuple(perm[phi.compose(s)] for s in ALL_PERMS) for phi in ALL_PERMS)
+        self.inv = tuple(perm[s.inverse()] for s in ALL_PERMS)
+        self.ext = tuple(tuple(axis[v.apply(extend(phi))] for v in census) for phi in ALL_PERMS)
+        self.cor = tuple(axis[v.apply(CORRELATION)] for v in census)
+
+
+@functools.cache
+def _family_tables() -> _FamilyTables:
+    # built on first use, so importing the package stays cheap
+    return _FamilyTables()
+
+
+def spec_id(perm: Perm4, axis: VeblenConfig) -> int:
+    """The integer id of the spec with skew permutation ``perm`` over
+    ``axis``, in either family."""
+    t = _family_tables()
+    return t.perm_index[perm] * t.n_axes + t.axis_index[axis]
+
+
+def image_ids(family: SkewFamily, sid: int) -> list[int]:
+    """The ids of the 48 specs the family criteria relate to the spec with
+    id ``sid`` in ``family``, in the order of ``IMAGE_WITNESSES``.
+
+    Two specs of the plain family are related by its criterion exactly
+    when a center-fixing isomorphism joins their structures, and two
+    specs of the boolean-complementing family exactly when any
+    isomorphism does (all of them fix the center there).  The criterion
+    has two cases.  Case A keeps the two tetrahedra apart: some phi in S4
+    has extend(phi) carrying axis1 onto axis2 and conjugates sigma1 to
+    sigma2.  Case B swaps them: phi conjugates sigma1 to sigma2's inverse
+    and extend(sigma2^-1 phi) carries axis1 onto axis2, after the
+    complement involution in the boolean-complementing family.
+
+    Each case is solved here for the second spec.  For s = (sigma, N)
+    and phi in S4, case A gives (phi sigma phi^-1, extend(phi) N) and
+    case B gives (phi sigma^-1 phi^-1, extend(phi sigma) N), with the
+    complement involution also applied to case B's axis in the
+    boolean-complementing family.  The first (phi, case) whose image is a
+    given spec is the first witness of a scan over S4.
+    """
+    t = _family_tables()
+    n = t.n_axes
+    sigma, axis = divmod(sid, n)
+    sigma_inv = t.inv[sigma]
+    ids = [conj[sigma] * n + ext[axis] for conj, ext in zip(t.conj, t.ext)]
+    moved = [t.ext[comp[sigma]][axis] for comp in t.comp]
+    if family is SkewFamily.PERM_KAPPA:
+        moved = [t.cor[a] for a in moved]
+    ids += [conj[sigma_inv] * n + a for conj, a in zip(t.conj, moved)]
+    return ids
+
+
+def image_point_map(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> dict[str, str]:
+    """The point map that carries the structure of ``s`` onto that of its
+    family image under (phi, case), with the center fixed.
+
+    Case A keeps the tetrahedra: a_i -> a_phi(i), b_i -> b_phi(i) and
+    c_u -> c_extend(phi)(u).  Case B swaps them: a_i -> b_phi(i),
+    b_i -> a_phi(i), and the c points follow extend(phi sigma), then the
+    complement involution in the boolean-complementing family.  The c
+    points always follow the pair map that moves the axis."""
+    if case is IsoCase.A:
+        a_to, b_to, pairs = a_name, b_name, extend(phi)
+    else:
+        a_to, b_to, pairs = b_name, a_name, extend(phi.compose(s.perm))
+        if s.family is SkewFamily.PERM_KAPPA:
+            pairs = pairs.compose(CORRELATION)
+    m = {CENTER: CENTER}
+    for i in INDICES:
+        m[a_name(i)] = a_to(phi(i))
+        m[b_name(i)] = b_to(phi(i))
+    for u in PAIRS:
+        m[c_name(u)] = c_name(pairs(u))
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +315,7 @@ def axis_token(axis: VeblenConfig) -> str:
 
 def spec_text(spec: PerspectiveSpec) -> str:
     return (
-        f"{spec.skew.family.value}:{render_cycles(spec.skew.perm)}"
+        f"{spec.family.value}:{render_cycles(spec.perm)}"
         f"@{axis_token(spec.axis)}"
     )
 
@@ -251,4 +355,4 @@ def parse_spec_text(text: str, load_axis=None) -> PerspectiveSpec:
                 f"unknown axis kind {axis_text!r} "
                 f"(expected one of {', '.join(_KIND_BY_NAME)} or census:<n>)"
             )
-    return PerspectiveSpec(Skew(family, perm), axis)
+    return PerspectiveSpec(family, perm, axis)

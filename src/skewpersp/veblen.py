@@ -169,9 +169,11 @@ def _census_by_lines() -> dict[frozenset, VeblenConfig]:
     return {frozenset(v.lines): v for v in enumerate_labelings()}
 
 
+@functools.cache
 def star_triangles(v: VeblenConfig) -> tuple[int, ...]:
     """All i whose star S(i) is a free triangle of v: the three pairs of
-    S(i) pairwise collinear, yet S(i) itself not a line."""
+    S(i) pairwise collinear, yet S(i) itself not a line.  The memo is
+    bounded by the 30 labelings."""
     out = []
     for i in INDICES:
         s = star(i)

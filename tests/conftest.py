@@ -15,8 +15,9 @@ from skewpersp.classify import (
     enumerate_family,
     partition_into_classes,
 )
+from skewpersp.indices import ALL_PERMS
 from skewpersp.iso import _canonical_search
-from skewpersp.perspective import SkewFamily
+from skewpersp.perspective import IMAGE_WITNESSES, PerspectiveSpec, SkewFamily, image_ids, spec_id
 from skewpersp.psts import Psts, _free_cliques
 from skewpersp.veblen import PAIR_NAMES, enumerate_labelings
 
@@ -29,6 +30,16 @@ def relabel(s, mapping):
 def canonical_key(s, pin=None):
     """The canonical key of ``s``, with the point named ``pin`` pinned."""
     return _canonical_search(s, None if pin is None else s.points.index(pin))[0]
+
+
+def family_images(s):
+    """The 48 specs the family criteria relate to ``s``, as ((phi, case),
+    image) pairs in the order of ``IMAGE_WITNESSES``: its image ids read
+    back as specs."""
+    census = enumerate_labelings()
+    for w, k in zip(IMAGE_WITNESSES, image_ids(s.family, spec_id(s.perm, s.axis))):
+        perm, axis = divmod(k, len(census))
+        yield w, PerspectiveSpec(s.family, ALL_PERMS[perm], census[axis])
 
 
 def free_complete_subgraphs(s, n):

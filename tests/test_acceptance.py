@@ -31,7 +31,6 @@ from skewpersp.iso import automorphism_group, find_isomorphism
 from skewpersp.perspective import (
     CENTER,
     PerspectiveSpec,
-    Skew,
     SkewFamily,
     build,
     predicted_free_k5,
@@ -67,7 +66,7 @@ def test_criterion_01_construction_validity(census):
     for family in (SkewFamily.PERM, SkewFamily.PERM_KAPPA):
         for perm in ALL_PERMS:
             for axis in census:
-                spec = PerspectiveSpec(Skew(family, perm), axis)
+                spec = PerspectiveSpec(family, perm, axis)
                 if not validate_configuration(build(spec), 4):
                     bad.append(spec_text(spec))
     total = 2 * len(ALL_PERMS) * len(census)
@@ -259,7 +258,7 @@ def test_criterion_10_plain_family_vs_listed_entries(census_audit, perm_classes,
     class_keys = {c.key for c in perm_classes}
     entry_keys = []
     for _, kind, cyc in THEOREM_3_4_ENTRIES:
-        spec = PerspectiveSpec(Skew(SkewFamily.PERM, parse_cycles(cyc)), canonical(kind))
+        spec = PerspectiveSpec(SkewFamily.PERM, parse_cycles(cyc), canonical(kind))
         entry_keys.append(canonical_key(build(spec)))
     entries_ok = (
         len(THEOREM_3_4_ENTRIES) == 42
@@ -271,7 +270,7 @@ def test_criterion_10_plain_family_vs_listed_entries(census_audit, perm_classes,
     # to every listed entry
     unmatched = [c for c in perm_classes if c.key not in set(entry_keys)]
     entry_builds = [
-        build(PerspectiveSpec(Skew(SkewFamily.PERM, parse_cycles(cyc)), canonical(kind)))
+        build(PerspectiveSpec(SkewFamily.PERM, parse_cycles(cyc), canonical(kind)))
         for _, kind, cyc in THEOREM_3_4_ENTRIES
     ]
     witnessed = all(

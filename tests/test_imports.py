@@ -34,3 +34,33 @@ def test_the_scan_sees_an_unused_import():
 def test_no_unused_top_level_imports():
     found = {path.relative_to(ROOT).as_posix(): unused_imports(path.read_text()) for path in FILES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules ``source`` imports from anywhere in it, by bare
+    name: ``from .psts import Psts``, ``from . import psts`` and
+    ``import skewpersp.psts`` all give ``psts``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["skewpersp" if node.level else None, node.module]))
+            if module == "skewpersp":
+                found.update(alias.name for alias in node.names)
+            elif module.startswith("skewpersp."):
+                found.add(module.removeprefix("skewpersp."))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.removeprefix("skewpersp.") for a in node.names if a.name.startswith("skewpersp."))
+    return found
+
+
+def test_the_package_scan_sees_every_form():
+    source = "import os\nfrom . import iso\nfrom .psts import Psts\nimport skewpersp.veblen\n" + (
+        "def f():\n    from skewpersp.indices import PAIRS\n    from skewpersp import cli\n"
+    )
+    assert package_imports(source) == {"iso", "psts", "veblen", "indices", "cli"}
+
+
+def test_the_oracles_import_only_the_psts_core():
+    """The isomorphism oracles see structures as incidence data only: the
+    family criteria they are audited against live in ``perspective``."""
+    assert package_imports((ROOT / "src" / "skewpersp" / "iso.py").read_text()) == {"psts"}

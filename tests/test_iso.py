@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     axis_psts,
     canonical_key,
+    family_images,
     pasch_configurations,
     pasch_counts,
     projective_space,
@@ -24,7 +25,6 @@ from skewpersp import cli, iso
 from skewpersp.classify import enumerate_family
 from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, extend
 from skewpersp.iso import (
-    IsoCase,
     _Canonicalizer,
     _rank_raw,
     _refine,
@@ -33,14 +33,21 @@ from skewpersp.iso import (
     _seed_colors,
     _StabilizerChain,
     automorphism_group,
-    family_images,
     find_isomorphism,
-    image_point_map,
     point_map_text,
-    spec_id,
     verify_point_map,
 )
-from skewpersp.perspective import CENTER, PerspectiveSpec, Skew, SkewFamily, build, parse_spec_text, spec_text
+from skewpersp.perspective import (
+    CENTER,
+    IsoCase,
+    PerspectiveSpec,
+    SkewFamily,
+    build,
+    image_point_map,
+    parse_spec_text,
+    spec_id,
+    spec_text,
+)
 from skewpersp.psts import Psts, to_text
 from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical, enumerate_labelings
 
@@ -765,7 +772,7 @@ def perm_family_iso(s1, s2):
     """The plain family's criterion for one pair of specs: the first
     witness (phi, case) of ``family_images`` whose image is s2, or None,
     which means no center-fixing isomorphism exists."""
-    if s1.skew.family is not SkewFamily.PERM or s2.skew.family is not SkewFamily.PERM:
+    if s1.family is not SkewFamily.PERM or s2.family is not SkewFamily.PERM:
         raise ValueError("perm_family_iso expects two PERM-family specs")
     return next((w for w, image in family_images(s1) if image == s2), None)
 
@@ -774,8 +781,8 @@ def kappa_family_iso(s1, s2):
     """The boolean-complementing family's criterion for one pair of specs,
     as in ``perm_family_iso``; None means no isomorphism exists."""
     if (
-        s1.skew.family is not SkewFamily.PERM_KAPPA
-        or s2.skew.family is not SkewFamily.PERM_KAPPA
+        s1.family is not SkewFamily.PERM_KAPPA
+        or s2.family is not SkewFamily.PERM_KAPPA
     ):
         raise ValueError("kappa_family_iso expects two PERM_KAPPA-family specs")
     return next((w for w, image in family_images(s1) if image == s2), None)
@@ -924,7 +931,7 @@ class TestFamilyImages:
             for w, image in family_images(s1):
                 first.setdefault(image, w)
             for s2 in specs:
-                skews = (s1.skew.perm, s2.skew.perm)
+                skews = (s1.perm, s2.perm)
                 if skews not in by_skews:
                     by_skews[skews] = conditions(*skews)
                 expected = reference_family_iso(s1, s2, by_skews[skews])
@@ -955,25 +962,23 @@ def reference_family_images(s):
     """The family images of ``s`` computed on spec objects, by the object
     algebra of ``indices`` and ``veblen``: the reference for the integer
     tables."""
-    family, sigma, axis = s.skew.family, s.skew.perm, s.axis
+    family, sigma, axis = s.family, s.perm, s.axis
     for phi in ALL_PERMS:
-        yield (phi, IsoCase.A), PerspectiveSpec(
-            Skew(family, sigma.conjugate_by(phi)), axis.apply(extend(phi))
-        )
+        yield (phi, IsoCase.A), PerspectiveSpec(family, sigma.conjugate_by(phi), axis.apply(extend(phi)))
     sigma_inv = sigma.inverse()
     for phi in ALL_PERMS:
         image = axis.apply(extend(phi.compose(sigma)))
         if family is SkewFamily.PERM_KAPPA:
             image = image.apply(CORRELATION)
-        yield (phi, IsoCase.B), PerspectiveSpec(Skew(family, sigma_inv.conjugate_by(phi)), image)
+        yield (phi, IsoCase.B), PerspectiveSpec(family, sigma_inv.conjugate_by(phi), image)
 
 
 SETUP_PATH = textwrap.dedent(
     """
     import skewpersp.cli
-    from skewpersp import iso, veblen
+    from skewpersp import perspective, veblen
     veblen.enumerate_labelings()
-    print(iso._family_tables.cache_info().currsize)
+    print(perspective._family_tables.cache_info().currsize)
     """
 )
 

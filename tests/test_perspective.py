@@ -8,7 +8,7 @@ from conftest import free_complete_subgraphs, third_point
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewpersp.indices import ALL_PERMS, IDENTITY, PAIRS, Pair, correlation, parse_cycles
+from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, PAIRS, Pair, correlation, extend, parse_cycles
 from skewpersp.classify import enumerate_family
 from skewpersp.perspective import (
     A_NAMES,
@@ -17,7 +17,6 @@ from skewpersp.perspective import (
     CENTER,
     POINTS,
     PerspectiveSpec,
-    Skew,
     SkewFamily,
     a_name,
     axis_token,
@@ -37,7 +36,7 @@ families = st.sampled_from(tuple(SkewFamily))
 
 
 def spec_of(family, perm, axis_kind):
-    return PerspectiveSpec(Skew(family, perm), canonical(axis_kind))
+    return PerspectiveSpec(family, perm, canonical(axis_kind))
 
 
 class TestBuild:
@@ -116,7 +115,7 @@ class TestBuild:
             axis, "lines", tuple(frozenset(Pair(int(p[0]), int(p[1])) for p in ln.split()) for ln in lines)
         )
         with pytest.raises(PstsError, match=problem):
-            build(PerspectiveSpec(Skew(SkewFamily.PERM, IDENTITY), axis))
+            build(PerspectiveSpec(SkewFamily.PERM, IDENTITY, axis))
 
 
 class TestBJoin:
@@ -135,9 +134,10 @@ class TestBJoin:
     def test_matches_built_lines(self, family, perm, u):
         spec = spec_of(family, perm, CanonicalKind.B2)
         s = build(spec)
-        assert third_point(s, b_name(u.lo), b_name(u.hi)) == c_name(
-            spec.skew.delta().inverse()(u)
-        )
+        delta = extend(perm)
+        if family is SkewFamily.PERM_KAPPA:
+            delta = delta.compose(CORRELATION)
+        assert third_point(s, b_name(u.lo), b_name(u.hi)) == c_name(delta.inverse()(u))
 
 
 class TestPredictedFreeK5:
@@ -179,12 +179,12 @@ class TestSpecText:
 
     def test_examples(self):
         spec = parse_spec_text("perm:(1,2)(3,4)@B2")
-        assert spec.skew.family is SkewFamily.PERM
-        assert spec.skew.perm == parse_cycles("(1,2)(3,4)")
+        assert spec.family is SkewFamily.PERM
+        assert spec.perm == parse_cycles("(1,2)(3,4)")
         assert spec.axis == canonical(CanonicalKind.B2)
         spec = parse_spec_text("kappa:id@G2")
-        assert spec.skew.family is SkewFamily.PERM_KAPPA
-        assert spec.skew.perm == IDENTITY
+        assert spec.family is SkewFamily.PERM_KAPPA
+        assert spec.perm == IDENTITY
 
     def test_census_token_round_trip(self, census):
         for k in (0, 7, 29):
@@ -233,7 +233,7 @@ class TestSpecText:
 class TestSortKey:
     def test_canonical_axes_rank_first(self, census):
         canon = spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)
-        other = PerspectiveSpec(Skew(SkewFamily.PERM, IDENTITY), census[10])
+        other = PerspectiveSpec(SkewFamily.PERM, IDENTITY, census[10])
         assert canon.sort_key() < other.sort_key()
 
     def test_deterministic_total_order(self, perm_specs):
