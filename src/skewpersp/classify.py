@@ -31,13 +31,14 @@ keys and automorphism generators, and it goes when the audit ends.
 One canonical search keys each criterion orbit, plain or with the center
 pinned: the search of the first member the audit asks for.  Every other
 member takes its key and automorphism generators from that spec, along
-the inverse of the explicit point map of the criterion; the map is
-checked as an isomorphism that fixes the center, and every carried
-generator as an automorphism.  Canonical-axis specs sort first, so each
-orbit's searched spec lies over a canonical axis, and
-``classes_beyond_canonical_axes: 0`` is backed by a verified isomorphism
-from each census spec onto a canonical-axis spec, not by key equality.  A
-failed check raises ``OracleInconsistencyError`` (exit 70).
+the inverse of the criterion's point map ``image_perm``, a permutation of
+the shared frame's indices.  ``iso._is_isomorphism`` checks the map as an
+isomorphism that fixes the center, and every carried generator as an
+automorphism.  Canonical-axis specs sort first, so each orbit's searched
+spec lies over a canonical axis, and ``classes_beyond_canonical_axes: 0``
+is backed by a verified isomorphism from each census spec onto a
+canonical-axis spec, not by key equality.  A failed check raises
+``OracleInconsistencyError`` (exit 70).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .iso import (
     OracleInconsistencyError,
     _canonical_search,
     _inverse,
-    _is_automorphism,
+    _is_isomorphism,
     _StabilizerChain,
     find_isomorphism,
     verify_point_map,
@@ -75,7 +76,7 @@ from .perspective import (
     build,
     c_name,
     image_ids,
-    image_point_map,
+    image_perm,
     predicted_free_k5,
     spec_id,
     spec_text,
@@ -149,10 +150,10 @@ class _Structures(dict):
     asked for, in either kind, is searched, and one pass over its family
     image ids records every other member as its image under some (phi,
     case).  Each other member takes the searched spec's key and
-    generators back along the inverse of ``image_point_map``: the map must
-    fix the center and pass ``verify_point_map``, every carried generator
-    ``_is_automorphism``, and a carried pinned generator must fix the
-    center too.  A failed check raises; nothing falls back to a search."""
+    generators back along the inverse of ``image_perm``: the map must fix
+    the center and pass ``_is_isomorphism``, so must every carried
+    generator onto the spec's own structure, and a carried pinned one must
+    fix the center too.  A failed check raises; nothing falls back."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -193,22 +194,21 @@ class _Structures(dict):
         """The key and generators of the searched ``source``, taken onto
         its image ``spec`` under (phi, case) and checked there."""
         s, t = self[spec], self[source]
-        m = {y: x for x, y in image_point_map(source, phi, case).items()}
-        moves = m.get(CENTER) != CENTER
-        if moves or not verify_point_map(s, t, m):
+        to_t = _inverse(image_perm(source, phi, case))
+        center = s.points.index(CENTER)
+        moves = to_t[center] != center
+        if moves or not _is_isomorphism(s, t, to_t):
             raise OracleInconsistencyError(
                 f"the inverse of the case {case.value} map of {spec_text(source)} onto {spec_text(spec)} "
                 + ("moves the center" if moves else "is no isomorphism")
             )
         key, found = self.search(source, pinned)
-        rank = {x: i for i, x in enumerate(t.points)}
-        to_t = tuple(rank[m[x]] for x in s.points)
+        # the inverse of the checked bijection, not image_perm's unchecked tuple
         from_t = _inverse(to_t)
-        center = s.points.index(CENTER)
         # g conjugated back along the map: an automorphism of s
         carried = tuple(tuple(from_t[g[j]] for j in to_t) for g in found)
         for g in carried:
-            if not _is_automorphism(s, g):
+            if not _is_isomorphism(s, s, g):
                 raise OracleInconsistencyError(
                     f"an automorphism of {spec_text(source)} carried onto {spec_text(spec)} is none"
                 )
@@ -586,11 +586,9 @@ def _lemma_3_1(structures, perm_specs) -> Finding:
     dichotomy_fail = []
     for s in perm_specs:
         built = structures[s]
-        oracle = {frozenset(built.points[i] for i in f) for f in built.free_k5}
-        predicted = set(predicted_free_k5(s))
-        if oracle != predicted:
+        if built.free_k5 != predicted_free_k5(s):
             mismatches.append(spec_text(s))
-        has_extra = len(oracle) >= 3
+        has_extra = len(built.free_k5) >= 3
         triangles = star_triangles(s.axis)
         condition = any(i in triangles for i in s.perm.fixed_points())
         if has_extra != condition:

@@ -197,9 +197,13 @@ def _encode_leaf(s: Psts, colors: list[int]) -> tuple:
     return tuple(triples)
 
 
-def _is_automorphism(s: Psts, g: tuple[int, ...]) -> bool:
-    lines = set(s.line_sets)
-    return all(tuple(sorted([g[i], g[j], g[k]])) in lines for i, j, k in s.line_sets)
+def _is_isomorphism(x: Psts, y: Psts, m: tuple[int, ...]) -> bool:
+    """Whether ``m`` (entry i the image of point i) is a bijection onto
+    ``range(len(y.points))`` carrying the lines of x exactly onto y's."""
+    if len(m) != len(x.points) or sorted(m) != list(range(len(y.points))):
+        return False
+    image = {tuple(sorted((m[i], m[j], m[k]))) for i, j, k in x.line_sets}
+    return image == set(y.line_sets)
 
 
 class _Canonicalizer:
@@ -276,7 +280,7 @@ class _Canonicalizer:
             for i, c in enumerate(seen):
                 inv[c] = i
             g = tuple(inv[colors[i]] for i in range(self.n))
-            if _is_automorphism(self.s, g):
+            if _is_isomorphism(self.s, self.s, g):
                 self.auts.append(g)
         if self.best is None or enc < self.best:
             self.best = enc
@@ -537,17 +541,14 @@ def find_isomorphism(
 
 
 def verify_point_map(x: Psts, y: Psts, mapping: dict[str, str]) -> bool:
-    """Check a claimed isomorphism: bijection on points carrying the lines
-    of x exactly onto the lines of y."""
+    """Check a claimed isomorphism by point names: a bijection on points
+    carrying the lines of x exactly onto the lines of y (``_is_isomorphism``)."""
     if sorted(mapping) != list(x.points):
         return False
     if sorted(mapping.values()) != list(y.points):
         return False
-    # over indices: ranks in y keep name order, so sorted triples match
     rank = {p: i for i, p in enumerate(y.points)}
-    m = [rank[mapping[p]] for p in x.points]
-    image = {tuple(sorted((m[i], m[j], m[k]))) for i, j, k in x.line_sets}
-    return image == set(y.line_sets)
+    return _is_isomorphism(x, y, tuple(rank[mapping[p]] for p in x.points))
 
 
 def point_map_text(mapping: dict[str, str]) -> str:

@@ -26,8 +26,8 @@ ids read from small tables of the S4 and axis actions, built on first use.
 In the plain family those are exactly the specs a center-fixing
 isomorphism reaches, in the boolean-complementing family (where every
 isomorphism fixes the center) exactly the isomorphic ones.
-``image_point_map`` spells out the isomorphism onto an image point by
-point.
+``image_perm`` spells out the isomorphism onto an image as a permutation
+of the frame's indices, the form ``iso._is_isomorphism`` checks.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ class PerspectiveSpec:
 #: order, shared by all the structures ``build`` returns, and their index.
 POINTS: tuple[str, ...] = tuple(sorted((CENTER, *A_NAMES, *B_NAMES, *C_NAMES)))
 _INDEX = {x: i for i, x in enumerate(POINTS)}
+_A = tuple(_INDEX[x] for x in A_NAMES)  # a_i at position i - 1
+_B = tuple(_INDEX[x] for x in B_NAMES)
 _C = tuple(_INDEX[c_name(u)] for u in PAIRS)  # by position in PAIRS
 _B_ENDS = tuple((_INDEX[b_name(u.lo)], _INDEX[b_name(u.hi)]) for u in PAIRS)
 #: the six A-side joins and the four center lines, the same in every perspective
@@ -129,6 +131,12 @@ _FIXED_LINES = tuple(
         *((a_name(u.lo), a_name(u.hi), c_name(u)) for u in PAIRS),
         *((CENTER, a_name(i), b_name(i)) for i in INDICES),
     ]
+)
+#: A* and B*, and the G_(i) of ``predicted_free_k5`` at position i - 1
+_TETRAHEDRA = tuple(tuple(sorted((_INDEX[CENTER], *side))) for side in (_A, _B))
+_G = tuple(
+    tuple(sorted((_A[i - 1], _B[i - 1], *(_C[PAIR_INDEX[u]] for u in star(i)))))
+    for i in INDICES
 )
 
 
@@ -154,8 +162,8 @@ def build(spec: PerspectiveSpec) -> Psts:
     return Psts._from_triples(POINTS, tuple(sorted(lines)))
 
 
-def predicted_free_k5(spec: PerspectiveSpec) -> tuple[frozenset[str], ...]:
-    """Closed-form list of the free K5 subgraphs of the built structure.
+def predicted_free_k5(spec: PerspectiveSpec) -> tuple[tuple[int, ...], ...]:
+    """The closed-form ``Psts.free_k5`` of the built structure.
 
     Both tetrahedra extend through the center: A* and B* are always free.
     PERM skews add G_(i) = {a_i, b_i} ∪ {c_u : u in S(i)} for every i that
@@ -163,18 +171,11 @@ def predicted_free_k5(spec: PerspectiveSpec) -> tuple[frozenset[str], ...]:
     skews never add anything.  Must agree with the exhaustive clique oracle
     on every spec; the audit checks exactly that.
     """
-    sets = [
-        frozenset((CENTER, *A_NAMES)),
-        frozenset((CENTER, *B_NAMES)),
-    ]
+    cliques = list(_TETRAHEDRA)
     if spec.family is SkewFamily.PERM:
-        triangles = set(star_triangles(spec.axis))
-        for i in spec.perm.fixed_points():
-            if i in triangles:
-                sets.append(
-                    frozenset({a_name(i), b_name(i), *(c_name(u) for u in star(i))})
-                )
-    return tuple(sorted(sets, key=lambda f: tuple(sorted(f))))
+        triangles = star_triangles(spec.axis)
+        cliques += (_G[i - 1] for i in spec.perm.fixed_points() if i in triangles)
+    return tuple(sorted(cliques))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +261,9 @@ def image_ids(family: SkewFamily, sid: int) -> list[int]:
     return ids
 
 
-def image_point_map(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> dict[str, str]:
+def image_perm(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> tuple[int, ...]:
     """The point map that carries the structure of ``s`` onto that of its
-    family image under (phi, case), with the center fixed.
+    family image under (phi, case), on the frame's indices, center fixed.
 
     Case A keeps the tetrahedra: a_i -> a_phi(i), b_i -> b_phi(i) and
     c_u -> c_extend(phi)(u).  Case B swaps them: a_i -> b_phi(i),
@@ -270,18 +271,17 @@ def image_point_map(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> dict[str, 
     complement involution in the boolean-complementing family.  The c
     points always follow the pair map that moves the axis."""
     if case is IsoCase.A:
-        a_to, b_to, pairs = a_name, b_name, extend(phi)
+        a_to, b_to, pairs = _A, _B, extend(phi)
     else:
-        a_to, b_to, pairs = b_name, a_name, extend(phi.compose(s.perm))
+        a_to, b_to, pairs = _B, _A, extend(phi.compose(s.perm))
         if s.family is SkewFamily.PERM_KAPPA:
             pairs = pairs.compose(CORRELATION)
-    m = {CENTER: CENTER}
-    for i in INDICES:
-        m[a_name(i)] = a_to(phi(i))
-        m[b_name(i)] = b_to(phi(i))
-    for u in PAIRS:
-        m[c_name(u)] = c_name(pairs(u))
-    return m
+    m = list(range(len(POINTS)))  # every entry but the center's is set below
+    for a, b, k in zip(_A, _B, phi.images):
+        m[a], m[b] = a_to[k - 1], b_to[k - 1]
+    for c, k in zip(_C, pairs.images):
+        m[c] = _C[k]
+    return tuple(m)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from skewpersp.iso import find_isomorphism, verify_point_map
 from skewpersp.perspective import (
     CENTER,
     IMAGE_WITNESSES,
+    POINTS,
     IsoCase,
     SkewFamily,
     build,
@@ -261,7 +262,8 @@ class TestNoRevalidation:
 WORK_FIELDS = (
     # counted calls: builds, clique searches, canonical searches, witness
     # searches, canonical search nodes, canonical search leaves, checked
-    # maps; then the witness searches refuted by joint refinement
+    # maps (index carrying maps and name-level witness checks); then the
+    # witness searches refuted by joint refinement
     "build", "cliques", "canonical", "witness", "nodes", "leaves", "maps", "refuted"
 )
 
@@ -293,6 +295,7 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
         m.setattr(classify, "find_isomorphism", counting("witness", classify.find_isomorphism))
         m.setattr(iso._Canonicalizer, "_visit", counting("nodes", iso._Canonicalizer._visit))
         m.setattr(iso._Canonicalizer, "_leaf", counting("leaves", iso._Canonicalizer._leaf))
+        m.setattr(classify, "image_perm", counting("maps", classify.image_perm))
         m.setattr(classify, "verify_point_map", counting("maps", classify.verify_point_map))
         m.setattr(iso, "_refine_pair", refine)
         for axes_mode in axes_modes:
@@ -446,27 +449,25 @@ def group_order(s, gens) -> int:
     return chain.order()
 
 
-def swap_two_c_points(monkeypatch):
-    real = classify.image_point_map
+def swap_entries(monkeypatch, x, y):
+    """Patch ``image_perm`` to swap the images of the points named x and y."""
+    real = classify.image_perm
+    i, j = POINTS.index(x), POINTS.index(y)
 
     def swapped(spec, phi, case):
-        m = real(spec, phi, case)
-        x, y = c_name(PAIRS[0]), c_name(PAIRS[-1])
-        m[x], m[y] = m[y], m[x]
-        return m
+        m = list(real(spec, phi, case))
+        m[i], m[j] = m[j], m[i]
+        return tuple(m)
 
-    monkeypatch.setattr(classify, "image_point_map", swapped)
+    monkeypatch.setattr(classify, "image_perm", swapped)
+
+
+def swap_two_c_points(monkeypatch):
+    swap_entries(monkeypatch, c_name(PAIRS[0]), c_name(PAIRS[-1]))
 
 
 def move_the_center(monkeypatch):
-    real = classify.image_point_map
-
-    def moved(spec, phi, case):
-        m = real(spec, phi, case)
-        m[CENTER], m["a1"] = m["a1"], m[CENTER]
-        return m
-
-    monkeypatch.setattr(classify, "image_point_map", moved)
+    swap_entries(monkeypatch, CENTER, "a1")
 
 
 def add_a_non_automorphism(monkeypatch):

@@ -64,3 +64,41 @@ def test_the_oracles_import_only_the_psts_core():
     """The isomorphism oracles see structures as incidence data only: the
     family criteria they are audited against live in ``perspective``."""
     assert package_imports((ROOT / "src" / "skewpersp" / "iso.py").read_text()) == {"psts"}
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of ``sources`` (file name ->
+    source) that no code in any of them reads, by name or as an attribute,
+    outside the definition itself; as ``file:name``."""
+    reads = []  # (top-level statement, the names it reads)
+    defined = []
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+            }
+            reads.append((node, names))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path, node))
+    return [
+        f"{path}:{node.name}"
+        for path, node in defined
+        if not any(node.name in names for other, names in reads if other is not node)
+    ]
+
+
+def test_the_definition_scan_sees_self_and_dead_references():
+    sources = {
+        "a.py": "def used():\n    pass\n\ndef recursive():\n    return recursive()\n\nclass Dead:\n    pass\n",
+        "b.py": "from a import used\n\ndef shadowed():\n    shadowed = 1\n\nused()\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.py:recursive", "a.py:Dead", "b.py:shadowed"]
+
+
+def test_every_definition_in_the_package_is_used_in_the_package():
+    """What neither the CLI nor the audit uses goes: a function or class
+    that only tests call is not kept in ``src``."""
+    sources = {path.name: path.read_text() for path in sorted((ROOT / "src" / "skewpersp").glob("*.py"))}
+    assert unreferenced_definitions(sources) == []

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from skewpersp import cli, iso
 from skewpersp.classify import enumerate_family
-from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, extend
+from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, INDICES, PAIRS, extend
 from skewpersp.iso import (
     _Canonicalizer,
     _rank_raw,
@@ -39,11 +39,15 @@ from skewpersp.iso import (
 )
 from skewpersp.perspective import (
     CENTER,
+    POINTS,
     IsoCase,
     PerspectiveSpec,
     SkewFamily,
+    a_name,
+    b_name,
     build,
-    image_point_map,
+    c_name,
+    image_perm,
     parse_spec_text,
     spec_id,
     spec_text,
@@ -224,6 +228,13 @@ class TestVerifyPointMap:
         for m in maps:
             assert verify_point_map(x, y, m) == reference_verify(x, y, m)
         assert verify_point_map(x, y, maps[0])
+        # the index-level check on the maps onto y's points, as index
+        # tuples, and on one tuple an entry short
+        rank = {p: i for i, p in enumerate(y.points)}
+        short = {p: maps[0][p] for p in names[1:]}
+        for m in [*maps[:3], short]:
+            index_map = tuple(rank[m[p]] for p in names if p in m)
+            assert iso._is_isomorphism(x, y, index_map) == reference_verify(x, y, m)
 
 
 def triangles_pair(count=400, seed=11):
@@ -948,14 +959,40 @@ class TestFamilyImages:
             assert witnesses == [(phi, case) for case in IsoCase for phi in ALL_PERMS]
 
     def test_image_point_maps_are_isomorphisms(self, census):
-        # both cases of both families, over canonical and census axes
+        # both cases of both families, over canonical and census axes: each
+        # index map is the name-level formula's, and a bijection that
+        # carries the lines onto the lines, compared by name
         for family in SkewFamily:
             for spec in enumerate_family(family, tuple(census))[::60]:
                 s = build(spec)
                 for (phi, case), image in family_images(spec):
-                    m = image_point_map(spec, phi, case)
+                    perm = image_perm(spec, phi, case)
+                    assert sorted(perm) == list(range(len(POINTS)))
+                    m = {POINTS[i]: POINTS[j] for i, j in enumerate(perm)}
+                    assert m == reference_image_point_map(spec, phi, case)
                     assert m[CENTER] == CENTER
-                    assert verify_point_map(s, build(image), m), (spec, phi, case)
+                    lines = {frozenset(m[x] for x in ln) for ln in s.lines}
+                    assert lines == set(map(frozenset, build(image).lines)), (spec, phi, case)
+
+
+def reference_image_point_map(s, phi, case):
+    """The point map of ``s`` onto its family image under (phi, case), by
+    names as the criterion states it: the reference for ``image_perm``.
+    Case A keeps the tetrahedra and case B swaps them; the c points follow
+    the pair map that moves the axis."""
+    if case is IsoCase.A:
+        a_to, b_to, pairs = a_name, b_name, extend(phi)
+    else:
+        a_to, b_to, pairs = b_name, a_name, extend(phi.compose(s.perm))
+        if s.family is SkewFamily.PERM_KAPPA:
+            pairs = pairs.compose(CORRELATION)
+    m = {CENTER: CENTER}
+    for i in INDICES:
+        m[a_name(i)] = a_to(phi(i))
+        m[b_name(i)] = b_to(phi(i))
+    for u in PAIRS:
+        m[c_name(u)] = c_name(pairs(u))
+    return m
 
 
 def reference_family_images(s):
