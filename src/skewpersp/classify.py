@@ -19,14 +19,19 @@ its family's algebraic criterion once, decide every pair of specs by
 membership of the second's id in the first's images, and compare that with
 canonical-key equality.  The witness search checks the key partition itself: one witness
 from each member onto its class representative and one refutation for each
-pair of representatives, which by transitivity decides every pair.  The
+pair of representatives, which by transitivity decides every pair.  A pair
+of representatives whose witness certificates differ is refuted by them
+(``iso.certificates_differ``); only pairs that share one are searched.  The
 plain family's classes are center-fixing ones, keyed with the center pinned.
 
 One audit holds one structure per spec: each spec is built once, on first
 use, and every claim reads that structure.  Its free K5 subgraphs are
-searched once too (``Psts.free_k5``), for the seed colouring of its key and
-for every claim that counts them.  The same record is the only memo of
-keys and automorphism generators, and it goes when the audit ends.
+searched only for the specs whose keys are searched, for the seed
+colouring of the key; every other member takes them along its checked map
+(``Psts.carry_free_k5``), for the claims that count them.  The same record
+is the only memo of keys and automorphism generators, and with its
+structures it holds the witness search's refinement memos; all of it goes
+when the audit ends.
 
 One canonical search keys each criterion orbit, plain or with the center
 pinned: the search of the first member the audit asks for.  Every other
@@ -63,6 +68,7 @@ from .iso import (
     _inverse,
     _is_isomorphism,
     _StabilizerChain,
+    certificates_differ,
     find_isomorphism,
     verify_point_map,
 )
@@ -149,11 +155,12 @@ class _Structures(dict):
     orbit shares one plain and one pinned key.  The first spec of an orbit
     asked for, in either kind, is searched, and one pass over its family
     image ids records every other member as its image under some (phi,
-    case).  Each other member takes the searched spec's key and
-    generators back along the inverse of ``image_perm``: the map must fix
-    the center and pass ``_is_isomorphism``, so must every carried
-    generator onto the spec's own structure, and a carried pinned one must
-    fix the center too.  A failed check raises; nothing falls back."""
+    case).  Each other member takes the searched spec's key, generators
+    and free K5 subgraphs back along the inverse of ``image_perm``: the
+    map must fix the center and pass ``_is_isomorphism``, so must every
+    carried generator onto the spec's own structure, and a carried pinned
+    one must fix the center too.  A failed check raises; nothing falls
+    back."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -191,8 +198,9 @@ class _Structures(dict):
     def _carry(
         self, spec: PerspectiveSpec, pinned: bool, source: PerspectiveSpec, phi, case
     ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
-        """The key and generators of the searched ``source``, taken onto
-        its image ``spec`` under (phi, case) and checked there."""
+        """The key, generators and free K5 subgraphs of the searched
+        ``source``, taken onto its image ``spec`` under (phi, case) and
+        checked there."""
         s, t = self[spec], self[source]
         to_t = _inverse(image_perm(source, phi, case))
         center = s.points.index(CENTER)
@@ -205,6 +213,7 @@ class _Structures(dict):
         key, found = self.search(source, pinned)
         # the inverse of the checked bijection, not image_perm's unchecked tuple
         from_t = _inverse(to_t)
+        s.carry_free_k5(t, from_t)
         # g conjugated back along the map: an automorphism of s
         carried = tuple(tuple(from_t[g[j]] for j in to_t) for g in found)
         for g in carried:
@@ -625,8 +634,9 @@ def _check_partition(specs, builds, keys, fix=None, refute=True) -> None:
 
     Each member needs a witness onto its class representative (the first
     spec with its key) and, with ``refute``, each pair of representatives a
-    refutation.  By transitivity the keys then decide every pair of specs
-    exactly as the search would; any disagreement raises.
+    refutation: by unequal certificates, else by a search.  By transitivity
+    the keys then decide every pair of specs exactly as the search would;
+    any disagreement raises.
     """
     reps: dict[CanonicalKey, int] = {}
     for i, k in enumerate(keys):
@@ -637,7 +647,8 @@ def _check_partition(specs, builds, keys, fix=None, refute=True) -> None:
             )
     if refute:
         for r1, r2 in itertools.combinations(reps.values(), 2):
-            if find_isomorphism(builds[r1], builds[r2], fix=fix) is not None:
+            x, y = builds[r1], builds[r2]
+            if not certificates_differ(x, y, fix) and find_isomorphism(x, y, fix=fix) is not None:
                 raise OracleInconsistencyError(
                     f"witness found but keys differ: {spec_text(specs[r1])} vs {spec_text(specs[r2])}"
                 )
@@ -886,7 +897,10 @@ def _theorem_finding(
     witnesses = list(problems)
     for c in unmatched:
         rep = structures[c.representative]
-        refuted = all(find_isomorphism(rep, structures[s]) is None for s in entry_specs)
+        refuted = all(
+            certificates_differ(rep, structures[s]) or find_isomorphism(rep, structures[s]) is None
+            for s in entry_specs
+        )
         if not refuted:
             raise OracleInconsistencyError(
                 f"{spec_text(c.representative)} has a fresh key yet a witness onto a listed entry"

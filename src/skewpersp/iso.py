@@ -19,10 +19,13 @@ Three layers, all deterministic:
                           audited against.  It seeds its refinement with
                           per-point Pasch counts, not the canonical
                           search's free-K5 counts, and refines in full
-                          rounds of its own.  The search is iterative and
-                          checks each candidate against its line partners
-                          only, so it has no depth limit and its cost per
-                          step follows point degree, not point count.
+                          rounds of its own, once per structure and fixed
+                          point: unequal certificates of that refinement
+                          refute a pair without a search.  The search is
+                          iterative and checks each candidate against its
+                          line partners only, so it has no depth limit and
+                          its cost per step follows point degree, not
+                          point count.
 
 Everything here treats structures as abstract incidence data; point names
 never influence the outcome, only the formatting of witnesses.  The family
@@ -139,24 +142,6 @@ def _refine(s: Psts, colors: list[int], moved: Iterable[int]) -> list[int]:
             for i in renumbered[c]:
                 colors[i] = c
         cells = renumbered
-
-
-def _refine_pair(
-    a: Psts, ca: list[int], b: Psts, cb: list[int]
-) -> tuple[list[int], list[int]] | None:
-    """Joint refinement with shared ranks so colors stay comparable across
-    the two structures; returns None as soon as the color histograms
-    diverge (a sound non-isomorphism refutation)."""
-    shift = _pack_shift(len(ca) + len(cb))
-    while True:
-        sa, sb = _signatures(a, ca, shift), _signatures(b, cb, shift)
-        rank = {sig: r for r, sig in enumerate(sorted(set(sa) | set(sb)))}
-        na, nb = [rank[s] for s in sa], [rank[s] for s in sb]
-        if sorted(na) != sorted(nb):
-            return None
-        if na == ca and nb == cb:
-            return ca, cb
-        ca, cb = na, nb
 
 
 def _rank_raw(raw: list[tuple]) -> list[int]:
@@ -441,28 +426,67 @@ def _pasch_seed(s: Psts, fix: int | None) -> list[tuple[int, int, bool]]:
     return [(len(p), c, i == fix) for i, (p, c) in enumerate(zip(s.partners, s.pasch))]
 
 
+def _refined(s: Psts, fix: int | None) -> tuple[int, tuple[int, ...]]:
+    """The witness search's certificate of ``s`` with point ``fix``
+    fixed, and its stable colours, memoized in ``s.refined``.
+
+    Full rounds from the dense ranks of the ``_pasch_seed`` give every
+    point the dense rank of its ``_signatures`` until no colour changes.
+    The certificate hashes the sorted seed and every round's sorted
+    signatures, the stable round included: ints and bools only, so it is
+    the same in every process.  While two structures of one size agree
+    round by round, ranks over both are ranks over either, so joint
+    refinement of the pair refutes it exactly when the certificates
+    differ, and otherwise ends on these colours (Grohe, Kersting, Mladenov
+    & Schweitzer, "Color Refinement and its Applications", 2017).  A hash
+    collision only costs a search, whose leaf check verifies every map."""
+    found = s.refined.get(fix)
+    if found is None:
+        seed = _pasch_seed(s, fix)
+        cert = hash(tuple(sorted(seed)))
+        colors = _rank_raw(seed)
+        shift = _pack_shift(len(colors))
+        while True:
+            sigs = _signatures(s, colors, shift)
+            cert = hash((cert, tuple(sorted(sigs))))
+            refined = _rank_raw(sigs)
+            if refined == colors:
+                break
+            colors = refined
+        found = s.refined[fix] = (cert, tuple(colors))
+    return found
+
+
+def certificates_differ(x: Psts, y: Psts, fix: tuple[str, str] | None = None) -> bool:
+    """Whether the certificates of x and y, with the points of fix = (px,
+    py) fixed, differ: then no isomorphism maps x onto y with f(px) = py,
+    and ``find_isomorphism`` returns None before placing a point."""
+    px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+    return _refined(x, px)[0] != _refined(y, py)[0]
+
+
 def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     """Backtracking isomorphism search; yields mappings as name dicts.
 
-    Joint colour refinement from the (degree, Pasch count, fix flag) seed
-    refutes most non-isomorphic pairs before any point is placed (Colbourn
-    & Rosa, *Triple Systems*, 1999, on Pasch configurations as the local
-    invariant of triple systems).  The depth-first search is iterative,
-    with an explicit candidate cursor per depth, so it has no depth limit:
-    any input size runs without touching the recursion limit.  Candidates
-    are tried in a fixed order, which makes the sequence of yielded maps
-    deterministic."""
+    Unequal certificates of the refinement from the (degree, Pasch count,
+    fix flag) seed refute most non-isomorphic pairs before any point is
+    placed (Colbourn & Rosa, *Triple Systems*, 1999, on Pasch
+    configurations as the local invariant of triple systems).  Equal ones
+    hand over each side's stable colours, which are the ranks a joint
+    refinement of the pair would give, and candidates come from equal
+    colours.  The depth-first search is iterative, with an explicit
+    candidate cursor per depth, so it has no depth limit: any input size
+    runs without touching the recursion limit.  Candidates are tried in a
+    fixed order, which makes the sequence of yielded maps deterministic."""
     if fix is not None and (fix[0] not in x.points or fix[1] not in y.points):
         raise ValueError(f"fix points {fix!r} not present")
     n = len(x.points)
     if n != len(y.points) or len(x.line_sets) != len(y.line_sets):
         return
-    px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
-    ranked = _rank_raw(_pasch_seed(x, px) + _pasch_seed(y, py))
-    refined = _refine_pair(x, ranked[:n], y, ranked[n:])
-    if refined is None:
+    if certificates_differ(x, y, fix):
         return
-    cx, cy = refined
+    px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+    cx, cy = _refined(x, px)[1], _refined(y, py)[1]
 
     by_color: dict[int, list[int]] = {}
     for j, c in enumerate(cy):

@@ -9,11 +9,13 @@ Each structure holds its incidence once, over point indices: the lines as
 sorted index triples and each point's line partners as index pairs.  The
 isomorphism machinery works on that core, and names meet it only at the
 boundary.  The third-point table, a dict per point, the per-point Pasch
-counts and the free K5 subgraphs, searched over int bitmasks of points, are
-built on first use only: the witness search reads the table, its seed
-colouring the Pasch counts, and the canonical search's seed colouring the
-subgraphs.  The audit keeps every structure it builds, and most never need
-the table.
+counts, the free K5 subgraphs, searched over int bitmasks of points, and
+the witness search's refinement memo are built on first use only: the
+witness search reads the table and the memo, its seed colouring the Pasch
+counts, and the canonical search's seed colouring the subgraphs.  A
+structure that a checked isomorphism reaches from one whose subgraphs are
+known takes them along the map instead of searching.  The audit keeps
+every structure it builds, and most never need the table.
 
 Construction validates; an invalid line set raises ``PstsError`` carrying
 the full list of problems found, not just the first.  Both ways in share
@@ -61,13 +63,18 @@ class Psts:
                          counted from ``third`` on first use,
     * ``free_k5``        the free K5 subgraphs as sorted index tuples, in
                          lexicographic order; searched on first use, never
-                         by the constructor.
+                         by the constructor, unless ``carry_free_k5`` took
+                         them along an isomorphism first,
+    * ``refined``        the witness search's memo, by fixed point index or
+                         None: a certificate and the stable colours of the
+                         structure's refinement; an empty dict made on first
+                         use and filled by ``iso``.
 
     ``lines`` reads the lines back as sorted name triples, in ``line_sets``
     order, which is name order too: indices are ranks in name order.
     """
 
-    __slots__ = ("points", "line_sets", "partners", "_third", "_pasch", "_free_k5", "_hash")
+    __slots__ = ("points", "line_sets", "partners", "_third", "_pasch", "_free_k5", "_refined", "_hash")
 
     def __init__(self, points, lines):
         problems: list[str] = []
@@ -145,6 +152,7 @@ class Psts:
         self._third = None
         self._pasch = None
         self._free_k5 = None
+        self._refined = None
         self._hash = hash((points, line_sets))
 
     @property
@@ -196,6 +204,21 @@ class Psts:
         if self._free_k5 is None:
             self._free_k5 = _free_cliques(self, 5)
         return self._free_k5
+
+    def carry_free_k5(self, source: "Psts", m: tuple[int, ...]) -> None:
+        """Take ``free_k5`` from ``source`` along ``m``, entry i the index
+        here of source point i, which the caller has checked is an
+        isomorphism: the images, sorted as a search lists them.  Subgraphs
+        already known stay."""
+        if self._free_k5 is None:
+            self._free_k5 = tuple(sorted(tuple(sorted(m[i] for i in c)) for c in source.free_k5))
+
+    @property
+    def refined(self) -> dict:
+        """The memo of the class docstring, made on first use."""
+        if self._refined is None:
+            self._refined = {}
+        return self._refined
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,7 +16,7 @@ from skewpersp.classify import (
     partition_into_classes,
 )
 from skewpersp.indices import ALL_PERMS
-from skewpersp.iso import _canonical_search
+from skewpersp.iso import _canonical_search, _pack_shift, _pasch_seed, _rank_raw, _signatures
 from skewpersp.perspective import IMAGE_WITNESSES, PerspectiveSpec, SkewFamily, image_ids, spec_id
 from skewpersp.psts import Psts, _free_cliques
 from skewpersp.veblen import PAIR_NAMES, enumerate_labelings
@@ -40,6 +40,32 @@ def family_images(s):
     for w, k in zip(IMAGE_WITNESSES, image_ids(s.family, spec_id(s.perm, s.axis))):
         perm, axis = divmod(k, len(census))
         yield w, PerspectiveSpec(s.family, ALL_PERMS[perm], census[axis])
+
+
+def reference_refine_pair(a, ca, b, cb):
+    """Joint refinement with shared ranks, so colours stay comparable
+    across the two structures: None as soon as the colour histograms
+    diverge, else both stable colourings.  The witness search refined
+    every pair this way before it refined each structure once."""
+    shift = _pack_shift(len(ca) + len(cb))
+    while True:
+        sa, sb = _signatures(a, ca, shift), _signatures(b, cb, shift)
+        rank = {sig: r for r, sig in enumerate(sorted(set(sa) | set(sb)))}
+        na, nb = [rank[s] for s in sa], [rank[s] for s in sb]
+        if sorted(na) != sorted(nb):
+            return None
+        if na == ca and nb == cb:
+            return ca, cb
+        ca, cb = na, nb
+
+
+def joint_refinement(x, y, fix=None):
+    """``reference_refine_pair`` of x and y from the witness seed, ranked
+    over both, with the points of fix = (px, py) fixed."""
+    px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+    ranked = _rank_raw(_pasch_seed(x, px) + _pasch_seed(y, py))
+    n = len(x.points)
+    return reference_refine_pair(x, ranked[:n], y, ranked[n:])
 
 
 def free_complete_subgraphs(s, n):

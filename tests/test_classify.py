@@ -1,6 +1,7 @@
 """Family enumeration, isomorphism classes, and the published-claim audit."""
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from conftest import canonical_key, family_images
+from conftest import canonical_key, family_images, joint_refinement
 
 from skewpersp import classify, cli, iso, perspective, psts, veblen
 from skewpersp.classify import (
@@ -171,9 +172,31 @@ class TestOracleSweep:
         assert spec_text(victim) in str(e.value)
 
     @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
-    def test_witness_between_representatives_raises(self, monkeypatch, sweep, family):
+    def test_member_separated_by_its_certificate_raises(self, monkeypatch, sweep, family):
         specs, classes = family
-        r1, r2 = (c.representative for c in classes[:2])
+        victim = next(c for c in classes if len(c.members) > 1).members[-1]
+        victim_built = build(victim)
+        real = iso._refined
+
+        def separated(s, fix):
+            cert, colors = real(s, fix)
+            return (cert + 1 if s == victim_built else cert), colors
+
+        monkeypatch.setattr(iso, "_refined", separated)
+        with pytest.raises(OracleInconsistencyError, match="no witness") as e:
+            sweep(classify._Structures(), specs)
+        assert spec_text(victim) in str(e.value)
+
+    @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
+    def test_witness_between_representatives_raises(self, monkeypatch, sweep, family):
+        # only representatives that share a certificate reach the search
+        specs, classes = family
+        fix = (CENTER, CENTER) if specs[0].family is SkewFamily.PERM else None
+        r1, r2 = next(
+            (r1, r2)
+            for r1, r2 in itertools.combinations((c.representative for c in classes), 2)
+            if not iso.certificates_differ(build(r1), build(r2), fix)
+        )
         pair = {build(r1), build(r2)}
         self._patch(monkeypatch, lambda x, y, m: {} if {x, y} == pair else m)
         with pytest.raises(OracleInconsistencyError, match="keys differ") as e:
@@ -199,16 +222,32 @@ class TestOracleSweep:
         def pairs(k):
             return k * (k - 1) // 2
 
-        pinned = len({canonical_key(build(s), CENTER) for s in perm_specs})
+        def certificate_groups(reps, pin):
+            groups = {}
+            for s in map(build, reps):
+                cert = iso._refined(s, None if pin is None else s.points.index(pin))[0]
+                groups[cert] = groups.get(cert, 0) + 1
+            return groups.values()
+
+        pinned_reps = {}
+        for s in perm_specs:
+            pinned_reps.setdefault(canonical_key(build(s), CENTER), s)
+        pinned = len(pinned_reps)
         plain, kappa = len(perm_classes), len(kappa_classes)
         assert (pinned, plain, kappa) == (44, 43, 25)
-        # one witness per non-representative member and one refutation per
-        # pair of representatives; the plain family's unconstrained classes
-        # get witnesses only, as prop_3_2 decides center-fixing isomorphism
+        # one witness per non-representative member and one search per pair
+        # of representatives that share a certificate; the plain family's
+        # unconstrained classes get witnesses only, as prop_3_2 decides
+        # center-fixing isomorphism
+        searched_pairs = sum(pairs(k) for k in certificate_groups(pinned_reps.values(), CENTER)) + sum(
+            pairs(k) for k in certificate_groups((c.representative for c in kappa_classes), None)
+        )
+        assert searched_pairs == 66
         expected = (
-            len(perm_specs) - pinned + pairs(pinned)
+            len(perm_specs) - pinned
             + len(perm_specs) - plain
-            + len(kappa_specs) - kappa + pairs(kappa)
+            + len(kappa_specs) - kappa
+            + searched_pairs
         )
         assert calls == expected
 
@@ -263,8 +302,11 @@ WORK_FIELDS = (
     # counted calls: builds, clique searches, canonical searches, witness
     # searches, canonical search nodes, canonical search leaves, checked
     # maps (index carrying maps and name-level witness checks); then the
-    # witness searches refuted by joint refinement
-    "build", "cliques", "canonical", "witness", "nodes", "leaves", "maps", "refuted"
+    # witness certificates computed, the pairs the audit refutes by unequal
+    # certificates, and the witness searches that refute a pair and that
+    # find a map
+    "build", "cliques", "canonical", "witness", "nodes", "leaves", "maps",
+    "certificates", "certified", "refuted", "found",
 )
 
 
@@ -280,11 +322,17 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
 
         return wrapper
 
-    real_refine = iso._refine_pair
+    real_differ, real_find = classify.certificates_differ, classify.find_isomorphism
 
-    def refine(*args):
-        result = real_refine(*args)
-        counts["refuted"] += result is None
+    def differ(*args):
+        result = real_differ(*args)
+        counts["certified"] += result
+        return result
+
+    def find(*args, **kwargs):
+        result = real_find(*args, **kwargs)
+        counts["witness"] += 1
+        counts["refuted" if result is None else "found"] += 1
         return result
 
     work = {}
@@ -292,12 +340,14 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
         m.setattr(classify, "build", counting("build", classify.build))
         m.setattr(psts, "_free_cliques", counting("cliques", psts._free_cliques))
         m.setattr(iso._Canonicalizer, "run", counting("canonical", iso._Canonicalizer.run))
-        m.setattr(classify, "find_isomorphism", counting("witness", classify.find_isomorphism))
+        m.setattr(classify, "find_isomorphism", find)
         m.setattr(iso._Canonicalizer, "_visit", counting("nodes", iso._Canonicalizer._visit))
         m.setattr(iso._Canonicalizer, "_leaf", counting("leaves", iso._Canonicalizer._leaf))
         m.setattr(classify, "image_perm", counting("maps", classify.image_perm))
         m.setattr(classify, "verify_point_map", counting("maps", classify.verify_point_map))
-        m.setattr(iso, "_refine_pair", refine)
+        # one seed per certificate: the memo in each structure hands out the rest
+        m.setattr(iso, "_pasch_seed", counting("certificates", iso._pasch_seed))
+        m.setattr(classify, "certificates_differ", differ)
         for axes_mode in axes_modes:
             counts.update(dict.fromkeys(WORK_FIELDS, 0))
             classify.audit_claims(axes_mode)
@@ -312,24 +362,26 @@ def audit_work():
 
 
 class TestAuditWork:
-    """What one audit builds and searches: each spec is built once and its
-    free K5 subgraphs are searched once, and one canonical search keys
-    each criterion orbit and key kind: 44 plain and 44 pinned orbits of
-    the plain family, 25 orbits of the boolean-complementing one.  The
-    searches visit a fixed tree.  Every other key comes along a checked
-    map, so a silent fallback to searching moves two counts.  The audit's
-    record is its only memo, so the counts do not depend on what ran
-    before in the process; they are deterministic, and this is a work
+    """What one audit builds and searches: each spec is built once, and one
+    canonical search keys each criterion orbit and key kind: 44 plain and
+    44 pinned orbits of the plain family, 25 orbits of the
+    boolean-complementing one.  Free K5 subgraphs are searched once for
+    each of the 69 searched specs.  The searches visit a fixed tree.  Every
+    other key, and every other spec's subgraphs, come along a checked map,
+    so a silent fallback to searching moves these counts.  The witness
+    search runs only where certificates do not refute the pair.  The
+    audit's record is its only memo, so the counts do not depend on what
+    ran before in the process; they are deterministic, and this is a work
     gate that cannot flake."""
 
     WORK = {
         # the first seven of WORK_FIELDS; the checked maps are 1,371 plain
         # and 100 pinned carrying maps and lemma 4.4's 30
-        "census": (1440, 1440, 113, 1708, 1052, 688, 1501),
+        "census": (1440, 69, 113, 394, 1052, 688, 1501),
         # 219 plain and 100 pinned carrying maps, lemma 4.4's 30, and 24
         # more for kappa:id over the non-canonical census axes, whose keys
-        # are carried, so they need no clique search
-        "canonical": (312, 288, 113, 1708, 1052, 688, 373),
+        # and subgraphs are carried
+        "canonical": (312, 69, 113, 394, 1052, 688, 373),
     }
 
     @staticmethod
@@ -348,16 +400,19 @@ class TestAuditWork:
 
 
 class TestWitnessRefutations:
-    """How the witness searches of one audit end.  The 1,708 searches find
-    320 maps and refute 1,388 pairs; joint refinement from the (degree,
-    Pasch count) seed refutes 1,314 of those before any point is placed.
-    Deterministic, so a slide back to refuting by backtracking fails this
-    gate without flaking."""
+    """How the pairs the witness oracle decides in one audit end.  432
+    (structure, fixed point) certificates refute 1,314 pairs of class
+    representatives and listed entries before any search; the 394 witness
+    searches refute 74 more by backtracking and find 320 maps.
+    Deterministic, so a slide back to searching refuted pairs, or to
+    refuting by backtracking, fails this gate without flaking."""
 
     @pytest.mark.parametrize("axes_mode", ["census", "canonical"])
     def test_refinement_refutes_before_backtracking(self, audit_work, axes_mode):
         work = audit_work[axes_mode]
-        assert (work["refuted"], work["witness"]) == (1314, 1708)
+        assert work["certificates"] == 432
+        assert (work["certified"], work["refuted"], work["found"]) == (1314, 74, 320)
+        assert work["witness"] == work["refuted"] + work["found"]
 
 
 MEMORY_GATE = textwrap.dedent(
@@ -373,6 +428,39 @@ MEMORY_GATE = textwrap.dedent(
     print(sys.getallocatedblocks() - before)
     """
 )
+
+
+def test_certificates_differ_exactly_when_joint_refinement_refutes(monkeypatch):
+    """Every pair a canonical audit decides by certificate or by search,
+    against the joint refinement of the pair that the witness search ran
+    before: certificates differ exactly where it refutes, and elsewhere
+    they hand the search its colours."""
+    decided = []
+    real_differ, real_find = classify.certificates_differ, classify.find_isomorphism
+
+    def differ(x, y, fix=None):
+        result = real_differ(x, y, fix)
+        if result:  # decided here; a pair that passes goes on to the search
+            decided.append((x, y, fix))
+        return result
+
+    def find(x, y, fix=None):
+        decided.append((x, y, fix))
+        return real_find(x, y, fix=fix)
+
+    monkeypatch.setattr(classify, "certificates_differ", differ)
+    monkeypatch.setattr(classify, "find_isomorphism", find)
+    classify.audit_claims("canonical")
+    assert len(decided) == 1708
+    refuted = 0
+    for x, y, fix in decided:
+        joint = joint_refinement(x, y, fix)
+        refuted += joint is None
+        assert iso.certificates_differ(x, y, fix) == (joint is None)
+        if joint is not None:
+            px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+            assert joint == (list(iso._refined(x, px)[1]), list(iso._refined(y, py)[1]))
+    assert refuted == 1314
 
 
 def test_audit_retains_nothing_once_its_report_is_dropped():
@@ -440,6 +528,28 @@ class TestCarriedSearch:
             assert key == searched_key, spec_text(spec)
             assert group_order(s, gens) == group_order(s, searched_gens), spec_text(spec)
         assert runs == 69 + 44 + 1440 + 144
+
+    def test_carried_free_k5_match_a_search(self, monkeypatch, census):
+        searched = []
+        real = psts._free_cliques
+
+        def recording(s, n):
+            searched.append(s)
+            return real(s, n)
+
+        monkeypatch.setattr(psts, "_free_cliques", recording)
+        structures = classify._Structures()
+        specs = enumerate_family(SkewFamily.PERM, census) + enumerate_family(
+            SkewFamily.PERM_KAPPA, census
+        )
+        assert len(specs) == 1440
+        for spec in specs:
+            structures.search(spec)
+        carried = {spec: structures[spec].free_k5 for spec in specs}
+        # the 69 searched specs alone searched theirs
+        assert len(searched) == 69
+        for spec, cliques in carried.items():
+            assert cliques == real(structures[spec], 5), spec_text(spec)
 
 
 def group_order(s, gens) -> int:

@@ -13,9 +13,11 @@ from conftest import (
     axis_psts,
     canonical_key,
     family_images,
+    joint_refinement,
     pasch_configurations,
     pasch_counts,
     projective_space,
+    reference_refine_pair,
     relabel,
 )
 from hypothesis import given, settings
@@ -27,12 +29,14 @@ from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, INDICES, PAIRS, 
 from skewpersp.iso import (
     _Canonicalizer,
     _rank_raw,
+    _pasch_seed,
     _refine,
-    _refine_pair,
+    _refined,
     _search,
     _seed_colors,
     _StabilizerChain,
     automorphism_group,
+    certificates_differ,
     find_isomorphism,
     point_map_text,
     verify_point_map,
@@ -282,7 +286,7 @@ def reference_isomorphisms(x, y, fix=None):
         raw_x[x.points.index(fix[0])][2] = 1
         raw_y[y.points.index(fix[1])][2] = 1
     ranked = _rank_raw([tuple(t) for t in raw_x + raw_y])
-    refined = _refine_pair(x, ranked[:n], y, ranked[n:])
+    refined = reference_refine_pair(x, ranked[:n], y, ranked[n:])
     if refined is None:
         return
     cx, cy = refined
@@ -416,12 +420,12 @@ class TestPaschSwitch:
         results = []
 
         def recording(*args):
-            results.append(_refine_pair(*args))
+            results.append(certificates_differ(*args))
             return results[-1]
 
-        monkeypatch.setattr(iso, "_refine_pair", recording)
+        monkeypatch.setattr(iso, "certificates_differ", recording)
         assert list(_search(*self.pair(), None)) == []
-        assert results == [None]
+        assert results == [True]
 
     def test_cli_exits_non_isomorphic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "x.psts", tmp_path / "y.psts"
@@ -716,7 +720,117 @@ class TestRefine:
         refined = _refine(s, colors, range(len(colors)))
         assert refined[1027:] == [1027, 1026]
         assert refined == reference_refine(s, colors)
-        assert _refine_pair(s, colors, s, colors) == (refined, refined)
+        assert reference_refine_pair(s, colors, s, colors) == (refined, refined)
+
+
+def rewired(rng, s):
+    """``s`` with one random line traded for a random line on pairs no
+    other line covers, when one is found in a few draws: the same points,
+    a nearly equal structure."""
+    lines = [list(ln) for ln in s.lines]
+    if lines:
+        lines.pop(rng.randrange(len(lines)))
+    covered = {frozenset(p) for ln in lines for p in itertools.combinations(ln, 2)}
+    for _ in range(20):
+        ln = rng.sample(s.points, 3)
+        if not {frozenset(p) for p in itertools.combinations(ln, 2)} & covered:
+            lines.append(ln)
+            break
+    return Psts(s.points, lines)
+
+
+class TestCertificates:
+    """Each structure's own refinement against the joint refinement of the
+    pair that the witness search ran before: certificates differ exactly
+    when the joint refinement refutes, and otherwise each side's stable
+    colours are the joint ones, so the search tries the same candidates in
+    the same order."""
+
+    @staticmethod
+    def assert_agrees_with_joint_refinement(x, y, fix):
+        px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+        for s, p in ((x, px), (y, py)):
+            assert list(_refined(s, p)[1]) == reference_refine(s, _rank_raw(_pasch_seed(s, p)))
+        joint = joint_refinement(x, y, fix)
+        assert certificates_differ(x, y, fix) == (joint is None)
+        if joint is not None:
+            assert joint == (list(_refined(x, px)[1]), list(_refined(y, py)[1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        other=st.sampled_from(["copy", "rewired", "random"]),
+        fixed=st.sampled_from([None, "image", "any"]),
+    )
+    def test_random_pairs(self, seed, other, fixed):
+        rng = random.Random(seed)
+        x = random_psts(rng)
+        y = {"copy": x, "rewired": rewired(rng, x), "random": random_psts(rng)}[other]
+        names = list(y.points)
+        renamed = dict(zip(names, rng.sample(names, len(names))))
+        y = relabel(y, renamed)
+        fix = None
+        if fixed is not None:
+            p = rng.choice(x.points)
+            q = renamed[p] if fixed == "image" and p in renamed else rng.choice(y.points)
+            fix = (p, q)
+        self.assert_agrees_with_joint_refinement(x, y, fix)
+
+    def test_fixed_pairs(self):
+        x = projective_space(4)
+        self.assert_agrees_with_joint_refinement(x, relabel(x, {p: f"c{p}" for p in x.points}), None)
+        self.assert_agrees_with_joint_refinement(x, pasch_switch(x), None)
+        assert certificates_differ(x, pasch_switch(x))
+        # equal seeds that the first round splits on neither side: only the
+        # signatures of that stable round tell these two apart
+        names = [f"p{i}" for i in range(10)]
+        x, y = (
+            Psts(names, [[names[i] for i in ln] for ln in lines])
+            for lines in (
+                [(1, 2, 3), (2, 6, 8), (0, 4, 7), (0, 3, 6), (3, 8, 9), (1, 6, 9)],
+                [(1, 2, 3), (0, 2, 6), (3, 5, 7), (0, 4, 7), (2, 4, 8), (6, 7, 8)],
+            )
+        )
+        self.assert_agrees_with_joint_refinement(x, y, None)
+        assert certificates_differ(x, y)
+        # not isomorphic, yet refinement cannot tell them apart
+        x, y = perspective("perm:id@G2_STAR"), perspective("perm:id@V4")
+        for fix in (None, (CENTER, CENTER)):
+            self.assert_agrees_with_joint_refinement(x, y, fix)
+            assert not certificates_differ(x, y, fix) and find_isomorphism(x, y, fix) is None
+
+    def test_memoized_in_the_structure(self, monkeypatch):
+        s = perspective("perm:(1,2)@B2")
+        first = _refined(s, None)
+        monkeypatch.setattr(iso, "_pasch_seed", None)  # a second refinement would fail
+        assert _refined(s, None) is first
+        assert list(s.refined) == [None]
+
+    def test_same_in_every_process(self):
+        # the certificate hashes ints and bools only, so string hash
+        # randomization cannot move it
+        code = textwrap.dedent(
+            """
+            from skewpersp.iso import _refined
+            from skewpersp.perspective import CENTER, build, parse_spec_text
+            s = build(parse_spec_text("kappa:(1,2,4)@V5"))
+            print(_refined(s, None)[0], _refined(s, s.points.index(CENTER))[0])
+            """
+        )
+        src = str(Path(iso.__file__).resolve().parents[1])
+        outputs = set()
+        for hashseed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hashseed},
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        s = perspective("kappa:(1,2,4)@V5")
+        assert outputs == {f"{_refined(s, None)[0]} {_refined(s, s.points.index(CENTER))[0]}\n"}
 
 
 class TestSchreierSims:
