@@ -17,18 +17,23 @@ out loud.
 The two criterion-vs-oracle sweeps compute each spec's 48 image ids under
 its family's algebraic criterion once, decide every pair of specs by
 membership of the second's id in the first's images, and compare that with
-canonical-key equality.  The witness search checks the key partition itself: one witness
-from each member onto its class representative and one refutation for each
-pair of representatives, which by transitivity decides every pair.  A pair
-of representatives whose witness certificates differ is refuted by them
-(``iso.certificates_differ``); only pairs that share one are searched.  The
-plain family's classes are center-fixing ones, keyed with the center pinned.
+canonical-key equality.  The witness search checks the key partition
+itself: one witness from each member onto its class representative and one
+refutation for each pair of representatives, which by transitivity decides
+every pair.  A pair of representatives whose witness certificates differ is
+refuted by them (``iso.certificates_differ``); only pairs that share one
+are searched.  The plain family's classes are center-fixing ones, keyed
+with the center pinned.  Its plain partition is backed through the
+center-fixing witnesses: each member already has one onto its center-fixing
+representative, so only those representatives need plain witnesses onto
+their plain representatives.
 
-One audit holds one structure per spec: each spec is built once, on first
-use, and every claim reads that structure.  Its free K5 subgraphs are
-searched only for the specs whose keys are searched, for the seed
-colouring of the key; every other member takes them along its checked map
-(``Psts.carry_free_k5``), for the claims that count them.  The same record
+One audit holds one structure per spec, keyed by (family, spec id): each
+spec is built once, on first use, and every claim reads that structure.
+Its free K5 subgraphs are searched only for the specs whose keys are
+searched, for the seed colouring of the key; every other member takes them
+along its checked map (``Psts.carry_free_k5``), for the claims that count
+them.  The same record
 is the only memo of keys and automorphism generators, and with its
 structures it holds the witness search's refinement memos; all of it goes
 when the audit ends.
@@ -145,10 +150,10 @@ class IsoClass:
         }
 
 
-class _Structures(dict):
-    """Spec -> its built structure, each spec built on first use; and
-    (``search``) each spec's canonical key and automorphism generators,
-    plain or with the center pinned.
+class _Structures:
+    """Each spec's built structure, built on first use (``structures[spec]``),
+    and (``search``) its canonical key and automorphism generators, plain
+    or with the center pinned; all keyed by (family, spec id).
 
     A family criterion relates a spec exactly to the specs that a
     center-fixing isomorphism reaches (Prop. 3.2 and 4.5), so a criterion
@@ -163,14 +168,17 @@ class _Structures(dict):
     back."""
 
     def __init__(self) -> None:
-        super().__init__()
+        self._built: dict[tuple, Psts] = {}
         self._found: tuple[dict, dict] = ({}, {})  # plain, pinned
         # (family, spec id) of a member -> (searched spec, phi, case):
         # shared parts, so an entry holds no spec object of its own
         self._source: dict[tuple, tuple] = {}
 
-    def __missing__(self, spec: PerspectiveSpec) -> Psts:
-        s = self[spec] = build(spec)
+    def __getitem__(self, spec: PerspectiveSpec) -> Psts:
+        key = (spec.family, spec.sid)
+        s = self._built.get(key)
+        if s is None:
+            s = self._built[key] = build(spec)
         return s
 
     def search(
@@ -179,20 +187,20 @@ class _Structures(dict):
         """The canonical key of the spec's structure, with the center
         pinned if asked, and automorphisms of it, as index tuples, that
         generate its group (the center-fixing one, if pinned)."""
-        found = self._found[pinned].get(spec)
+        family, sid = key = (spec.family, spec.sid)
+        found = self._found[pinned].get(key)
         if found is None:
-            family, sid = spec.family, spec_id(spec.perm, spec.axis)
-            source = self._source.get((family, sid))
+            source = self._source.get(key)
             if source is not None:
                 found = self._carry(spec, pinned, *source)
             else:
                 s = self[spec]
                 found = _canonical_search(s, s.points.index(CENTER) if pinned else None)
-                if spec not in self._found[not pinned]:  # its orbit is not recorded yet
+                if key not in self._found[not pinned]:  # its orbit is not recorded yet
                     for w, image in zip(IMAGE_WITNESSES, image_ids(family, sid)):
                         if image != sid:
                             self._source.setdefault((family, image), (spec, *w))
-            self._found[pinned][spec] = found
+            self._found[pinned][key] = found
         return found
 
     def _carry(
@@ -239,15 +247,14 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
     """
     if structures is None:
         structures = _Structures()
+    # in sort order, so each group lists its members sorted and the groups
+    # come in the order of their least members
     groups: dict[CanonicalKey, list[PerspectiveSpec]] = {}
-    for s in specs:
+    for s in sorted(set(specs), key=PerspectiveSpec.sort_key):
         groups.setdefault(structures.search(s)[0], []).append(s)
-    ordered = sorted(
-        groups.items(), key=lambda kv: min(s.sort_key() for s in kv[1])
-    )
     classes = []
-    for idx, (key, members) in enumerate(ordered, 1):
-        members = tuple(sorted(set(members), key=PerspectiveSpec.sort_key))
+    for idx, (key, members) in enumerate(groups.items(), 1):
+        members = tuple(members)
         rep = members[0]
         k5 = len(structures[rep].free_k5)
         chain = _StabilizerChain(len(structures[rep].points))
@@ -629,8 +636,9 @@ def _lemma_3_3() -> Finding:
     )
 
 
-def _check_partition(specs, builds, keys, fix=None, refute=True) -> None:
-    """Back a key partition of ``specs`` with the witness search.
+def _check_partition(specs, builds, keys, fix=None, refute=True) -> list[int]:
+    """Back a key partition of ``specs`` with the witness search, and
+    return the positions of its class representatives.
 
     Each member needs a witness onto its class representative (the first
     spec with its key) and, with ``refute``, each pair of representatives a
@@ -652,6 +660,7 @@ def _check_partition(specs, builds, keys, fix=None, refute=True) -> None:
                 raise OracleInconsistencyError(
                     f"witness found but keys differ: {spec_text(specs[r1])} vs {spec_text(specs[r2])}"
                 )
+    return list(reps.values())
 
 
 def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
@@ -661,7 +670,7 @@ def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
     is among the first's images."""
     texts = [spec_text(s) for s in specs]
     family = specs[0].family
-    ids = [spec_id(s.perm, s.axis) for s in specs]
+    ids = [s.sid for s in specs]
     rank: dict[CanonicalKey, int] = {}
     classes = [rank.setdefault(k, len(rank)) for k in keys]
     disagreements = []
@@ -689,12 +698,16 @@ def _prop_3_2(structures, perm_specs) -> Finding:
     builds = [structures[s] for s in perm_specs]
     pinned = [structures.search(s, pinned=True)[0] for s in perm_specs]
     plain = [structures.search(s)[0] for s in perm_specs]
-    _check_partition(perm_specs, builds, pinned, fix=(CENTER, CENTER))
+    reps = _check_partition(perm_specs, builds, pinned, fix=(CENTER, CENTER))
     # a center-fixing isomorphism is an isomorphism: each center-fixing
-    # class must lie inside one plain class, whose members need witnesses
+    # class must lie inside one plain class.  Every member has a witness
+    # onto its center-fixing representative, so witnesses from those onto
+    # their plain representatives back every member by transitivity
     if len(set(zip(pinned, plain))) != len(set(pinned)):
         raise OracleInconsistencyError("center-fixing witness found but keys differ")
-    _check_partition(perm_specs, builds, plain, refute=False)
+    _check_partition(
+        [perm_specs[i] for i in reps], [builds[i] for i in reps], [plain[i] for i in reps], refute=False
+    )
     return _criterion_sweep(
         "prop_3_2",
         "the two-case conjugation criterion decides center-fixing isomorphism in the plain family",

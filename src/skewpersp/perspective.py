@@ -102,12 +102,19 @@ class PerspectiveSpec:
 
     PERM carries sigma with delta = extend(sigma).  PERM_KAPPA carries phi
     with delta = extend(phi) after the complement involution; the two
-    factors commute, so the order is immaterial.
+    factors commute, so the order is immaterial.  Each spec computes its
+    id once, on first use, so lookups by id hash no permutation or
+    labeling.
     """
 
     family: SkewFamily
     perm: Perm4
     axis: VeblenConfig
+
+    @functools.cached_property
+    def sid(self) -> int:
+        """The spec's ``spec_id``, computed on first use."""
+        return spec_id(self.perm, self.axis)
 
     def sort_key(self) -> tuple:
         # canonical-kind axes outrank census ones so representatives keep
@@ -147,19 +154,33 @@ def build(spec: PerspectiveSpec) -> Psts:
     configuration for a valid spec.  Lines are checked at index level,
     three distinct points each and no pair on two of them, so a corrupted
     axis surfaces as a PstsError."""
-    lines = list(_FIXED_LINES)
-    for ln in spec.axis.lines:
+    lines = sorted((*_FIXED_LINES, *_axis_triples(spec.axis), *_join_triples(spec.family, spec.perm)))
+    return Psts._from_triples(POINTS, tuple(lines))
+
+
+@functools.cache
+def _axis_triples(axis: VeblenConfig) -> tuple[tuple[int, ...], ...]:
+    """The axis lines of ``build``, as index triples: memoized, as only 30
+    labelings exist."""
+    triples = []
+    for ln in axis.lines:
         t = tuple(sorted(_C[PAIR_INDEX[u]] for u in ln))
         if len(set(t)) != 3:
             raise PstsError([f"axis line is not a 3-set of pairs: {sorted(map(str, ln))}"])
-        lines.append(t)
-    delta = extend(spec.perm)
-    if spec.family is SkewFamily.PERM_KAPPA:
+        triples.append(t)
+    return tuple(triples)
+
+
+@functools.cache
+def _join_triples(family: SkewFamily, perm: Perm4) -> tuple[tuple[int, ...], ...]:
+    """The six B-side joins of ``build``, as index triples: memoized, as
+    they depend on the family and the permutation only, 48 skews."""
+    delta = extend(perm)
+    if family is SkewFamily.PERM_KAPPA:
         delta = delta.compose(CORRELATION)
-    dinv = delta.inverse()
-    for (lo, hi), u in zip(_B_ENDS, dinv.images):
-        lines.append(tuple(sorted((lo, hi, _C[u]))))
-    return Psts._from_triples(POINTS, tuple(sorted(lines)))
+    return tuple(
+        tuple(sorted((lo, hi, _C[u]))) for (lo, hi), u in zip(_B_ENDS, delta.inverse().images)
+    )
 
 
 def predicted_free_k5(spec: PerspectiveSpec) -> tuple[tuple[int, ...], ...]:

@@ -9,13 +9,13 @@ Each structure holds its incidence once, over point indices: the lines as
 sorted index triples and each point's line partners as index pairs.  The
 isomorphism machinery works on that core, and names meet it only at the
 boundary.  The third-point table, a dict per point, the per-point Pasch
-counts, the free K5 subgraphs, searched over int bitmasks of points, and
-the witness search's refinement memo are built on first use only: the
-witness search reads the table and the memo, its seed colouring the Pasch
-counts, and the canonical search's seed colouring the subgraphs.  A
-structure that a checked isomorphism reaches from one whose subgraphs are
-known takes them along the map instead of searching.  The audit keeps
-every structure it builds, and most never need the table.
+and triangle counts, the free K5 subgraphs, searched over int bitmasks of
+points, and the witness search's refinement memo are built on first use
+only: the witness search reads the table and the memo, its seed colouring
+the Pasch and triangle counts, and the canonical search's seed colouring
+the subgraphs.  A structure that a checked isomorphism reaches from one
+whose subgraphs are known takes them along the map instead of searching.
+The audit keeps every structure it builds, and most never need the table.
 
 Construction validates; an invalid line set raises ``PstsError`` carrying
 the full list of problems found, not just the first.  Both ways in share
@@ -61,6 +61,9 @@ class Psts:
     * ``pasch[i]``       the number of Pasch configurations (four lines on
                          six points, any two meeting) through point i;
                          counted from ``third`` on first use,
+    * ``triangles[i]``   the number of triangles through point i: pairs of
+                         collinear points on two different lines through
+                         i; counted in the same pass as ``pasch``,
     * ``free_k5``        the free K5 subgraphs as sorted index tuples, in
                          lexicographic order; searched on first use, never
                          by the constructor, unless ``carry_free_k5`` took
@@ -148,7 +151,9 @@ class Psts:
             raise PstsError(sorted(set(problems)))
         self.points = points
         self.line_sets = line_sets
-        self.partners = tuple(tuple(sorted(v)) for v in partners)
+        # sorted triples list each point's partner pairs in order already:
+        # two lines through a point share no other point
+        self.partners = tuple(map(tuple, partners))
         self._third = None
         self._pasch = None
         self._free_k5 = None
@@ -177,25 +182,42 @@ class Psts:
 
     @property
     def pasch(self) -> tuple[int, ...]:
-        """The Pasch counts of the class docstring, counted on first use.
+        """The Pasch counts of the class docstring, counted on first use."""
+        return self._local_counts()[0]
+
+    @property
+    def triangles(self) -> tuple[int, ...]:
+        """The triangle counts of the class docstring, counted on first use."""
+        return self._local_counts()[1]
+
+    def _local_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The Pasch and the triangle counts, in one pass over ``third``.
 
         A point lies on two lines of each Pasch configuration through it,
         and two lines {i, y, z}, {i, u, v} lie in two of them at most: one
         with lines {w, y, u}, {w, z, v} for some w, the other with
-        {w, y, v}, {w, z, u}.  So the work is O(deg^2) per point."""
+        {w, y, v}, {w, z, u}.  The same two lines hold the triangles
+        through i whose third side joins y or z to u or v.  So the work is
+        O(deg^2) per point."""
         if self._pasch is None:
             third = self.third
-            counts = []
+            pasch, triangles = [], []
             for pairs in self.partners:
-                n = 0
+                n = t = 0
                 for (y, z), (u, v) in combinations(pairs, 2):
                     ty, tz = third[y], third[z]
-                    for a, b in ((u, v), (v, u)):
-                        w = ty.get(a)
-                        if w is not None and tz.get(b) == w:
-                            n += 1
-                counts.append(n)
-            self._pasch = tuple(counts)
+                    # the third points of the lines yu, yv, zu and zv, if any
+                    yu, yv, zu, zv = ty.get(u), ty.get(v), tz.get(u), tz.get(v)
+                    if yu is not None:
+                        t += 1
+                        n += yu == zv
+                    if yv is not None:
+                        t += 1
+                        n += yv == zu
+                    t += (zu is not None) + (zv is not None)
+                pasch.append(n)
+                triangles.append(t)
+            self._pasch = (tuple(pasch), tuple(triangles))
         return self._pasch
 
     @property

@@ -114,6 +114,20 @@ def pasch_counts(s):
     return counts
 
 
+def triangle_counts(s):
+    """The number of triangles through each point, by name: three points,
+    pairwise collinear and not on one line, found by a scan over every
+    triple of points that reads the name lines alone."""
+    lines = {frozenset(ln) for ln in s.lines}
+    joined = {frozenset(p) for ln in s.lines for p in itertools.combinations(ln, 2)}
+    counts = dict.fromkeys(s.points, 0)
+    for t in itertools.combinations(s.points, 3):
+        if frozenset(t) not in lines and all(frozenset(p) in joined for p in itertools.combinations(t, 2)):
+            for x in t:
+                counts[x] += 1
+    return counts
+
+
 def axis_psts(v):
     """The labeling ``v`` as a structure on the pair points c12 .. c34,
     the names an axis file uses."""

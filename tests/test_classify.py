@@ -1,7 +1,6 @@
 """Family enumeration, isomorphism classes, and the published-claim audit."""
 
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -189,15 +188,15 @@ class TestOracleSweep:
 
     @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
     def test_witness_between_representatives_raises(self, monkeypatch, sweep, family):
-        # only representatives that share a certificate reach the search
+        # only representatives that share a certificate reach the search,
+        # and no two center-fixing ones do: the first two are made to
         specs, classes = family
-        fix = (CENTER, CENTER) if specs[0].family is SkewFamily.PERM else None
-        r1, r2 = next(
-            (r1, r2)
-            for r1, r2 in itertools.combinations((c.representative for c in classes), 2)
-            if not iso.certificates_differ(build(r1), build(r2), fix)
-        )
+        r1, r2 = (c.representative for c in classes[:2])
         pair = {build(r1), build(r2)}
+        real = classify.certificates_differ
+        monkeypatch.setattr(
+            classify, "certificates_differ", lambda x, y, fix=None: {x, y} != pair and real(x, y, fix)
+        )
         self._patch(monkeypatch, lambda x, y, m: {} if {x, y} == pair else m)
         with pytest.raises(OracleInconsistencyError, match="keys differ") as e:
             sweep(classify._Structures(), specs)
@@ -224,32 +223,34 @@ class TestOracleSweep:
 
         def certificate_groups(reps, pin):
             groups = {}
-            for s in map(build, reps):
+            for s in (structures[r] for r in reps):
                 cert = iso._refined(s, None if pin is None else s.points.index(pin))[0]
                 groups[cert] = groups.get(cert, 0) + 1
             return groups.values()
 
+        # the record's memo hands out the pinned keys the sweep asked for
         pinned_reps = {}
         for s in perm_specs:
-            pinned_reps.setdefault(canonical_key(build(s), CENTER), s)
+            pinned_reps.setdefault(structures.search(s, pinned=True)[0], s)
         pinned = len(pinned_reps)
         plain, kappa = len(perm_classes), len(kappa_classes)
         assert (pinned, plain, kappa) == (44, 43, 25)
-        # one witness per non-representative member and one search per pair
-        # of representatives that share a certificate; the plain family's
-        # unconstrained classes get witnesses only, as prop_3_2 decides
-        # center-fixing isomorphism
+        # one witness per non-representative member of the center-fixing
+        # and the boolean-complementing partitions, one from each
+        # center-fixing representative onto its plain representative, which
+        # by transitivity backs every member's plain class, and one search
+        # per pair of representatives that share a certificate
         searched_pairs = sum(pairs(k) for k in certificate_groups(pinned_reps.values(), CENTER)) + sum(
             pairs(k) for k in certificate_groups((c.representative for c in kappa_classes), None)
         )
-        assert searched_pairs == 66
+        assert searched_pairs == 1
         expected = (
             len(perm_specs) - pinned
-            + len(perm_specs) - plain
+            + pinned - plain
             + len(kappa_specs) - kappa
             + searched_pairs
         )
-        assert calls == expected
+        assert calls == expected == 221
 
 
 class TestCriterionSweep:
@@ -377,11 +378,11 @@ class TestAuditWork:
     WORK = {
         # the first seven of WORK_FIELDS; the checked maps are 1,371 plain
         # and 100 pinned carrying maps and lemma 4.4's 30
-        "census": (1440, 69, 113, 394, 1052, 688, 1501),
+        "census": (1440, 69, 113, 222, 1052, 688, 1501),
         # 219 plain and 100 pinned carrying maps, lemma 4.4's 30, and 24
         # more for kappa:id over the non-canonical census axes, whose keys
         # and subgraphs are carried
-        "canonical": (312, 69, 113, 394, 1052, 688, 373),
+        "canonical": (312, 69, 113, 222, 1052, 688, 373),
     }
 
     @staticmethod
@@ -400,18 +401,18 @@ class TestAuditWork:
 
 
 class TestWitnessRefutations:
-    """How the pairs the witness oracle decides in one audit end.  432
-    (structure, fixed point) certificates refute 1,314 pairs of class
-    representatives and listed entries before any search; the 394 witness
-    searches refute 74 more by backtracking and find 320 maps.
+    """How the pairs the witness oracle decides in one audit end.  332
+    (structure, fixed point) certificates refute 1,386 pairs of class
+    representatives and listed entries before any search; the 222 witness
+    searches refute 2 more by backtracking and find 220 maps.
     Deterministic, so a slide back to searching refuted pairs, or to
     refuting by backtracking, fails this gate without flaking."""
 
     @pytest.mark.parametrize("axes_mode", ["census", "canonical"])
     def test_refinement_refutes_before_backtracking(self, audit_work, axes_mode):
         work = audit_work[axes_mode]
-        assert work["certificates"] == 432
-        assert (work["certified"], work["refuted"], work["found"]) == (1314, 74, 320)
+        assert work["certificates"] == 332
+        assert (work["certified"], work["refuted"], work["found"]) == (1386, 2, 220)
         assert work["witness"] == work["refuted"] + work["found"]
 
 
@@ -451,7 +452,7 @@ def test_certificates_differ_exactly_when_joint_refinement_refutes(monkeypatch):
     monkeypatch.setattr(classify, "certificates_differ", differ)
     monkeypatch.setattr(classify, "find_isomorphism", find)
     classify.audit_claims("canonical")
-    assert len(decided) == 1708
+    assert len(decided) == 1608
     refuted = 0
     for x, y, fix in decided:
         joint = joint_refinement(x, y, fix)
@@ -460,7 +461,7 @@ def test_certificates_differ_exactly_when_joint_refinement_refutes(monkeypatch):
         if joint is not None:
             px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
             assert joint == (list(iso._refined(x, px)[1]), list(iso._refined(y, py)[1]))
-    assert refuted == 1314
+    assert refuted == 1386
 
 
 def test_audit_retains_nothing_once_its_report_is_dropped():
@@ -469,7 +470,8 @@ def test_audit_retains_nothing_once_its_report_is_dropped():
     generators are freed with it.  Only the memos of the index algebra
     stay, as their domains are finite: S4 and pair-map algebra, the
     labeling census, ``VeblenConfig.apply``, ``star_triangles``, the axis
-    ranks and the family tables, about 4,320 allocated blocks.  No audit
+    ranks, the family tables and the axis and join triples of ``build``,
+    about 4,880 allocated blocks.  No audit
     runs before the counted one: it would fill any cache keyed by
     structure with the very structures the counted audit asks for.  A
     memo of canonical searches keeps about 16,000 blocks, a memo of free
@@ -631,6 +633,56 @@ class TestCarriedSearchFaults:
         assert out == ""
         assert err.startswith("internal oracle inconsistency: ")
         assert re.search(message, err)
+
+
+@pytest.fixture(scope="module")
+def transitive_victim(perm_specs):
+    """The one center-fixing representative of the plain family whose
+    plain class has an earlier representative, and that representative:
+    only their plain witness backs the plain partition beyond the
+    center-fixing one."""
+    structures = classify._Structures()
+    pinned, plain = {}, {}
+    for s in perm_specs:
+        pinned.setdefault(structures.search(s, pinned=True)[0], s)
+        plain.setdefault(structures.search(s)[0], s)
+    assert (len(pinned), len(plain)) == (44, 43)
+    (victim,) = set(pinned.values()) - set(plain.values())
+    return victim, plain[structures.search(victim)[0]]
+
+
+class TestTransitiveWitnessFault:
+    """Plain witnesses by transitivity: every member has a center-fixing
+    witness onto its center-fixing representative, and those need plain
+    witnesses onto their plain representatives.  A search that finds none
+    for the one that is not a plain representative fails the audit."""
+
+    @staticmethod
+    def _patch(monkeypatch, victim):
+        real = classify.find_isomorphism
+        victim_built = build(victim)
+
+        def fake(x, y, fix=None):
+            return None if fix is None and x == victim_built else real(x, y, fix=fix)
+
+        monkeypatch.setattr(classify, "find_isomorphism", fake)
+
+    def test_audit_raises(self, monkeypatch, transitive_victim):
+        victim, rep = transitive_victim
+        self._patch(monkeypatch, victim)
+        with pytest.raises(OracleInconsistencyError, match="no witness") as e:
+            classify.audit_claims("canonical")
+        assert f"{spec_text(victim)} vs {spec_text(rep)}" in str(e.value)
+
+    def test_cli_exits_70(self, monkeypatch, capsys, transitive_victim):
+        victim, rep = transitive_victim
+        self._patch(monkeypatch, victim)
+        code = cli.main(["audit", "--axes", "canonical"])
+        out, err = capsys.readouterr()
+        assert code == cli.EX_SOFTWARE == 70
+        assert out == ""
+        assert err.startswith("internal oracle inconsistency: equal keys but no witness: ")
+        assert f"{spec_text(victim)} vs {spec_text(rep)}" in err
 
 
 class TestPublishedData:

@@ -102,3 +102,43 @@ def test_every_definition_in_the_package_is_used_in_the_package():
     that only tests call is not kept in ``src``."""
     sources = {path.name: path.read_text() for path in sorted((ROOT / "src" / "skewpersp").glob("*.py"))}
     assert unreferenced_definitions(sources) == []
+
+
+def reads_through_calls(source: str, name: str) -> set[str]:
+    """The names and attributes that the top-level definition ``name`` of
+    ``source`` reads, with everything read by the module's other top-level
+    definitions that it reads, and so on."""
+    reads = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            reads[node.name] = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+            }
+    found, todo = set(), [name]
+    while todo:
+        for read in reads[todo.pop()] - found:
+            found.add(read)
+            if read in reads:
+                todo.append(read)
+    return found
+
+
+def test_the_read_scan_follows_calls():
+    source = "def a():\n    return b(x.free_k5)\n\ndef b(y):\n    return c\n\nclass C:\n    def m(self):\n        return a()\n"
+    assert reads_through_calls(source, "a") == {"b", "x", "free_k5", "c"}
+    assert reads_through_calls(source, "C") >= {"a", "b", "free_k5"}
+
+
+def test_the_two_oracles_keep_their_seeds_and_refinements_apart():
+    """The witness search and the canonical search share the ``Psts`` core,
+    the pair pack, the ranking and the line check, but no seed and no
+    refinement: a bug in one of those can fool one oracle only."""
+    source = (ROOT / "src" / "skewpersp" / "iso.py").read_text()
+    canonical = {"free_k5", "_seed_colors", "_refine", "_Canonicalizer"}
+    witness = {"pasch", "triangles", "_pasch_seed", "_signatures", "_refined"}
+    for name in ("_pasch_seed", "_refined", "_search"):
+        assert not reads_through_calls(source, name) & canonical, name
+    for name in ("_seed_colors", "_refine", "_Canonicalizer"):
+        assert not reads_through_calls(source, name) & witness, name

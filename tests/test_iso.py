@@ -19,6 +19,7 @@ from conftest import (
     projective_space,
     reference_refine_pair,
     relabel,
+    triangle_counts,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +242,66 @@ class TestVerifyPointMap:
             assert iso._is_isomorphism(x, y, index_map) == reference_verify(x, y, m)
 
 
+def reference_line_check(x, y, m):
+    """``iso._is_isomorphism`` as sets of lines: ``m`` maps the indices of
+    x one to one onto those of y, and the image of x's line set is y's."""
+    if len(m) != len(x.points) or len(set(m)) != len(m) or set(m) != set(range(len(y.points))):
+        return False
+    return {frozenset(m[i] for i in ln) for ln in x.line_sets} == set(map(frozenset, y.line_sets))
+
+
+def with_extra_line(rng, s):
+    """``s`` plus one random line on pairs no line covers, or None when a
+    few draws find none."""
+    covered = {frozenset(p) for ln in s.lines for p in itertools.combinations(ln, 2)}
+    for _ in range(20):
+        ln = rng.sample(s.points, 3)
+        if not {frozenset(p) for p in itertools.combinations(ln, 2)} & covered:
+            return Psts(s.points, [*s.lines, ln])
+    return None
+
+
+class TestLineCheck:
+    """The index-level line check against sets of lines, on maps of every
+    kind it meets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_sets_of_lines(self, seed):
+        rng = random.Random(seed)
+        x = random_psts(rng)
+        n = len(x.points)
+        iso_map = rng.sample(range(n), n)
+        # y is the image of x under iso_map, on the same names
+        y = Psts(x.points, [[x.points[iso_map[i]] for i in ln] for ln in x.line_sets])
+        swapped = list(iso_map)
+        a, b = rng.sample(range(n), 2)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        maps = [
+            iso_map,  # an isomorphism
+            rng.sample(range(n), n),  # any bijection
+            swapped,  # a bijection that may map a line onto a non-line
+            [iso_map[1], *iso_map[1:]],  # not injective
+            iso_map[:-1],  # an entry short
+            [*iso_map, n],  # an entry too many
+            [*iso_map[:-1], n],  # one entry out of range
+        ]
+        targets = [y, x, with_extra_line(rng, y), with_extra_line(rng, x)]
+        for target in filter(None, targets):
+            for m in maps:
+                for form in (tuple(m), list(m)):
+                    assert iso._is_isomorphism(x, target, form) == reference_line_check(x, target, m)
+        assert iso._is_isomorphism(x, y, iso_map)
+        extra = targets[2]
+        assert extra is None or not iso._is_isomorphism(x, extra, iso_map)
+
+    def test_a_line_onto_a_non_line(self):
+        s = FANO
+        m = list(range(7))
+        m[0], m[1] = 1, 0  # line 013 goes to 103, a line; 026 to 126, none
+        assert not iso._is_isomorphism(s, s, m) and not reference_line_check(s, s, m)
+
+
 def triangles_pair(count=400, seed=11):
     """``count`` disjoint triangles, and a copy under a seeded renaming."""
     names = [f"t{i:04d}" for i in range(3 * count)]
@@ -271,20 +332,20 @@ def reference_isomorphisms(x, y, fix=None):
     """The witness search as it stood before the degree-bounded check: a
     full scan over every mapped point at each candidate, in a recursive
     DFS over the same refinement, order and candidate lists.  Its seed,
-    (degree, Pasch count, fix flag), and its dense view are built from the
-    point names and name lines alone."""
+    (degree, Pasch count, triangle count, fix flag), and its dense view are
+    built from the point names and name lines alone."""
     n = len(x.points)
     if n != len(y.points) or len(x.lines) != len(y.lines):
         return
 
     def seed(s):
-        pasch = pasch_counts(s)
-        return [[sum(p in ln for ln in s.lines), pasch[p], 0] for p in s.points]
+        pasch, triangles = pasch_counts(s), triangle_counts(s)
+        return [[sum(p in ln for ln in s.lines), pasch[p], triangles[p], 0] for p in s.points]
 
     raw_x, raw_y = seed(x), seed(y)
     if fix is not None:
-        raw_x[x.points.index(fix[0])][2] = 1
-        raw_y[y.points.index(fix[1])][2] = 1
+        raw_x[x.points.index(fix[0])][3] = 1
+        raw_y[y.points.index(fix[1])][3] = 1
     ranked = _rank_raw([tuple(t) for t in raw_x + raw_y])
     refined = reference_refine_pair(x, ranked[:n], y, ranked[n:])
     if refined is None:
@@ -364,12 +425,13 @@ class TestSearchOrder:
     @pytest.mark.parametrize(
         "first,second",
         [
-            # not isomorphic: the first and fourth pass joint refinement, so
-            # the DFS runs dry; refinement alone refutes the other two
+            # not isomorphic: the last passes joint refinement, so the DFS
+            # runs dry; refinement alone refutes the other four
             ("perm:id@G2_STAR", "perm:id@V4"),
             ("perm:id@G2_STAR", "perm:(3,4)@V5"),
             ("kappa:id@G2", "kappa:id@V5"),
             ("perm:(1,2)@B2", "perm:(3,4)@B2"),
+            ("kappa:(1,2,4)@V5", "kappa:(1,2,4)@V6"),
             # isomorphic
             ("kappa:(1,2,4)@V5", "kappa:(1,4,2)@V6"),
             ("perm:(1,2,4)@V5", "perm:(1,4,2)@V5"),
@@ -400,6 +462,35 @@ def pasch_switch(s):
     (v,) = l2 - {x, u}
     kept = [ln for ln in s.lines if frozenset(ln) not in quad]
     return Psts(s.points, kept + [(x, y, u), (x, z, v), (w, y, z), (w, u, v)])
+
+
+class TestWitnessSeed:
+    """The witness search's seed against the name-level scans of
+    ``conftest``: (degree, Pasch count, triangle count, fix flag)."""
+
+    @staticmethod
+    def reference_seed(s, fix):
+        pasch, triangles = pasch_counts(s), triangle_counts(s)
+        return [
+            (sum(p in ln for ln in s.lines), pasch[p], triangles[p], p == fix) for p in s.points
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), fixed=st.booleans())
+    def test_random_structures(self, seed, fixed):
+        rng = random.Random(seed)
+        s = random_psts(rng)
+        fix = rng.randrange(len(s.points)) if fixed else None
+        assert _pasch_seed(s, fix) == self.reference_seed(s, None if fix is None else s.points[fix])
+
+    def test_closed_forms(self):
+        # any two lines through a point of a projective space span a plane,
+        # where all four pairs of their other points are collinear
+        for s, per_point in ((projective_space(4), 84), (FANO, 12)):
+            assert {t[2] for t in _pasch_seed(s, None)} == {per_point}
+            assert _pasch_seed(s, None) == self.reference_seed(s, None)
+        # disjoint triangles are lines, not triangles
+        assert {t[2] for t in _pasch_seed(triangles_pair(20)[0], None)} == {0}
 
 
 class TestPaschSwitch:
@@ -794,7 +885,7 @@ class TestCertificates:
         self.assert_agrees_with_joint_refinement(x, y, None)
         assert certificates_differ(x, y)
         # not isomorphic, yet refinement cannot tell them apart
-        x, y = perspective("perm:id@G2_STAR"), perspective("perm:id@V4")
+        x, y = perspective("kappa:(1,2,4)@V5"), perspective("kappa:(1,2,4)@V6")
         for fix in (None, (CENTER, CENTER)):
             self.assert_agrees_with_joint_refinement(x, y, fix)
             assert not certificates_differ(x, y, fix) and find_isomorphism(x, y, fix) is None

@@ -99,6 +99,7 @@ class TestBuild:
             s = build(spec)
             named = Psts(s.points, s.lines)
             assert s == named and s.partners == named.partners, spec_text(spec)
+            assert all(list(pairs) == sorted(pairs) for pairs in s.partners), spec_text(spec)
 
     @pytest.mark.parametrize(
         "lines,problem",

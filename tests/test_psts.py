@@ -248,6 +248,14 @@ def test_free_subgraphs_of_random_structures(s):
         assert free_complete_subgraphs(s, n) == brute_force_free(s, n), n
 
 
+@given(small_psts())
+def test_partners_come_sorted(s):
+    """Sorted line triples list each point's partner pairs in order, so the
+    core keeps them as they come, with no sort of its own."""
+    for pairs in s.partners:
+        assert list(pairs) == sorted(pairs) and all(j < k for j, k in pairs)
+
+
 def test_free_subgraphs_span_many_words():
     # 1,200 points: the candidate masks run to many machine words
     names = [f"t{i:04d}" for i in range(1200)]
@@ -333,6 +341,7 @@ class TestPaschCounts:
         s = perspective("perm:id@G2")
         assert s._pasch is None
         assert s.pasch is s.pasch
+        assert s.triangles is s.triangles
 
     @given(st.randoms(use_true_random=False))
     def test_relabel_invariant(self, rng):
