@@ -23,6 +23,12 @@ Exit codes: 0 success (for ``iso``: isomorphic), 1 proven non-isomorphic,
 never reported as a verdict), 74 output write failure.  stdout carries
 data; diagnostics go to stderr.
 
+``iso`` and ``aut`` on PSTS files load only this module, ``iso`` and
+``psts``.  The perspectives and Veblen labelings are imported where they
+are needed: by ``build``, ``census`` and ``classify``, by spec-text
+operands and by file-path axes; ``classify`` and ``audit`` import the
+classification.
+
 ``classify`` and ``audit`` accept ``--jobs N`` and ignore it: they run in
 one process, and their output never depended on it.
 """
@@ -37,18 +43,7 @@ from pathlib import Path
 
 from . import psts as psts_mod
 from .iso import OracleInconsistencyError, automorphism_group, find_isomorphism, point_map_text
-from .perspective import ROLE_LABELS, PerspectiveSpec, SkewFamily, build, parse_spec_text, spec_text
 from .psts import Psts, PstsError
-from .veblen import (
-    CanonicalKind,
-    PARTNER,
-    aut_perms,
-    canonical,
-    enumerate_labelings,
-    extend_orbit,
-    from_psts,
-    star_triangles,
-)
 
 EX_OK = 0
 EX_NONISO = 1
@@ -78,6 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_axis_file(path: str):
+    from .veblen import from_psts
+
     p = Path(path)
     if not p.is_file():
         raise _CliError(EX_NOINPUT, f"axis file not found: {path}")
@@ -87,8 +84,10 @@ def _load_axis_file(path: str):
         raise _CliError(EX_DATAERR, f"bad axis file {path}: {e}") from e
 
 
-def parse_spec(text: str) -> PerspectiveSpec:
+def parse_spec(text: str):
     """Spec text to PerspectiveSpec, resolving file-path axes."""
+    from .perspective import parse_spec_text
+
     try:
         return parse_spec_text(text, load_axis=_load_axis_file)
     except ValueError as e:
@@ -97,6 +96,8 @@ def parse_spec(text: str) -> PerspectiveSpec:
 
 def _load_structure(text: str) -> Psts:
     if text.startswith(("perm:", "kappa:")):
+        from .perspective import build
+
         return build(parse_spec(text))
     p = Path(text)
     if not p.is_file():
@@ -136,12 +137,24 @@ def emit_levi_dot(s: Psts, roles: Mapping[str, str] | None = None) -> str:
 
 
 def _cmd_build(args) -> int:
+    from .perspective import ROLE_LABELS, build
+
     s = build(parse_spec(args.spec))
     _emit(emit_levi_dot(s, ROLE_LABELS) if args.levi else psts_mod.to_text(s), args.out)
     return EX_OK
 
 
 def _cmd_census(args) -> int:
+    from .veblen import (
+        CanonicalKind,
+        PARTNER,
+        aut_perms,
+        canonical,
+        enumerate_labelings,
+        extend_orbit,
+        star_triangles,
+    )
+
     census = enumerate_labelings()
     rows = [f"census: {len(census)} labelings of the six pairs"]
     rows.append(f"{'kind':<8} {'orbit':>5} {'star_triangles':>14} {'aut_order':>9}")
@@ -205,6 +218,8 @@ def _cmd_aut(args) -> int:
 
 def _cmd_classify(args) -> int:
     from . import classify as cls
+    from .perspective import SkewFamily, spec_text
+    from .veblen import enumerate_labelings
 
     axes = cls.canonical_axes() if args.axes == "canonical" else enumerate_labelings()
     classes = cls.partition_into_classes(cls.enumerate_family(SkewFamily(args.family), axes))

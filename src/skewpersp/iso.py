@@ -25,8 +25,11 @@ Three layers, all deterministic:
                           equal ones leave cells so small that the search
                           rarely backtracks.  The search is iterative and
                           checks each candidate against its line partners
-                          only, so it has no depth limit and its cost per
-                          step follows point degree, not point count.
+                          only; a point with a line partner placed before
+                          it draws its candidates from the line partners
+                          of that partner's image.  So it has no depth
+                          limit, and its candidates, like its check, follow
+                          point degree, not point count.
 
 The two searches share no seed and no refinement.  They share the ``Psts``
 core, the colour ranking and pair pack, and ``_is_isomorphism``, the one
@@ -508,7 +511,17 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     candidate cursor per depth, so it has no depth limit: any input size
     runs without touching the recursion limit.  Candidates are tried in a
     fixed order, which makes the sequence of yielded maps deterministic,
-    and ``_is_isomorphism`` checks each complete map before it is yielded."""
+    and ``_is_isomorphism`` checks each complete map before it is yielded.
+
+    A point whose cell is larger than the line partners of its anchor, the
+    line partner placed first before it, takes as candidates those line
+    partners of the anchor's image that share its colour, in index order,
+    worked out each time the search enters its depth afresh.  These are
+    the cell's points that ``ok()`` would not reject, in the cell's order,
+    so the search tree and the yielded maps are those of a scan of the
+    whole cell (Cordella, Foggia, Sansone & Vento, "A (sub)graph
+    isomorphism algorithm for matching large graphs", 2004, restrict
+    candidates to neighbours of the mapped set the same way)."""
     if fix is not None and (fix[0] not in x.points or fix[1] not in y.points):
         raise ValueError(f"fix points {fix!r} not present")
     n = len(x.points)
@@ -551,10 +564,21 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
                 return False
         return True
 
-    # static smallest-cell-first order; cells are near-singletons after
-    # refinement, so dynamic reordering buys nothing here
+    # static smallest-cell-first order: refinement leaves most cells tiny,
+    # and a large cell is narrowed by its points' anchors below
     order = sorted(range(n), key=lambda i: (len(by_color.get(cx[i], ())), cx[i], i))
-    cands = [by_color.get(cx[i], ()) for i in order]
+    cands = [by_color.get(cx[i], ()) for i in order]  # reset on entry where anchored
+    # the anchor of each depth whose cell its line partners would narrow;
+    # no anchor has fewer partners than the points on the fewest lines
+    fewest = 2 * min((len(p) for p in partners_x if p), default=0)
+    position = [n] * n  # the depth of each point placed so far
+    anchor = [-1] * n
+    for d, i in enumerate(order):
+        if len(cands[d]) > fewest:
+            a = min((p for pair in partners_x[i] for p in pair), key=position.__getitem__, default=-1)
+            if a != -1 and position[a] < d and len(cands[d]) > 2 * len(partners_x[a]):
+                anchor[d] = a
+        position[i] = d
     cursor = [0] * n  # next candidate to try at each depth
     depth = 0
     while depth >= 0:
@@ -567,6 +591,9 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
         j = mapping[i]
         if j != -1:  # back from the subtree below: undo, then try the next
             mapping[i] = inverse[j] = -1
+        elif anchor[depth] != -1:  # entered fresh: the anchor's image is placed
+            c = cx[i]
+            cands[depth] = sorted(k for k in third_y[mapping[anchor[depth]]] if cy[k] == c)
         cs = cands[depth]
         for k in range(cursor[depth], len(cs)):
             j = cs[k]

@@ -1,6 +1,10 @@
 """Every top-level import of the package and of the tests is used."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,3 +146,34 @@ def test_the_two_oracles_keep_their_seeds_and_refinements_apart():
         assert not reads_through_calls(source, name) & canonical, name
     for name in ("_seed_colors", "_refine", "_Canonicalizer"):
         assert not reads_through_calls(source, name) & witness, name
+
+
+ORACLE_COMMANDS = textwrap.dedent(
+    """
+    import sys
+    from skewpersp import cli
+    first, second = sys.argv[1:]
+    assert cli.main(["iso", first, second]) == 0
+    assert cli.main(["aut", first]) == 0
+    print(*sorted(m for m in sys.modules if m.partition(".")[0] == "skewpersp"))
+    """
+)
+
+
+def test_iso_and_aut_on_files_load_only_the_oracle_core(tmp_path):
+    """``iso`` and ``aut`` on PSTS files need neither the perspectives nor
+    the Veblen labelings: run in a fresh interpreter, they load the CLI,
+    the oracles and the ``Psts`` core, and no other module of the package."""
+    first, second = tmp_path / "fano.psts", tmp_path / "copy.psts"
+    first.write_text("psts 7 7\n0 1 2 3 4 5 6\n0 1 3\n1 2 4\n2 3 5\n3 4 6\n0 4 5\n1 5 6\n0 2 6\n")
+    second.write_text("psts 7 7\na b c d e f g\ng f d\nf e c\ne d b\nd c a\ng c b\nf b a\ng e a\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", ORACLE_COMMANDS, str(first), str(second)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == ["skewpersp", "skewpersp.cli", "skewpersp.iso", "skewpersp.psts"]

@@ -311,7 +311,34 @@ def triangles_pair(count=400, seed=11):
     return s, relabel(s, dict(zip(names, shuffled)))
 
 
+def ok_calls(search):
+    """The (point, candidate) pairs the witness search's ``ok()`` is asked
+    about while ``search()`` runs, read by a profile hook: ``iso`` keeps no
+    counter of its own.  Returns them with the result of ``search()``."""
+    asked = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "ok" and frame.f_code.co_filename == iso.__file__:
+            asked.append((frame.f_locals["i"], frame.f_locals["j"]))
+
+    sys.setprofile(hook)
+    try:
+        result = search()
+    finally:
+        sys.setprofile(None)
+    return asked, result
+
+
 class TestLargeInputs:
+    def test_triangles_search_work(self):
+        # a candidate comes from the line partners of a placed partner's
+        # image, so each of the 1,200 points is checked about once; a
+        # scan of the whole cell at each depth makes 240,568 checks
+        x, y = triangles_pair()
+        asked, m = ok_calls(lambda: find_isomorphism(x, y))
+        assert m is not None and verify_point_map(x, y, m)
+        assert len(asked) <= 2 * 1200
+
     def test_triangles_witness_without_recursion(self, capsys, tmp_path):
         x, y = triangles_pair()
         limit = sys.getrecursionlimit()
@@ -411,6 +438,33 @@ FANO = Psts(
 )
 
 
+def relabelled(s, seed):
+    """``s``, a copy under a seeded renaming, and the renaming."""
+    names = [f"r{i:03d}" for i in range(len(s.points))]
+    random.Random(seed).shuffle(names)
+    rename = dict(zip(s.points, names))
+    return s, relabel(s, rename), rename
+
+
+def stars(count):
+    """``count`` disjoint copies of a point on three lines, two of whose
+    other points lie on one more line each.  The cells of the points on
+    two lines are larger than their anchors' line partners, which also
+    lie in the larger cells of the points on one line."""
+    lines = []
+    for k in range(count):
+        c, x, y, z, w, u, v, p, q, r, t = (f"s{k:02d}{ch}" for ch in "cxyzwuvpqrt")
+        lines += [(c, x, y), (c, z, w), (c, u, v), (x, p, q), (y, r, t)]
+    return Psts(sorted({p for ln in lines for p in ln}), lines)
+
+
+LARGE_CELLS = {
+    "pg32": lambda: relabelled(projective_space(4), 3),
+    "triangles": lambda: relabelled(triangles_pair(8)[0], 5),
+    "stars": lambda: relabelled(stars(5), 7),
+}
+
+
 class TestSearchOrder:
     """The degree-bounded search visits what the full scan visited, so it
     yields the same maps in the same order."""
@@ -448,6 +502,29 @@ class TestSearchOrder:
         maps = list(_search(s, s, None))
         assert maps == list(reference_isomorphisms(s, s))
         assert len(maps) == {6: 24, 7: 168}[len(s.points)]
+
+    @pytest.mark.parametrize("name", LARGE_CELLS)
+    def test_large_cells(self, name):
+        # cells far larger than a point's line partners, where candidates
+        # come from the partners of a placed partner's image
+        x, y, rename = LARGE_CELLS[name]()
+        p = x.points[len(x.points) // 2]
+        for fix in (None, (p, rename[p])):
+            found = list(itertools.islice(_search(x, y, fix), 50))
+            assert len(found) == 50
+            assert found == list(itertools.islice(reference_isomorphisms(x, y, fix), 50))
+
+    @pytest.mark.parametrize("name", LARGE_CELLS)
+    def test_candidates_keep_their_colour(self, name):
+        # the line partners of a placed partner's image span other cells
+        # too, which ok() would accept until a later depth runs dry
+        x, y, rename = LARGE_CELLS[name]()
+        p = x.points[len(x.points) // 2]
+        for fix in (None, (p, rename[p])):
+            asked, _ = ok_calls(lambda: list(itertools.islice(_search(x, y, fix), 50)))
+            px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+            cx, cy = _refined(x, px)[1], _refined(y, py)[1]
+            assert asked and all(cx[i] == cy[j] for i, j in asked)
 
 
 def pasch_switch(s):
