@@ -20,9 +20,9 @@ membership of the second's id in the first's images, and compare that with
 canonical-key equality.  The witness search checks the key partition
 itself: one witness from each member onto its class representative and one
 refutation for each pair of representatives, which by transitivity decides
-every pair.  A pair of representatives whose witness certificates differ is
-refuted by them (``iso.certificates_differ``); only pairs that share one
-are searched.  The plain family's classes are center-fixing ones, keyed
+every pair.  ``find_isomorphism`` refutes a pair of representatives whose
+witness certificates differ before it places a point; only pairs that share
+one are searched.  The plain family's classes are center-fixing ones, keyed
 with the center pinned.  Its plain partition is backed through the
 center-fixing witnesses: each member already has one onto its center-fixing
 representative, so only those representatives need plain witnesses onto
@@ -72,14 +72,14 @@ from .iso import (
     _canonical_search,
     _inverse,
     _is_isomorphism,
-    _StabilizerChain,
-    certificates_differ,
     find_isomorphism,
-    verify_point_map,
+    generated_group,
 )
 from .perspective import (
     CENTER,
+    CENTER_INDEX,
     IMAGE_WITNESSES,
+    POINTS,
     PerspectiveSpec,
     SkewFamily,
     a_name,
@@ -195,7 +195,7 @@ class _Structures:
                 found = self._carry(spec, pinned, *source)
             else:
                 s = self[spec]
-                found = _canonical_search(s, s.points.index(CENTER) if pinned else None)
+                found = _canonical_search(s, CENTER_INDEX if pinned else None)
                 if key not in self._found[not pinned]:  # its orbit is not recorded yet
                     for w, image in zip(IMAGE_WITNESSES, image_ids(family, sid)):
                         if image != sid:
@@ -211,8 +211,7 @@ class _Structures:
         checked there."""
         s, t = self[spec], self[source]
         to_t = _inverse(image_perm(source, phi, case))
-        center = s.points.index(CENTER)
-        moves = to_t[center] != center
+        moves = to_t[CENTER_INDEX] != CENTER_INDEX
         if moves or not _is_isomorphism(s, t, to_t):
             raise OracleInconsistencyError(
                 f"the inverse of the case {case.value} map of {spec_text(source)} onto {spec_text(spec)} "
@@ -229,7 +228,7 @@ class _Structures:
                 raise OracleInconsistencyError(
                     f"an automorphism of {spec_text(source)} carried onto {spec_text(spec)} is none"
                 )
-            if pinned and g[center] != center:
+            if pinned and g[CENTER_INDEX] != CENTER_INDEX:
                 raise OracleInconsistencyError(
                     f"a pinned automorphism of {spec_text(source)} carried onto {spec_text(spec)} moves the center"
                 )
@@ -257,9 +256,6 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
         members = tuple(members)
         rep = members[0]
         k5 = len(structures[rep].free_k5)
-        chain = _StabilizerChain(len(structures[rep].points))
-        for g in structures.search(rep)[1]:
-            chain.add(g)
         prefix = "P" if rep.family is SkewFamily.PERM else "K"
         classes.append(
             IsoClass(
@@ -268,7 +264,7 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
                 members=members,
                 key=key,
                 free_k5_count=k5,
-                aut_order=chain.order(),
+                aut_order=generated_group(len(POINTS), structures.search(rep)[1])[1],
                 branch="A" if k5 >= 3 else "B",
             )
         )
@@ -642,7 +638,7 @@ def _check_partition(specs, builds, keys, fix=None, refute=True) -> list[int]:
 
     Each member needs a witness onto its class representative (the first
     spec with its key) and, with ``refute``, each pair of representatives a
-    refutation: by unequal certificates, else by a search.  By transitivity
+    refutation, by unequal certificates or by a search.  By transitivity
     the keys then decide every pair of specs exactly as the search would;
     any disagreement raises.
     """
@@ -655,8 +651,7 @@ def _check_partition(specs, builds, keys, fix=None, refute=True) -> list[int]:
             )
     if refute:
         for r1, r2 in itertools.combinations(reps.values(), 2):
-            x, y = builds[r1], builds[r2]
-            if not certificates_differ(x, y, fix) and find_isomorphism(x, y, fix=fix) is not None:
+            if find_isomorphism(builds[r1], builds[r2], fix=fix) is not None:
                 raise OracleInconsistencyError(
                     f"witness found but keys differ: {spec_text(specs[r1])} vs {spec_text(specs[r2])}"
                 )
@@ -698,7 +693,7 @@ def _prop_3_2(structures, perm_specs) -> Finding:
     builds = [structures[s] for s in perm_specs]
     pinned = [structures.search(s, pinned=True)[0] for s in perm_specs]
     plain = [structures.search(s)[0] for s in perm_specs]
-    reps = _check_partition(perm_specs, builds, pinned, fix=(CENTER, CENTER))
+    reps = _check_partition(perm_specs, builds, pinned, fix=(CENTER_INDEX, CENTER_INDEX))
     # a center-fixing isomorphism is an isomorphism: each center-fixing
     # class must lie inside one plain class.  Every member has a witness
     # onto its center-fixing representative, so witnesses from those onto
@@ -746,8 +741,7 @@ def _lemma_4_1(structures, kappa_specs) -> Finding:
 def _cor_4_2(structures, kappa_specs) -> Finding:
     moved = []
     for s in kappa_specs:
-        center = structures[s].points.index(CENTER)
-        if any(g[center] != center for g in structures.search(s)[1]):
+        if any(g[CENTER_INDEX] != CENTER_INDEX for g in structures.search(s)[1]):
             moved.append(f"{spec_text(s)}: generator moves the center")
     return Finding(
         claim_id="cor_4_2",
@@ -787,13 +781,13 @@ def _lemma_4_4(structures, census) -> Finding:
         explicit[b_name(i)] = a_name(i)
     for u in PAIRS:
         explicit[c_name(u)] = c_name(correlation(u))
+    swap = tuple(POINTS.index(explicit[x]) for x in POINTS)  # on the frame's indices
     failures = []
     keys_differ = []
     for idx, axis in enumerate(census):
         s1 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, axis)
         s2 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, axis.apply(CORRELATION))
-        b1, b2 = structures[s1], structures[s2]
-        if not verify_point_map(b1, b2, explicit):
+        if not _is_isomorphism(structures[s1], structures[s2], swap):
             failures.append(f"axis census:{idx}")
         if structures.search(s1)[0] != structures.search(s2)[0]:
             keys_differ.append(f"axis census:{idx}")
@@ -910,11 +904,7 @@ def _theorem_finding(
     witnesses = list(problems)
     for c in unmatched:
         rep = structures[c.representative]
-        refuted = all(
-            certificates_differ(rep, structures[s]) or find_isomorphism(rep, structures[s]) is None
-            for s in entry_specs
-        )
-        if not refuted:
+        if any(find_isomorphism(rep, structures[s]) is not None for s in entry_specs):
             raise OracleInconsistencyError(
                 f"{spec_text(c.representative)} has a fresh key yet a witness onto a listed entry"
             )

@@ -23,11 +23,11 @@ Exit codes: 0 success (for ``iso``: isomorphic), 1 proven non-isomorphic,
 never reported as a verdict), 74 output write failure.  stdout carries
 data; diagnostics go to stderr.
 
-``iso`` and ``aut`` on PSTS files load only this module, ``iso`` and
-``psts``.  The perspectives and Veblen labelings are imported where they
-are needed: by ``build``, ``census`` and ``classify``, by spec-text
-operands and by file-path axes; ``classify`` and ``audit`` import the
-classification.
+The oracles hand back index maps, which ``iso`` and ``aut`` name when they
+print; on PSTS files these two load only this module, ``iso`` and ``psts``.
+The perspectives and Veblen labelings are imported where they are needed:
+by ``build``, ``census`` and ``classify``, by spec-text operands and by
+file-path axes; ``classify`` and ``audit`` import the classification.
 
 ``classify`` and ``audit`` accept ``--jobs N`` and ignore it: they run in
 one process, and their output never depended on it.
@@ -38,11 +38,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 from . import psts as psts_mod
-from .iso import OracleInconsistencyError, automorphism_group, find_isomorphism, point_map_text
+from .iso import OracleInconsistencyError, automorphism_group, find_isomorphism
 from .psts import Psts, PstsError
 
 EX_OK = 0
@@ -185,24 +185,24 @@ def _cmd_iso(args) -> int:
     if witness is None:
         print("not isomorphic", file=sys.stderr)
         return EX_NONISO
-    _emit(point_map_text(witness) + "\n", args.out)
+    # one 'x -> y' row per point of x, in the sorted order of its names
+    _emit("\n".join(f"{p} -> {y.points[j]}" for p, j in zip(x.points, witness)) + "\n", args.out)
     return EX_OK
 
 
-def _point_perm_cycles(mapping: dict[str, str]) -> str:
-    seen: set[str] = set()
+def _point_perm_cycles(names: Sequence[str], g: Sequence[int]) -> str:
+    """The index map ``g`` in disjoint cycles of the sorted ``names``, each
+    from its least point, or ``id``."""
+    seen: set[int] = set()
     parts = []
-    for start in sorted(mapping):
-        if start in seen or mapping[start] == start:
-            seen.add(start)
+    for start in range(len(g)):
+        if start in seen or g[start] == start:
             continue
-        cyc = [start]
-        seen.add(start)
-        x = mapping[start]
-        while x != start:
-            cyc.append(x)
+        cyc, x = [], start
+        while x not in seen:
             seen.add(x)
-            x = mapping[x]
+            cyc.append(names[x])
+            x = g[x]
         parts.append("(" + " ".join(cyc) + ")")
     return "".join(parts) if parts else "id"
 
@@ -211,7 +211,7 @@ def _cmd_aut(args) -> int:
     s = _load_structure(args.structure)
     gens, order = automorphism_group(s)
     rows = [f"order {order}"]
-    rows.extend(f"generator: {_point_perm_cycles(g)}" for g in gens)
+    rows.extend(f"generator: {_point_perm_cycles(s.points, g)}" for g in gens)
     _emit("\n".join(rows) + "\n", args.out)
     return EX_OK
 

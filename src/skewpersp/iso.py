@@ -20,25 +20,28 @@ Three layers, all deterministic:
                           per-point Pasch and triangle counts, not the
                           canonical search's free-K5 counts, and refines in
                           full rounds of its own, once per structure and
-                          fixed point: unequal certificates of that
-                          refinement refute a pair without a search, and
-                          equal ones leave cells so small that the search
-                          rarely backtracks.  The search is iterative and
-                          checks each candidate against its line partners
-                          only; a point with a line partner placed before
-                          it draws its candidates from the line partners
-                          of that partner's image.  So it has no depth
-                          limit, and its candidates, like its check, follow
-                          point degree, not point count.
+                          fixed point.  It first compares the certificates
+                          of that refinement: unequal ones refute a pair
+                          without a search, and equal ones leave cells so
+                          small that the search rarely backtracks.  The
+                          search is iterative and checks each candidate
+                          against its line partners only; a point with a
+                          line partner placed before it draws its
+                          candidates from the line partners of that
+                          partner's image.  So it has no depth limit, and
+                          its candidates, like its check, follow point
+                          degree, not point count.
 
 The two searches share no seed and no refinement.  They share the ``Psts``
 core, the colour ranking and pair pack, and ``_is_isomorphism``, the one
 line check of every map either one returns.
 
-Everything here treats structures as abstract incidence data; point names
-never influence the outcome, only the formatting of witnesses.  The family
-criteria these oracles are audited against live beside the spec, in
-``perspective``; this module imports nothing from the package but ``psts``.
+Everything here reads structures as incidence data on point indices and
+never reads a point name.  Maps cross the boundary as index tuples, entry i
+the image of point i, and fixed points as index pairs; the CLI names them
+when it prints.  The family criteria these oracles are audited against
+live beside the spec, in ``perspective``; this module imports nothing from
+the package but ``psts``.
 """
 
 from __future__ import annotations
@@ -425,19 +428,20 @@ class _StabilizerChain:
         return None
 
 
-def automorphism_group(s: Psts) -> tuple[tuple[dict[str, str], ...], int]:
-    """Generators and exact order of the automorphism group.
+def generated_group(n: int, found: Iterable[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The permutations of range(n) in ``found`` that are not in the group
+    of those kept before them, so never the identity, and the order of the
+    group they generate, by Schreier-Sims over the kept ones."""
+    chain = _StabilizerChain(n)
+    return tuple(g for g in found if chain.add(g)), chain.order()
 
-    One run of the canonical search finds automorphisms that generate the
-    group.  Each is kept as a generator only when it is not in the group of
-    those kept before it, so the identity never is; Schreier-Sims over the
-    kept ones gives the order.  Nothing enumerates the group."""
-    _, found = _canonical_search(s, None)
-    chain = _StabilizerChain(len(s.points))
-    gens = tuple(
-        {p: s.points[i] for p, i in zip(s.points, g)} for g in found if chain.add(g)
-    )
-    return gens, chain.order()
+
+def automorphism_group(s: Psts) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Generators, as index tuples, and exact order of the automorphism
+    group.  One run of the canonical search finds automorphisms that
+    generate the group, and ``generated_group`` keeps and counts them.
+    Nothing enumerates the group."""
+    return generated_group(len(s.points), _canonical_search(s, None)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +476,8 @@ def _refined(s: Psts, fix: int | None) -> tuple[int, tuple[int, ...]]:
     refinement of the pair refutes it exactly when the certificates
     differ, and otherwise ends on these colours (Grohe, Kersting, Mladenov
     & Schweitzer, "Color Refinement and its Applications", 2017).  A hash
-    collision only costs a search, whose leaf check verifies every map."""
+    collision only costs a search, whose leaf check verifies every map and
+    its fixed point."""
     found = s.refined.get(fix)
     if found is None:
         seed = _pasch_seed(s, fix)
@@ -490,16 +495,16 @@ def _refined(s: Psts, fix: int | None) -> tuple[int, tuple[int, ...]]:
     return found
 
 
-def certificates_differ(x: Psts, y: Psts, fix: tuple[str, str] | None = None) -> bool:
+def certificates_differ(x: Psts, y: Psts, fix: tuple[int, int] | None = None) -> bool:
     """Whether the certificates of x and y, with the points of fix = (px,
-    py) fixed, differ: then no isomorphism maps x onto y with f(px) = py,
-    and ``find_isomorphism`` returns None before placing a point."""
-    px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+    py) fixed, differ: then no isomorphism maps x onto y with f(px) = py.
+    ``_search`` asks this first, before it places a point."""
+    px, py = fix or (None, None)
     return _refined(x, px)[0] != _refined(y, py)[0]
 
 
-def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
-    """Backtracking isomorphism search; yields mappings as name dicts.
+def _search(x: Psts, y: Psts, fix: tuple[int, int] | None):
+    """Backtracking isomorphism search; yields mappings as index tuples.
 
     Unequal certificates of the refinement from the (degree, Pasch count,
     triangle count, fix flag) seed refute most non-isomorphic pairs before
@@ -511,7 +516,8 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     candidate cursor per depth, so it has no depth limit: any input size
     runs without touching the recursion limit.  Candidates are tried in a
     fixed order, which makes the sequence of yielded maps deterministic,
-    and ``_is_isomorphism`` checks each complete map before it is yielded.
+    and ``_is_isomorphism`` checks each complete map, and that it maps px
+    onto py, before it is yielded.
 
     A point whose cell is larger than the line partners of its anchor, the
     line partner placed first before it, takes as candidates those line
@@ -522,14 +528,12 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     whole cell (Cordella, Foggia, Sansone & Vento, "A (sub)graph
     isomorphism algorithm for matching large graphs", 2004, restrict
     candidates to neighbours of the mapped set the same way)."""
-    if fix is not None and (fix[0] not in x.points or fix[1] not in y.points):
-        raise ValueError(f"fix points {fix!r} not present")
     n = len(x.points)
     if n != len(y.points) or len(x.line_sets) != len(y.line_sets):
         return
     if certificates_differ(x, y, fix):
         return
-    px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+    px, py = fix or (None, None)
     cx, cy = _refined(x, px)[1], _refined(y, py)[1]
 
     by_color: dict[int, list[int]] = {}
@@ -583,8 +587,8 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
     depth = 0
     while depth >= 0:
         if depth == n:
-            if _is_isomorphism(x, y, mapping):
-                yield {x.points[i]: y.points[mapping[i]] for i in range(n)}
+            if _is_isomorphism(x, y, mapping) and (px is None or mapping[px] == py):
+                yield tuple(mapping)
             depth -= 1
             continue
         i = order[depth]
@@ -607,28 +611,12 @@ def _search(x: Psts, y: Psts, fix: tuple[str, str] | None):
             depth -= 1
 
 
-def find_isomorphism(
-    x: Psts, y: Psts, fix: tuple[str, str] | None = None
-) -> dict[str, str] | None:
+def find_isomorphism(x: Psts, y: Psts, fix: tuple[int, int] | None = None) -> tuple[int, ...] | None:
     """First isomorphism of x onto y under a fixed deterministic search
-    order, honoring the optional constraint fix = (px, py) meaning
-    f(px) = py.  Returns None exactly when no such isomorphism exists."""
+    order, as an index tuple (entry i the image of point i), honoring the
+    optional constraint fix = (px, py) of point indices, meaning f(px) =
+    py.  Unequal certificates refute the pair before a point is placed.
+    Returns None exactly when no such isomorphism exists."""
     for m in _search(x, y, fix):
         return m
     return None
-
-
-def verify_point_map(x: Psts, y: Psts, mapping: dict[str, str]) -> bool:
-    """Check a claimed isomorphism by point names: a bijection on points
-    carrying the lines of x exactly onto the lines of y (``_is_isomorphism``)."""
-    if sorted(mapping) != list(x.points):
-        return False
-    if sorted(mapping.values()) != list(y.points):
-        return False
-    rank = {p: i for i, p in enumerate(y.points)}
-    return _is_isomorphism(x, y, tuple(rank[mapping[p]] for p in x.points))
-
-
-def point_map_text(mapping: dict[str, str]) -> str:
-    """Serialize a witness map, one 'x -> y' row per point, by point name."""
-    return "\n".join(f"{p} -> {mapping[p]}" for p in sorted(mapping))

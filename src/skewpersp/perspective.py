@@ -127,6 +127,7 @@ class PerspectiveSpec:
 #: order, shared by all the structures ``build`` returns, and their index.
 POINTS: tuple[str, ...] = tuple(sorted((CENTER, *A_NAMES, *B_NAMES, *C_NAMES)))
 _INDEX = {x: i for i, x in enumerate(POINTS)}
+CENTER_INDEX = _INDEX[CENTER]  # where every map between perspectives reads the center
 _A = tuple(_INDEX[x] for x in A_NAMES)  # a_i at position i - 1
 _B = tuple(_INDEX[x] for x in B_NAMES)
 _C = tuple(_INDEX[c_name(u)] for u in PAIRS)  # by position in PAIRS
@@ -140,7 +141,7 @@ _FIXED_LINES = tuple(
     ]
 )
 #: A* and B*, and the G_(i) of ``predicted_free_k5`` at position i - 1
-_TETRAHEDRA = tuple(tuple(sorted((_INDEX[CENTER], *side))) for side in (_A, _B))
+_TETRAHEDRA = tuple(tuple(sorted((CENTER_INDEX, *side))) for side in (_A, _B))
 _G = tuple(
     tuple(sorted((_A[i - 1], _B[i - 1], *(_C[PAIR_INDEX[u]] for u in star(i)))))
     for i in INDICES

@@ -61,8 +61,8 @@ def reference_refine_pair(a, ca, b, cb):
 
 def joint_refinement(x, y, fix=None):
     """``reference_refine_pair`` of x and y from the witness seed, ranked
-    over both, with the points of fix = (px, py) fixed."""
-    px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+    over both, with the points of fix = (px, py), point indices, fixed."""
+    px, py = fix or (None, None)
     ranked = _rank_raw(_pasch_seed(x, px) + _pasch_seed(y, py))
     n = len(x.points)
     return reference_refine_pair(x, ranked[:n], y, ranked[n:])

@@ -29,7 +29,7 @@ from skewpersp.classify import (
 from skewpersp.indices import ALL_PERMS, CORRELATION, PAIRS, extend, parse_cycles
 from skewpersp.iso import automorphism_group, find_isomorphism
 from skewpersp.perspective import (
-    CENTER,
+    CENTER_INDEX,
     PerspectiveSpec,
     SkewFamily,
     build,
@@ -165,7 +165,7 @@ def test_criterion_05_two_free_k5_and_center_fixed(kappa_specs):
         if len(free_complete_subgraphs(built, 5)) != 2:
             wrong_count.append(spec_text(s))
         gens, _ = automorphism_group(built)
-        if any(g[CENTER] != CENTER for g in gens):
+        if any(g[CENTER_INDEX] != CENTER_INDEX for g in gens):
             moved.append(spec_text(s))
     report(
         5,

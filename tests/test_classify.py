@@ -28,9 +28,10 @@ from skewpersp.classify import (
     render_text,
 )
 from skewpersp.indices import PAIRS
-from skewpersp.iso import find_isomorphism, verify_point_map
+from skewpersp.iso import find_isomorphism
 from skewpersp.perspective import (
     CENTER,
+    CENTER_INDEX,
     IMAGE_WITNESSES,
     POINTS,
     IsoCase,
@@ -189,15 +190,16 @@ class TestOracleSweep:
     @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
     def test_witness_between_representatives_raises(self, monkeypatch, sweep, family):
         # only representatives that share a certificate reach the search,
-        # and no two center-fixing ones do: the first two are made to
+        # and no two center-fixing ones do: the first two are made to, by
+        # the certificate check the search makes first
         specs, classes = family
         r1, r2 = (c.representative for c in classes[:2])
         pair = {build(r1), build(r2)}
-        real = classify.certificates_differ
+        real = iso.certificates_differ
         monkeypatch.setattr(
-            classify, "certificates_differ", lambda x, y, fix=None: {x, y} != pair and real(x, y, fix)
+            iso, "certificates_differ", lambda x, y, fix=None: {x, y} != pair and real(x, y, fix)
         )
-        self._patch(monkeypatch, lambda x, y, m: {} if {x, y} == pair else m)
+        self._patch(monkeypatch, lambda x, y, m: tuple(range(len(x.points))) if {x, y} == pair else m)
         with pytest.raises(OracleInconsistencyError, match="keys differ") as e:
             sweep(classify._Structures(), specs)
         assert f"{spec_text(r1)} vs {spec_text(r2)}" in str(e.value)
@@ -205,15 +207,22 @@ class TestOracleSweep:
     def test_search_count_follows_the_partitions(
         self, monkeypatch, perm_specs, kappa_specs, perm_classes, kappa_classes
     ):
-        calls = 0
-        real = classify.find_isomorphism
+        calls = certified = 0
+        real, real_differ = classify.find_isomorphism, iso.certificates_differ
 
         def counting(*args, **kwargs):
             nonlocal calls
             calls += 1
             return real(*args, **kwargs)
 
+        def differ(*args):
+            nonlocal certified
+            result = real_differ(*args)
+            certified += result
+            return result
+
         monkeypatch.setattr(classify, "find_isomorphism", counting)
+        monkeypatch.setattr(iso, "certificates_differ", differ)
         structures = classify._Structures()
         classify._prop_3_2(structures, perm_specs)
         classify._prop_4_5(structures, kappa_specs)
@@ -224,7 +233,7 @@ class TestOracleSweep:
         def certificate_groups(reps, pin):
             groups = {}
             for s in (structures[r] for r in reps):
-                cert = iso._refined(s, None if pin is None else s.points.index(pin))[0]
+                cert = iso._refined(s, pin)[0]
                 groups[cert] = groups.get(cert, 0) + 1
             return groups.values()
 
@@ -239,8 +248,10 @@ class TestOracleSweep:
         # and the boolean-complementing partitions, one from each
         # center-fixing representative onto its plain representative, which
         # by transitivity backs every member's plain class, and one search
-        # per pair of representatives that share a certificate
-        searched_pairs = sum(pairs(k) for k in certificate_groups(pinned_reps.values(), CENTER)) + sum(
+        # per pair of representatives that share a certificate.  Every
+        # pair of representatives is handed to the search, which refutes
+        # the others by their certificates before it places a point
+        searched_pairs = sum(pairs(k) for k in certificate_groups(pinned_reps.values(), CENTER_INDEX)) + sum(
             pairs(k) for k in certificate_groups((c.representative for c in kappa_classes), None)
         )
         assert searched_pairs == 1
@@ -250,7 +261,8 @@ class TestOracleSweep:
             + len(kappa_specs) - kappa
             + searched_pairs
         )
-        assert calls == expected == 221
+        assert calls - certified == expected == 221
+        assert certified == pairs(pinned) + pairs(kappa) - searched_pairs
 
 
 class TestCriterionSweep:
@@ -301,11 +313,12 @@ class TestNoRevalidation:
 
 WORK_FIELDS = (
     # counted calls: builds, clique searches, canonical searches, witness
-    # searches, canonical search nodes, canonical search leaves, checked
-    # maps (index carrying maps and name-level witness checks); then the
-    # witness certificates computed, the pairs the audit refutes by unequal
-    # certificates, and the witness searches that refute a pair and that
-    # find a map
+    # searches (``find_isomorphism`` calls that certificates do not
+    # refute), canonical search nodes, canonical search leaves, checked
+    # maps (classify's line checks of a map between two structures); then
+    # the witness certificates computed, the pairs the search refutes by
+    # unequal certificates, and the witness searches that refute a pair
+    # and that find a map
     "build", "cliques", "canonical", "witness", "nodes", "leaves", "maps",
     "certificates", "certified", "refuted", "found",
 )
@@ -323,7 +336,8 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
 
         return wrapper
 
-    real_differ, real_find = classify.certificates_differ, classify.find_isomorphism
+    real_differ, real_find = iso.certificates_differ, classify.find_isomorphism
+    real_check = classify._is_isomorphism
 
     def differ(*args):
         result = real_differ(*args)
@@ -331,10 +345,17 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
         return result
 
     def find(*args, **kwargs):
+        certified = counts["certified"]
         result = real_find(*args, **kwargs)
-        counts["witness"] += 1
-        counts["refuted" if result is None else "found"] += 1
+        if counts["certified"] == certified:  # not refuted by certificates
+            counts["witness"] += 1
+            counts["refuted" if result is None else "found"] += 1
         return result
+
+    def check(x, y, m):
+        # automorphism checks of carried generators map a structure onto itself
+        counts["maps"] += x is not y
+        return real_check(x, y, m)
 
     work = {}
     with pytest.MonkeyPatch.context() as m:
@@ -344,11 +365,11 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
         m.setattr(classify, "find_isomorphism", find)
         m.setattr(iso._Canonicalizer, "_visit", counting("nodes", iso._Canonicalizer._visit))
         m.setattr(iso._Canonicalizer, "_leaf", counting("leaves", iso._Canonicalizer._leaf))
-        m.setattr(classify, "image_perm", counting("maps", classify.image_perm))
-        m.setattr(classify, "verify_point_map", counting("maps", classify.verify_point_map))
+        m.setattr(classify, "_is_isomorphism", check)
         # one seed per certificate: the memo in each structure hands out the rest
         m.setattr(iso, "_pasch_seed", counting("certificates", iso._pasch_seed))
-        m.setattr(classify, "certificates_differ", differ)
+        # where the witness search asks for them, before it places a point
+        m.setattr(iso, "certificates_differ", differ)
         for axes_mode in axes_modes:
             counts.update(dict.fromkeys(WORK_FIELDS, 0))
             classify.audit_claims(axes_mode)
@@ -432,24 +453,17 @@ MEMORY_GATE = textwrap.dedent(
 
 
 def test_certificates_differ_exactly_when_joint_refinement_refutes(monkeypatch):
-    """Every pair a canonical audit decides by certificate or by search,
-    against the joint refinement of the pair that the witness search ran
-    before: certificates differ exactly where it refutes, and elsewhere
-    they hand the search its colours."""
+    """Every pair a canonical audit hands the witness search, which decides
+    it by certificate or by search, against the joint refinement of the
+    pair that the search ran before: certificates differ exactly where it
+    refutes, and elsewhere they hand the search its colours."""
     decided = []
-    real_differ, real_find = classify.certificates_differ, classify.find_isomorphism
-
-    def differ(x, y, fix=None):
-        result = real_differ(x, y, fix)
-        if result:  # decided here; a pair that passes goes on to the search
-            decided.append((x, y, fix))
-        return result
+    real_find = classify.find_isomorphism
 
     def find(x, y, fix=None):
         decided.append((x, y, fix))
         return real_find(x, y, fix=fix)
 
-    monkeypatch.setattr(classify, "certificates_differ", differ)
     monkeypatch.setattr(classify, "find_isomorphism", find)
     classify.audit_claims("canonical")
     assert len(decided) == 1608
@@ -459,7 +473,7 @@ def test_certificates_differ_exactly_when_joint_refinement_refutes(monkeypatch):
         refuted += joint is None
         assert iso.certificates_differ(x, y, fix) == (joint is None)
         if joint is not None:
-            px, py = (None, None) if fix is None else (x.points.index(fix[0]), y.points.index(fix[1]))
+            px, py = fix or (None, None)
             assert joint == (list(iso._refined(x, px)[1]), list(iso._refined(y, py)[1]))
     assert refuted == 1386
 
@@ -516,17 +530,16 @@ class TestCarriedSearch:
         for spec, (key, gens) in carried.items():
             s = structures[spec]
             for g in gens:
-                assert verify_point_map(s, s, {x: s.points[j] for x, j in zip(s.points, g)})
+                assert iso._is_isomorphism(s, s, g)
             searched_key, searched_gens = iso._canonical_search(s, None)
             assert key == searched_key, spec_text(spec)
             assert group_order(s, gens) == group_order(s, searched_gens), spec_text(spec)
         for spec, (key, gens) in pinned.items():
             s = structures[spec]
-            center = s.points.index(CENTER)
             for g in gens:
-                assert g[center] == center, spec_text(spec)
-                assert verify_point_map(s, s, {x: s.points[j] for x, j in zip(s.points, g)})
-            searched_key, searched_gens = iso._canonical_search(s, center)
+                assert g[CENTER_INDEX] == CENTER_INDEX, spec_text(spec)
+                assert iso._is_isomorphism(s, s, g)
+            searched_key, searched_gens = iso._canonical_search(s, CENTER_INDEX)
             assert key == searched_key, spec_text(spec)
             assert group_order(s, gens) == group_order(s, searched_gens), spec_text(spec)
         assert runs == 69 + 44 + 1440 + 144
@@ -555,10 +568,7 @@ class TestCarriedSearch:
 
 
 def group_order(s, gens) -> int:
-    chain = iso._StabilizerChain(len(s.points))
-    for g in gens:
-        chain.add(g)
-    return chain.order()
+    return iso.generated_group(len(s.points), gens)[1]
 
 
 def swap_entries(monkeypatch, x, y):

@@ -24,7 +24,7 @@ from skewpersp.cli import (
     emit_levi_dot,
     main,
 )
-from skewpersp.iso import verify_point_map
+from skewpersp.iso import _is_isomorphism
 from skewpersp.perspective import ROLE_LABELS, build, parse_spec_text
 from skewpersp.veblen import CanonicalKind, canonical
 
@@ -155,7 +155,9 @@ class TestIso:
             mapping[src] = dst
         x = build(parse_spec_text("perm:(1,2,4)@V5"))
         y = build(parse_spec_text("perm:(1,4,2)@V5"))
-        assert verify_point_map(x, y, mapping)
+        # one row per point of x, in sorted order, onto the points of y
+        assert list(mapping) == list(x.points) and sorted(mapping.values()) == list(y.points)
+        assert _is_isomorphism(x, y, tuple(y.points.index(mapping[p]) for p in x.points))
 
     def test_non_isomorphic(self, capsys):
         code, out, err = run(capsys, "iso", "perm:(1,2)@B2", "perm:(3,4)@B2")

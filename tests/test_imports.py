@@ -70,6 +70,39 @@ def test_the_oracles_import_only_the_psts_core():
     assert package_imports((ROOT / "src" / "skewpersp" / "iso.py").read_text()) == {"psts"}
 
 
+def point_reads(source: str) -> list[int]:
+    """The lines of ``source`` that read an attribute ``points`` other than
+    as the one argument of ``len(...)``, in order, once per read."""
+    tree = ast.parse(source)
+    counted = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "len"
+        and len(node.args) == 1
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "points" and id(node) not in counted
+    )
+
+
+def test_the_points_scan_sees_every_read():
+    source = (
+        "n = len(s.points)\nname = s.points[0]\nk = len(s.points[1:])\n"
+        "i = s.points.index(x)\nfor p in zip(x.points, y.points):\n    pass\nm = len(points)\n"
+    )
+    assert point_reads(source) == [2, 3, 4, 5, 5]
+
+
+def test_the_oracles_read_no_point_name():
+    """``iso`` counts a structure's points and never reads them: maps cross
+    its boundary as index tuples, and the CLI names them when it prints."""
+    assert point_reads((ROOT / "src" / "skewpersp" / "iso.py").read_text()) == []
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """The top-level functions and classes of ``sources`` (file name ->
     source) that no code in any of them reads, by name or as an attribute,
