@@ -73,7 +73,6 @@ from .iso import (
     _inverse,
     _is_isomorphism,
     find_isomorphism,
-    generated_group,
 )
 from .perspective import (
     CENTER,
@@ -152,20 +151,20 @@ class IsoClass:
 
 class _Structures:
     """Each spec's built structure, built on first use (``structures[spec]``),
-    and (``search``) its canonical key and automorphism generators, plain
-    or with the center pinned; all keyed by (family, spec id).
+    and (``search``) its canonical key, automorphism generators and group
+    order, plain or with the center pinned; all keyed by (family, spec id).
 
     A family criterion relates a spec exactly to the specs that a
     center-fixing isomorphism reaches (Prop. 3.2 and 4.5), so a criterion
     orbit shares one plain and one pinned key.  The first spec of an orbit
     asked for, in either kind, is searched, and one pass over its family
     image ids records every other member as its image under some (phi,
-    case).  Each other member takes the searched spec's key, generators
-    and free K5 subgraphs back along the inverse of ``image_perm``: the
-    map must fix the center and pass ``_is_isomorphism``, so must every
-    carried generator onto the spec's own structure, and a carried pinned
-    one must fix the center too.  A failed check raises; nothing falls
-    back."""
+    case).  Each other member takes the searched spec's key, generators,
+    group order (an isomorphism preserves it) and free K5 subgraphs back
+    along the inverse of ``image_perm``: the map must fix the center and
+    pass ``_is_isomorphism``, so must every carried generator onto the
+    spec's own structure, and a carried pinned one must fix the center
+    too.  A failed check raises; nothing falls back."""
 
     def __init__(self) -> None:
         self._built: dict[tuple, Psts] = {}
@@ -183,10 +182,10 @@ class _Structures:
 
     def search(
         self, spec: PerspectiveSpec, pinned: bool = False
-    ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
+    ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...], int]:
         """The canonical key of the spec's structure, with the center
-        pinned if asked, and automorphisms of it, as index tuples, that
-        generate its group (the center-fixing one, if pinned)."""
+        pinned if asked, and generators, as index tuples, and order of its
+        group (the center-fixing one, if pinned)."""
         family, sid = key = (spec.family, spec.sid)
         found = self._found[pinned].get(key)
         if found is None:
@@ -205,10 +204,10 @@ class _Structures:
 
     def _carry(
         self, spec: PerspectiveSpec, pinned: bool, source: PerspectiveSpec, phi, case
-    ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
-        """The key, generators and free K5 subgraphs of the searched
-        ``source``, taken onto its image ``spec`` under (phi, case) and
-        checked there."""
+    ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...], int]:
+        """The key, generators, group order and free K5 subgraphs of the
+        searched ``source``, taken onto its image ``spec`` under (phi,
+        case) and checked there."""
         s, t = self[spec], self[source]
         to_t = _inverse(image_perm(source, phi, case))
         moves = to_t[CENTER_INDEX] != CENTER_INDEX
@@ -217,12 +216,12 @@ class _Structures:
                 f"the inverse of the case {case.value} map of {spec_text(source)} onto {spec_text(spec)} "
                 + ("moves the center" if moves else "is no isomorphism")
             )
-        key, found = self.search(source, pinned)
+        key, gens, order = self.search(source, pinned)
         # the inverse of the checked bijection, not image_perm's unchecked tuple
         from_t = _inverse(to_t)
         s.carry_free_k5(t, from_t)
         # g conjugated back along the map: an automorphism of s
-        carried = tuple(tuple(from_t[g[j]] for j in to_t) for g in found)
+        carried = tuple(tuple(from_t[g[j]] for j in to_t) for g in gens)
         for g in carried:
             if not _is_isomorphism(s, s, g):
                 raise OracleInconsistencyError(
@@ -232,7 +231,7 @@ class _Structures:
                 raise OracleInconsistencyError(
                     f"a pinned automorphism of {spec_text(source)} carried onto {spec_text(spec)} moves the center"
                 )
-        return key, carried
+        return key, carried, order
 
 
 def partition_into_classes(specs, *, structures: _Structures | None = None) -> tuple[IsoClass, ...]:
@@ -264,7 +263,7 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
                 members=members,
                 key=key,
                 free_k5_count=k5,
-                aut_order=generated_group(len(POINTS), structures.search(rep)[1])[1],
+                aut_order=structures.search(rep)[2],
                 branch="A" if k5 >= 3 else "B",
             )
         )

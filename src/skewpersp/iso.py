@@ -11,8 +11,9 @@ Three layers, all deterministic:
                           the round before,
 * ``automorphism_group``  generators and exact order, read from one run of
                           the same search: the automorphisms it finds
-                          generate the group, and Schreier-Sims over them
-                          gives the order without listing the group,
+                          generate the group, and the orbits of its first
+                          path under them multiply to the order and thin
+                          them to generators, without listing the group,
 * ``find_isomorphism``    explicit witness search (optionally pinning one
                           point pair), sound and complete; this is the
                           ground-truth oracle the algebraic criteria are
@@ -49,7 +50,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from math import prod
 
 from .psts import Psts
 
@@ -237,6 +237,7 @@ class _Canonicalizer:
         self.best: tuple | None = None
         self.first_leaf: dict[tuple, list[int]] = {}
         self.auts: list[tuple[int, ...]] = []
+        self.first_path: tuple[int, ...] | None = None
 
     def run(self) -> tuple:
         """Depth-first over the search tree, with an explicit stack of
@@ -270,6 +271,8 @@ class _Canonicalizer:
             sizes[c] += 1
         largest = max(sizes, default=1)
         if largest == 1:
+            if self.first_path is None:
+                self.first_path = path
             self._leaf(colors)
         else:
             # the first of the largest cells, in colour order
@@ -317,23 +320,52 @@ class _Canonicalizer:
         return False
 
 
-def _canonical_search(s: Psts, pin: int | None) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...]]:
+def _first_path_orbits(
+    path: tuple[int, ...], found: Sequence[tuple[int, ...]]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Generators and order of the group that a search's ``found``
+    automorphisms generate, from the orbits along its first ``path``
+    (McKay, "Practical graph isomorphism", 1981).
+
+    Two leaves of one node refine its colouring in colour order, so the
+    automorphisms found under the first-path node with prefix P fix P,
+    and by ``_Canonicalizer``'s argument applied to that subtree they
+    generate the stabilizer of P.  The orbit of the next path point under
+    the found automorphisms fixing P is then that stabilizer's orbit, and
+    the discrete first leaf makes the stabilizer of the whole path
+    trivial: the order is the product of the orbit sizes.  Deepest level
+    first, each level keeps the first of those automorphisms that maps
+    the orbit under the kept ones outside itself, until none does; so no
+    kept one lies in the group of those kept before it."""
+    kept: list[tuple[int, ...]] = []
+    order = 1
+    for level in range(len(path) - 1, -1, -1):
+        usable = [g for g in found if all(g[v] == v for v in path[:level])]
+        while True:
+            orbit, seen = [path[level]], {path[level]}
+            for i in orbit:
+                for g in kept:
+                    if g[i] not in seen:
+                        seen.add(g[i])
+                        orbit.append(g[i])
+            g = next((g for g in usable if any(g[i] not in seen for i in orbit)), None)
+            if g is None:
+                break
+            kept.append(g)
+        order *= len(orbit)
+    return tuple(kept), order
+
+
+def _canonical_search(s: Psts, pin: int | None) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...], int]:
     """The canonical key of ``s``, totally ordered and stable across runs,
-    and the automorphisms its search found, as index tuples; they generate
-    the group fixing ``pin``.  The point ``pin`` is individualized first
-    (McKay & Piperno, "Practical graph isomorphism II", 2014), so pinned
-    keys are equal exactly when an isomorphism maps pin onto pin."""
+    and generators, as index tuples, and order of the automorphism group
+    fixing ``pin``, both from the automorphisms its search found.  The
+    point ``pin`` is individualized first (McKay & Piperno, "Practical
+    graph isomorphism II", 2014), so pinned keys are equal exactly when an
+    isomorphism maps pin onto pin."""
     c = _Canonicalizer(s, pin)
-    return CanonicalKey(len(s.points), len(s.line_sets), c.run()), tuple(c.auts)
-
-
-# ---------------------------------------------------------------------------
-# automorphism groups
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """a after b."""
-    return tuple(map(a.__getitem__, b))
+    key = CanonicalKey(len(s.points), len(s.line_sets), c.run())
+    return (key, *_first_path_orbits(c.first_path, c.auts))
 
 
 def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -343,105 +375,11 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-class _StabilizerChain:
-    """Base and strong generating set of a permutation group on range(n),
-    grown one generator at a time by deterministic Schreier-Sims (Seress,
-    *Permutation Group Algorithms*, 2003, ch. 4).
-
-    Level l has base point ``base[l]``, the strong generators ``gens[l]``
-    that fix ``base[:l]``, and ``orbits[l]``: for each point x in the
-    orbit of ``base[l]`` a pair (u, u^-1) with u(base[l]) = x.  The
-    representatives never change once set, so ``checked[l]`` can record
-    the Schreier generators (orbit point, generator number) already
-    sifted to the identity.  The order is the product of the orbit sizes.
-    """
-
-    def __init__(self, n: int):
-        self.identity = tuple(range(n))
-        self.base: list[int] = []
-        self.gens: list[list[tuple[int, ...]]] = []
-        self.orbits: list[dict[int, tuple]] = []
-        self.checked: list[set[tuple[int, int]]] = []
-
-    def order(self) -> int:
-        return prod(len(orbit) for orbit in self.orbits)
-
-    def sift(self, g: tuple[int, ...], level: int = 0) -> tuple[tuple[int, ...], int]:
-        """Strip g down the chain from ``level``: the residue, and the
-        level where it left the orbits (``len(base)`` if it got through)."""
-        for lv in range(level, len(self.base)):
-            rep = self.orbits[lv].get(g[self.base[lv]])
-            if rep is None:
-                return g, lv
-            g = _compose(rep[1], g)
-        return g, len(self.base)
-
-    def add(self, g: tuple[int, ...]) -> bool:
-        """Extend the group by g; False when g is already in it."""
-        residue = self.sift(g)
-        if residue[0] == self.identity:
-            return False
-        while residue is not None:
-            g, level = residue
-            self._insert(g, level)
-            # the levels below the insertion are complete; restore the
-            # Schreier-Sims condition from there up to the top
-            residue = next(
-                (r for lv in range(level, -1, -1) if (r := self._schreier_residue(lv))), None
-            )
-        return True
-
-    def _insert(self, g: tuple[int, ...], level: int) -> None:
-        # g fixes base[:level]: a strong generator of every level up to it
-        if level == len(self.base):
-            b = next(i for i, x in enumerate(g) if i != x)
-            self.base.append(b)
-            self.gens.append([])
-            self.orbits.append({b: (self.identity, self.identity)})
-            self.checked.append(set())
-        for lv in range(level + 1):
-            gens, orbit = self.gens[lv], self.orbits[lv]
-            gens.append(g)
-            queue = list(orbit)
-            for x in queue:
-                u = orbit[x][0]
-                for s in gens:
-                    y = s[x]
-                    if y not in orbit:
-                        uy = _compose(s, u)
-                        orbit[y] = (uy, _inverse(uy))
-                        queue.append(y)
-
-    def _schreier_residue(self, level: int) -> tuple[tuple[int, ...], int] | None:
-        """The first Schreier generator of ``level`` that does not sift to
-        the identity through the levels below, as its residue and level."""
-        gens, orbit, checked = self.gens[level], self.orbits[level], self.checked[level]
-        for x, (u, _) in orbit.items():
-            for k, s in enumerate(gens):
-                if (x, k) in checked:
-                    continue
-                checked.add((x, k))
-                h = _compose(orbit[s[x]][1], _compose(s, u))
-                h, stop = self.sift(h, level + 1)
-                if h != self.identity:
-                    return h, stop
-        return None
-
-
-def generated_group(n: int, found: Iterable[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The permutations of range(n) in ``found`` that are not in the group
-    of those kept before them, so never the identity, and the order of the
-    group they generate, by Schreier-Sims over the kept ones."""
-    chain = _StabilizerChain(n)
-    return tuple(g for g in found if chain.add(g)), chain.order()
-
-
 def automorphism_group(s: Psts) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Generators, as index tuples, and exact order of the automorphism
-    group.  One run of the canonical search finds automorphisms that
-    generate the group, and ``generated_group`` keeps and counts them.
-    Nothing enumerates the group."""
-    return generated_group(len(s.points), _canonical_search(s, None)[1])
+    group, both read from one run of the canonical search by
+    ``_first_path_orbits``.  Nothing enumerates the group."""
+    return _canonical_search(s, None)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,20 @@ def relabel(s, mapping):
     return Psts([mapping[x] for x in s.points], [[mapping[x] for x in ln] for ln in s.lines])
 
 
+def closure(n, gens):
+    """Every element of the group generated by index tuples, by brute force."""
+    identity = tuple(range(n))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple(g[i] for i in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def canonical_key(s, pin=None):
     """The canonical key of ``s``, with the point named ``pin`` pinned."""
     return _canonical_search(s, None if pin is None else s.points.index(pin))[0]

@@ -17,7 +17,6 @@ import itertools
 import subprocess
 import sys
 
-import pytest
 from conftest import canonical_key, free_complete_subgraphs
 
 from skewpersp.classify import (
@@ -297,7 +296,6 @@ def test_criterion_10_plain_family_vs_listed_entries(census_audit, perm_classes,
 # ------------------------------------------------------------------ 11
 
 
-@pytest.mark.slow
 def test_criterion_11_audit_determinism(census_audit, tmp_path):
     baseline = render_text(census_audit)
     texts = [baseline]

@@ -10,7 +10,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from conftest import canonical_key, family_images, joint_refinement
+from conftest import canonical_key, closure, family_images, joint_refinement
 
 from skewpersp import classify, cli, iso, perspective, psts, veblen
 from skewpersp.classify import (
@@ -505,9 +505,9 @@ def test_audit_retains_nothing_once_its_report_is_dropped():
 
 class TestCarriedSearch:
     """One spec of each criterion orbit is searched, plain or with the
-    center pinned; every other spec takes its key and automorphisms along
-    a checked map.  This keeps the evidence a search of every spec would
-    give."""
+    center pinned; every other spec takes its key, automorphisms and group
+    order along a checked map.  This keeps the evidence a search of every
+    spec would give."""
 
     def test_carried_keys_and_groups_match_a_search(self, monkeypatch, census, perm_specs):
         runs = 0
@@ -527,21 +527,21 @@ class TestCarriedSearch:
         assert runs == 69
         pinned = {spec: structures.search(spec, pinned=True) for spec in perm_specs}
         assert runs == 69 + 44
-        for spec, (key, gens) in carried.items():
+        for spec, (key, gens, order) in carried.items():
             s = structures[spec]
             for g in gens:
                 assert iso._is_isomorphism(s, s, g)
-            searched_key, searched_gens = iso._canonical_search(s, None)
-            assert key == searched_key, spec_text(spec)
-            assert group_order(s, gens) == group_order(s, searched_gens), spec_text(spec)
-        for spec, (key, gens) in pinned.items():
+            searched_key, _, searched_order = iso._canonical_search(s, None)
+            assert (key, order) == (searched_key, searched_order), spec_text(spec)
+            assert len(closure(len(s.points), gens)) == order, spec_text(spec)
+        for spec, (key, gens, order) in pinned.items():
             s = structures[spec]
             for g in gens:
                 assert g[CENTER_INDEX] == CENTER_INDEX, spec_text(spec)
                 assert iso._is_isomorphism(s, s, g)
-            searched_key, searched_gens = iso._canonical_search(s, CENTER_INDEX)
-            assert key == searched_key, spec_text(spec)
-            assert group_order(s, gens) == group_order(s, searched_gens), spec_text(spec)
+            searched_key, _, searched_order = iso._canonical_search(s, CENTER_INDEX)
+            assert (key, order) == (searched_key, searched_order), spec_text(spec)
+            assert len(closure(len(s.points), gens)) == order, spec_text(spec)
         assert runs == 69 + 44 + 1440 + 144
 
     def test_carried_free_k5_match_a_search(self, monkeypatch, census):
@@ -565,10 +565,6 @@ class TestCarriedSearch:
         assert len(searched) == 69
         for spec, cliques in carried.items():
             assert cliques == real(structures[spec], 5), spec_text(spec)
-
-
-def group_order(s, gens) -> int:
-    return iso.generated_group(len(s.points), gens)[1]
 
 
 def swap_entries(monkeypatch, x, y):
@@ -596,10 +592,10 @@ def add_a_non_automorphism(monkeypatch):
     real = classify._canonical_search
 
     def corrupted(s, pin):
-        key, found = real(s, pin)
+        key, gens, order = real(s, pin)
         swap = list(range(len(s.points)))
         swap[0], swap[1] = 1, 0
-        return key, found + (tuple(swap),)
+        return key, gens + (tuple(swap),), order
 
     monkeypatch.setattr(classify, "_canonical_search", corrupted)
 
@@ -610,8 +606,8 @@ def add_center_moving_automorphisms(monkeypatch):
     real = classify._canonical_search
 
     def unpinned(s, pin):
-        key, found = real(s, pin)
-        return key, found if pin is None else found + real(s, None)[1]
+        key, gens, order = real(s, pin)
+        return key, gens if pin is None else gens + real(s, None)[1], order
 
     monkeypatch.setattr(classify, "_canonical_search", unpinned)
 

@@ -1,5 +1,6 @@
 """Canonical keys, witness search, and the family criteria."""
 
+import functools
 import itertools
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 from conftest import (
     axis_psts,
     canonical_key,
+    closure,
     family_images,
     joint_refinement,
     pasch_configurations,
@@ -29,13 +31,14 @@ from skewpersp.classify import enumerate_family
 from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, INDICES, PAIRS, extend
 from skewpersp.iso import (
     _Canonicalizer,
+    _canonical_search,
+    _first_path_orbits,
     _rank_raw,
     _pasch_seed,
     _refine,
     _refined,
     _search,
     _seed_colors,
-    _StabilizerChain,
     automorphism_group,
     certificates_differ,
     find_isomorphism,
@@ -590,17 +593,21 @@ def seeded_copies(copies, points=12, lines=12, seed=0):
     )
 
 
-def closure(n, gens):
-    """Every element of the group generated by index tuples, by brute force."""
-    identity = tuple(range(n))
-    seen, frontier = {identity}, [identity]
-    while frontier:
-        cur = frontier.pop()
+@functools.cache
+def projective_group(d):
+    """PG(d-1, 2) and its automorphism group, computed once per session."""
+    s = projective_space(d)
+    return s, automorphism_group(s)
+
+
+def orbit(x, gens):
+    """The orbit of point x under the group generated by ``gens``."""
+    points, seen = [x], {x}
+    for i in points:
         for g in gens:
-            nxt = tuple(g[i] for i in cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+            if g[i] not in seen:
+                seen.add(g[i])
+                points.append(g[i])
     return seen
 
 
@@ -643,12 +650,13 @@ class TestAutomorphismGroup:
         gens, _ = automorphism_group(s)
         assert gens and all(is_index_map(g) and iso._is_isomorphism(s, s, g) for g in gens)
 
-    @pytest.mark.parametrize("d,order", [(4, 20160), (5, 9999360)], ids=["pg32", "pg42"])
-    def test_projective_space_orders(self, d, order):
-        s = projective_space(d)
-        gens, found = automorphism_group(s)
-        assert found == order
-        assert gens and all(iso._is_isomorphism(s, s, g) for g in gens)
+    @pytest.mark.parametrize(
+        "d,order,count", [(4, 20160, 9), (5, 9999360, 14)], ids=["pg32", "pg42"]
+    )
+    def test_projective_space_orders(self, d, order, count):
+        s, (gens, found) = projective_group(d)
+        assert found == order and len(gens) == count
+        assert all(iso._is_isomorphism(s, s, g) for g in gens)
 
     def test_class_orders_match_enumeration(self, perm_classes, kappa_classes):
         # the 68 classes; the census axes add none (test_classify)
@@ -670,11 +678,16 @@ class TestAutomorphismGroup:
             assert all(iso._is_isomorphism(s, s, g) for g in gens)
 
     def test_each_generator_is_new(self, perm_classes):
-        for c in perm_classes:
-            s = build(c.representative)
-            gens = automorphism_group(s)[0]
+        # g moves some point x outside x's orbit under the generators
+        # before it, so g is not in the group they generate
+        structures = [build(c.representative) for c in perm_classes]
+        groups = [(s, automorphism_group(s)[0]) for s in structures]
+        for d in (4, 5):
+            s, (gens, _) = projective_group(d)
+            groups.append((s, gens))
+        for s, gens in groups:
             for k, g in enumerate(gens):
-                assert g not in closure(len(s.points), gens[:k])
+                assert any(g[x] not in orbit(x, gens[:k]) for x in range(len(s.points)))
 
     def test_aut_beyond_key_cap_without_recursion(self, capsys, tmp_path):
         s = seeded_copies(3)
@@ -720,6 +733,54 @@ class TestPruning:
         assert not c._pruned(x, [sibling], path)
         c.auts = [next(g for g in auts if g[0] == 0 and g[x] == sibling)]
         assert c._pruned(x, [sibling], path)
+
+
+def isolated_points(n):
+    return Psts([f"p{i:02d}" for i in range(n)], [])
+
+
+def disjoint_triangles(k):
+    names = [f"t{i:02d}" for i in range(3 * k)]
+    return Psts(names, [tuple(names[3 * j : 3 * j + 3]) for j in range(k)])
+
+
+class TestCanonicalSearchWork:
+    """What one canonical search does on inputs whose groups are large:
+    nodes visited, leaves reached, automorphisms found and kept, and the
+    order.  The counts are deterministic, so a regression in pruning fails
+    here instead of only running slower."""
+
+    @pytest.mark.parametrize(
+        "s,expected",
+        [
+            (isolated_points(8), (92, 29, 28, 7, 40320)),
+            (isolated_points(12), (298, 67, 66, 11, 479001600)),
+            (disjoint_triangles(4), (95, 19, 18, 11, 31104)),
+            (disjoint_triangles(6), (252, 34, 33, 17, 33592320)),
+        ],
+        ids=["points-8", "points-12", "triangles-4", "triangles-6"],
+    )
+    def test_ladder(self, monkeypatch, s, expected):
+        counts = {"nodes": 0, "leaves": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        real_orbits = iso._first_path_orbits
+
+        def orbits(path, found):
+            counts["found"] = len(found)
+            return real_orbits(path, found)
+
+        monkeypatch.setattr(_Canonicalizer, "_visit", counting("nodes", _Canonicalizer._visit))
+        monkeypatch.setattr(_Canonicalizer, "_leaf", counting("leaves", _Canonicalizer._leaf))
+        monkeypatch.setattr(iso, "_first_path_orbits", orbits)
+        gens, order = automorphism_group(s)
+        assert (counts["nodes"], counts["leaves"], counts["found"], len(gens), order) == expected
 
 
 def reference_refine(s, colors):
@@ -959,8 +1020,18 @@ class TestCertificates:
         assert outputs == {f"{_refined(s, None)[0]} {_refined(s, s.points.index(CENTER))[0]}\n"}
 
 
-class TestSchreierSims:
-    """The stabilizer chain's order against a brute-force closure."""
+class TestFirstPathOrbits:
+    """The group order from the canonical search's first-path orbits
+    against the witness search's count of automorphisms and a brute-force
+    closure of the kept generators, plain and with a point pinned."""
+
+    @staticmethod
+    def checked(s, pin):
+        _, gens, order = _canonical_search(s, pin)
+        fix = None if pin is None else (pin, pin)
+        assert order == len(list(_search(s, s, fix))) == len(closure(len(s.points), gens))
+        assert all(iso._is_isomorphism(s, s, g) and (pin is None or g[pin] == pin) for g in gens)
+        return gens, order
 
     @pytest.mark.parametrize(
         "s",
@@ -975,48 +1046,35 @@ class TestSchreierSims:
         ids=["pasch", "fano", "perm-id-G2", "perm-12-B2", "kappa-1234-V4", "kappa-id-G2"],
     )
     def test_order_matches_closure(self, s):
-        auts = list(_search(s, s, None))
-        # every prefix of the automorphism list generates a subgroup
-        for k in (1, 2, 3, len(auts)):
-            chain = _StabilizerChain(len(s.points))
-            for g in auts[:k]:
-                chain.add(g)
-            assert chain.order() == len(closure(len(s.points), auts[:k]))
-        assert chain.order() == len(auts)
+        for pin in (None, 0):
+            self.checked(s, pin)
 
-    def test_random_generator_lists(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            n = rng.randint(4, 7)
-            gens = []
-            for _ in range(rng.randint(1, 3)):
-                # a product of one or two transpositions
-                g = list(range(n))
-                for _ in range(rng.randint(1, 2)):
-                    a, b = rng.sample(range(n), 2)
-                    g[a], g[b] = g[b], g[a]
-                gens.append(tuple(g))
-            chain = _StabilizerChain(n)
-            for g in gens:
-                chain.add(g)
-            assert chain.order() == len(closure(n, gens)), gens
+    @pytest.mark.parametrize("seed,copies", [(0, 2), (0, 4), (1, 3), (2, 2), (3, 4), (4, 1)])
+    def test_seeded_copies(self, seed, copies):
+        s = seeded_copies(copies, seed=seed)
+        for pin in (None, 0):
+            self.checked(s, pin)
+
+    @pytest.mark.parametrize(
+        "s",
+        [Psts([], []), Psts(["x"], []), seeded_copies(1)],
+        ids=["empty", "one-point", "rigid"],
+    )
+    def test_identity_only(self, s):
+        assert _canonical_search(s, None)[1:] == ((), 1)
+        if s.points:
+            assert self.checked(s, 0) == ((), 1)
 
     def test_duplicated_and_redundant_generators(self):
-        s = FANO
-        auts = list(_search(s, s, None))
-        a, b = auts[1], auts[-1]
-        chain = _StabilizerChain(len(s.points))
-        assert chain.add(a) and not chain.add(a)
-        assert chain.add(b) and not chain.add(b)
-        order = chain.order()
-        ab = tuple(a[i] for i in b)
-        assert not chain.add(ab) and not chain.add(tuple(ab[i] for i in a))
-        assert chain.order() == order == len(closure(len(s.points), [a, b]))
-
-    def test_identity_only(self):
-        chain = _StabilizerChain(5)
-        assert not chain.add(tuple(range(5)))
-        assert chain.order() == 1 and chain.base == []
+        # a repeat of a kept automorphism, or a product of found ones, is
+        # already in the group of those kept before it
+        c = _Canonicalizer(FANO, None)
+        c.run()
+        kept = _first_path_orbits(c.first_path, c.auts)
+        doubled = [g for g in c.auts for _ in range(2)]
+        products = [tuple(a[i] for i in b) for a, b in itertools.product(c.auts, repeat=2)]
+        assert _first_path_orbits(c.first_path, doubled + products) == kept
+        assert kept[1] == 168 and len(kept[0]) < len(c.auts)
 
 
 def perm_family_iso(s1, s2):
