@@ -26,7 +26,9 @@ one are searched.  The plain family's classes are center-fixing ones, keyed
 with the center pinned.  Its plain partition is backed through the
 center-fixing witnesses: each member already has one onto its center-fixing
 representative, so only those representatives need plain witnesses onto
-their plain representatives.
+their plain representatives.  Lemma 4.3 refutes every pair of the two
+families' class representatives, so the class counts and "collisions: 0"
+do not rest on keys alone.
 
 One audit holds one structure per spec, keyed by (family, spec id): each
 spec is built once, on first use, and every claim reads that structure.
@@ -631,15 +633,15 @@ def _lemma_3_3() -> Finding:
     )
 
 
-def _check_partition(specs, builds, keys, fix=None, refute=True) -> list[int]:
+def _check_partition(specs, builds, keys, fix=None) -> list[int]:
     """Back a key partition of ``specs`` with the witness search, and
     return the positions of its class representatives.
 
     Each member needs a witness onto its class representative (the first
-    spec with its key) and, with ``refute``, each pair of representatives a
-    refutation, by unequal certificates or by a search.  By transitivity
-    the keys then decide every pair of specs exactly as the search would;
-    any disagreement raises.
+    spec with its key) and each pair of representatives a refutation, by
+    unequal certificates or by a search.  By transitivity the keys then
+    decide every pair of specs exactly as the search would; any
+    disagreement raises.
     """
     reps: dict[CanonicalKey, int] = {}
     for i, k in enumerate(keys):
@@ -648,12 +650,11 @@ def _check_partition(specs, builds, keys, fix=None, refute=True) -> list[int]:
             raise OracleInconsistencyError(
                 f"equal keys but no witness: {spec_text(specs[i])} vs {spec_text(specs[r])}"
             )
-    if refute:
-        for r1, r2 in itertools.combinations(reps.values(), 2):
-            if find_isomorphism(builds[r1], builds[r2], fix=fix) is not None:
-                raise OracleInconsistencyError(
-                    f"witness found but keys differ: {spec_text(specs[r1])} vs {spec_text(specs[r2])}"
-                )
+    for r1, r2 in itertools.combinations(reps.values(), 2):
+        if find_isomorphism(builds[r1], builds[r2], fix=fix) is not None:
+            raise OracleInconsistencyError(
+                f"witness found but keys differ: {spec_text(specs[r1])} vs {spec_text(specs[r2])}"
+            )
     return list(reps.values())
 
 
@@ -699,9 +700,7 @@ def _prop_3_2(structures, perm_specs) -> Finding:
     # their plain representatives back every member by transitivity
     if len(set(zip(pinned, plain))) != len(set(pinned)):
         raise OracleInconsistencyError("center-fixing witness found but keys differ")
-    _check_partition(
-        [perm_specs[i] for i in reps], [builds[i] for i in reps], [plain[i] for i in reps], refute=False
-    )
+    _check_partition([perm_specs[i] for i in reps], [builds[i] for i in reps], [plain[i] for i in reps])
     return _criterion_sweep(
         "prop_3_2",
         "the two-case conjugation criterion decides center-fixing isomorphism in the plain family",
@@ -752,7 +751,11 @@ def _cor_4_2(structures, kappa_specs) -> Finding:
     )
 
 
-def _lemma_4_3(perm_classes, kappa_classes) -> Finding:
+def _lemma_4_3(structures, perm_classes, kappa_classes) -> Finding:
+    # the witness search refutes every pair of class representatives, so
+    # distinct keys are distinct structures across the families too
+    reps = [c.representative for c in perm_classes + kappa_classes]
+    _check_partition(reps, [structures[s] for s in reps], [c.key for c in perm_classes + kappa_classes])
     perm_keys = {c.key for c in perm_classes}
     kappa_keys = {c.key for c in kappa_classes}
     collisions = perm_keys & kappa_keys
@@ -1018,7 +1021,7 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
         theorem_3_4,
         _lemma_4_1(structures, kappa_specs),
         _cor_4_2(structures, kappa_specs),
-        _lemma_4_3(perm_classes, kappa_classes),
+        _lemma_4_3(structures, perm_classes, kappa_classes),
         _lemma_4_4(structures, census),
         _prop_4_5(structures, kappa_canonical),
         _cor_4_6(),

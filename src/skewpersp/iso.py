@@ -5,10 +5,8 @@ Three layers, all deterministic:
 * ``_canonical_search``   a complete relabeling invariant, computed by
                           individualization-refinement backtracking; equal
                           keys if and only if isomorphic (optionally pinning
-                          one point onto itself).  Its refinement is
-                          incremental: a round re-signs only the cells that
-                          hold a line partner of a point whose cell split in
-                          the round before,
+                          one point onto itself).  It refines each node in
+                          full rounds, from the free-K5 seed at the root,
 * ``automorphism_group``  generators and exact order, read from one run of
                           the same search: the automorphisms it finds
                           generate the group, and the orbits of its first
@@ -48,7 +46,7 @@ the package but ``psts``.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .psts import Psts
@@ -91,68 +89,33 @@ def _signatures(s: Psts, colors: list[int], shift: int) -> list[tuple]:
     return sigs
 
 
-def _refine(s: Psts, colors: list[int], moved: Iterable[int]) -> list[int]:
-    """Refine dense ``colors`` (every value in 0..max used) until stable.
-
-    ``moved`` holds every point whose colour changed since the colours
-    were last stable: all points at the root, the individualized point at
-    a child.  The result equals that of full rounds, each of which gives
-    every point the dense rank of (its colour, the sorted packed colours
-    of its line partners) until nothing changes.  A round here re-signs
-    only the non-singleton cells that hold a line partner of a moved
-    point, and the points of the cells that split are the next round's
-    moved points.  Three facts make the two equal:
-
-    * Rounds are synchronous: every cell signed in a round reads the
-      colours of the round before, and renumbering waits for all of them.
-    * Colours are dense on entry.  A full round then keeps the cells in
-      order, numbers each cell's fragments in signature order after the
-      fragments of the cells before it, and changes nothing once no cell
-      splits.
-    * The pair pack is injective and preserves order.  A full round's
-      renumbering is then one increasing map on the colours of the points
-      that did not move, so two points of a cell with no moved partner
-      keep equal signatures, and the cell neither splits nor moves.
-    """
+def _refine(s: Psts, colors: list[int]) -> list[int]:
+    """Full rounds of colour refinement from dense ``colors`` (every value
+    in 0..max used): each round gives every point the dense rank of (its
+    colour, the sorted packed colours of its line partners), until nothing
+    changes.  A point alone in its cell is signed by its colour only: no
+    other signature starts with that colour, so its rank is the same."""
     partners = s.partners
     shift = _pack_shift(len(colors))
-    colors = list(colors)
-    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
-    for i, c in enumerate(colors):
-        cells[c].append(i)
     while True:
-        touched = {colors[j] for i in moved for pair in partners[i] for j in pair}
-        splits = {}
-        for c in touched:
-            cell = cells[c]
-            if len(cell) == 1:
+        size = [0] * len(colors)
+        for c in colors:
+            size[c] += 1
+        sigs: list[tuple] = []
+        for i, c in enumerate(colors):
+            if size[c] == 1:
+                sigs.append((c,))
                 continue
-            by_sig: dict[tuple, list[int]] = {}
-            for i in cell:
-                part = []
-                for j, k in partners[i]:
-                    a, b = colors[j], colors[k]
-                    part.append((a << shift) | b if a <= b else (b << shift) | a)
-                part.sort()
-                by_sig.setdefault(tuple(part), []).append(i)
-            if len(by_sig) > 1:
-                splits[c] = [by_sig[sig] for sig in sorted(by_sig)]
-        if not splits:
+            part = []
+            for j, k in partners[i]:
+                a, b = colors[j], colors[k]
+                part.append((a << shift) | b if a <= b else (b << shift) | a)
+            part.sort()
+            sigs.append((c, *part))
+        refined = _rank_raw(sigs)
+        if refined == colors:
             return colors
-        first = min(splits)
-        renumbered = cells[:first]
-        moved = []
-        for c in range(first, len(cells)):
-            fragments = splits.get(c)
-            if fragments is None:
-                renumbered.append(cells[c])
-            else:
-                renumbered.extend(fragments)
-                moved.extend(cells[c])
-        for c in range(first, len(renumbered)):
-            for i in renumbered[c]:
-                colors[i] = c
-        cells = renumbered
+        colors = refined
 
 
 def _rank_raw(raw: list[tuple]) -> list[int]:
@@ -246,7 +209,7 @@ class _Canonicalizer:
         if self.pin is not None:
             raw = [t + (i == self.pin,) for i, t in enumerate(raw)]
         stack: list[tuple] = []
-        self._visit(_rank_raw(raw), range(self.n), (), stack)
+        self._visit(_rank_raw(raw), (), stack)
         while stack:
             colors, path, children, explored = stack[-1]
             for x in children:
@@ -255,17 +218,15 @@ class _Canonicalizer:
                     child = list(colors)
                     # a fresh colour just above the others keeps them dense
                     child[x] = max(colors) + 1
-                    self._visit(child, (x,), path + (x,), stack)
+                    self._visit(child, path + (x,), stack)
                     break
             else:
                 stack.pop()
         assert self.best is not None
         return self.best
 
-    def _visit(
-        self, colors: list[int], moved: Iterable[int], path: tuple[int, ...], stack: list[tuple]
-    ) -> None:
-        colors = _refine(self.s, colors, moved)
+    def _visit(self, colors: list[int], path: tuple[int, ...], stack: list[tuple]) -> None:
+        colors = _refine(self.s, colors)
         sizes = [0] * self.n
         for c in colors:
             sizes[c] += 1

@@ -237,10 +237,11 @@ class TestOracleSweep:
                 groups[cert] = groups.get(cert, 0) + 1
             return groups.values()
 
-        # the record's memo hands out the pinned keys the sweep asked for
-        pinned_reps = {}
+        # the record's memo hands out the keys the sweep asked for
+        pinned_reps, plain_reps = {}, {}
         for s in perm_specs:
             pinned_reps.setdefault(structures.search(s, pinned=True)[0], s)
+            plain_reps.setdefault(structures.search(s)[0], s)
         pinned = len(pinned_reps)
         plain, kappa = len(perm_classes), len(kappa_classes)
         assert (pinned, plain, kappa) == (44, 43, 25)
@@ -249,10 +250,13 @@ class TestOracleSweep:
         # center-fixing representative onto its plain representative, which
         # by transitivity backs every member's plain class, and one search
         # per pair of representatives that share a certificate.  Every
-        # pair of representatives is handed to the search, which refutes
-        # the others by their certificates before it places a point
-        searched_pairs = sum(pairs(k) for k in certificate_groups(pinned_reps.values(), CENTER_INDEX)) + sum(
-            pairs(k) for k in certificate_groups((c.representative for c in kappa_classes), None)
+        # pair of representatives, center-fixing, plain and
+        # boolean-complementing, is handed to the search, which refutes the
+        # others by their certificates before it places a point
+        searched_pairs = (
+            sum(pairs(k) for k in certificate_groups(pinned_reps.values(), CENTER_INDEX))
+            + sum(pairs(k) for k in certificate_groups(plain_reps.values(), None))
+            + sum(pairs(k) for k in certificate_groups((c.representative for c in kappa_classes), None))
         )
         assert searched_pairs == 1
         expected = (
@@ -262,7 +266,7 @@ class TestOracleSweep:
             + searched_pairs
         )
         assert calls - certified == expected == 221
-        assert certified == pairs(pinned) + pairs(kappa) - searched_pairs
+        assert certified == pairs(pinned) + pairs(plain) + pairs(kappa) - searched_pairs
 
 
 class TestCriterionSweep:
@@ -399,11 +403,11 @@ class TestAuditWork:
     WORK = {
         # the first seven of WORK_FIELDS; the checked maps are 1,371 plain
         # and 100 pinned carrying maps and lemma 4.4's 30
-        "census": (1440, 69, 113, 222, 1052, 688, 1501),
+        "census": (1440, 69, 113, 223, 1052, 688, 1501),
         # 219 plain and 100 pinned carrying maps, lemma 4.4's 30, and 24
         # more for kappa:id over the non-canonical census axes, whose keys
         # and subgraphs are carried
-        "canonical": (312, 69, 113, 222, 1052, 688, 373),
+        "canonical": (312, 69, 113, 223, 1052, 688, 373),
     }
 
     @staticmethod
@@ -422,18 +426,22 @@ class TestAuditWork:
 
 
 class TestWitnessRefutations:
-    """How the pairs the witness oracle decides in one audit end.  332
-    (structure, fixed point) certificates refute 1,386 pairs of class
-    representatives and listed entries before any search; the 222 witness
-    searches refute 2 more by backtracking and find 220 maps.
+    """How the pairs the witness oracle decides in one audit end.  333
+    (structure, fixed point) certificates refute 4,566 pairs of class
+    representatives and listed entries before any search: every pair of
+    center-fixing, plain and boolean-complementing representatives, and
+    every pair of the 68 class representatives across both families, but
+    one.  The 223 witness searches refute that one pair,
+    kappa:(1,2,4)@V5 against kappa:(1,2,4)@V6, by backtracking, once in
+    each of three claims, and find 220 maps.
     Deterministic, so a slide back to searching refuted pairs, or to
     refuting by backtracking, fails this gate without flaking."""
 
     @pytest.mark.parametrize("axes_mode", ["census", "canonical"])
     def test_refinement_refutes_before_backtracking(self, audit_work, axes_mode):
         work = audit_work[axes_mode]
-        assert work["certificates"] == 332
-        assert (work["certified"], work["refuted"], work["found"]) == (1386, 2, 220)
+        assert work["certificates"] == 333
+        assert (work["certified"], work["refuted"], work["found"]) == (4566, 3, 220)
         assert work["witness"] == work["refuted"] + work["found"]
 
 
@@ -466,7 +474,7 @@ def test_certificates_differ_exactly_when_joint_refinement_refutes(monkeypatch):
 
     monkeypatch.setattr(classify, "find_isomorphism", find)
     classify.audit_claims("canonical")
-    assert len(decided) == 1608
+    assert len(decided) == 4789
     refuted = 0
     for x, y, fix in decided:
         joint = joint_refinement(x, y, fix)
@@ -475,7 +483,7 @@ def test_certificates_differ_exactly_when_joint_refinement_refutes(monkeypatch):
         if joint is not None:
             px, py = fix or (None, None)
             assert joint == (list(iso._refined(x, px)[1]), list(iso._refined(y, py)[1]))
-    assert refuted == 1386
+    assert refuted == 4566
 
 
 def test_audit_retains_nothing_once_its_report_is_dropped():
@@ -689,6 +697,55 @@ class TestTransitiveWitnessFault:
         assert out == ""
         assert err.startswith("internal oracle inconsistency: equal keys but no witness: ")
         assert f"{spec_text(victim)} vs {spec_text(rep)}" in err
+
+
+class TestRepresentativeRefutationFaults:
+    """The witness search refutes every pair of plain representatives with
+    no point fixed, and every pair of class representatives across the two
+    families, so neither the 43 plain classes nor lemma 4.3's "collisions:
+    0" rests on canonical keys alone.  A search that finds a map between
+    two representatives fails the audit."""
+
+    @pytest.fixture(params=["plain", "cross-family"])
+    def pair(self, request, perm_classes, kappa_classes):
+        if request.param == "plain":
+            # only a map with no fixed point: the center-fixing search
+            # still refutes the pair
+            return perm_classes[0].representative, perm_classes[1].representative, True
+        return perm_classes[0].representative, kappa_classes[0].representative, False
+
+    @staticmethod
+    def _patch(monkeypatch, pair):
+        r1, r2, plain_only = pair
+        built = {build(r1), build(r2)}
+        real = classify.find_isomorphism
+
+        def hit(x, y, fix):
+            return {x, y} == built and (fix is None or not plain_only)
+
+        monkeypatch.setattr(
+            classify,
+            "find_isomorphism",
+            lambda x, y, fix=None: tuple(range(len(x.points))) if hit(x, y, fix) else real(x, y, fix=fix),
+        )
+        return f"witness found but keys differ: {spec_text(r1)} vs {spec_text(r2)}"
+
+    def test_claim_raises(self, monkeypatch, pair, perm_specs, perm_classes, kappa_classes):
+        message = self._patch(monkeypatch, pair)
+        with pytest.raises(OracleInconsistencyError, match="keys differ") as e:
+            if pair[2]:
+                classify._prop_3_2(classify._Structures(), perm_specs)
+            else:
+                classify._lemma_4_3(classify._Structures(), perm_classes, kappa_classes)
+        assert message in str(e.value)
+
+    def test_cli_exits_70(self, monkeypatch, capsys, pair):
+        message = self._patch(monkeypatch, pair)
+        code = cli.main(["audit", "--axes", "canonical"])
+        out, err = capsys.readouterr()
+        assert code == cli.EX_SOFTWARE == 70
+        assert out == ""
+        assert err == f"internal oracle inconsistency: {message}\n"
 
 
 class TestPublishedData:

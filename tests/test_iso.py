@@ -840,8 +840,10 @@ def random_psts(rng):
 
 
 class TestRefine:
-    """The incremental refinement of the canonical search against literal
-    full rounds, at the nodes the search visits."""
+    """The canonical search's refinement, which packs line partner pairs
+    into ints and signs a point alone in its cell by its colour only,
+    against literal full rounds over tuples, at the nodes the search
+    visits."""
 
     @staticmethod
     def assert_matches_reference(s, pin=None, depth=2):
@@ -855,7 +857,7 @@ class TestRefine:
             raw = [t + (i == pin,) for i, t in enumerate(raw)]
         start = _rank_raw(raw)
         expected = reference_refine(s, start)
-        assert _refine(s, start, range(n)) == expected
+        assert _refine(s, start) == expected
         for level in range(depth):
             cell = first_largest_cell(expected)
             refined = []
@@ -865,7 +867,7 @@ class TestRefine:
                 ref_child = list(expected)
                 ref_child[x] = n + level
                 refined.append(reference_refine(s, ref_child))
-                assert _refine(s, child, (x,)) == refined[-1], (level, x)
+                assert _refine(s, child) == refined[-1], (level, x)
             if not refined:
                 return
             expected = refined[0]
@@ -904,7 +906,7 @@ class TestRefine:
         names = [f"q{i:04d}" for i in range(1029)]
         s = Psts(names, [(names[1027], names[1], names[2]), (names[1028], names[0], names[1026])])
         colors = [0, 1, 1, *range(2, 1025), 1025, 1026, 1026]
-        refined = _refine(s, colors, range(len(colors)))
+        refined = _refine(s, colors)
         assert refined[1027:] == [1027, 1026]
         assert refined == reference_refine(s, colors)
         assert reference_refine_pair(s, colors, s, colors) == (refined, refined)
