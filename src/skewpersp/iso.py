@@ -45,7 +45,6 @@ the package but ``psts``.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -134,6 +133,8 @@ class CanonicalKey:
 
     @property
     def digest(self) -> str:
+        import hashlib  # loads OpenSSL: only printing a key needs it, not iso or aut
+
         return hashlib.sha256(repr((self.point_count, self.line_count, self.encoding)).encode()).hexdigest()[:12]
 
     def __str__(self) -> str:

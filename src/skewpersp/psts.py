@@ -5,25 +5,27 @@ which two distinct lines meet in at most one point.  Points are plain
 strings; all geometry below identifies structures only up to renaming, so
 nothing downstream may depend on what the names look like.
 
-Each structure holds its incidence once, over point indices: the lines as
-sorted index triples and each point's line partners as index pairs.  The
-isomorphism machinery works on that core, and names meet it only at the
-boundary.  The third-point table, a dict per point, the per-point Pasch
-and triangle counts, the free K5 subgraphs, searched over int bitmasks of
-points, and the witness search's refinement memo are built on first use
-only: the witness search reads the table and the memo, its seed colouring
-the Pasch and triangle counts, and the canonical search's seed colouring
-the subgraphs.  A structure that a checked isomorphism reaches from one
-whose subgraphs are known takes them along the map instead of searching.
-The audit keeps every structure it builds, and most never need the table.
+Each structure holds its incidence once, over point indices, as the lines
+in sorted index triples.  The isomorphism machinery works on that core,
+and names meet it only at the boundary.  Everything derived is built on
+first use only: each point's line partners as index pairs, the
+third-point table, a dict per point, the per-point Pasch and triangle
+counts, the free K5 subgraphs, searched over int bitmasks of points, and
+the witness search's refinement memo.  Both searches read the partners,
+the witness search the table and the memo, its seed colouring the Pasch
+and triangle counts, and the canonical search's seed colouring the
+subgraphs.  A structure that a checked isomorphism reaches from one whose
+subgraphs are known takes them along the map instead of searching.  The
+audit keeps every structure it builds, and most are never searched, so
+they never list their partners.
 
 Construction validates; an invalid line set raises ``PstsError`` carrying
 the full list of problems found, not just the first.  Both ways in share
-one index-level core, which builds the partners and finds every pair of
-points on two lines: the name-level constructor (used by ``from_text``)
-checks names, unknown points and repeated lines first, and a caller that
-has index triples already, such as a perspective built on its fixed
-frame of points, hands them over directly.
+one index-level core, which finds every pair of points on two lines: the
+name-level constructor (used by ``from_text``) checks names, unknown
+points and repeated lines first, and a caller that has index triples
+already, such as a perspective built on its fixed frame of points, hands
+them over directly.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class Psts:
     point indices, where a point's index is its position in ``points``:
 
     * ``line_sets``      the lines as sorted index triples, sorted,
-    * ``partners[i]``    sorted (j, k) pairs, one per line {i, j, k} with j < k,
+    * ``partners[i]``    sorted (j, k) pairs, one per line {i, j, k} with j < k;
+                         listed on first use, never by the constructor,
     * ``third[i][j]``    the third point of the line through i and j, present
                          only when that line exists; built from ``partners``
                          on first use, never by the constructor,
@@ -74,10 +77,12 @@ class Psts:
                          use and filled by ``iso``.
 
     ``lines`` reads the lines back as sorted name triples, in ``line_sets``
-    order, which is name order too: indices are ranks in name order.
+    order, which is name order too: indices are ranks in name order.  A
+    census audit builds 1,440 structures and searches 288, so most of them
+    hold ``points`` and ``line_sets`` only.
     """
 
-    __slots__ = ("points", "line_sets", "partners", "_third", "_pasch", "_free_k5", "_refined", "_hash")
+    __slots__ = ("points", "line_sets", "_partners", "_third", "_pasch", "_free_k5", "_refined")
 
     def __init__(self, points, lines):
         problems: list[str] = []
@@ -124,18 +129,14 @@ class Psts:
         a problem for each pair of points on two lines, and raises
         ``PstsError`` if any problem is known; else the structure holds
         ``points`` and ``line_sets`` themselves, no copy."""
-        partners: list[list[tuple[int, int]]] = [[] for _ in points]
         n = len(points)
         on_lines = set()  # each pair {i, j}, i < j, of points on a line, as i * n + j
         for i, j, k in line_sets:
-            partners[i].append((j, k))
-            partners[j].append((i, k))
-            partners[k].append((i, j))
             on_lines.update((i * n + j, i * n + k, j * n + k))
         if len(on_lines) < 3 * len(line_sets):
             # a pair {x, y} on two lines: y ends two of x's partner pairs;
             # each end reports the pair, so both orders are listed
-            for x, pairs in enumerate(partners):
+            for x, pairs in enumerate(_partners(n, line_sets)):
                 thirds: dict[int, list[int]] = {}
                 for j, k in pairs:
                     thirds.setdefault(j, []).append(k)
@@ -151,20 +152,24 @@ class Psts:
             raise PstsError(sorted(set(problems)))
         self.points = points
         self.line_sets = line_sets
-        # sorted triples list each point's partner pairs in order already:
-        # two lines through a point share no other point
-        self.partners = tuple(map(tuple, partners))
+        self._partners = None
         self._third = None
         self._pasch = None
         self._free_k5 = None
         self._refined = None
-        self._hash = hash((points, line_sets))
 
     @property
     def lines(self) -> tuple[tuple[str, str, str], ...]:
         """The lines as sorted name triples, in ``line_sets`` order."""
         pts = self.points
         return tuple((pts[i], pts[j], pts[k]) for i, j, k in self.line_sets)
+
+    @property
+    def partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The line partners of the class docstring, listed on first use."""
+        if self._partners is None:
+            self._partners = _partners(len(self.points), self.line_sets)
+        return self._partners
 
     @property
     def third(self) -> tuple[dict[int, int], ...]:
@@ -250,16 +255,34 @@ class Psts:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.points, self.line_sets))
 
     def __repr__(self) -> str:
         return f"Psts({len(self.points)} points, {len(self.line_sets)} lines)"
 
 
+def _partners(n: int, line_sets) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each of n points' line partners: one (j, k) pair per line {i, j, k}
+    through point i.  Sorted triples list each point's pairs in order
+    already: two lines through a point share no other point."""
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, j, k in line_sets:
+        partners[i].append((j, k))
+        partners[j].append((i, k))
+        partners[k].append((i, j))
+    return tuple(map(tuple, partners))
+
+
 def validate_configuration(s: Psts, point_degree: int) -> bool:
-    """True when every point lies on exactly ``point_degree`` lines; every
-    line has three points by construction."""
-    return all(len(p) == point_degree for p in s.partners)
+    """True when every point lies on exactly ``point_degree`` lines,
+    counted from the lines, so validating lists no partners; every line
+    has three points by construction."""
+    degree = [0] * len(s.points)
+    for i, j, k in s.line_sets:
+        degree[i] += 1
+        degree[j] += 1
+        degree[k] += 1
+    return degree.count(point_degree) == len(degree)
 
 
 def _free_cliques(s: Psts, n: int) -> tuple[tuple[int, ...], ...]:

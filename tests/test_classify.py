@@ -321,10 +321,10 @@ WORK_FIELDS = (
     # refute), canonical search nodes, canonical search leaves, checked
     # maps (classify's line checks of a map between two structures); then
     # the witness certificates computed, the pairs the search refutes by
-    # unequal certificates, and the witness searches that refute a pair
-    # and that find a map
+    # unequal certificates, the witness searches that refute a pair and
+    # that find a map, and the structures that list their line partners
     "build", "cliques", "canonical", "witness", "nodes", "leaves", "maps",
-    "certificates", "certified", "refuted", "found",
+    "certificates", "certified", "refuted", "found", "partners",
 )
 
 
@@ -374,6 +374,7 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
         m.setattr(iso, "_pasch_seed", counting("certificates", iso._pasch_seed))
         # where the witness search asks for them, before it places a point
         m.setattr(iso, "certificates_differ", differ)
+        m.setattr(psts, "_partners", counting("partners", psts._partners))
         for axes_mode in axes_modes:
             counts.update(dict.fromkeys(WORK_FIELDS, 0))
             classify.audit_claims(axes_mode)
@@ -417,6 +418,13 @@ class TestAuditWork:
     @pytest.mark.parametrize("axes_mode,expected", WORK.items())
     def test_each_spec_built_and_searched_once(self, audit_work, axes_mode, expected):
         assert self.calls(audit_work[axes_mode]) == expected
+
+    @pytest.mark.parametrize("axes_mode", ["census", "canonical"])
+    def test_only_searched_structures_list_partners(self, audit_work, axes_mode):
+        """Line partners are listed on first use, and only the 288
+        structures on the canonical axes are searched; the others need
+        their lines, degrees and carried subgraphs only."""
+        assert audit_work[axes_mode]["partners"] == 288
 
     def test_second_audit_does_the_same_work(self, audit_work):
         # the shared fixture ran the first canonical audit of the pair

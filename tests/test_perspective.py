@@ -27,6 +27,7 @@ from skewpersp.perspective import (
     predicted_free_k5,
     spec_text,
 )
+from skewpersp import psts
 from skewpersp.psts import Psts, PstsError, _free_cliques, validate_configuration
 from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical
 
@@ -76,7 +77,9 @@ class TestBuild:
 
     def test_retained_bytes_per_structure(self, perm_specs, kappa_specs):
         """A memory gate that cannot flake: the bytes tracemalloc sees held
-        by freshly built structures, none of which has been searched."""
+        by freshly built structures, none of which has been searched.  They
+        hold their lines only (about 500 bytes); listing the line partners
+        as well would take about 5 KiB."""
         specs = [*perm_specs, *kappa_specs]
         assert len(specs) == 288
         for spec in specs:  # fill what building memoizes, so only structures count
@@ -90,7 +93,16 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert all(s.points is POINTS for s in built)
-        assert retained / len(built) <= 6 * 1024
+        assert retained / len(built) <= 1024
+
+    def test_build_and_validation_list_no_partners(self, census, monkeypatch):
+        """The audit builds and validates all 1,440 structures and searches
+        a fifth of them, so neither step lists line partners."""
+        listed = []
+        monkeypatch.setattr(psts, "_partners", lambda *args: listed.append(args))
+        specs = [*enumerate_family(SkewFamily.PERM, census), *enumerate_family(SkewFamily.PERM_KAPPA, census)]
+        assert all(validate_configuration(build(spec), 4) for spec in specs)
+        assert listed == []
 
     def test_frame_path_matches_the_name_level_constructor(self, census):
         specs = [*enumerate_family(SkewFamily.PERM, census), *enumerate_family(SkewFamily.PERM_KAPPA, census)]

@@ -132,6 +132,12 @@ class TestSignature:
         assert validate_configuration(PASCH, 2)
         assert not validate_configuration(PASCH, 3)
 
+    def test_isolated_points(self):
+        s = Psts([*PASCH.points, "q"], PASCH.lines)
+        assert not any(validate_configuration(s, d) for d in range(4))
+        assert validate_configuration(Psts(["q"], []), 0)
+        assert validate_configuration(Psts([], []), 5)
+
 
 class TestFreeSubgraphs:
     def test_reference_count(self):
@@ -254,6 +260,38 @@ def test_partners_come_sorted(s):
     core keeps them as they come, with no sort of its own."""
     for pairs in s.partners:
         assert list(pairs) == sorted(pairs) and all(j < k for j, k in pairs)
+
+
+def eager_partners(s):
+    """Each point's line partners as index pairs, straight from the
+    name-level lines: a reference for the first-use listing."""
+    index = {x: i for i, x in enumerate(s.points)}
+    return tuple(
+        tuple(sorted(tuple(sorted(index[y] for y in ln if y != x)) for ln in s.lines if x in ln))
+        for x in s.points
+    )
+
+
+@given(small_psts())
+def test_partners_listed_on_first_use(s):
+    assert s._partners is None  # never by the constructor
+    assert s.partners == eager_partners(s)
+    assert s.partners is s.partners
+
+
+@given(small_psts())
+def test_degrees_counted_from_the_lines(s):
+    degrees = {sum(x in ln for ln in s.lines) for x in s.points}
+    for d in range(6):
+        assert validate_configuration(s, d) == (degrees <= {d})
+    assert s._partners is None
+
+
+@given(small_psts())
+def test_hash_follows_points_and_lines(s):
+    fresh = hash(s)
+    assert s.partners is not None  # listing what is derived moves no hash
+    assert hash(s) == fresh == hash(Psts(s.points, s.lines))
 
 
 def test_free_subgraphs_span_many_words():
