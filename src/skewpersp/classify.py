@@ -14,43 +14,27 @@ between the two independent in-package oracles (canonical keys versus
 explicit witness search), on the other hand, is a bug and aborts the audit
 out loud.
 
-The two criterion-vs-oracle sweeps compute each spec's 48 image ids under
-its family's algebraic criterion once, decide every pair of specs by
-membership of the second's id in the first's images, and compare that with
-canonical-key equality.  The witness search checks the key partition
-itself: one witness from each member onto its class representative and one
-refutation for each pair of representatives, which by transitivity decides
-every pair.  ``find_isomorphism`` refutes a pair of representatives whose
-witness certificates differ before it places a point; only pairs that share
-one are searched.  The plain family's classes are center-fixing ones, keyed
-with the center pinned.  Its plain partition is backed through the
-center-fixing witnesses: each member already has one onto its center-fixing
-representative, so only those representatives need plain witnesses onto
-their plain representatives.  Lemma 4.3 refutes every pair of the two
-families' class representatives, so the class counts and "collisions: 0"
-do not rest on keys alone.
+One audit holds one structure per spec, keyed by (family, spec id) and
+built on first use, and one canonical search keys each criterion orbit,
+plain or with the center pinned: the search of the first member the audit
+asks for.  Every other member takes its key, group order and free K5
+subgraphs from that spec along the inverse of the criterion's point map
+``image_perm``, a permutation of the shared frame's indices, once
+``iso._is_isomorphism`` checks it as an isomorphism that fixes the center.
+Canonical-axis specs sort first, so each orbit's searched spec lies over a
+canonical axis, and ``classes_beyond_canonical_axes: 0`` is backed by a
+checked isomorphism onto a canonical-axis spec.  The record, with its
+structures' refinement memos, goes when the audit ends.
 
-One audit holds one structure per spec, keyed by (family, spec id): each
-spec is built once, on first use, and every claim reads that structure.
-Its free K5 subgraphs are searched only for the specs whose keys are
-searched, for the seed colouring of the key; every other member takes them
-along its checked map (``Psts.carry_free_k5``), for the claims that count
-them.  The same record
-is the only memo of keys and automorphism generators, and with its
-structures it holds the witness search's refinement memos; all of it goes
-when the audit ends.
-
-One canonical search keys each criterion orbit, plain or with the center
-pinned: the search of the first member the audit asks for.  Every other
-member takes its key and automorphism generators from that spec, along
-the inverse of the criterion's point map ``image_perm``, a permutation of
-the shared frame's indices.  ``iso._is_isomorphism`` checks the map as an
-isomorphism that fixes the center, and every carried generator as an
-automorphism.  Canonical-axis specs sort first, so each orbit's searched
-spec lies over a canonical axis, and ``classes_beyond_canonical_axes: 0``
-is backed by a verified isomorphism from each census spec onto a
-canonical-axis spec, not by key equality.  A failed check raises
-``OracleInconsistencyError`` (exit 70).
+The witness search backs the key partitions once per audit: a witness onto
+the representative's searched spec from each other searched spec of a
+class, and one refutation per pair of class representatives, by unequal
+certificates or, where they share one, by a search.  Composed with the
+checked maps, these decide every pair of specs, so the class counts,
+"collisions: 0" and the classes no published entry reaches do not rest on
+keys alone.  The two criterion sweeps compute each spec's 48 image ids
+once and compare membership with key equality on every pair.  A failed
+check raises ``OracleInconsistencyError`` (exit 70).
 """
 
 from __future__ import annotations
@@ -74,6 +58,7 @@ from .iso import (
     _canonical_search,
     _inverse,
     _is_isomorphism,
+    _refined,
     find_isomorphism,
 )
 from .perspective import (
@@ -153,27 +138,28 @@ class IsoClass:
 
 class _Structures:
     """Each spec's built structure, built on first use (``structures[spec]``),
-    and (``search``) its canonical key, automorphism generators and group
-    order, plain or with the center pinned; all keyed by (family, spec id).
+    and (``search``) its canonical key and group order, plain or with the
+    center pinned; all keyed by (family, spec id).
 
     A family criterion relates a spec exactly to the specs that a
     center-fixing isomorphism reaches (Prop. 3.2 and 4.5), so a criterion
     orbit shares one plain and one pinned key.  The first spec of an orbit
     asked for, in either kind, is searched, and one pass over its family
     image ids records every other member as its image under some (phi,
-    case).  Each other member takes the searched spec's key, generators,
-    group order (an isomorphism preserves it) and free K5 subgraphs back
-    along the inverse of ``image_perm``: the map must fix the center and
-    pass ``_is_isomorphism``, so must every carried generator onto the
-    spec's own structure, and a carried pinned one must fix the center
-    too.  A failed check raises; nothing falls back."""
+    case).  Each other member takes the searched spec's key, group order
+    (an isomorphism preserves it) and free K5 subgraphs back along the
+    inverse of ``image_perm``, which must fix the center and pass
+    ``_is_isomorphism``.  A failed check raises; nothing falls back.
+    ``source`` names the searched spec that such a checked map links a
+    spec to: the links that ``_check_partitions`` composes."""
 
     def __init__(self) -> None:
         self._built: dict[tuple, Psts] = {}
         self._found: tuple[dict, dict] = ({}, {})  # plain, pinned
         # (family, spec id) of a member -> (searched spec, phi, case):
-        # shared parts, so an entry holds no spec object of its own
-        self._source: dict[tuple, tuple] = {}
+        # shared parts, so an entry holds no spec object of its own;
+        # None for a searched spec, whose key comes along no map
+        self._source: dict[tuple, tuple | None] = {}
 
     def __getitem__(self, spec: PerspectiveSpec) -> Psts:
         key = (spec.family, spec.sid)
@@ -182,12 +168,10 @@ class _Structures:
             s = self._built[key] = build(spec)
         return s
 
-    def search(
-        self, spec: PerspectiveSpec, pinned: bool = False
-    ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...], int]:
+    def search(self, spec: PerspectiveSpec, pinned: bool = False) -> tuple[CanonicalKey, int]:
         """The canonical key of the spec's structure, with the center
-        pinned if asked, and generators, as index tuples, and order of its
-        group (the center-fixing one, if pinned)."""
+        pinned if asked, and the order of its group (the center-fixing
+        one, if pinned)."""
         family, sid = key = (spec.family, spec.sid)
         found = self._found[pinned].get(key)
         if found is None:
@@ -195,21 +179,28 @@ class _Structures:
             if source is not None:
                 found = self._carry(spec, pinned, *source)
             else:
-                s = self[spec]
-                found = _canonical_search(s, CENTER_INDEX if pinned else None)
-                if key not in self._found[not pinned]:  # its orbit is not recorded yet
+                canon, _, order = _canonical_search(self[spec], CENTER_INDEX if pinned else None)
+                found = canon, order
+                if key not in self._source:  # its orbit is not recorded yet
+                    self._source[key] = None
                     for w, image in zip(IMAGE_WITNESSES, image_ids(family, sid)):
-                        if image != sid:
-                            self._source.setdefault((family, image), (spec, *w))
+                        self._source.setdefault((family, image), (spec, *w))
             self._found[pinned][key] = found
         return found
 
+    def source(self, spec: PerspectiveSpec) -> PerspectiveSpec:
+        """The searched spec whose keys ``spec`` takes: itself, or the one
+        its checked carrying map leads to."""
+        self.search(spec)  # a carried key checks its map first
+        source = self._source[(spec.family, spec.sid)]
+        return spec if source is None else source[0]
+
     def _carry(
         self, spec: PerspectiveSpec, pinned: bool, source: PerspectiveSpec, phi, case
-    ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...], int]:
-        """The key, generators, group order and free K5 subgraphs of the
-        searched ``source``, taken onto its image ``spec`` under (phi,
-        case) and checked there."""
+    ) -> tuple[CanonicalKey, int]:
+        """The key, group order and free K5 subgraphs of the searched
+        ``source``, taken onto its image ``spec`` under (phi, case) along
+        the inverse map, once that is checked."""
         s, t = self[spec], self[source]
         to_t = _inverse(image_perm(source, phi, case))
         moves = to_t[CENTER_INDEX] != CENTER_INDEX
@@ -218,22 +209,9 @@ class _Structures:
                 f"the inverse of the case {case.value} map of {spec_text(source)} onto {spec_text(spec)} "
                 + ("moves the center" if moves else "is no isomorphism")
             )
-        key, gens, order = self.search(source, pinned)
         # the inverse of the checked bijection, not image_perm's unchecked tuple
-        from_t = _inverse(to_t)
-        s.carry_free_k5(t, from_t)
-        # g conjugated back along the map: an automorphism of s
-        carried = tuple(tuple(from_t[g[j]] for j in to_t) for g in gens)
-        for g in carried:
-            if not _is_isomorphism(s, s, g):
-                raise OracleInconsistencyError(
-                    f"an automorphism of {spec_text(source)} carried onto {spec_text(spec)} is none"
-                )
-            if pinned and g[CENTER_INDEX] != CENTER_INDEX:
-                raise OracleInconsistencyError(
-                    f"a pinned automorphism of {spec_text(source)} carried onto {spec_text(spec)} moves the center"
-                )
-        return key, carried, order
+        s.carry_free_k5(t, _inverse(to_t))
+        return self.search(source, pinned)
 
 
 def partition_into_classes(specs, *, structures: _Structures | None = None) -> tuple[IsoClass, ...]:
@@ -265,7 +243,7 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
                 members=members,
                 key=key,
                 free_k5_count=k5,
-                aut_order=structures.search(rep)[2],
+                aut_order=structures.search(rep)[1],
                 branch="A" if k5 >= 3 else "B",
             )
         )
@@ -633,29 +611,42 @@ def _lemma_3_3() -> Finding:
     )
 
 
-def _check_partition(specs, builds, keys, fix=None) -> list[int]:
-    """Back a key partition of ``specs`` with the witness search, and
-    return the positions of its class representatives.
+def _check_partitions(structures, perm_classes, kappa_classes, perm_specs) -> None:
+    """Back the key partitions with the witness search, once per audit:
+    the classes of both families and, with the center fixed, those of the
+    plain ``perm_specs`` by pinned key.
 
-    Each member needs a witness onto its class representative (the first
-    spec with its key) and each pair of representatives a refutation, by
-    unequal certificates or by a search.  By transitivity the keys then
-    decide every pair of specs exactly as the search would; any
-    disagreement raises.
-    """
-    reps: dict[CanonicalKey, int] = {}
-    for i, k in enumerate(keys):
-        r = reps.setdefault(k, i)
-        if r != i and find_isomorphism(builds[i], builds[r], fix=fix) is None:
-            raise OracleInconsistencyError(
-                f"equal keys but no witness: {spec_text(specs[i])} vs {spec_text(specs[r])}"
-            )
-    for r1, r2 in itertools.combinations(reps.values(), 2):
-        if find_isomorphism(builds[r1], builds[r2], fix=fix) is not None:
-            raise OracleInconsistencyError(
-                f"witness found but keys differ: {spec_text(specs[r1])} vs {spec_text(specs[r2])}"
-            )
-    return list(reps.values())
+    ``source`` links every member to its orbit's searched spec by a checked
+    center-fixing map, so a witness from each other searched spec of a
+    class onto its representative's links every member.  Each pair of
+    representatives is refuted once; center-fixing ones only within one
+    plain class, as non-isomorphic structures have no center-fixing
+    isomorphism.  Any disagreement with the keys raises."""
+    plain = [c.members for c in perm_classes + kappa_classes]
+    pinned: dict[CanonicalKey, list[PerspectiveSpec]] = {}
+    for s in perm_specs:
+        pinned.setdefault(structures.search(s, pinned=True)[0], []).append(s)
+    # a center-fixing isomorphism is an isomorphism: each center-fixing
+    # class must lie inside one plain class
+    within: dict[CanonicalKey, list[PerspectiveSpec]] = {}
+    for members in pinned.values():
+        keys = {structures.search(s)[0] for s in members}
+        if len(keys) != 1:
+            raise OracleInconsistencyError("center-fixing witness found but keys differ")
+        within.setdefault(keys.pop(), []).append(members[0])
+    center = (CENTER_INDEX, CENTER_INDEX)
+    for groups, pairs, fix in (
+        (plain, itertools.combinations([m[0] for m in plain], 2), None),
+        (pinned.values(), (p for reps in within.values() for p in itertools.combinations(reps, 2)), center),
+    ):
+        for members in groups:
+            r = structures.source(members[0])
+            for t in dict.fromkeys(structures.source(s) for s in members):
+                if t != r and find_isomorphism(structures[t], structures[r], fix=fix) is None:
+                    raise OracleInconsistencyError(f"equal keys but no witness: {spec_text(t)} vs {spec_text(r)}")
+        for r1, r2 in pairs:
+            if find_isomorphism(structures[r1], structures[r2], fix=fix) is not None:
+                raise OracleInconsistencyError(f"witness found but keys differ: {spec_text(r1)} vs {spec_text(r2)}")
 
 
 def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
@@ -690,34 +681,20 @@ def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
 
 
 def _prop_3_2(structures, perm_specs) -> Finding:
-    builds = [structures[s] for s in perm_specs]
-    pinned = [structures.search(s, pinned=True)[0] for s in perm_specs]
-    plain = [structures.search(s)[0] for s in perm_specs]
-    reps = _check_partition(perm_specs, builds, pinned, fix=(CENTER_INDEX, CENTER_INDEX))
-    # a center-fixing isomorphism is an isomorphism: each center-fixing
-    # class must lie inside one plain class.  Every member has a witness
-    # onto its center-fixing representative, so witnesses from those onto
-    # their plain representatives back every member by transitivity
-    if len(set(zip(pinned, plain))) != len(set(pinned)):
-        raise OracleInconsistencyError("center-fixing witness found but keys differ")
-    _check_partition([perm_specs[i] for i in reps], [builds[i] for i in reps], [plain[i] for i in reps])
     return _criterion_sweep(
         "prop_3_2",
         "the two-case conjugation criterion decides center-fixing isomorphism in the plain family",
         perm_specs,
-        pinned,
+        [structures.search(s, pinned=True)[0] for s in perm_specs],
     )
 
 
 def _prop_4_5(structures, kappa_specs) -> Finding:
-    builds = [structures[s] for s in kappa_specs]
-    keys = [structures.search(s)[0] for s in kappa_specs]
-    _check_partition(kappa_specs, builds, keys)
     return _criterion_sweep(
         "prop_4_5",
         "the two-case conjugation criterion decides isomorphism in the boolean-complementing family",
         kappa_specs,
-        keys,
+        [structures.search(s)[0] for s in kappa_specs],
     )
 
 
@@ -737,10 +714,25 @@ def _lemma_4_1(structures, kappa_specs) -> Finding:
 
 
 def _cor_4_2(structures, kappa_specs) -> Finding:
+    """Decided on each orbit's searched spec.  Its witness refinement
+    starts from an invariant seed, so every automorphism keeps its
+    colours: with the center alone in its cell, each fixes the center.  A
+    point that shares the center's cell must be refuted as its image.
+    Every other member follows along its checked center-fixing map."""
+    moves: dict[PerspectiveSpec, bool] = {}
     moved = []
     for s in kappa_specs:
-        if any(g[CENTER_INDEX] != CENTER_INDEX for g in structures.search(s)[1]):
-            moved.append(f"{spec_text(s)}: generator moves the center")
+        source = structures.source(s)
+        if source not in moves:
+            t = structures[source]
+            colors = _refined(t, None)[1]
+            moves[source] = any(
+                find_isomorphism(t, t, fix=(CENTER_INDEX, q)) is not None
+                for q, c in enumerate(colors)
+                if c == colors[CENTER_INDEX] and q != CENTER_INDEX
+            )
+        if moves[source]:
+            moved.append(f"{spec_text(s)}: an automorphism moves the center")
     return Finding(
         claim_id="cor_4_2",
         claim="every automorphism of a boolean-complementing perspective fixes the center",
@@ -751,11 +743,10 @@ def _cor_4_2(structures, kappa_specs) -> Finding:
     )
 
 
-def _lemma_4_3(structures, perm_classes, kappa_classes) -> Finding:
-    # the witness search refutes every pair of class representatives, so
-    # distinct keys are distinct structures across the families too
-    reps = [c.representative for c in perm_classes + kappa_classes]
-    _check_partition(reps, [structures[s] for s in reps], [c.key for c in perm_classes + kappa_classes])
+def _lemma_4_3(perm_classes, kappa_classes) -> Finding:
+    """The witness search refutes every pair of class representatives
+    (``_check_partitions``), so distinct keys are distinct structures
+    across the families too."""
     perm_keys = {c.key for c in perm_classes}
     kappa_keys = {c.key for c in kappa_classes}
     collisions = perm_keys & kappa_keys
@@ -878,12 +869,11 @@ def _theorem_finding(
     report distinctness and the classes no entry reaches, with exhaustive
     non-isomorphism witnesses."""
     by_key = {c.key: c for c in classes}
-    entry_specs = [_entry_spec(family, kind, cycles) for _, kind, cycles in entries]
     entry_keys = {}
     labels: dict[str, list[str]] = {}
     problems = []
-    for (label, _, _), s in zip(entries, entry_specs):
-        k = structures.search(s)[0]
+    for label, kind, cycles in entries:
+        k = structures.search(_entry_spec(family, kind, cycles))[0]
         entry_keys[label] = k
         if k not in by_key:
             problems.append(f"entry ({label}) matches no computed class")
@@ -904,12 +894,9 @@ def _theorem_finding(
     )
     unmatched = [c for c in labeled if c.published_label is None]
     witnesses = list(problems)
+    # each entry is a member of another class, whose representative the
+    # witness search refutes against this one's (``_check_partitions``)
     for c in unmatched:
-        rep = structures[c.representative]
-        if any(find_isomorphism(rep, structures[s]) is not None for s in entry_specs):
-            raise OracleInconsistencyError(
-                f"{spec_text(c.representative)} has a fresh key yet a witness onto a listed entry"
-            )
         witnesses.append(
             f"{spec_text(c.representative)} (key {c.key.digest}) admits no isomorphism onto any "
             f"listed entry; exhaustive witness search refutes all {len(entries)}"
@@ -955,6 +942,7 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
     structures = _Structures()
     perm_classes = partition_into_classes(perm_specs, structures=structures)
     kappa_classes = partition_into_classes(kappa_specs, structures=structures)
+    _check_partitions(structures, perm_classes, kappa_classes, perm_canonical)
 
     census_note_perm = census_note_kappa = None
     if axes_mode == "census":
@@ -1021,7 +1009,7 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
         theorem_3_4,
         _lemma_4_1(structures, kappa_specs),
         _cor_4_2(structures, kappa_specs),
-        _lemma_4_3(structures, perm_classes, kappa_classes),
+        _lemma_4_3(perm_classes, kappa_classes),
         _lemma_4_4(structures, census),
         _prop_4_5(structures, kappa_canonical),
         _cor_4_6(),

@@ -10,7 +10,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from conftest import canonical_key, closure, family_images, joint_refinement
+from conftest import canonical_key, family_images, joint_refinement
 
 from skewpersp import classify, cli, iso, perspective, psts, veblen
 from skewpersp.classify import (
@@ -136,77 +136,55 @@ class TestPartition:
         assert {c.key for c in full} == {c.key for c in perm_classes}
 
 
-SWEEPS = [
-    pytest.param(classify._prop_3_2, "perm", id="prop_3_2"),
-    pytest.param(classify._prop_4_5, "kappa", id="prop_4_5"),
-]
-
-
 class TestOracleSweep:
-    """The witness search backs the key partitions of the canonical specs;
-    a search that contradicts the keys must abort the sweep."""
-
-    @pytest.fixture
-    def family(self, request, perm_specs, kappa_specs, perm_classes, kappa_classes):
-        if request.param == "perm":
-            return perm_specs, perm_classes
-        return kappa_specs, kappa_classes
+    """The witness search backs the key partitions of the canonical specs
+    once per audit (``classify._check_partitions``); a search that
+    contradicts the keys must abort it."""
 
     @staticmethod
-    def _patch(monkeypatch, answer):
-        real = classify.find_isomorphism
+    def _partitions(perm_specs, kappa_specs):
+        structures = classify._Structures()
+        perm = partition_into_classes(perm_specs, structures=structures)
+        kappa = partition_into_classes(kappa_specs, structures=structures)
+        return structures, perm, kappa
 
-        def fake(x, y, fix=None):
-            return answer(x, y, real(x, y, fix=fix))
-
-        monkeypatch.setattr(classify, "find_isomorphism", fake)
-
-    @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
-    def test_member_without_witness_raises(self, monkeypatch, sweep, family):
-        specs, classes = family
-        victim = next(c for c in classes if len(c.members) > 1).members[-1]
-        victim_built = build(victim)
-        self._patch(monkeypatch, lambda x, y, m: None if victim_built in (x, y) else m)
-        with pytest.raises(OracleInconsistencyError, match="no witness") as e:
-            sweep(classify._Structures(), specs)
-        assert spec_text(victim) in str(e.value)
-
-    @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
-    def test_member_separated_by_its_certificate_raises(self, monkeypatch, sweep, family):
-        specs, classes = family
-        victim = next(c for c in classes if len(c.members) > 1).members[-1]
-        victim_built = build(victim)
-        real = iso._refined
-
-        def separated(s, fix):
-            cert, colors = real(s, fix)
-            return (cert + 1 if s == victim_built else cert), colors
-
-        monkeypatch.setattr(iso, "_refined", separated)
-        with pytest.raises(OracleInconsistencyError, match="no witness") as e:
-            sweep(classify._Structures(), specs)
-        assert spec_text(victim) in str(e.value)
-
-    @pytest.mark.parametrize("sweep,family", SWEEPS, indirect=["family"])
-    def test_witness_between_representatives_raises(self, monkeypatch, sweep, family):
-        # only representatives that share a certificate reach the search,
-        # and no two center-fixing ones do: the first two are made to, by
-        # the certificate check the search makes first
-        specs, classes = family
-        r1, r2 = (c.representative for c in classes[:2])
-        pair = {build(r1), build(r2)}
-        real = iso.certificates_differ
+    # each family under the id of its criterion claim
+    @pytest.mark.parametrize("family", ["perm", "kappa"], ids=["prop_3_2", "prop_4_5"])
+    def test_witness_between_representatives_raises(self, monkeypatch, family, perm_specs, kappa_specs):
+        # only representatives that share a certificate reach the search:
+        # the first two are made to, by the certificate check the search
+        # makes first
+        structures, perm, kappa = self._partitions(perm_specs, kappa_specs)
+        r1, r2 = (c.representative for c in (perm if family == "perm" else kappa)[:2])
+        pair = {structures[r1], structures[r2]}
+        real, real_differ = classify.find_isomorphism, iso.certificates_differ
         monkeypatch.setattr(
-            iso, "certificates_differ", lambda x, y, fix=None: {x, y} != pair and real(x, y, fix)
+            iso, "certificates_differ", lambda x, y, fix=None: {x, y} != pair and real_differ(x, y, fix)
         )
-        self._patch(monkeypatch, lambda x, y, m: tuple(range(len(x.points))) if {x, y} == pair else m)
+        monkeypatch.setattr(
+            classify,
+            "find_isomorphism",
+            lambda x, y, fix=None: tuple(range(len(x.points))) if {x, y} == pair else real(x, y, fix=fix),
+        )
         with pytest.raises(OracleInconsistencyError, match="keys differ") as e:
-            sweep(classify._Structures(), specs)
+            classify._check_partitions(structures, perm, kappa, perm_specs)
         assert f"{spec_text(r1)} vs {spec_text(r2)}" in str(e.value)
 
-    def test_search_count_follows_the_partitions(
-        self, monkeypatch, perm_specs, kappa_specs, perm_classes, kappa_classes
-    ):
+    def test_center_fixing_class_across_plain_classes_raises(self, monkeypatch, perm_specs, kappa_specs):
+        # a center-fixing isomorphism is an isomorphism, so one pinned key
+        # over specs of 43 plain classes contradicts the plain keys
+        structures, perm, kappa = self._partitions(perm_specs, kappa_specs)
+        real = classify._canonical_search
+
+        def one_pinned_key(s, pin):
+            key, gens, order = real(s, pin)
+            return (key if pin is None else perm[0].key), gens, order
+
+        monkeypatch.setattr(classify, "_canonical_search", one_pinned_key)
+        with pytest.raises(OracleInconsistencyError, match="center-fixing witness found but keys differ"):
+            classify._check_partitions(structures, perm, kappa, perm_specs)
+
+    def test_search_count_follows_the_partitions(self, monkeypatch, perm_specs, kappa_specs):
         calls = certified = 0
         real, real_differ = classify.find_isomorphism, iso.certificates_differ
 
@@ -221,52 +199,47 @@ class TestOracleSweep:
             certified += result
             return result
 
+        structures, perm, kappa = self._partitions(perm_specs, kappa_specs)
         monkeypatch.setattr(classify, "find_isomorphism", counting)
         monkeypatch.setattr(iso, "certificates_differ", differ)
-        structures = classify._Structures()
-        classify._prop_3_2(structures, perm_specs)
-        classify._prop_4_5(structures, kappa_specs)
+        classify._check_partitions(structures, perm, kappa, perm_specs)
 
         def pairs(k):
             return k * (k - 1) // 2
 
-        def certificate_groups(reps, pin):
+        def shared(reps, pin):
+            # pairs of representatives that share a certificate
             groups = {}
             for s in (structures[r] for r in reps):
                 cert = iso._refined(s, pin)[0]
                 groups[cert] = groups.get(cert, 0) + 1
-            return groups.values()
+            return sum(pairs(k) for k in groups.values())
 
-        # the record's memo hands out the keys the sweep asked for
-        pinned_reps, plain_reps = {}, {}
+        def extra_sources(classes):
+            # searched specs of a class beyond its representative's
+            return sum(len({structures.source(s) for s in members}) - 1 for members in classes)
+
+        pinned = {}
         for s in perm_specs:
-            pinned_reps.setdefault(structures.search(s, pinned=True)[0], s)
-            plain_reps.setdefault(structures.search(s)[0], s)
-        pinned = len(pinned_reps)
-        plain, kappa = len(perm_classes), len(kappa_classes)
-        assert (pinned, plain, kappa) == (44, 43, 25)
-        # one witness per non-representative member of the center-fixing
-        # and the boolean-complementing partitions, one from each
-        # center-fixing representative onto its plain representative, which
-        # by transitivity backs every member's plain class, and one search
-        # per pair of representatives that share a certificate.  Every
-        # pair of representatives, center-fixing, plain and
-        # boolean-complementing, is handed to the search, which refutes the
-        # others by their certificates before it places a point
-        searched_pairs = (
-            sum(pairs(k) for k in certificate_groups(pinned_reps.values(), CENTER_INDEX))
-            + sum(pairs(k) for k in certificate_groups(plain_reps.values(), None))
-            + sum(pairs(k) for k in certificate_groups((c.representative for c in kappa_classes), None))
-        )
-        assert searched_pairs == 1
-        expected = (
-            len(perm_specs) - pinned
-            + pinned - plain
-            + len(kappa_specs) - kappa
-            + searched_pairs
-        )
-        assert calls - certified == expected == 221
-        assert certified == pairs(pinned) + pairs(plain) + pairs(kappa) - searched_pairs
+            pinned.setdefault(structures.search(s, pinned=True)[0], []).append(s)
+        within = {}
+        for members in pinned.values():
+            within.setdefault(structures.search(members[0])[0], []).append(members[0])
+        reps = [c.representative for c in perm + kappa]
+        assert (len(pinned), len(perm), len(kappa)) == (44, 43, 25)
+        # the witness search runs once for each searched spec of a class
+        # beyond its representative's, plain or center-fixing, and once for
+        # each pair of representatives that share a certificate: of the 68
+        # class representatives, and of the center-fixing ones within one
+        # plain class.  Certificates refute the other pairs before a point
+        # is placed
+        plain_links = extra_sources(c.members for c in perm + kappa)
+        pinned_links = extra_sources(pinned.values())
+        within_pairs = sum(pairs(len(r)) for r in within.values())
+        searched_pairs = shared(reps, None) + sum(shared(r, CENTER_INDEX) for r in within.values())
+        assert (plain_links, pinned_links, within_pairs, searched_pairs) == (1, 0, 1, 1)
+        assert calls - certified == plain_links + pinned_links + searched_pairs == 2
+        assert certified == pairs(len(reps)) + within_pairs - searched_pairs == 2278
 
 
 class TestCriterionSweep:
@@ -341,7 +314,6 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
         return wrapper
 
     real_differ, real_find = iso.certificates_differ, classify.find_isomorphism
-    real_check = classify._is_isomorphism
 
     def differ(*args):
         result = real_differ(*args)
@@ -356,11 +328,6 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
             counts["refuted" if result is None else "found"] += 1
         return result
 
-    def check(x, y, m):
-        # automorphism checks of carried generators map a structure onto itself
-        counts["maps"] += x is not y
-        return real_check(x, y, m)
-
     work = {}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(classify, "build", counting("build", classify.build))
@@ -369,7 +336,7 @@ def count_audit_work(*axes_modes: str) -> dict[str, dict[str, int]]:
         m.setattr(classify, "find_isomorphism", find)
         m.setattr(iso._Canonicalizer, "_visit", counting("nodes", iso._Canonicalizer._visit))
         m.setattr(iso._Canonicalizer, "_leaf", counting("leaves", iso._Canonicalizer._leaf))
-        m.setattr(classify, "_is_isomorphism", check)
+        m.setattr(classify, "_is_isomorphism", counting("maps", classify._is_isomorphism))
         # one seed per certificate: the memo in each structure hands out the rest
         m.setattr(iso, "_pasch_seed", counting("certificates", iso._pasch_seed))
         # where the witness search asks for them, before it places a point
@@ -396,19 +363,21 @@ class TestAuditWork:
     each of the 69 searched specs.  The searches visit a fixed tree.  Every
     other key, and every other spec's subgraphs, come along a checked map,
     so a silent fallback to searching moves these counts.  The witness
-    search runs only where certificates do not refute the pair.  The
-    audit's record is its only memo, so the counts do not depend on what
-    ran before in the process; they are deterministic, and this is a work
-    gate that cannot flake."""
+    search runs twice: once from the one searched spec of a plain class
+    beyond its representative's, and once for the one pair of class
+    representatives that shares a certificate.  The audit's record is its
+    only memo, so the counts do not depend on what ran before in the
+    process; they are deterministic, and this is a work gate that cannot
+    flake."""
 
     WORK = {
         # the first seven of WORK_FIELDS; the checked maps are 1,371 plain
         # and 100 pinned carrying maps and lemma 4.4's 30
-        "census": (1440, 69, 113, 223, 1052, 688, 1501),
+        "census": (1440, 69, 113, 2, 1052, 688, 1501),
         # 219 plain and 100 pinned carrying maps, lemma 4.4's 30, and 24
         # more for kappa:id over the non-canonical census axes, whose keys
         # and subgraphs are carried
-        "canonical": (312, 69, 113, 223, 1052, 688, 373),
+        "canonical": (312, 69, 113, 2, 1052, 688, 373),
     }
 
     @staticmethod
@@ -421,10 +390,11 @@ class TestAuditWork:
 
     @pytest.mark.parametrize("axes_mode", ["census", "canonical"])
     def test_only_searched_structures_list_partners(self, audit_work, axes_mode):
-        """Line partners are listed on first use, and only the 288
-        structures on the canonical axes are searched; the others need
-        their lines, degrees and carried subgraphs only."""
-        assert audit_work[axes_mode]["partners"] == 288
+        """Line partners are listed on first use, and only the 69
+        searched structures need them: the canonical search keys them,
+        and the witness search refines and searches only them.  The others
+        need their lines, degrees and carried subgraphs only."""
+        assert audit_work[axes_mode]["partners"] == 69
 
     def test_second_audit_does_the_same_work(self, audit_work):
         # the shared fixture ran the first canonical audit of the pair
@@ -434,22 +404,22 @@ class TestAuditWork:
 
 
 class TestWitnessRefutations:
-    """How the pairs the witness oracle decides in one audit end.  333
-    (structure, fixed point) certificates refute 4,566 pairs of class
-    representatives and listed entries before any search: every pair of
-    center-fixing, plain and boolean-complementing representatives, and
-    every pair of the 68 class representatives across both families, but
-    one.  The 223 witness searches refute that one pair,
-    kappa:(1,2,4)@V5 against kappa:(1,2,4)@V6, by backtracking, once in
-    each of three claims, and find 220 maps.
+    """How the pairs the witness oracle decides in one audit end.  71
+    (structure, fixed point) certificates refute 2,278 pairs of class
+    representatives before any search: every pair of the 68 class
+    representatives of both families but one, and the one pair of
+    center-fixing representatives within one plain class.  Two witness
+    searches run: backtracking refutes the one pair,
+    kappa:(1,2,4)@V5 against kappa:(1,2,4)@V6, and one finds the map that
+    joins the two center-fixing orbits of one plain class.
     Deterministic, so a slide back to searching refuted pairs, or to
     refuting by backtracking, fails this gate without flaking."""
 
     @pytest.mark.parametrize("axes_mode", ["census", "canonical"])
     def test_refinement_refutes_before_backtracking(self, audit_work, axes_mode):
         work = audit_work[axes_mode]
-        assert work["certificates"] == 333
-        assert (work["certified"], work["refuted"], work["found"]) == (4566, 3, 220)
+        assert work["certificates"] == 71
+        assert (work["certified"], work["refuted"], work["found"]) == (2278, 1, 1)
         assert work["witness"] == work["refuted"] + work["found"]
 
 
@@ -482,7 +452,7 @@ def test_certificates_differ_exactly_when_joint_refinement_refutes(monkeypatch):
 
     monkeypatch.setattr(classify, "find_isomorphism", find)
     classify.audit_claims("canonical")
-    assert len(decided) == 4789
+    assert len(decided) == 2280
     refuted = 0
     for x, y, fix in decided:
         joint = joint_refinement(x, y, fix)
@@ -491,7 +461,7 @@ def test_certificates_differ_exactly_when_joint_refinement_refutes(monkeypatch):
         if joint is not None:
             px, py = fix or (None, None)
             assert joint == (list(iso._refined(x, px)[1]), list(iso._refined(y, py)[1]))
-    assert refuted == 4566
+    assert refuted == 2278
 
 
 def test_audit_retains_nothing_once_its_report_is_dropped():
@@ -521,9 +491,9 @@ def test_audit_retains_nothing_once_its_report_is_dropped():
 
 class TestCarriedSearch:
     """One spec of each criterion orbit is searched, plain or with the
-    center pinned; every other spec takes its key, automorphisms and group
-    order along a checked map.  This keeps the evidence a search of every
-    spec would give."""
+    center pinned; every other spec takes its key and group order along a
+    checked map.  This keeps the keys and orders a search of every spec
+    would give."""
 
     def test_carried_keys_and_groups_match_a_search(self, monkeypatch, census, perm_specs):
         runs = 0
@@ -539,25 +509,13 @@ class TestCarriedSearch:
         specs = enumerate_family(SkewFamily.PERM, census) + enumerate_family(
             SkewFamily.PERM_KAPPA, census
         )
-        carried = {spec: structures.search(spec) for spec in specs}
+        carried = [(spec, None, structures.search(spec)) for spec in specs]
         assert runs == 69
-        pinned = {spec: structures.search(spec, pinned=True) for spec in perm_specs}
+        carried += [(spec, CENTER_INDEX, structures.search(spec, pinned=True)) for spec in perm_specs]
         assert runs == 69 + 44
-        for spec, (key, gens, order) in carried.items():
-            s = structures[spec]
-            for g in gens:
-                assert iso._is_isomorphism(s, s, g)
-            searched_key, _, searched_order = iso._canonical_search(s, None)
-            assert (key, order) == (searched_key, searched_order), spec_text(spec)
-            assert len(closure(len(s.points), gens)) == order, spec_text(spec)
-        for spec, (key, gens, order) in pinned.items():
-            s = structures[spec]
-            for g in gens:
-                assert g[CENTER_INDEX] == CENTER_INDEX, spec_text(spec)
-                assert iso._is_isomorphism(s, s, g)
-            searched_key, _, searched_order = iso._canonical_search(s, CENTER_INDEX)
-            assert (key, order) == (searched_key, searched_order), spec_text(spec)
-            assert len(closure(len(s.points), gens)) == order, spec_text(spec)
+        for spec, pin, found in carried:
+            searched_key, _, searched_order = iso._canonical_search(structures[spec], pin)
+            assert found == (searched_key, searched_order), spec_text(spec)
         assert runs == 69 + 44 + 1440 + 144
 
     def test_carried_free_k5_match_a_search(self, monkeypatch, census):
@@ -604,41 +562,15 @@ def move_the_center(monkeypatch):
     swap_entries(monkeypatch, CENTER, "a1")
 
 
-def add_a_non_automorphism(monkeypatch):
-    real = classify._canonical_search
-
-    def corrupted(s, pin):
-        key, gens, order = real(s, pin)
-        swap = list(range(len(s.points)))
-        swap[0], swap[1] = 1, 0
-        return key, gens + (tuple(swap),), order
-
-    monkeypatch.setattr(classify, "_canonical_search", corrupted)
-
-
-def add_center_moving_automorphisms(monkeypatch):
-    # a pinned search that also returns the automorphisms moving the
-    # center: perm:(1,2,4)@V5 has some, and a second spec in its orbit
-    real = classify._canonical_search
-
-    def unpinned(s, pin):
-        key, gens, order = real(s, pin)
-        return key, gens if pin is None else gens + real(s, None)[1], order
-
-    monkeypatch.setattr(classify, "_canonical_search", unpinned)
-
-
 FAULTS = [
     pytest.param(swap_two_c_points, "is no isomorphism", id="map"),
     pytest.param(move_the_center, "map .* moves the center", id="map-moves-center"),
-    pytest.param(add_a_non_automorphism, "carried onto .* is none", id="generator"),
-    pytest.param(add_center_moving_automorphisms, "pinned automorphism .* moves the center", id="pinned-generator"),
 ]
 
 
 class TestCarriedSearchFaults:
-    """A carrying map or a carried automorphism that fails its check is a
-    program bug: the audit raises instead of searching."""
+    """A carrying map that fails its check is a program bug: the audit
+    raises instead of searching."""
 
     @pytest.mark.parametrize("fault,message", FAULTS)
     def test_audit_raises(self, monkeypatch, fault, message):
@@ -674,10 +606,11 @@ def transitive_victim(perm_specs):
 
 
 class TestTransitiveWitnessFault:
-    """Plain witnesses by transitivity: every member has a center-fixing
-    witness onto its center-fixing representative, and those need plain
-    witnesses onto their plain representatives.  A search that finds none
-    for the one that is not a plain representative fails the audit."""
+    """Plain witnesses by transitivity: every member has a checked
+    center-fixing map onto its orbit's searched spec, and those need plain
+    witnesses onto their plain class representative's.  A search that
+    finds none for the one that is not a plain representative fails the
+    audit."""
 
     @staticmethod
     def _patch(monkeypatch, victim):
@@ -738,13 +671,13 @@ class TestRepresentativeRefutationFaults:
         )
         return f"witness found but keys differ: {spec_text(r1)} vs {spec_text(r2)}"
 
-    def test_claim_raises(self, monkeypatch, pair, perm_specs, perm_classes, kappa_classes):
+    def test_claim_raises(self, monkeypatch, pair, perm_specs, kappa_specs):
         message = self._patch(monkeypatch, pair)
+        structures = classify._Structures()
+        perm = partition_into_classes(perm_specs, structures=structures)
+        kappa = partition_into_classes(kappa_specs, structures=structures)
         with pytest.raises(OracleInconsistencyError, match="keys differ") as e:
-            if pair[2]:
-                classify._prop_3_2(classify._Structures(), perm_specs)
-            else:
-                classify._lemma_4_3(classify._Structures(), perm_classes, kappa_classes)
+            classify._check_partitions(structures, perm, kappa, perm_specs)
         assert message in str(e.value)
 
     def test_cli_exits_70(self, monkeypatch, capsys, pair):
@@ -754,6 +687,42 @@ class TestRepresentativeRefutationFaults:
         assert code == cli.EX_SOFTWARE == 70
         assert out == ""
         assert err == f"internal oracle inconsistency: {message}\n"
+
+
+class TestCenterMovingAutomorphismFault:
+    """Corollary 4.2 is decided on each complementing orbit's searched
+    spec: the center alone in its cell of the witness refinement, or every
+    point that shares the cell refuted as the center's image.  A source
+    whose center shares a cell with q, and whose search finds a self-map
+    sending the center to q, turns the claim into a MISMATCH for its whole
+    orbit."""
+
+    def test_claim_names_the_spec(self, monkeypatch, kappa_classes):
+        victim = kappa_classes[0].representative
+        victim_built = build(victim)
+        q = 0  # not the center
+        assert q != CENTER_INDEX
+        moved = list(range(len(POINTS)))
+        moved[CENTER_INDEX], moved[q] = q, CENTER_INDEX
+        real_refined, real_find = classify._refined, classify.find_isomorphism
+
+        def refined(s, fix):
+            cert, colors = real_refined(s, fix)
+            if fix is None and s == victim_built:
+                colors = tuple(colors[CENTER_INDEX] if i == q else c for i, c in enumerate(colors))
+            return cert, colors
+
+        def find(x, y, fix=None):
+            if fix == (CENTER_INDEX, q) and x == y == victim_built:
+                return tuple(moved)
+            return real_find(x, y, fix=fix)
+
+        monkeypatch.setattr(classify, "_refined", refined)
+        monkeypatch.setattr(classify, "find_isomorphism", find)
+        f = classify.audit_claims("canonical").finding("cor_4_2")
+        assert f.verdict == "MISMATCH"
+        assert f.computed["center_moved"] == len(kappa_classes[0].members)
+        assert f.witnesses[0] == f"{spec_text(victim)}: an automorphism moves the center"
 
 
 class TestPublishedData:

@@ -25,6 +25,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from skewpersp import cli, iso
 from skewpersp.classify import enumerate_family
@@ -600,6 +601,13 @@ def projective_group(d):
     return s, automorphism_group(s)
 
 
+def sympy_order(n, gens):
+    """The order of the group that ``gens`` generate on n points, from
+    sympy's Schreier-Sims: an outside oracle that shares no code with
+    ``iso``."""
+    return PermutationGroup([Permutation(list(g)) for g in gens] or [Permutation(n - 1)]).order()
+
+
 def orbit(x, gens):
     """The orbit of point x under the group generated by ``gens``."""
     points, seen = [x], {x}
@@ -656,6 +664,7 @@ class TestAutomorphismGroup:
     def test_projective_space_orders(self, d, order, count):
         s, (gens, found) = projective_group(d)
         assert found == order and len(gens) == count
+        assert sympy_order(len(s.points), gens) == order
         assert all(iso._is_isomorphism(s, s, g) for g in gens)
 
     def test_class_orders_match_enumeration(self, perm_classes, kappa_classes):
@@ -666,6 +675,7 @@ class TestAutomorphismGroup:
             s = build(c.representative)
             gens, order = automorphism_group(s)
             assert order == c.aut_order == len(list(_search(s, s, None)))
+            assert sympy_order(len(s.points), gens) == order
             assert all(iso._is_isomorphism(s, s, g) for g in gens)
 
     def test_kappa_census_orders_match_enumeration(self, census):
