@@ -630,10 +630,13 @@ def _check_partitions(structures, perm_classes, kappa_classes, perm_specs) -> No
     # class must lie inside one plain class
     within: dict[CanonicalKey, list[PerspectiveSpec]] = {}
     for members in pinned.values():
-        keys = {structures.search(s)[0] for s in members}
-        if len(keys) != 1:
-            raise OracleInconsistencyError("center-fixing witness found but keys differ")
-        within.setdefault(keys.pop(), []).append(members[0])
+        key = structures.search(members[0])[0]
+        for s in members:
+            if structures.search(s)[0] != key:
+                raise OracleInconsistencyError(
+                    f"equal center-fixing keys but plain keys differ: {spec_text(members[0])} vs {spec_text(s)}"
+                )
+        within.setdefault(key, []).append(members[0])
     center = (CENTER_INDEX, CENTER_INDEX)
     for groups, pairs, fix in (
         (plain, itertools.combinations([m[0] for m in plain], 2), None),

@@ -45,6 +45,7 @@ the package but ``psts``.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -133,9 +134,14 @@ class CanonicalKey:
 
     @property
     def digest(self) -> str:
-        import hashlib  # loads OpenSSL: only printing a key needs it, not iso or aut
+        # CPython's own SHA-256 module, which hashlib falls back to without
+        # OpenSSL; the digest is the same and no command loads OpenSSL
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
 
-        return hashlib.sha256(repr((self.point_count, self.line_count, self.encoding)).encode()).hexdigest()[:12]
+        return sha256(repr((self.point_count, self.line_count, self.encoding)).encode()).hexdigest()[:12]
 
     def __str__(self) -> str:
         return self.digest

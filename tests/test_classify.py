@@ -180,8 +180,14 @@ class TestOracleSweep:
             key, gens, order = real(s, pin)
             return (key if pin is None else perm[0].key), gens, order
 
+        # the message names the pinned class's first member and the first
+        # member outside its plain class
+        first = perm_specs[0]
+        plain = next(c.members for c in perm if first in c.members)
+        other = next(s for s in perm_specs if s not in plain)
         monkeypatch.setattr(classify, "_canonical_search", one_pinned_key)
-        with pytest.raises(OracleInconsistencyError, match="center-fixing witness found but keys differ"):
+        message = f"equal center-fixing keys but plain keys differ: {spec_text(first)} vs {spec_text(other)}"
+        with pytest.raises(OracleInconsistencyError, match=re.escape(message)):
             classify._check_partitions(structures, perm, kappa, perm_specs)
 
     def test_search_count_follows_the_partitions(self, monkeypatch, perm_specs, kappa_specs):

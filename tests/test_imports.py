@@ -188,7 +188,7 @@ ORACLE_COMMANDS = textwrap.dedent(
     first, second = sys.argv[1:]
     assert cli.main(["iso", first, second]) == 0
     assert cli.main(["aut", first]) == 0
-    print("_hashlib" in sys.modules)
+    print("hashlib" in sys.modules, "_hashlib" in sys.modules)
     print(*sorted(m for m in sys.modules if m.partition(".")[0] == "skewpersp"))
     """
 )
@@ -198,8 +198,7 @@ def test_iso_and_aut_on_files_load_only_the_oracle_core(tmp_path):
     """``iso`` and ``aut`` on PSTS files need neither the perspectives nor
     the Veblen labelings: run in a fresh interpreter, they load the CLI,
     the oracles and the ``Psts`` core, and no other module of the package.
-    Nor do they load OpenSSL's ``_hashlib``: only printing a key digest
-    needs it."""
+    Nor do they load ``hashlib`` or OpenSSL's ``_hashlib``."""
     first, second = tmp_path / "fano.psts", tmp_path / "copy.psts"
     first.write_text("psts 7 7\n0 1 2 3 4 5 6\n0 1 3\n1 2 4\n2 3 5\n3 4 6\n0 4 5\n1 5 6\n0 2 6\n")
     second.write_text("psts 7 7\na b c d e f g\ng f d\nf e c\ne d b\nd c a\ng c b\nf b a\ng e a\n")
@@ -213,4 +212,60 @@ def test_iso_and_aut_on_files_load_only_the_oracle_core(tmp_path):
     assert proc.returncode == 0, proc.stderr
     *_, hashlib_loaded, loaded = proc.stdout.splitlines()
     assert loaded.split() == ["skewpersp", "skewpersp.cli", "skewpersp.iso", "skewpersp.psts"]
-    assert hashlib_loaded == "False"
+    assert hashlib_loaded == "False False"
+
+
+DIGESTING_COMMAND = textwrap.dedent(
+    """
+    import contextlib, io, sys
+    from skewpersp import cli
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["classify", "perm", "--axes", "canonical", "--format", "structured"]) == 0
+    assert out.getvalue().count('"key": ') == 43
+    print("hashlib" in sys.modules, "_hashlib" in sys.modules)
+    """
+)
+
+
+def test_key_digests_load_no_openssl():
+    """The structured class table prints the key digest of every class;
+    run in a fresh interpreter, it loads neither ``hashlib`` nor OpenSSL's
+    ``_hashlib``: the digest comes from CPython's own SHA-256 module."""
+    proc = subprocess.run(
+        [sys.executable, "-c", DIGESTING_COMMAND],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports from anywhere
+    in it, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_the_module_scan_sees_every_form():
+    source = "import os.path\nfrom . import iso\nfrom .psts import Psts\n" + (
+        "def f():\n    import ssl as tls\n    from _hashlib import new\n    from json.decoder import x\n"
+    )
+    assert imported_modules(source) == {"os", "ssl", "_hashlib", "json"}
+
+
+def test_the_package_imports_no_openssl():
+    """Nothing in the package imports OpenSSL's bindings: key digests come
+    from CPython's own SHA-256, and nothing else needs a hash."""
+    found = {
+        path.name: imported_modules(path.read_text()) & {"hashlib", "_hashlib", "ssl"}
+        for path in sorted((ROOT / "src" / "skewpersp").glob("*.py"))
+    }
+    assert {name: modules for name, modules in found.items() if modules} == {}

@@ -1,6 +1,7 @@
 """Canonical keys, witness search, and the family criteria."""
 
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -31,6 +32,7 @@ from skewpersp import cli, iso
 from skewpersp.classify import enumerate_family
 from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, INDICES, PAIRS, extend
 from skewpersp.iso import (
+    CanonicalKey,
     _Canonicalizer,
     _canonical_search,
     _first_path_orbits,
@@ -91,6 +93,29 @@ REFERENCE_AUT_ORDERS = {
 }
 
 
+def hashlib_digest(key):
+    """The key digest as ``hashlib`` computes it, with OpenSSL's SHA-256
+    where OpenSSL is present."""
+    return hashlib.sha256(repr((key.point_count, key.line_count, key.encoding)).encode()).hexdigest()[:12]
+
+
+#: SHA-256 pads a message with at least 9 bytes to whole 64-byte blocks, so
+#: 55 and 56 bytes, and 63 and 64, fall on either side of a block edge
+PADDING_EDGES = (55, 56, 63, 64, 119, 120, 127, 128)
+
+
+@st.composite
+def keys_of_repr_length(draw, n):
+    """A key whose digested text, ``repr((points, lines, encoding))``, is n
+    bytes long: the point count's digits fill what the drawn lines leave."""
+    encoding = tuple(draw(st.lists(st.tuples(*[st.integers(0, 99)] * 3), max_size=(n - 20) // 14)))
+    digits = n - len(repr((0, len(encoding), encoding))) + 1
+    low = 10 ** (digits - 1) if digits > 1 else 0
+    key = CanonicalKey(draw(st.integers(low, 10**digits - 1)), len(encoding), encoding)
+    assert len(repr((key.point_count, key.line_count, key.encoding))) == n
+    return key
+
+
 class TestCanonicalKey:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
@@ -118,6 +143,18 @@ class TestCanonicalKey:
         k2 = canonical_key(perspective("perm:id@B2"))
         assert (k1 < k2) != (k2 < k1)
         assert len(k1.digest) == 12 and str(k1) == k1.digest
+
+    def test_digest_matches_hashlib_on_the_class_keys(self, perm_classes, kappa_classes):
+        keys = [c.key for c in perm_classes + kappa_classes]
+        assert len(keys) == 68
+        assert [k.digest for k in keys] == [hashlib_digest(k) for k in keys]
+
+    @pytest.mark.parametrize("n", PADDING_EDGES)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_digest_matches_hashlib_across_padding_edges(self, n, data):
+        key = data.draw(keys_of_repr_length(n))
+        assert key.digest == hashlib_digest(key)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
@@ -642,7 +679,11 @@ class TestAutomorphismGroup:
         assert automorphism_group(perspective(spec_text))[1] == order
 
     def test_pasch_order(self):
-        assert automorphism_group(axis_psts(canonical(CanonicalKind.G2)))[1] == 24
+        # each of the six canonical axes labels the one Pasch configuration
+        for kind in CanonicalKind:
+            s = axis_psts(canonical(kind))
+            gens, order = automorphism_group(s)
+            assert order == 24 == sympy_order(len(s.points), gens) == len(list(_search(s, s, None))), kind
 
     def test_generators_generate(self):
         s = perspective("kappa:id@B2")
@@ -791,6 +832,7 @@ class TestCanonicalSearchWork:
         monkeypatch.setattr(iso, "_first_path_orbits", orbits)
         gens, order = automorphism_group(s)
         assert (counts["nodes"], counts["leaves"], counts["found"], len(gens), order) == expected
+        assert sympy_order(len(s.points), gens) == order
 
 
 def reference_refine(s, colors):
