@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .indices import (
     ALL_PERMS,
@@ -111,8 +111,7 @@ def enumerate_family(
     return tuple(sorted(specs, key=PerspectiveSpec.sort_key))
 
 
-@dataclass(frozen=True)
-class IsoClass:
+class IsoClass(NamedTuple):
     class_id: str
     representative: PerspectiveSpec
     members: tuple[PerspectiveSpec, ...]
@@ -380,8 +379,7 @@ def _entry_spec(family: SkewFamily, kind: CanonicalKind, cycles: str) -> Perspec
 # findings and report
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     claim_id: str
     claim: str
     computed: dict
@@ -400,8 +398,7 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     axes_mode: str  # "canonical" | "census"
     census_size: int
     perm_classes: tuple[IsoClass, ...]
@@ -892,7 +889,7 @@ def _theorem_finding(
                 )
             seen[k] = label
     labeled = tuple(
-        replace(c, published_label=", ".join(labels[c.class_id]) if c.class_id in labels else None)
+        c._replace(published_label=", ".join(labels[c.class_id]) if c.class_id in labels else None)
         for c in classes
     )
     unmatched = [c for c in labeled if c.published_label is None]

@@ -20,8 +20,8 @@ PSTS file path) or as a PSTS file path directly.
 Exit codes: 0 success (for ``iso``: isomorphic), 1 proven non-isomorphic,
 2 audit found a MISMATCH, 64 usage, 65 bad data, 66 missing input file,
 70 internal error (an oracle inconsistency or any other unexpected failure,
-never reported as a verdict), 74 output write failure.  stdout carries
-data; diagnostics go to stderr.
+never reported as a verdict), 74 output write failure (to ``--out`` or to
+stdout).  stdout carries data; diagnostics go to stderr.
 
 The oracles hand back index maps, which ``iso`` and ``aut`` name when they
 print; on PSTS files these two load only this module, ``iso`` and ``psts``.
@@ -36,7 +36,7 @@ one process, and their output never depended on it.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from collections.abc import Mapping, Sequence
 from pathlib import Path
@@ -110,7 +110,16 @@ def _load_structure(text: str) -> Psts:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as e:
+            # the buffer still holds the text; with fd 1 on the null device
+            # the flush at shutdown neither fails nor reports a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+            raise _CliError(EX_IOERR, f"cannot write to stdout: {e}") from e
         return
     try:
         Path(out).write_text(text)
@@ -224,6 +233,8 @@ def _cmd_classify(args) -> int:
     axes = cls.canonical_axes() if args.axes == "canonical" else enumerate_labelings()
     classes = cls.partition_into_classes(cls.enumerate_family(SkewFamily(args.family), axes))
     if args.format == "structured":
+        import json
+
         doc = {
             "family": args.family,
             "axes": args.axes,

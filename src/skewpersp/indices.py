@@ -12,8 +12,10 @@ The complement involution ``correlation`` sends {i, j} to I4 minus {i, j};
 it commutes with every extended permutation, which is what makes the
 "boolean complementing" perspective family tick.
 
-All types are immutable and hashable; every enumeration order is fixed so
-downstream reports are reproducible byte for byte.
+All types are immutable tuple records, equal, ordered and hashed as the
+tuple of their fields; each checks its fields when it is constructed,
+``_replace`` included.  Every enumeration order is fixed so downstream
+reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 INDICES: tuple[int, int, int, int] = (1, 2, 3, 4)
 
@@ -32,31 +34,31 @@ def _check_index(i: int) -> int:
     return i
 
 
-@dataclass(frozen=True, order=True)
-class Pair:
-    """Unordered pair of distinct indices, stored as lo < hi."""
-
+class _PairFields(NamedTuple):
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        _check_index(self.lo)
-        _check_index(self.hi)
-        if self.lo >= self.hi:
-            raise ValueError(f"pair must satisfy lo < hi, got ({self.lo}, {self.hi})")
+
+class Pair(_PairFields):
+    """Unordered pair of distinct indices, stored as lo < hi."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int) -> "Pair":
+        _check_index(lo)
+        _check_index(hi)
+        if lo >= hi:
+            raise ValueError(f"pair must satisfy lo < hi, got ({lo}, {hi})")
+        return super().__new__(cls, lo, hi)
+
+    # ``_replace`` builds through ``_make``, so it checks the fields too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @staticmethod
     def of(i: int, j: int) -> "Pair":
         if i == j:
             raise ValueError(f"pair needs two distinct indices, got {i} twice")
         return Pair(min(i, j), max(i, j))
-
-    def __contains__(self, i: int) -> bool:
-        return i == self.lo or i == self.hi
-
-    def __iter__(self):
-        yield self.lo
-        yield self.hi
 
     def __str__(self) -> str:
         return f"{self.lo}{self.hi}"
@@ -76,15 +78,21 @@ def correlation(u: Pair) -> Pair:
     return Pair(rest[0], rest[1])
 
 
-@dataclass(frozen=True, order=True)
-class Perm4:
-    """Permutation of I4, stored by its image tuple (phi(1), ..., phi(4))."""
-
+class _Perm4Fields(NamedTuple):
     images: tuple[int, int, int, int]
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != [1, 2, 3, 4]:
-            raise ValueError(f"not a bijection of 1..4: images {self.images}")
+
+class Perm4(_Perm4Fields):
+    """Permutation of I4, stored by its image tuple (phi(1), ..., phi(4))."""
+
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, int, int, int]) -> "Perm4":
+        if sorted(images) != [1, 2, 3, 4]:
+            raise ValueError(f"not a bijection of 1..4: images {images}")
+        return super().__new__(cls, images)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __call__(self, i: int) -> int:
         return self.images[_check_index(i) - 1]
@@ -184,15 +192,21 @@ def parse_cycles(text: str) -> Perm4:
     return Perm4(tuple(img[i] for i in INDICES))
 
 
-@dataclass(frozen=True)
-class PairMap:
-    """Bijection of the six pairs, stored as images in global pair order."""
-
+class _PairMapFields(NamedTuple):
     images: tuple[int, int, int, int, int, int]  # indices into PAIRS
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != [0, 1, 2, 3, 4, 5]:
-            raise ValueError(f"not a bijection of the six pairs: {self.images}")
+
+class PairMap(_PairMapFields):
+    """Bijection of the six pairs, stored as images in global pair order."""
+
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, int, int, int, int, int]) -> "PairMap":
+        if sorted(images) != [0, 1, 2, 3, 4, 5]:
+            raise ValueError(f"not a bijection of the six pairs: {images}")
+        return super().__new__(cls, images)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __call__(self, u: Pair) -> Pair:
         return PAIRS[self.images[PAIR_INDEX[u]]]

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .psts import Psts
 
@@ -123,8 +123,7 @@ def _rank_raw(raw: list[tuple]) -> list[int]:
     return [rank[t] for t in raw]
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
+class CanonicalKey(NamedTuple):
     """Totally ordered complete invariant.  ``encoding`` is the least
     incidence relabeling found; the digest is a stable short display form."""
 

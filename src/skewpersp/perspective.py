@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .indices import (
     ALL_PERMS,
@@ -95,8 +95,13 @@ class SkewFamily(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class PerspectiveSpec:
+class _SpecFields(NamedTuple):
+    family: SkewFamily
+    perm: Perm4
+    axis: VeblenConfig
+
+
+class PerspectiveSpec(_SpecFields):
     """A skew, by its family and permutation, plus an axis labeling; the
     center carries no freedom.
 
@@ -104,12 +109,9 @@ class PerspectiveSpec:
     with delta = extend(phi) after the complement involution; the two
     factors commute, so the order is immaterial.  Each spec computes its
     id once, on first use, so lookups by id hash no permutation or
-    labeling.
+    labeling; the cached id lives in the instance ``__dict__``, which is
+    why this record, unlike the others, has no ``__slots__``.
     """
-
-    family: SkewFamily
-    perm: Perm4
-    axis: VeblenConfig
 
     @functools.cached_property
     def sid(self) -> int:

@@ -78,7 +78,7 @@ class Psts:
 
     ``lines`` reads the lines back as sorted name triples, in ``line_sets``
     order, which is name order too: indices are ranks in name order.  A
-    census audit builds 1,440 structures and searches 288, so most of them
+    census audit builds 1,440 structures and searches 69, so most of them
     hold ``points`` and ``line_sets`` only.
     """
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .indices import (
     ALL_PERMS,
@@ -49,19 +49,21 @@ def _line_key(line: frozenset[Pair]) -> tuple[int, ...]:
     return tuple(sorted(PAIR_INDEX[u] for u in line))
 
 
-@dataclass(frozen=True)
-class VeblenConfig:
+class _VeblenFields(NamedTuple):
+    lines: tuple[frozenset[Pair], ...]
+
+
+class VeblenConfig(_VeblenFields):
     """A (6_2 4_3) configuration on the six pairs.
 
     ``lines`` is a tuple of four frozensets of pairs, sorted by pair index,
     so equal configurations compare equal.
     """
 
-    lines: tuple[frozenset[Pair], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lines = tuple(sorted((frozenset(ln) for ln in self.lines), key=_line_key))
-        object.__setattr__(self, "lines", lines)
+    def __new__(cls, lines) -> "VeblenConfig":
+        lines = tuple(sorted((frozenset(ln) for ln in lines), key=_line_key))
         if len(lines) != 4 or any(len(ln) != 3 for ln in lines):
             raise ValueError("need exactly four 3-subsets of pairs")
         if len(set(lines)) != 4:
@@ -76,6 +78,9 @@ class VeblenConfig:
         for l1, l2 in itertools.combinations(lines, 2):
             if len(l1 & l2) > 1:
                 raise ValueError(f"lines share two pairs: {set(l1)} and {set(l2)}")
+        return super().__new__(cls, lines)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @functools.lru_cache(maxsize=None)
     def apply(self, m: PairMap) -> "VeblenConfig":

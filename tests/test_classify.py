@@ -270,14 +270,14 @@ class TestNoRevalidation:
 
     def test_algebraic_claims_construct_no_labeling(self, monkeypatch, census, perm_specs, kappa_specs):
         calls = 0
-        real = VeblenConfig.__post_init__
+        real = VeblenConfig.__new__
 
-        def counting(self):
+        def counting(cls, lines):
             nonlocal calls
             calls += 1
-            real(self)
+            return real(cls, lines)
 
-        monkeypatch.setattr(VeblenConfig, "__post_init__", counting)
+        monkeypatch.setattr(VeblenConfig, "__new__", counting)
         # start cold, so every image goes through the census lookup
         VeblenConfig.apply.cache_clear()
         veblen._census_by_lines.cache_clear()

@@ -7,6 +7,10 @@ audit run (the slow part) is shared module-wide.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import axis_psts
@@ -355,3 +359,26 @@ class TestErrors:
         code, _, err = run(capsys, "census", "--out", "/no/such/dir/census.txt")
         assert code == EX_IOERR
         assert "cannot write" in err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_unwritable_stdout(self, unbuffered):
+        """A full stdout is an output write failure: exit 74 with one error
+        line, whether the write itself fails or only the flush would, and
+        no second report when the interpreter shuts down."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "skewpersp.cli", "census"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        assert proc.returncode == EX_IOERR
+        assert proc.stderr.startswith("error: cannot write to stdout: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr

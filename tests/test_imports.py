@@ -189,6 +189,7 @@ ORACLE_COMMANDS = textwrap.dedent(
     assert cli.main(["iso", first, second]) == 0
     assert cli.main(["aut", first]) == 0
     print("hashlib" in sys.modules, "_hashlib" in sys.modules)
+    print(*(m in sys.modules for m in ("dataclasses", "inspect", "json")))
     print(*sorted(m for m in sys.modules if m.partition(".")[0] == "skewpersp"))
     """
 )
@@ -198,7 +199,8 @@ def test_iso_and_aut_on_files_load_only_the_oracle_core(tmp_path):
     """``iso`` and ``aut`` on PSTS files need neither the perspectives nor
     the Veblen labelings: run in a fresh interpreter, they load the CLI,
     the oracles and the ``Psts`` core, and no other module of the package.
-    Nor do they load ``hashlib`` or OpenSSL's ``_hashlib``."""
+    Nor do they load ``hashlib`` or OpenSSL's ``_hashlib``, nor
+    ``dataclasses`` with the ``inspect`` it pulls in, nor ``json``."""
     first, second = tmp_path / "fano.psts", tmp_path / "copy.psts"
     first.write_text("psts 7 7\n0 1 2 3 4 5 6\n0 1 3\n1 2 4\n2 3 5\n3 4 6\n0 4 5\n1 5 6\n0 2 6\n")
     second.write_text("psts 7 7\na b c d e f g\ng f d\nf e c\ne d b\nd c a\ng c b\nf b a\ng e a\n")
@@ -210,9 +212,30 @@ def test_iso_and_aut_on_files_load_only_the_oracle_core(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    *_, hashlib_loaded, loaded = proc.stdout.splitlines()
+    *_, hashlib_loaded, heavy_loaded, loaded = proc.stdout.splitlines()
     assert loaded.split() == ["skewpersp", "skewpersp.cli", "skewpersp.iso", "skewpersp.psts"]
     assert hashlib_loaded == "False False"
+    assert heavy_loaded == "False False False"
+
+
+def test_the_cli_and_the_census_load_no_dataclasses():
+    """Importing the CLI and enumerating the 30 labelings, the start that
+    ``perfbench`` times as ``setup_s``, loads no ``dataclasses``: the
+    package's records are tuples."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, skewpersp.cli\nfrom skewpersp import veblen\nveblen.enumerate_labelings()\n"
+            "print('dataclasses' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 DIGESTING_COMMAND = textwrap.dedent(
@@ -269,3 +292,15 @@ def test_the_package_imports_no_openssl():
         for path in sorted((ROOT / "src" / "skewpersp").glob("*.py"))
     }
     assert {name: modules for name, modules in found.items() if modules} == {}
+
+
+def test_the_package_imports_no_dataclasses():
+    """The package's records are tuples: no module imports ``dataclasses``,
+    whose import (with ``inspect``, ``ast`` and ``dis``) and generated
+    methods would cost every command its start."""
+    found = [
+        path.name
+        for path in sorted((ROOT / "src" / "skewpersp").glob("*.py"))
+        if "dataclasses" in imported_modules(path.read_text())
+    ]
+    assert found == []

@@ -123,9 +123,9 @@ class TestBuild:
         ids=["pair-on-two-lines", "two-pair-line"],
     )
     def test_corrupted_axis_raises(self, lines, problem):
-        axis = object.__new__(VeblenConfig)
-        object.__setattr__(
-            axis, "lines", tuple(frozenset(Pair(int(p[0]), int(p[1])) for p in ln.split()) for ln in lines)
+        # past the validating constructor, as only a bug could
+        axis = tuple.__new__(
+            VeblenConfig, (tuple(frozenset(Pair(int(p[0]), int(p[1])) for p in ln.split()) for ln in lines),)
         )
         with pytest.raises(PstsError, match=problem):
             build(PerspectiveSpec(SkewFamily.PERM, IDENTITY, axis))
