@@ -86,6 +86,7 @@ from .veblen import (
     VeblenConfig,
     aut_perms,
     canonical,
+    census_orbits,
     classify_labeling,
     enumerate_labelings,
     lemma23_representatives,
@@ -420,24 +421,9 @@ def _verdict(ok: bool) -> str:
     return "MATCH" if ok else "MISMATCH"
 
 
-def _orbit_sizes(labelings, maps) -> list[int]:
-    remaining = set(labelings)
-    sizes = []
-    while remaining:
-        seed = min(remaining, key=VeblenConfig.sort_key)
-        orbit = {seed.apply(m) for m in maps}
-        orbit.add(seed)
-        sizes.append(len(orbit & remaining))
-        remaining -= orbit
-    return sorted(sizes)
-
-
 def _fact_2_1(census) -> Finding:
     unclassified = [v for v in census if classify_labeling(v) is None]
-    ext_maps = [extend(phi) for phi in ALL_PERMS]
-    all_maps = ext_maps + [m.compose(CORRELATION) for m in ext_maps]
-    ext_sizes = _orbit_sizes(census, ext_maps)
-    full_sizes = _orbit_sizes(census, all_maps)
+    ext_orbits, full_orbits = census_orbits(False), census_orbits(True)
     # the kinds must be pairwise inequivalent under the 24 extended maps;
     # under all 48 maps the only mergers allowed are the three partner pairs
     ext_distinct = True
@@ -445,10 +431,10 @@ def _fact_2_1(census) -> Finding:
     pair_witness = []
     for k1, k2 in itertools.combinations(CanonicalKind, 2):
         v1, v2 = canonical(k1), canonical(k2)
-        if any(v1.apply(m) == v2 for m in ext_maps):
+        if any(v1 in o and v2 in o for o in ext_orbits):
             ext_distinct = False
             pair_witness.append(f"{k1} maps onto {k2} under an extended permutation")
-        full = any(v1.apply(m) == v2 for m in all_maps)
+        full = any(v1 in o and v2 in o for o in full_orbits)
         if full != (PARTNER[k1] is k2):
             merges_ok = False
             pair_witness.append(
@@ -461,8 +447,8 @@ def _fact_2_1(census) -> Finding:
         computed={
             "census_size": len(census),
             "unclassified": len(unclassified),
-            "extend_orbit_sizes": ext_sizes,
-            "full_orbit_sizes": full_sizes,
+            "extend_orbit_sizes": sorted(map(len, ext_orbits)),
+            "full_orbit_sizes": sorted(map(len, full_orbits)),
             "kinds_distinct_under_extends": ext_distinct,
             "full_map_merges_are_exactly_partner_pairs": merges_ok,
         },

@@ -71,6 +71,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we want 64
         raise _UsageError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse swallows a failed write; help on stdout goes through _emit
+        if file is sys.stdout:
+            _emit(message, None)
+        else:
+            super()._print_message(message, file)
+
 
 def _load_axis_file(path: str):
     from .veblen import from_psts
@@ -156,33 +163,25 @@ def _cmd_build(args) -> int:
 def _cmd_census(args) -> int:
     from .veblen import (
         CanonicalKind,
-        PARTNER,
         aut_perms,
         canonical,
-        enumerate_labelings,
-        extend_orbit,
+        census_orbits,
         star_triangles,
     )
 
-    census = enumerate_labelings()
-    rows = [f"census: {len(census)} labelings of the six pairs"]
+    ext, full = census_orbits(False), census_orbits(True)
+    orbit_of = {v: orbit for orbit in ext for v in orbit}  # each labeling to its orbit
+    rows = [f"census: {len(orbit_of)} labelings of the six pairs"]
     rows.append(f"{'kind':<8} {'orbit':>5} {'star_triangles':>14} {'aut_order':>9}")
-    ext_sizes = []
     for kind in CanonicalKind:
         v = canonical(kind)
-        orbit = len(extend_orbit(v))
-        ext_sizes.append(orbit)
         rows.append(
-            f"{str(kind):<8} {orbit:>5} {len(star_triangles(v)):>14} {len(aut_perms(v)):>9}"
+            f"{str(kind):<8} {len(orbit_of[v]):>5} {len(star_triangles(v)):>14} {len(aut_perms(v)):>9}"
         )
-    full = sorted(
-        len(extend_orbit(canonical(k))) + len(extend_orbit(canonical(PARTNER[k])))
-        for k in (CanonicalKind.G2, CanonicalKind.B2, CanonicalKind.V5)
-    )
-    rows.append(f"orbit sizes under the 24 extended maps: {sorted(ext_sizes)}")
-    rows.append(f"orbit sizes under all 48 candidate maps: {full}")
-    covered = sum(ext_sizes)
-    rows.append(f"coverage: {covered} of {len(census)} labelings in canonical orbits")
+    rows.append(f"orbit sizes under the 24 extended maps: {sorted(map(len, ext))}")
+    rows.append(f"orbit sizes under all 48 candidate maps: {sorted(map(len, full))}")
+    covered = {w for kind in CanonicalKind for w in orbit_of[canonical(kind)]}
+    rows.append(f"coverage: {len(covered)} of {len(orbit_of)} labelings in canonical orbits")
     _emit("\n".join(rows) + "\n", args.out)
     return EX_OK
 
@@ -319,11 +318,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.fn(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EX_USAGE
-    try:
-        return args.fn(args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 INDICES: tuple[int, int, int, int] = (1, 2, 3, 4)
@@ -251,6 +252,19 @@ def is_subgroup(perms: frozenset[Perm4]) -> bool:
     return True
 
 
+def orbits(items: Sequence, images: Callable) -> tuple[tuple, ...]:
+    """Orbits of ``items`` under a group, where ``images(x)`` is the set of
+    all images of x.  Each orbit lists its members in ``items`` order, and
+    the orbits are ordered by their first member."""
+    out, seen = [], set()
+    for x in items:
+        if x not in seen:
+            orbit = images(x)
+            seen.update(orbit)
+            out.append(tuple(y for y in items if y in orbit))
+    return tuple(out)
+
+
 def conjugacy_classes_under(
     group: frozenset[Perm4] | set[Perm4] | tuple[Perm4, ...],
 ) -> tuple[tuple[Perm4, ...], ...]:
@@ -263,11 +277,4 @@ def conjugacy_classes_under(
     H = frozenset(group)
     if not is_subgroup(H):
         raise ValueError("conjugating set is not a subgroup of S4")
-    remaining = set(ALL_PERMS)
-    classes: list[tuple[Perm4, ...]] = []
-    while remaining:
-        g = min(remaining)
-        orbit = {g.conjugate_by(a) for a in H}
-        classes.append(tuple(sorted(orbit)))
-        remaining -= orbit
-    return tuple(sorted(classes, key=lambda cls: cls[0]))
+    return orbits(ALL_PERMS, lambda g: {g.conjugate_by(a) for a in H})

@@ -424,15 +424,15 @@ def _search(x: Psts, y: Psts, fix: tuple[int, int] | None):
     and ``_is_isomorphism`` checks each complete map, and that it maps px
     onto py, before it is yielded.
 
-    A point whose cell is larger than the line partners of its anchor, the
-    line partner placed first before it, takes as candidates those line
-    partners of the anchor's image that share its colour, in index order,
-    worked out each time the search enters its depth afresh.  These are
-    the cell's points that ``ok()`` would not reject, in the cell's order,
-    so the search tree and the yielded maps are those of a scan of the
-    whole cell (Cordella, Foggia, Sansone & Vento, "A (sub)graph
-    isomorphism algorithm for matching large graphs", 2004, restrict
-    candidates to neighbours of the mapped set the same way)."""
+    A point with a line partner placed before it is anchored at the one
+    placed first, and takes as candidates the line partners of its
+    anchor's image that share its colour, in index order, worked out each
+    time the search enters its depth afresh.  They include every point of
+    the cell that ``ok()`` would accept, in cell order, so the search tree
+    and the yielded maps are those of a scan of the whole cell (Cordella,
+    Foggia, Sansone & Vento, "A (sub)graph isomorphism algorithm for
+    matching large graphs", 2004, restrict candidates to neighbours of the
+    mapped set the same way)."""
     n = len(x.points)
     if n != len(y.points) or len(x.line_sets) != len(y.line_sets):
         return
@@ -474,19 +474,16 @@ def _search(x: Psts, y: Psts, fix: tuple[int, int] | None):
         return True
 
     # static smallest-cell-first order: refinement leaves most cells tiny,
-    # and a large cell is narrowed by its points' anchors below
+    # and a cell is narrowed by its points' anchors below
     order = sorted(range(n), key=lambda i: (len(by_color.get(cx[i], ())), cx[i], i))
     cands = [by_color.get(cx[i], ()) for i in order]  # reset on entry where anchored
-    # the anchor of each depth whose cell its line partners would narrow;
-    # no anchor has fewer partners than the points on the fewest lines
-    fewest = 2 * min((len(p) for p in partners_x if p), default=0)
+    # each depth's anchor: its point's line partner placed first, if any is before it
     position = [n] * n  # the depth of each point placed so far
     anchor = [-1] * n
     for d, i in enumerate(order):
-        if len(cands[d]) > fewest:
-            a = min((p for pair in partners_x[i] for p in pair), key=position.__getitem__, default=-1)
-            if a != -1 and position[a] < d and len(cands[d]) > 2 * len(partners_x[a]):
-                anchor[d] = a
+        a = min((p for pair in partners_x[i] for p in pair), key=position.__getitem__, default=-1)
+        if a != -1 and position[a] < d:
+            anchor[d] = a
         position[i] = d
     cursor = [0] * n  # next candidate to try at each depth
     depth = 0

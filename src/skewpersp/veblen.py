@@ -31,6 +31,7 @@ from .indices import (
     Perm4,
     conjugacy_classes_under,
     extend,
+    orbits,
 )
 from .psts import Psts
 
@@ -214,9 +215,14 @@ def classify_labeling(v: VeblenConfig) -> CanonicalKind | None:
     return None
 
 
-def extend_orbit(v: VeblenConfig) -> tuple[VeblenConfig, ...]:
-    """Orbit of v under the 24 extended permutations, sorted."""
-    return tuple(sorted({v.apply(extend(phi)) for phi in ALL_PERMS}, key=VeblenConfig.sort_key))
+def census_orbits(complemented: bool) -> tuple[tuple[VeblenConfig, ...], ...]:
+    """The census partitioned into its orbits under the 24 extended
+    permutations or, when ``complemented``, under all 48 candidate maps,
+    each orbit in census order, the orbits ordered by their first."""
+    maps = [extend(phi) for phi in ALL_PERMS]
+    if complemented:
+        maps += [m.compose(CORRELATION) for m in maps]
+    return orbits(enumerate_labelings(), lambda v: {v.apply(m) for m in maps})
 
 
 def lemma23_representatives(kind: CanonicalKind) -> tuple[tuple[Perm4, ...], ...]:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from conftest import axis_psts
 
-from skewpersp import cli, psts
+from skewpersp import cli, psts, veblen
 from skewpersp.cli import (
     EX_DATAERR,
     EX_IOERR,
@@ -138,6 +138,19 @@ class TestCensus:
         # one row per kind
         for kind in ("G2", "G2_STAR", "B2", "V4", "V5", "V6"):
             assert any(r.startswith(kind + " ") for r in out.splitlines()), kind
+
+    def test_output_bytes(self, capsys):
+        code, out, _ = run(capsys, "census")
+        assert code == EX_OK
+        digest = "6f71ec28935f509ab016fb5ab37d329fbe0f6cb3e059a9a02eb14564a21eea2b"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_coverage_is_computed(self, capsys, monkeypatch):
+        # with V6 set to V5's labeling, V6's orbit of 8 is no longer covered
+        monkeypatch.setitem(veblen._CANONICAL, CanonicalKind.V6, canonical(CanonicalKind.V5))
+        code, out, _ = run(capsys, "census")
+        assert code == EX_OK
+        assert "coverage: 22 of 30 labelings in canonical orbits" in out
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "census.txt"
@@ -361,18 +374,37 @@ class TestErrors:
         assert "cannot write" in err
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    def test_unwritable_stdout(self, unbuffered):
+    @pytest.mark.parametrize(
+        "argv,unbuffered",
+        [
+            (["census"], True),
+            (["census"], False),
+            (["--help"], True),
+            (["--help"], False),
+            (["audit", "--help"], True),
+            (["audit", "--help"], False),
+        ],
+        ids=[
+            "unbuffered",
+            "buffered",
+            "help-unbuffered",
+            "help-buffered",
+            "audit-help-unbuffered",
+            "audit-help-buffered",
+        ],
+    )
+    def test_unwritable_stdout(self, argv, unbuffered):
         """A full stdout is an output write failure: exit 74 with one error
         line, whether the write itself fails or only the flush would, and
-        no second report when the interpreter shuts down."""
+        no second report when the interpreter shuts down.  argparse's help
+        is output too."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
-                [sys.executable, "-m", "skewpersp.cli", "census"],
+                [sys.executable, "-m", "skewpersp.cli", *argv],
                 stdout=full,
                 stderr=subprocess.PIPE,
                 text=True,

@@ -18,6 +18,7 @@ from skewpersp.indices import (
     correlation,
     extend,
     is_subgroup,
+    orbits,
     parse_cycles,
     render_cycles,
 )
@@ -221,3 +222,12 @@ class TestSubgroups:
         classes = conjugacy_classes_under(frozenset(ALL_PERMS))
         seen = [f for c in classes for f in c]
         assert sorted(seen) == sorted(ALL_PERMS)
+
+
+class TestOrbits:
+    def test_items_order(self):
+        # residues mod 3 under adding 3 mod 9, listed in a shuffled order:
+        # each orbit follows the items, and orbits follow their first member
+        items = (4, 0, 7, 3, 8, 1, 5, 2, 6)
+        got = orbits(items, lambda x: {(x + 3 * k) % 9 for k in range(3)})
+        assert got == ((4, 7, 1), (0, 3, 6), (8, 5, 2))

@@ -28,9 +28,9 @@ from skewpersp.veblen import (
     VeblenConfig,
     aut_perms,
     canonical,
+    census_orbits,
     classify_labeling,
     enumerate_labelings,
-    extend_orbit,
     from_psts,
     lemma23_representatives,
     star,
@@ -260,19 +260,53 @@ class TestClassification:
         assert classify_labeling(v) is CanonicalKind.B2
 
     def test_census_fully_classified(self, census):
+        orbit_of = orbits_by_labeling(False)
         for v in census:
-            assert v in extend_orbit(canonical(classify_labeling(v)))
+            assert v in orbit_of[canonical(classify_labeling(v))]
 
     def test_extend_orbit_sizes(self):
         want = {"G2": 1, "G2_STAR": 1, "B2": 6, "V4": 6, "V5": 8, "V6": 8}
+        orbit_of = orbits_by_labeling(False)
         for kind in KINDS:
-            assert len(extend_orbit(canonical(kind))) == want[kind.value]
+            assert len(orbit_of[canonical(kind)]) == want[kind.value]
 
     def test_orbits_cover_census(self, census):
+        orbit_of = orbits_by_labeling(False)
         covered = set()
         for kind in KINDS:
-            covered.update(extend_orbit(canonical(kind)))
+            covered.update(orbit_of[canonical(kind)])
         assert covered == set(census)
+
+
+def orbits_by_labeling(complemented):
+    """Each labeling's orbit in the census partition."""
+    return {v: orbit for orbit in census_orbits(complemented) for v in orbit}
+
+
+class TestCensusOrbits:
+    @pytest.mark.parametrize("complemented", [False, True])
+    def test_partition(self, census, complemented):
+        # disjoint orbits that cover the census, each in census order and
+        # the image set of each of its members
+        orbits = census_orbits(complemented)
+        members = [v for orbit in orbits for v in orbit]
+        assert sorted(members, key=census.index) == list(census)
+        maps = [extend(phi) for phi in ALL_PERMS]
+        if complemented:
+            maps += [m.compose(CORRELATION) for m in maps]
+        for orbit in orbits:
+            assert list(orbit) == sorted(orbit, key=census.index)
+            assert all({v.apply(m) for m in maps} == set(orbit) for v in orbit)
+        assert [orbit[0] for orbit in orbits] == sorted((o[0] for o in orbits), key=census.index)
+
+    def test_full_orbits_join_partners(self):
+        # each orbit under the 48 maps is a kind's orbit under the 24
+        # extended maps joined with its partner's
+        ext = orbits_by_labeling(False)
+        joined = {
+            frozenset(ext[canonical(kind)] + ext[canonical(PARTNER[kind])]) for kind in KINDS
+        }
+        assert joined == {frozenset(orbit) for orbit in census_orbits(True)}
 
 
 class TestLemma23Representatives:
