@@ -87,7 +87,6 @@ from .veblen import (
     aut_perms,
     canonical,
     census_orbits,
-    classify_labeling,
     enumerate_labelings,
     lemma23_representatives,
     star_triangles,
@@ -422,8 +421,10 @@ def _verdict(ok: bool) -> str:
 
 
 def _fact_2_1(census) -> Finding:
-    unclassified = [v for v in census if classify_labeling(v) is None]
     ext_orbits, full_orbits = census_orbits(False), census_orbits(True)
+    # a labeling is classified when one of the 48 maps carries it onto a kind
+    kinds = {canonical(kind) for kind in CanonicalKind}
+    unclassified = [v for orbit in full_orbits if kinds.isdisjoint(orbit) for v in orbit]
     # the kinds must be pairwise inequivalent under the 24 extended maps;
     # under all 48 maps the only mergers allowed are the three partner pairs
     ext_distinct = True

@@ -23,11 +23,12 @@ Exit codes: 0 success (for ``iso``: isomorphic), 1 proven non-isomorphic,
 never reported as a verdict), 74 output write failure (to ``--out`` or to
 stdout).  stdout carries data; diagnostics go to stderr.
 
-The oracles hand back index maps, which ``iso`` and ``aut`` name when they
-print; on PSTS files these two load only this module, ``iso`` and ``psts``.
-The perspectives and Veblen labelings are imported where they are needed:
-by ``build``, ``census`` and ``classify``, by spec-text operands and by
-file-path axes; ``classify`` and ``audit`` import the classification.
+Each command imports only the modules it uses: ``census`` loads ``veblen``
+and ``indices``; ``build`` adds ``perspective`` and ``psts``; ``iso`` and
+``aut`` on PSTS files load only ``iso`` and ``psts``, and name the index
+maps the oracles hand back when they print, while a spec-text operand adds
+what ``build`` loads; ``classify`` and ``audit`` load the classification,
+and with it all of these.
 
 ``classify`` and ``audit`` accept ``--jobs N`` and ignore it: they run in
 one process, and their output never depended on it.
@@ -40,10 +41,10 @@ import os
 import sys
 from collections.abc import Mapping, Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import psts as psts_mod
-from .iso import OracleInconsistencyError, automorphism_group, find_isomorphism
-from .psts import Psts, PstsError
+if TYPE_CHECKING:
+    from .psts import Psts
 
 EX_OK = 0
 EX_NONISO = 1
@@ -80,13 +81,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_axis_file(path: str):
+    from .psts import PstsError, from_text
     from .veblen import from_psts
 
     p = Path(path)
     if not p.is_file():
         raise _CliError(EX_NOINPUT, f"axis file not found: {path}")
     try:
-        return from_psts(psts_mod.from_text(p.read_text()))
+        return from_psts(from_text(p.read_text()))
     except (PstsError, ValueError) as e:
         raise _CliError(EX_DATAERR, f"bad axis file {path}: {e}") from e
 
@@ -106,11 +108,13 @@ def _load_structure(text: str) -> Psts:
         from .perspective import build
 
         return build(parse_spec(text))
+    from .psts import PstsError, from_text
+
     p = Path(text)
     if not p.is_file():
         raise _CliError(EX_NOINPUT, f"no such file (and not spec text): {text}")
     try:
-        return psts_mod.from_text(p.read_text())
+        return from_text(p.read_text())
     except PstsError as e:
         raise _CliError(EX_DATAERR, f"bad PSTS file {text}: {e}") from e
 
@@ -154,9 +158,10 @@ def emit_levi_dot(s: Psts, roles: Mapping[str, str] | None = None) -> str:
 
 def _cmd_build(args) -> int:
     from .perspective import ROLE_LABELS, build
+    from .psts import to_text
 
     s = build(parse_spec(args.spec))
-    _emit(emit_levi_dot(s, ROLE_LABELS) if args.levi else psts_mod.to_text(s), args.out)
+    _emit(emit_levi_dot(s, ROLE_LABELS) if args.levi else to_text(s), args.out)
     return EX_OK
 
 
@@ -187,6 +192,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .iso import find_isomorphism
+
     x = _load_structure(args.first)
     y = _load_structure(args.second)
     witness = find_isomorphism(x, y)
@@ -216,6 +223,8 @@ def _point_perm_cycles(names: Sequence[str], g: Sequence[int]) -> str:
 
 
 def _cmd_aut(args) -> int:
+    from .iso import automorphism_group
+
     s = _load_structure(args.structure)
     gens, order = automorphism_group(s)
     rows = [f"order {order}"]
@@ -325,13 +334,17 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except OracleInconsistencyError as e:
-        print(f"internal oracle inconsistency: {e}", file=sys.stderr)
-        return EX_SOFTWARE
-    except PstsError as e:
-        print(f"invalid structure: {e}", file=sys.stderr)
-        return EX_DATAERR
     except Exception as e:
+        # the code that raised an oracle or PSTS error has imported its module
+        from .iso import OracleInconsistencyError
+        from .psts import PstsError
+
+        if isinstance(e, OracleInconsistencyError):
+            print(f"internal oracle inconsistency: {e}", file=sys.stderr)
+            return EX_SOFTWARE
+        if isinstance(e, PstsError):
+            print(f"invalid structure: {e}", file=sys.stderr)
+            return EX_DATAERR
         # any other failure is a bug, and exit 1 would read as a verdict
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EX_SOFTWARE

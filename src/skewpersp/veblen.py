@@ -33,7 +33,6 @@ from .indices import (
     extend,
     orbits,
 )
-from .psts import Psts
 
 
 def star(i: int) -> frozenset[Pair]:
@@ -154,18 +153,21 @@ def canonical(kind: CanonicalKind) -> VeblenConfig:
 @functools.lru_cache(maxsize=1)
 def enumerate_labelings() -> tuple[VeblenConfig, ...]:
     """All 30 labelings, sorted.  A 3-subset of pairs is a 6-bit mask over
-    ``PAIR_INDEX``; four masks with XOR 0 and OR 63 put each pair on an even,
-    nonzero number of lines, so on two (12 incidences on 6 pairs).  Those
-    with no two masks sharing two bits are constructed, with full validation."""
-    triples = [frozenset(c) for c in itertools.combinations(PAIRS, 3)]
-    mask = {t: sum(1 << PAIR_INDEX[u] for u in t) for t in triples}
+    ``PAIR_INDEX``.  Each pair lies on two lines, so the four masks XOR to 0
+    and the first three force the fourth: the loop takes the sorted masks
+    three at a time and keeps ``d = a ^ b ^ c`` when it has three bits, is
+    larger than ``c``, makes the OR 63 (every pair on a line, so on two) and
+    no two of the four masks share two bits.  The 30 survivors are
+    constructed, with full validation."""
+    masks = sorted(sum(1 << PAIR_INDEX[u] for u in t) for t in itertools.combinations(PAIRS, 3))
     out = []
-    for quad in itertools.combinations(triples, 4):
-        a, b, c, d = m = [mask[t] for t in quad]
-        if a ^ b ^ c ^ d == 0 and a | b | c | d == 63 and all(
+    for a, b, c in itertools.combinations(masks, 3):
+        d = a ^ b ^ c
+        m = (a, b, c, d)
+        if d > c and d.bit_count() == 3 and a | b | c | d == 63 and all(
             (x & y).bit_count() < 2 for x, y in itertools.combinations(m, 2)
         ):
-            out.append(VeblenConfig(quad))
+            out.append(VeblenConfig(frozenset(PAIRS[i] for i in range(6) if x >> i & 1) for x in m))
     return tuple(sorted(out, key=VeblenConfig.sort_key))
 
 
@@ -196,25 +198,6 @@ def aut_perms(v: VeblenConfig) -> tuple[Perm4, ...]:
     return tuple(phi for phi in ALL_PERMS if v.apply(extend(phi)) == v)
 
 
-def classify_labeling(v: VeblenConfig) -> CanonicalKind | None:
-    """The canonical kind onto which one of the 48 candidate maps carries v:
-    extend(alpha), or the complement involution followed by extend(alpha).
-
-    Scans the extended maps over all kinds and permutations before the
-    complemented ones.  Returns None when nothing among the 48 maps works
-    (such an outcome would falsify the census coverage claim, so the audit
-    counts it explicitly rather than raising).
-    """
-    for complemented in (False, True):
-        image = v.apply(CORRELATION) if complemented else v
-        for kind in CanonicalKind:
-            target = canonical(kind)
-            for alpha in ALL_PERMS:
-                if image.apply(extend(alpha)) == target:
-                    return kind
-    return None
-
-
 def census_orbits(complemented: bool) -> tuple[tuple[VeblenConfig, ...], ...]:
     """The census partitioned into its orbits under the 24 extended
     permutations or, when ``complemented``, under all 48 candidate maps,
@@ -238,9 +221,11 @@ PAIR_NAMES: dict[Pair, str] = {u: f"c{u}" for u in PAIRS}
 _NAME_TO_PAIR: dict[str, Pair] = {name: u for u, name in PAIR_NAMES.items()}
 
 
-def from_psts(s: Psts) -> VeblenConfig:
+def from_psts(s) -> VeblenConfig:
     """The labeling of a structure on the six pair points c12 .. c34, as
-    an axis file gives it.  Raises ValueError on any other points."""
+    an axis file gives it; only its ``points`` and ``lines`` are read, so
+    the labelings never load ``psts``.  Raises ValueError on any other
+    points."""
     if set(s.points) != set(_NAME_TO_PAIR):
         raise ValueError(
             f"expected points {sorted(_NAME_TO_PAIR)}, got {list(s.points)}"

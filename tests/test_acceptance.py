@@ -40,7 +40,7 @@ from skewpersp.veblen import (
     PARTNER,
     CanonicalKind,
     canonical,
-    classify_labeling,
+    census_orbits,
     star_triangles,
 )
 
@@ -104,8 +104,10 @@ def test_criterion_02_labeling_census(census, census_audit):
         all(canonical(k).apply(extend(a)) != canonical(m) for a in ALL_PERMS)
         for k, m in itertools.permutations(kinds, 2)
     )
+    ext_orbit = {v: orbit for orbit in census_orbits(False) for v in orbit}
     pairing_ok = all(
-        classify_labeling(canonical(k).apply(CORRELATION)) == PARTNER[k]
+        [m for m in kinds if canonical(m) in ext_orbit[canonical(k).apply(CORRELATION)]]
+        == [PARTNER[k]]
         for k in kinds
     )
 

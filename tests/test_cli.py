@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from conftest import axis_psts
 
-from skewpersp import cli, psts, veblen
+from skewpersp import cli, iso, psts, veblen
 from skewpersp.cli import (
     EX_DATAERR,
     EX_IOERR,
@@ -28,7 +28,7 @@ from skewpersp.cli import (
     emit_levi_dot,
     main,
 )
-from skewpersp.iso import _is_isomorphism
+from skewpersp.iso import OracleInconsistencyError, _is_isomorphism
 from skewpersp.perspective import ROLE_LABELS, build, parse_spec_text
 from skewpersp.veblen import CanonicalKind, canonical
 
@@ -362,11 +362,49 @@ class TestErrors:
         def broken(x, y):
             raise RuntimeError("search fell over")
 
-        monkeypatch.setattr(cli, "find_isomorphism", broken)
+        monkeypatch.setattr(iso, "find_isomorphism", broken)
         code, out, err = run(capsys, "iso", "perm:id@G2", "perm:id@B2")
         assert code == EX_SOFTWARE
         assert out == ""
         assert err == "internal error: RuntimeError: search fell over\n"
+
+    def test_internal_error_in_aut_is_not_a_verdict(self, capsys, monkeypatch):
+        def broken(s):
+            raise RuntimeError("canonical search fell over")
+
+        monkeypatch.setattr(iso, "automorphism_group", broken)
+        code, out, err = run(capsys, "aut", "perm:id@G2")
+        assert code == EX_SOFTWARE
+        assert out == ""
+        assert err == "internal error: RuntimeError: canonical search fell over\n"
+
+    def test_oracle_inconsistency_is_not_a_verdict(self, capsys, monkeypatch):
+        def inconsistent(x, y):
+            raise OracleInconsistencyError("the oracles disagree")
+
+        monkeypatch.setattr(iso, "find_isomorphism", inconsistent)
+        code, out, err = run(capsys, "iso", "perm:id@G2", "perm:id@B2")
+        assert code == EX_SOFTWARE
+        assert out == ""
+        assert err == "internal oracle inconsistency: the oracles disagree\n"
+
+    def test_malformed_psts_operand(self, capsys, tmp_path):
+        f = tmp_path / "junk.psts"
+        f.write_text("psts 3 1\na b c\na b\n")
+        code, out, err = run(capsys, "iso", "perm:id@G2", str(f))
+        assert code == EX_DATAERR
+        assert out == ""
+        assert err.startswith(f"error: bad PSTS file {f}: ")
+
+    def test_invalid_structure_reaching_main_is_bad_data(self, capsys, monkeypatch):
+        def invalid(s):
+            raise psts.PstsError(["a line repeats"])
+
+        monkeypatch.setattr(iso, "automorphism_group", invalid)
+        code, out, err = run(capsys, "aut", "perm:id@G2")
+        assert code == EX_DATAERR
+        assert out == ""
+        assert err == "invalid structure: a line repeats\n"
 
     def test_unwritable_out(self, capsys):
         code, _, err = run(capsys, "census", "--out", "/no/such/dir/census.txt")

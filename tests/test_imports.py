@@ -238,6 +238,56 @@ def test_the_cli_and_the_census_load_no_dataclasses():
     assert proc.stdout.split() == ["False"]
 
 
+def package_modules_loaded(code: str) -> list[str]:
+    """The package modules that ``code`` has loaded when it ends, run in a
+    fresh interpreter, sorted."""
+    report = "import sys\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'skewpersp'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_the_start_loads_only_the_labelings():
+    """The start that ``perfbench`` times as ``setup_s``, importing the CLI
+    and enumerating the 30 labelings, loads neither oracle nor ``psts``."""
+    code = "import skewpersp.cli\nfrom skewpersp import veblen\nveblen.enumerate_labelings()"
+    assert package_modules_loaded(code) == [
+        "skewpersp",
+        "skewpersp.cli",
+        "skewpersp.indices",
+        "skewpersp.veblen",
+    ]
+
+
+CLI_RUN = textwrap.dedent(
+    """
+    import contextlib, io
+    from skewpersp import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main({argv!r}) == 0
+    """
+)
+
+
+def test_census_loads_neither_oracle_nor_psts():
+    loaded = package_modules_loaded(CLI_RUN.format(argv=["census"]))
+    assert "skewpersp.veblen" in loaded
+    assert not {"skewpersp.iso", "skewpersp.psts"} & set(loaded)
+
+
+def test_build_on_spec_text_loads_no_oracle():
+    """``build`` writes a structure and never decides isomorphism."""
+    loaded = package_modules_loaded(CLI_RUN.format(argv=["build", "perm:(1,2)@V5", "--levi"]))
+    assert "skewpersp.perspective" in loaded
+    assert not {"skewpersp.iso", "skewpersp.classify"} & set(loaded)
+
+
 DIGESTING_COMMAND = textwrap.dedent(
     """
     import contextlib, io, sys
