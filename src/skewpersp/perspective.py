@@ -22,7 +22,7 @@ C_u) is its name, spelled out in ``ROLE_LABELS``.
 The closed-form criteria of the two families (Prop. 3.2 and 4.5) live
 here too, phrased over S4 and the axis and solved for the second spec:
 ``image_ids`` lists the 48 specs one spec is related to, as integer spec
-ids read from small tables of the S4 and axis actions, built on first use.
+ids read from a small table of the S4 action and ``veblen.action_table``.
 In the plain family those are exactly the specs a center-fixing
 isomorphism reaches, in the boolean-complementing family (where every
 isomorphism fixes the center) exactly the isomorphic ones.
@@ -54,7 +54,9 @@ from .veblen import (
     PAIR_NAMES,
     CanonicalKind,
     VeblenConfig,
+    action_table,
     canonical,
+    census_index,
     enumerate_labelings,
     star,
     star_triangles,
@@ -219,24 +221,16 @@ IMAGE_WITNESSES: tuple[tuple[Perm4, IsoCase], ...] = tuple(
 
 
 class _FamilyTables:
-    """The spec algebra over small integers.  A spec's id is
-    ``perm * n_axes + axis``: the index of its permutation in ``ALL_PERMS``
-    and of its axis in the labeling census.  ``conj[phi][sigma]`` is
-    phi sigma phi^-1, ``comp[phi][sigma]`` is phi sigma, ``inv[sigma]`` is
-    sigma^-1, ``ext[phi][axis]`` moves the axis by extend(phi) and
-    ``cor[axis]`` by the complement involution, all as indices."""
+    """A spec's id is ``perm * n_axes + axis``: its permutation's index in
+    ``ALL_PERMS`` and its axis's census position.  ``conj[phi][sigma]`` is
+    phi sigma phi^-1, ``comp[phi][sigma]`` phi sigma, ``inv[sigma]`` sigma^-1."""
 
     def __init__(self) -> None:
-        census = enumerate_labelings()
-        self.n_axes = len(census)
-        self.perm_index = {phi: k for k, phi in enumerate(ALL_PERMS)}
-        self.axis_index = {v: k for k, v in enumerate(census)}
-        perm, axis = self.perm_index, self.axis_index
+        self.n_axes = len(enumerate_labelings())
+        self.perm_index = perm = {phi: k for k, phi in enumerate(ALL_PERMS)}
         self.conj = tuple(tuple(perm[s.conjugate_by(phi)] for s in ALL_PERMS) for phi in ALL_PERMS)
         self.comp = tuple(tuple(perm[phi.compose(s)] for s in ALL_PERMS) for phi in ALL_PERMS)
         self.inv = tuple(perm[s.inverse()] for s in ALL_PERMS)
-        self.ext = tuple(tuple(axis[v.apply(extend(phi))] for v in census) for phi in ALL_PERMS)
-        self.cor = tuple(axis[v.apply(CORRELATION)] for v in census)
 
 
 @functools.cache
@@ -249,7 +243,7 @@ def spec_id(perm: Perm4, axis: VeblenConfig) -> int:
     """The integer id of the spec with skew permutation ``perm`` over
     ``axis``, in either family."""
     t = _family_tables()
-    return t.perm_index[perm] * t.n_axes + t.axis_index[axis]
+    return t.perm_index[perm] * t.n_axes + census_index()[axis]
 
 
 def image_ids(family: SkewFamily, sid: int) -> list[int]:
@@ -273,15 +267,13 @@ def image_ids(family: SkewFamily, sid: int) -> list[int]:
     boolean-complementing family.  The first (phi, case) whose image is a
     given spec is the first witness of a scan over S4.
     """
-    t = _family_tables()
+    t, act = _family_tables(), action_table()
     n = t.n_axes
     sigma, axis = divmod(sid, n)
     sigma_inv = t.inv[sigma]
-    ids = [conj[sigma] * n + ext[axis] for conj, ext in zip(t.conj, t.ext)]
-    moved = [t.ext[comp[sigma]][axis] for comp in t.comp]
-    if family is SkewFamily.PERM_KAPPA:
-        moved = [t.cor[a] for a in moved]
-    ids += [conj[sigma_inv] * n + a for conj, a in zip(t.conj, moved)]
+    ids = [conj[sigma] * n + row[axis] for conj, row in zip(t.conj, act)]
+    rows = act[24:] if family is SkewFamily.PERM_KAPPA else act
+    ids += [conj[sigma_inv] * n + rows[comp[sigma]][axis] for conj, comp in zip(t.conj, t.comp)]
     return ids
 
 
@@ -318,16 +310,11 @@ def image_perm(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> tuple[int, ...]
 _KIND_BY_NAME = {kind.value: kind for kind in CanonicalKind}
 _CENSUS_TOKEN = re.compile(r"census:(\d+)$")
 
-_axis_rank_cache: dict[VeblenConfig, tuple] = {}
+_KIND_RANK = {canonical(kind): (0, pos) for pos, kind in enumerate(CanonicalKind)}
 
 
 def _axis_rank(axis: VeblenConfig) -> tuple:
-    if not _axis_rank_cache:
-        for pos, kind in enumerate(CanonicalKind):
-            _axis_rank_cache[canonical(kind)] = (0, pos)
-        for pos, v in enumerate(enumerate_labelings()):
-            _axis_rank_cache.setdefault(v, (1, pos))
-    return _axis_rank_cache[axis]
+    return _KIND_RANK.get(axis) or (1, census_index()[axis])
 
 
 def axis_token(axis: VeblenConfig) -> str:

@@ -5,7 +5,9 @@ six pairs: four 3-subsets of pairs, every pair on two of them, two lines
 meeting in at most one pair.  There are 30 such labelings.  Six of them are
 singled out as canonical kinds; every labeling is the ``extend`` image of
 exactly one canonical kind, and the complement involution swaps the kinds
-in pairs (G2 with G2_STAR, B2 with V4, V5 with V6).
+in pairs (G2 with G2_STAR, B2 with V4, V5 with V6).  ``action_table``
+sends each census position (``census_index``) through the 48 candidate
+maps; both are built on first use, so the start stays cheap.
 
 The star S(i) is the set of pairs through i, the top T(i) the set of pairs
 avoiding i.  Tops and stars are the only possible lines invariant enough to
@@ -88,7 +90,7 @@ class VeblenConfig(_VeblenFields):
         six pairs carries a labeling onto a labeling, so the image is the
         census instance with those lines, looked up without re-validation.
         The memo is bounded by 30 labelings times 720 pair bijections."""
-        return _census_by_lines()[frozenset(m.apply_line(ln) for ln in self.lines)]
+        return enumerate_labelings()[census_index()[frozenset(m.apply_line(ln) for ln in self.lines)]]
 
     def has_line(self, line: frozenset[Pair]) -> bool:
         return line in self.lines
@@ -172,9 +174,21 @@ def enumerate_labelings() -> tuple[VeblenConfig, ...]:
 
 
 @functools.lru_cache(maxsize=1)
-def _census_by_lines() -> dict[frozenset, VeblenConfig]:
-    # built on the first apply, so importing the package stays cheap
-    return {frozenset(v.lines): v for v in enumerate_labelings()}
+def census_index() -> dict[VeblenConfig | frozenset, int]:
+    """Each labeling's census position, keyed by the labeling and by its
+    set of lines, so ``apply`` finds an image without constructing it."""
+    return {key: k for k, v in enumerate(enumerate_labelings()) for key in (v, frozenset(v.lines))}
+
+
+@functools.lru_cache(maxsize=1)
+def action_table() -> tuple[tuple[int, ...], ...]:
+    """Where the 48 candidate maps send each census position: row k is
+    extend(``ALL_PERMS[k]``), row 24 + k is row k read through the row of
+    the complement involution, which commutes with every extend(phi)."""
+    census, index = enumerate_labelings(), census_index()
+    rows = [tuple(index[v.apply(extend(phi))] for v in census) for phi in ALL_PERMS]
+    cor = tuple(index[v.apply(CORRELATION)] for v in census)
+    return tuple(rows + [tuple(cor[k] for k in row) for row in rows])
 
 
 @functools.cache
@@ -193,19 +207,18 @@ def star_triangles(v: VeblenConfig) -> tuple[int, ...]:
 
 
 def aut_perms(v: VeblenConfig) -> tuple[Perm4, ...]:
-    """All permutations whose extension maps v onto itself (direct check of
-    the 24 candidates)."""
-    return tuple(phi for phi in ALL_PERMS if v.apply(extend(phi)) == v)
+    """All permutations whose extension maps v onto itself: the phi whose
+    row of ``action_table`` fixes v's census position."""
+    k = census_index()[v]
+    return tuple(phi for phi, row in zip(ALL_PERMS, action_table()) if row[k] == k)
 
 
 def census_orbits(complemented: bool) -> tuple[tuple[VeblenConfig, ...], ...]:
     """The census partitioned into its orbits under the 24 extended
     permutations or, when ``complemented``, under all 48 candidate maps,
     each orbit in census order, the orbits ordered by their first."""
-    maps = [extend(phi) for phi in ALL_PERMS]
-    if complemented:
-        maps += [m.compose(CORRELATION) for m in maps]
-    return orbits(enumerate_labelings(), lambda v: {v.apply(m) for m in maps})
+    census, rows = enumerate_labelings(), action_table()[: 48 if complemented else 24]
+    return orbits(census, lambda v: {census[row[census_index()[v]]] for row in rows})
 
 
 def lemma23_representatives(kind: CanonicalKind) -> tuple[tuple[Perm4, ...], ...]:

@@ -280,7 +280,8 @@ class TestNoRevalidation:
         monkeypatch.setattr(VeblenConfig, "__new__", counting)
         # start cold, so every image goes through the census lookup
         VeblenConfig.apply.cache_clear()
-        veblen._census_by_lines.cache_clear()
+        veblen.census_index.cache_clear()
+        veblen.action_table.cache_clear()
         perspective._family_tables.cache_clear()
         for v in census:
             aut_perms(v)

@@ -238,10 +238,9 @@ def test_the_cli_and_the_census_load_no_dataclasses():
     assert proc.stdout.split() == ["False"]
 
 
-def package_modules_loaded(code: str) -> list[str]:
-    """The package modules that ``code`` has loaded when it ends, run in a
-    fresh interpreter, sorted."""
-    report = "import sys\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'skewpersp'))"
+def last_printed(code: str, report: str) -> list[str]:
+    """The words of the last line that ``code`` followed by ``report``
+    prints, run in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"],
         capture_output=True,
@@ -251,6 +250,12 @@ def package_modules_loaded(code: str) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
+
+
+def package_modules_loaded(code: str) -> list[str]:
+    """The package modules that ``code`` has loaded when it ends, run in a
+    fresh interpreter, sorted."""
+    return last_printed(code, "import sys\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'skewpersp'))")
 
 
 def test_the_start_loads_only_the_labelings():
@@ -276,9 +281,11 @@ CLI_RUN = textwrap.dedent(
 
 
 def test_census_loads_neither_oracle_nor_psts():
+    """Nor ``perspective``: ``census`` reads its orbits and automorphism
+    orders off ``veblen.action_table``."""
     loaded = package_modules_loaded(CLI_RUN.format(argv=["census"]))
     assert "skewpersp.veblen" in loaded
-    assert not {"skewpersp.iso", "skewpersp.psts"} & set(loaded)
+    assert not {"skewpersp.iso", "skewpersp.psts", "skewpersp.perspective"} & set(loaded)
 
 
 def test_build_on_spec_text_loads_no_oracle():
@@ -354,3 +361,92 @@ def test_the_package_imports_no_dataclasses():
         if "dataclasses" in imported_modules(path.read_text())
     ]
     assert found == []
+
+
+def apply_readers(source: str) -> set[str]:
+    """The top-level definitions of ``source`` that read an attribute
+    ``apply``, called or not, by name; ``<module>`` for a read outside
+    every definition."""
+    found = set()
+    for node in ast.parse(source).body:
+        if any(isinstance(n, ast.Attribute) and n.attr == "apply" for n in ast.walk(node)):
+            is_definition = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            found.add(node.name if is_definition else "<module>")
+    return found
+
+
+def test_the_apply_scan_sees_every_read():
+    source = (
+        "x = v.apply(m)\ndef f():\n    return [w.apply(m) for w in census]\n"
+        "def g():\n    return map(v.apply, maps)\nclass C:\n    def h(self):\n        return self.apply(m)\n"
+        "def quiet():\n    return apply(v, m), v.apply_line(ln), v.applied\n"
+    )
+    assert apply_readers(source) == {"<module>", "f", "g", "C"}
+
+
+#: where ``VeblenConfig.apply`` may be read outside ``veblen``: the claims
+#: that check the object-level algebra itself
+APPLY_READERS = {"classify.py": {"_eq_2", "_fact_2_2", "_lemma_4_4", "_cor_4_6"}}
+
+
+def test_only_veblen_and_the_object_level_claims_apply_a_map():
+    """How the 48 candidate maps move the labelings is read from
+    ``veblen.action_table``; no second scan over the maps comes back
+    unnoticed."""
+    found = {
+        path.name: apply_readers(path.read_text()) - APPLY_READERS.get(path.name, set())
+        for path in sorted((ROOT / "src" / "skewpersp").glob("*.py"))
+        if path.name != "veblen.py"
+    }
+    assert {name: readers for name, readers in found.items() if readers} == {}
+
+
+def package_importers(source: str) -> set[str]:
+    """The top-level definitions of ``source`` that import from the
+    package, by name; ``<module>`` for an import outside every
+    definition."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in ast.parse(source).body
+        if "skewpersp" in imported_modules(ast.unparse(node))
+    }
+
+
+def test_the_importer_scan_sees_every_form():
+    source = (
+        "import itertools\nimport skewpersp\ndef f():\n    from skewpersp.veblen import census_index\n"
+        "def g():\n    from skewpersp import veblen\ndef h():\n    import itertools\n"
+    )
+    assert package_importers(source) == {"<module>", "f", "g"}
+
+
+def test_the_derivation_reads_the_package_only_to_compare():
+    """The objects re-derived from the paper's definitions are computed
+    from ``itertools`` alone; only the comparison with the package
+    imports it."""
+    source = (ROOT / "tests" / "test_derivation.py").read_text()
+    assert imported_modules(source) == {"itertools", "skewpersp"}
+    assert package_importers(source) == {"test_they_are_the_maps_of_the_action_table"}
+
+
+#: how many census indexes and action tables (0 or 1 each) have been built
+TABLES_BUILT = (
+    "from skewpersp import veblen\n"
+    "print(veblen.census_index.cache_info().currsize, veblen.action_table.cache_info().currsize)"
+)
+
+
+def test_the_start_builds_neither_index_nor_table():
+    """The start that ``perfbench`` times as ``setup_s`` enumerates the
+    labelings and no more."""
+    start = "import skewpersp.cli\nfrom skewpersp import veblen\nveblen.enumerate_labelings()"
+    assert last_printed(start, TABLES_BUILT) == ["0", "0"]
+
+
+def test_build_on_a_census_axis_builds_no_table():
+    """``build`` reads a census axis by its position and moves no labeling."""
+    assert last_printed(CLI_RUN.format(argv=["build", "perm:(1,2)@census:7"]), TABLES_BUILT)[1] == "0"
+
+
+def test_census_reads_the_action_table():
+    assert last_printed(CLI_RUN.format(argv=["census"]), TABLES_BUILT) == ["1", "1"]

@@ -26,8 +26,10 @@ from skewpersp.veblen import (
     PARTNER,
     CanonicalKind,
     VeblenConfig,
+    action_table,
     aut_perms,
     canonical,
+    census_index,
     census_orbits,
     enumerate_labelings,
     from_psts,
@@ -132,7 +134,7 @@ IMPORT_GUARD = textwrap.dedent(
     from skewpersp import veblen
 
     print(veblen.enumerate_labelings.cache_info().currsize,
-          veblen._census_by_lines.cache_info().currsize)
+          veblen.census_index.cache_info().currsize)
     """
 )
 
@@ -209,6 +211,32 @@ class TestCensus:
             for phi in ALL_PERMS:
                 assert v.apply(extend(phi)) in pool
             assert v.apply(CORRELATION) in pool
+
+
+class TestActionTable:
+    """The one table of how the 48 candidate maps move the census, against
+    labelings constructed and validated here."""
+
+    def test_census_index(self, census):
+        index = census_index()
+        assert len(index) == 60
+        for k, v in enumerate(census):
+            assert index[v] == index[frozenset(v.lines)] == k
+
+    def test_each_entry_is_the_position_of_the_image(self, census):
+        maps = [extend(phi) for phi in ALL_PERMS]
+        maps += [m.compose(CORRELATION) for m in maps]
+        table = action_table()
+        assert len(table) == 48
+        for m, row in zip(maps, table):
+            images = [VeblenConfig(tuple(m.apply_line(ln) for ln in v.lines)) for v in census]
+            assert row == tuple(census.index(w) for w in images)
+
+    def test_aut_perms_match_the_direct_scan(self, census):
+        # the direct check of the 24 candidates that ``aut_perms`` made
+        # before it read the table
+        for v in census:
+            assert aut_perms(v) == tuple(phi for phi in ALL_PERMS if v.apply(extend(phi)) == v)
 
 
 class TestStarTriangles:
