@@ -15,11 +15,12 @@ explicit witness search), on the other hand, is a bug and aborts the audit
 out loud.
 
 One audit holds one structure per spec, keyed by (family, spec id) and
-built on first use, and one canonical search keys each criterion orbit,
-plain or with the center pinned: the search of the first member the audit
-asks for.  Every other member takes its key, group order and free K5
-subgraphs from that spec along the inverse of the criterion's point map
-``image_perm``, a permutation of the shared frame's indices, once
+built on first use, and one canonical search keys each criterion orbit:
+the search of the first member the audit asks for.  Its labeling and
+group also give the center's orbit label, which with the key decides
+center-fixing isomorphism.  Every other member takes its keys, group
+orders and free K5 subgraphs from that spec along the criterion's point
+map ``image_perm``, a permutation of the shared frame's indices, once
 ``iso._is_isomorphism`` checks it as an isomorphism that fixes the center.
 Canonical-axis specs sort first, so each orbit's searched spec lies over a
 canonical axis, and ``classes_beyond_canonical_axes: 0`` is backed by a
@@ -56,10 +57,10 @@ from .iso import (
     CanonicalKey,
     OracleInconsistencyError,
     _canonical_search,
-    _inverse,
     _is_isomorphism,
     _refined,
     find_isomorphism,
+    orbit_label,
 )
 from .perspective import (
     CENTER,
@@ -140,24 +141,30 @@ class _Structures:
     and (``search``) its canonical key and group order, plain or with the
     center pinned; all keyed by (family, spec id).
 
+    One canonical search gives both kinds.  The pinned key is the plain key
+    with the center's ``orbit_label``, so pinned keys are equal exactly when
+    an isomorphism maps center onto center, and the center-fixing group's
+    order is the group order over the size of the center's orbit.
+
     A family criterion relates a spec exactly to the specs that a
     center-fixing isomorphism reaches (Prop. 3.2 and 4.5), so a criterion
-    orbit shares one plain and one pinned key.  The first spec of an orbit
-    asked for, in either kind, is searched, and one pass over its family
-    image ids records every other member as its image under some (phi,
-    case).  Each other member takes the searched spec's key, group order
-    (an isomorphism preserves it) and free K5 subgraphs back along the
-    inverse of ``image_perm``, which must fix the center and pass
+    orbit shares one record of both kinds.  The first spec of an orbit
+    asked for is searched, and one pass over its family image ids records
+    every other member as its image under some (phi, case).  Each other
+    member takes the searched spec's record (a center-fixing isomorphism
+    preserves keys and group orders of both kinds) and free K5 subgraphs
+    along ``image_perm``, which must fix the center and pass
     ``_is_isomorphism``.  A failed check raises; nothing falls back.
     ``source`` names the searched spec that such a checked map links a
     spec to: the links that ``_check_partitions`` composes."""
 
     def __init__(self) -> None:
         self._built: dict[tuple, Psts] = {}
-        self._found: tuple[dict, dict] = ({}, {})  # plain, pinned
+        # (family, spec id) -> (key, order, pinned key, center-fixing order)
+        self._found: dict[tuple, tuple] = {}
         # (family, spec id) of a member -> (searched spec, phi, case):
         # shared parts, so an entry holds no spec object of its own;
-        # None for a searched spec, whose key comes along no map
+        # None for a searched spec, whose keys come along no map
         self._source: dict[tuple, tuple | None] = {}
 
     def __getitem__(self, spec: PerspectiveSpec) -> Psts:
@@ -167,25 +174,25 @@ class _Structures:
             s = self._built[key] = build(spec)
         return s
 
-    def search(self, spec: PerspectiveSpec, pinned: bool = False) -> tuple[CanonicalKey, int]:
-        """The canonical key of the spec's structure, with the center
-        pinned if asked, and the order of its group (the center-fixing
-        one, if pinned)."""
+    def search(self, spec: PerspectiveSpec, pinned: bool = False) -> tuple:
+        """The canonical key of the spec's structure and the order of its
+        group or, if pinned, the pinned key and the order of the
+        center-fixing group."""
         family, sid = key = (spec.family, spec.sid)
-        found = self._found[pinned].get(key)
+        found = self._found.get(key)
         if found is None:
             source = self._source.get(key)
             if source is not None:
-                found = self._carry(spec, pinned, *source)
+                found = self._carry(spec, *source)
             else:
-                canon, _, order = _canonical_search(self[spec], CENTER_INDEX if pinned else None)
-                found = canon, order
-                if key not in self._source:  # its orbit is not recorded yet
-                    self._source[key] = None
-                    for w, image in zip(IMAGE_WITNESSES, image_ids(family, sid)):
-                        self._source.setdefault((family, image), (spec, *w))
-            self._found[pinned][key] = found
-        return found
+                canon, gens, order, labeling = _canonical_search(self[spec])
+                label, size = orbit_label(labeling, gens, CENTER_INDEX)
+                found = canon, order, (canon, label), order // size
+                self._source[key] = None
+                for w, image in zip(IMAGE_WITNESSES, image_ids(family, sid)):
+                    self._source.setdefault((family, image), (spec, *w))
+            self._found[key] = found
+        return found[2:] if pinned else found[:2]
 
     def source(self, spec: PerspectiveSpec) -> PerspectiveSpec:
         """The searched spec whose keys ``spec`` takes: itself, or the one
@@ -194,23 +201,20 @@ class _Structures:
         source = self._source[(spec.family, spec.sid)]
         return spec if source is None else source[0]
 
-    def _carry(
-        self, spec: PerspectiveSpec, pinned: bool, source: PerspectiveSpec, phi, case
-    ) -> tuple[CanonicalKey, int]:
-        """The key, group order and free K5 subgraphs of the searched
-        ``source``, taken onto its image ``spec`` under (phi, case) along
-        the inverse map, once that is checked."""
+    def _carry(self, spec: PerspectiveSpec, source: PerspectiveSpec, phi, case) -> tuple:
+        """The record and free K5 subgraphs of the searched ``source``,
+        taken onto its image ``spec`` under (phi, case) along the map,
+        once that is checked."""
         s, t = self[spec], self[source]
-        to_t = _inverse(image_perm(source, phi, case))
-        moves = to_t[CENTER_INDEX] != CENTER_INDEX
-        if moves or not _is_isomorphism(s, t, to_t):
+        m = image_perm(source, phi, case)
+        moves = m[CENTER_INDEX] != CENTER_INDEX
+        if moves or not _is_isomorphism(t, s, m):
             raise OracleInconsistencyError(
-                f"the inverse of the case {case.value} map of {spec_text(source)} onto {spec_text(spec)} "
+                f"the case {case.value} map of {spec_text(source)} onto {spec_text(spec)} "
                 + ("moves the center" if moves else "is no isomorphism")
             )
-        # the inverse of the checked bijection, not image_perm's unchecked tuple
-        s.carry_free_k5(t, _inverse(to_t))
-        return self.search(source, pinned)
+        s.carry_free_k5(t, m)
+        return self._found[(source.family, source.sid)]
 
 
 def partition_into_classes(specs, *, structures: _Structures | None = None) -> tuple[IsoClass, ...]:
@@ -607,19 +611,13 @@ def _check_partitions(structures, perm_classes, kappa_classes, perm_specs) -> No
     plain class, as non-isomorphic structures have no center-fixing
     isomorphism.  Any disagreement with the keys raises."""
     plain = [c.members for c in perm_classes + kappa_classes]
-    pinned: dict[CanonicalKey, list[PerspectiveSpec]] = {}
+    pinned: dict[tuple, list[PerspectiveSpec]] = {}
     for s in perm_specs:
         pinned.setdefault(structures.search(s, pinned=True)[0], []).append(s)
-    # a center-fixing isomorphism is an isomorphism: each center-fixing
-    # class must lie inside one plain class
+    # a pinned key holds its plain key, so each center-fixing class lies
+    # inside the plain class of that key
     within: dict[CanonicalKey, list[PerspectiveSpec]] = {}
-    for members in pinned.values():
-        key = structures.search(members[0])[0]
-        for s in members:
-            if structures.search(s)[0] != key:
-                raise OracleInconsistencyError(
-                    f"equal center-fixing keys but plain keys differ: {spec_text(members[0])} vs {spec_text(s)}"
-                )
+    for (key, _), members in pinned.items():
         within.setdefault(key, []).append(members[0])
     center = (CENTER_INDEX, CENTER_INDEX)
     for groups, pairs, fix in (
@@ -644,7 +642,7 @@ def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
     texts = [spec_text(s) for s in specs]
     family = specs[0].family
     ids = [s.sid for s in specs]
-    rank: dict[CanonicalKey, int] = {}
+    rank: dict = {}
     classes = [rank.setdefault(k, len(rank)) for k in keys]
     disagreements = []
     for i in range(len(specs)):

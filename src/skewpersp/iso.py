@@ -4,9 +4,12 @@ Three layers, all deterministic:
 
 * ``_canonical_search``   a complete relabeling invariant, computed by
                           individualization-refinement backtracking; equal
-                          keys if and only if isomorphic (optionally pinning
-                          one point onto itself).  It refines each node in
-                          full rounds, from the free-K5 seed at the root,
+                          keys if and only if isomorphic.  The labeling
+                          that gives the key, with the group, labels each
+                          point's orbit (``orbit_label``), which decides
+                          which points an isomorphism can map onto which.
+                          It refines each node in full rounds, from the
+                          free-K5 seed at the root,
 * ``automorphism_group``  generators and exact order, read from one run of
                           the same search: the automorphisms it finds
                           generate the group, and the orbits of its first
@@ -193,16 +196,15 @@ class _Canonicalizer:
     Leaves with equal encodings compose to automorphisms, which prune
     the children of later nodes.  The search explores every child that
     no automorphism found so far maps onto an explored sibling, so the
-    automorphisms it finds generate the whole group (of the structure
-    with ``pin`` fixed): any automorphism h carries the first leaf onto a
-    leaf with its encoding; found automorphisms carry that leaf, one
-    pruned branch at a time, onto an explored one, whose automorphism
-    then makes h a product of found ones."""
+    automorphisms it finds generate the whole group: any automorphism h
+    carries the first leaf onto a leaf with its encoding; found
+    automorphisms carry that leaf, one pruned branch at a time, onto an
+    explored one, whose automorphism then makes h a product of found
+    ones."""
 
-    def __init__(self, s: Psts, pin: int | None):
+    def __init__(self, s: Psts):
         self.s = s
         self.n = len(s.points)
-        self.pin = pin
         self.best: tuple | None = None
         self.first_leaf: dict[tuple, list[int]] = {}
         self.auts: list[tuple[int, ...]] = []
@@ -211,11 +213,8 @@ class _Canonicalizer:
     def run(self) -> tuple:
         """Depth-first over the search tree, with an explicit stack of
         (colors, path, rest of the target cell, explored children)."""
-        raw = _seed_colors(self.s)
-        if self.pin is not None:
-            raw = [t + (i == self.pin,) for i, t in enumerate(raw)]
         stack: list[tuple] = []
-        self._visit(_rank_raw(raw), (), stack)
+        self._visit(_rank_raw(_seed_colors(self.s)), (), stack)
         while stack:
             colors, path, children, explored = stack[-1]
             for x in children:
@@ -249,10 +248,6 @@ class _Canonicalizer:
 
     def _leaf(self, colors: list[int]) -> None:
         enc = _encode_leaf(self.s, colors)
-        if self.pin is not None:
-            # equal encodings then also agree on the pinned point, so the
-            # automorphisms collected below fix it and pruning stays sound
-            enc = (enc, colors[self.pin])
         seen = self.first_leaf.get(enc)
         if seen is None:
             self.first_leaf[enc] = colors
@@ -274,17 +269,19 @@ class _Canonicalizer:
         if not explored:
             return False
         usable = [g for g in self.auts if all(g[v] == v for v in path)]
-        orbit = [x]
-        seen = {x}
-        for i in orbit:
-            for g in usable:
-                j = g[i]
-                if j not in seen:
-                    if j in explored:
-                        return True
-                    seen.add(j)
-                    orbit.append(j)
-        return False
+        return not _orbit(x, usable).isdisjoint(explored)
+
+
+def _orbit(x: int, gens: Sequence[tuple[int, ...]]) -> set[int]:
+    """The orbit of point x under the group that ``gens`` generate."""
+    orbit, frontier = {x}, [x]
+    for i in frontier:
+        for g in gens:
+            j = g[i]
+            if j not in orbit:
+                orbit.add(j)
+                frontier.append(j)
+    return orbit
 
 
 def _first_path_orbits(
@@ -309,13 +306,8 @@ def _first_path_orbits(
     for level in range(len(path) - 1, -1, -1):
         usable = [g for g in found if all(g[v] == v for v in path[:level])]
         while True:
-            orbit, seen = [path[level]], {path[level]}
-            for i in orbit:
-                for g in kept:
-                    if g[i] not in seen:
-                        seen.add(g[i])
-                        orbit.append(g[i])
-            g = next((g for g in usable if any(g[i] not in seen for i in orbit)), None)
+            orbit = _orbit(path[level], kept)
+            g = next((g for g in usable if any(g[i] not in orbit for i in orbit)), None)
             if g is None:
                 break
             kept.append(g)
@@ -323,30 +315,38 @@ def _first_path_orbits(
     return tuple(kept), order
 
 
-def _canonical_search(s: Psts, pin: int | None) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...], int]:
-    """The canonical key of ``s``, totally ordered and stable across runs,
-    and generators, as index tuples, and order of the automorphism group
-    fixing ``pin``, both from the automorphisms its search found.  The
-    point ``pin`` is individualized first (McKay & Piperno, "Practical
-    graph isomorphism II", 2014), so pinned keys are equal exactly when an
-    isomorphism maps pin onto pin."""
-    c = _Canonicalizer(s, pin)
+def _canonical_search(
+    s: Psts,
+) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+    """The canonical key of ``s``, totally ordered and stable across runs;
+    generators, as index tuples, and order of its automorphism group, both
+    from the automorphisms its search found; and the canonical labeling,
+    entry i the label of point i in the least encoding, which carries
+    ``s`` onto the structure that the key encodes."""
+    c = _Canonicalizer(s)
     key = CanonicalKey(len(s.points), len(s.line_sets), c.run())
-    return (key, *_first_path_orbits(c.first_path, c.auts))
+    return (key, *_first_path_orbits(c.first_path, c.auts), tuple(c.first_leaf[key.encoding]))
 
 
-def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return tuple(inv)
+def orbit_label(labeling: Sequence[int], gens: Sequence[tuple[int, ...]], x: int) -> tuple[int, int]:
+    """The least canonical label on the orbit of point x under the group
+    that ``gens`` generate, and the orbit's size, from one search's
+    labeling and generators.
+
+    Two structures with equal keys have labelings onto one structure C,
+    and the labeling carries each orbit onto an orbit of C's group.  So
+    an isomorphism maps x onto y exactly when their keys and orbit labels
+    are equal (McKay & Piperno, "Practical graph isomorphism II", 2014),
+    and the group fixing x has the group's order over the orbit's size."""
+    orbit = _orbit(x, gens)
+    return min(labeling[i] for i in orbit), len(orbit)
 
 
 def automorphism_group(s: Psts) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Generators, as index tuples, and exact order of the automorphism
     group, both read from one run of the canonical search by
     ``_first_path_orbits``.  Nothing enumerates the group."""
-    return _canonical_search(s, None)[1:]
+    return _canonical_search(s)[1:3]
 
 
 # ---------------------------------------------------------------------------

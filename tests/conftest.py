@@ -16,7 +16,7 @@ from skewpersp.classify import (
     partition_into_classes,
 )
 from skewpersp.indices import ALL_PERMS
-from skewpersp.iso import _canonical_search, _pack_shift, _pasch_seed, _rank_raw, _signatures
+from skewpersp.iso import _canonical_search, _pack_shift, _pasch_seed, _rank_raw, _signatures, orbit_label
 from skewpersp.perspective import IMAGE_WITNESSES, PerspectiveSpec, SkewFamily, image_ids, spec_id
 from skewpersp.psts import Psts, _free_cliques
 from skewpersp.veblen import PAIR_NAMES, enumerate_labelings
@@ -42,8 +42,10 @@ def closure(n, gens):
 
 
 def canonical_key(s, pin=None):
-    """The canonical key of ``s``, with the point named ``pin`` pinned."""
-    return _canonical_search(s, None if pin is None else s.points.index(pin))[0]
+    """The canonical key of ``s`` or, given the point named ``pin``, the
+    key with that point's orbit label, as the audit keys the center."""
+    key, gens, _, labeling = _canonical_search(s)
+    return key if pin is None else (key, orbit_label(labeling, gens, s.points.index(pin))[0])
 
 
 def family_images(s):

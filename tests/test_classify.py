@@ -170,25 +170,17 @@ class TestOracleSweep:
             classify._check_partitions(structures, perm, kappa, perm_specs)
         assert f"{spec_text(r1)} vs {spec_text(r2)}" in str(e.value)
 
-    def test_center_fixing_class_across_plain_classes_raises(self, monkeypatch, perm_specs, kappa_specs):
-        # a center-fixing isomorphism is an isomorphism, so one pinned key
-        # over specs of 43 plain classes contradicts the plain keys
-        structures, perm, kappa = self._partitions(perm_specs, kappa_specs)
-        real = classify._canonical_search
-
-        def one_pinned_key(s, pin):
-            key, gens, order = real(s, pin)
-            return (key if pin is None else perm[0].key), gens, order
-
-        # the message names the pinned class's first member and the first
-        # member outside its plain class
-        first = perm_specs[0]
-        plain = next(c.members for c in perm if first in c.members)
-        other = next(s for s in perm_specs if s not in plain)
-        monkeypatch.setattr(classify, "_canonical_search", one_pinned_key)
-        message = f"equal center-fixing keys but plain keys differ: {spec_text(first)} vs {spec_text(other)}"
-        with pytest.raises(OracleInconsistencyError, match=re.escape(message)):
-            classify._check_partitions(structures, perm, kappa, perm_specs)
+    def test_one_center_label_for_every_spec_exits_70(self, monkeypatch, capsys):
+        # one center label merges the center-fixing classes into the plain
+        # ones; the witness search finds no center-fixing map between the
+        # first two searched specs of a plain class, whose centers lie in
+        # different orbits
+        monkeypatch.setattr(classify, "orbit_label", lambda labeling, gens, x: (0, 1))
+        code = cli.main(["audit", "--axes", "census"])
+        out, err = capsys.readouterr()
+        assert code == cli.EX_SOFTWARE == 70
+        assert out == ""
+        assert "equal keys but no witness: perm:(3,4)@G2 vs perm:id@B2" in err
 
     def test_search_count_follows_the_partitions(self, monkeypatch, perm_specs, kappa_specs):
         calls = certified = 0
@@ -364,10 +356,11 @@ def audit_work():
 
 class TestAuditWork:
     """What one audit builds and searches: each spec is built once, and one
-    canonical search keys each criterion orbit and key kind: 44 plain and
-    44 pinned orbits of the plain family, 25 orbits of the
-    boolean-complementing one.  Free K5 subgraphs are searched once for
-    each of the 69 searched specs.  The searches visit a fixed tree.  Every
+    canonical search keys each criterion orbit: 44 orbits of the plain
+    family, 25 of the boolean-complementing one.  Its labeling gives the
+    pinned keys, so no search runs with the center pinned.  Free K5
+    subgraphs are searched once for each of the 69 searched specs.  The
+    searches visit a fixed tree.  Every
     other key, and every other spec's subgraphs, come along a checked map,
     so a silent fallback to searching moves these counts.  The witness
     search runs twice: once from the one searched spec of a plain class
@@ -378,13 +371,13 @@ class TestAuditWork:
     flake."""
 
     WORK = {
-        # the first seven of WORK_FIELDS; the checked maps are 1,371 plain
-        # and 100 pinned carrying maps and lemma 4.4's 30
-        "census": (1440, 69, 113, 2, 1052, 688, 1501),
-        # 219 plain and 100 pinned carrying maps, lemma 4.4's 30, and 24
-        # more for kappa:id over the non-canonical census axes, whose keys
-        # and subgraphs are carried
-        "canonical": (312, 69, 113, 2, 1052, 688, 373),
+        # the first seven of WORK_FIELDS; the checked maps are 1,371
+        # carrying maps and lemma 4.4's 30
+        "census": (1440, 69, 69, 2, 693, 453, 1401),
+        # 219 carrying maps, lemma 4.4's 30, and 24 more for kappa:id over
+        # the non-canonical census axes, whose keys and subgraphs are
+        # carried
+        "canonical": (312, 69, 69, 2, 693, 453, 273),
     }
 
     @staticmethod
@@ -497,10 +490,10 @@ def test_audit_retains_nothing_once_its_report_is_dropped():
 
 
 class TestCarriedSearch:
-    """One spec of each criterion orbit is searched, plain or with the
-    center pinned; every other spec takes its key and group order along a
-    checked map.  This keeps the keys and orders a search of every spec
-    would give."""
+    """One spec of each criterion orbit is searched, and its labeling gives
+    the pinned key too; every other spec takes its keys and group orders
+    along a checked map.  This keeps the keys and orders a search of every
+    spec would give."""
 
     def test_carried_keys_and_groups_match_a_search(self, monkeypatch, census, perm_specs):
         runs = 0
@@ -516,14 +509,17 @@ class TestCarriedSearch:
         specs = enumerate_family(SkewFamily.PERM, census) + enumerate_family(
             SkewFamily.PERM_KAPPA, census
         )
-        carried = [(spec, None, structures.search(spec)) for spec in specs]
+        carried = [(spec, False, structures.search(spec)) for spec in specs]
         assert runs == 69
-        carried += [(spec, CENTER_INDEX, structures.search(spec, pinned=True)) for spec in perm_specs]
-        assert runs == 69 + 44
-        for spec, pin, found in carried:
-            searched_key, _, searched_order = iso._canonical_search(structures[spec], pin)
+        carried += [(spec, True, structures.search(spec, pinned=True)) for spec in perm_specs]
+        assert runs == 69
+        for spec, pinned, found in carried:
+            searched_key, gens, searched_order, labeling = iso._canonical_search(structures[spec])
+            if pinned:
+                label, size = iso.orbit_label(labeling, gens, CENTER_INDEX)
+                searched_key, searched_order = (searched_key, label), searched_order // size
             assert found == (searched_key, searched_order), spec_text(spec)
-        assert runs == 69 + 44 + 1440 + 144
+        assert runs == 69 + 1440 + 144
 
     def test_carried_free_k5_match_a_search(self, monkeypatch, census):
         searched = []

@@ -177,7 +177,7 @@ def test_the_two_oracles_keep_their_seeds_and_refinements_apart():
     witness = {"pasch", "triangles", "_pasch_seed", "_signatures", "_refined"}
     for name in ("_pasch_seed", "_refined", "_search"):
         assert not reads_through_calls(source, name) & canonical, name
-    for name in ("_seed_colors", "_refine", "_Canonicalizer", "_first_path_orbits", "automorphism_group"):
+    for name in ("_seed_colors", "_refine", "_Canonicalizer", "_first_path_orbits", "orbit_label", "automorphism_group"):
         assert not reads_through_calls(source, name) & witness, name
 
 

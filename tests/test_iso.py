@@ -45,6 +45,7 @@ from skewpersp.iso import (
     automorphism_group,
     certificates_differ,
     find_isomorphism,
+    orbit_label,
 )
 from skewpersp.perspective import (
     CENTER,
@@ -779,7 +780,7 @@ class TestPruning:
         # permute the cells below it, so it must not prune a child there
         auts = list(_search(FANO, FANO, None))
         path, x, sibling = (0,), 1, 2
-        c = _Canonicalizer(FANO, None)
+        c = _Canonicalizer(FANO)
         c.auts = [next(g for g in auts if g[0] != 0 and g[x] == sibling)]
         assert not c._pruned(x, [sibling], path)
         c.auts = [next(g for g in auts if g[0] == 0 and g[x] == sibling)]
@@ -1077,14 +1078,17 @@ class TestCertificates:
 class TestFirstPathOrbits:
     """The group order from the canonical search's first-path orbits
     against the witness search's count of automorphisms and a brute-force
-    closure of the kept generators, plain and with a point pinned."""
+    closure of the kept generators; and with a point pinned, the order
+    over the size of its orbit against the witness search's count of the
+    automorphisms that fix it."""
 
     @staticmethod
     def checked(s, pin):
-        _, gens, order = _canonical_search(s, pin)
-        fix = None if pin is None else (pin, pin)
-        assert order == len(list(_search(s, s, fix))) == len(closure(len(s.points), gens))
-        assert all(iso._is_isomorphism(s, s, g) and (pin is None or g[pin] == pin) for g in gens)
+        _, gens, order, labeling = _canonical_search(s)
+        assert order == len(list(_search(s, s, None))) == len(closure(len(s.points), gens))
+        assert all(iso._is_isomorphism(s, s, g) for g in gens)
+        if pin is not None:
+            assert order // orbit_label(labeling, gens, pin)[1] == len(list(_search(s, s, (pin, pin))))
         return gens, order
 
     @pytest.mark.parametrize(
@@ -1115,14 +1119,14 @@ class TestFirstPathOrbits:
         ids=["empty", "one-point", "rigid"],
     )
     def test_identity_only(self, s):
-        assert _canonical_search(s, None)[1:] == ((), 1)
+        assert _canonical_search(s)[1:3] == ((), 1)
         if s.points:
             assert self.checked(s, 0) == ((), 1)
 
     def test_duplicated_and_redundant_generators(self):
         # a repeat of a kept automorphism, or a product of found ones, is
         # already in the group of those kept before it
-        c = _Canonicalizer(FANO, None)
+        c = _Canonicalizer(FANO)
         c.run()
         kept = _first_path_orbits(c.first_path, c.auts)
         doubled = [g for g in c.auts for _ in range(2)]
