@@ -14,18 +14,19 @@ between the two independent in-package oracles (canonical keys versus
 explicit witness search), on the other hand, is a bug and aborts the audit
 out loud.
 
-One audit holds one structure per spec, keyed by (family, spec id) and
-built on first use, and one canonical search keys each criterion orbit:
-the search of the first member the audit asks for.  Its labeling and
-group also give the center's orbit label, which with the key decides
-center-fixing isomorphism.  Every other member takes its keys, group
-orders and free K5 subgraphs from that spec along the criterion's point
-map ``image_perm``, a permutation of the shared frame's indices, once
-``iso._is_isomorphism`` checks it as an isomorphism that fixes the center.
-Canonical-axis specs sort first, so each orbit's searched spec lies over a
-canonical axis, and ``classes_beyond_canonical_axes: 0`` is backed by a
-checked isomorphism onto a canonical-axis spec.  The record, with its
-structures' refinement memos, goes when the audit ends.
+One audit holds one structure and one record per spec, keyed by (family,
+spec id) and made on first use, and one canonical search keys each
+criterion orbit: the search of the first member the audit asks for.  The
+record holds its key, group order and center's orbit label, which with
+the key decides center-fixing isomorphism, and that searched spec.  Every
+other member shares the record, and takes its free K5 subgraphs, along
+the criterion's point map ``image_perm``, a permutation of the shared
+frame's indices, once ``iso._is_isomorphism`` checks it as an isomorphism
+that fixes the center.  Canonical-axis specs sort first, so each orbit's
+searched spec lies over a canonical axis, and
+``classes_beyond_canonical_axes: 0`` is backed by a checked isomorphism
+onto a canonical-axis spec.  The records and structures, with their
+refinement memos, go when the audit ends.
 
 The witness search backs the key partitions once per audit: a witness onto
 the representative's searched spec from each other searched spec of a
@@ -136,36 +137,38 @@ class IsoClass(NamedTuple):
         }
 
 
+class _Record(NamedTuple):
+    """What one canonical search gives a spec: its key, its group order,
+    the center's ``orbit_label``, and the searched spec they come from."""
+
+    key: CanonicalKey
+    order: int
+    center: int
+    source: PerspectiveSpec
+
+
 class _Structures:
-    """Each spec's built structure, built on first use (``structures[spec]``),
-    and (``search``) its canonical key and group order, plain or with the
-    center pinned; all keyed by (family, spec id).
+    """Each spec's built structure (``structures[spec]``) and its
+    ``record``, both made on first use and keyed by (family, spec id).
 
-    One canonical search gives both kinds.  The pinned key is the plain key
-    with the center's ``orbit_label``, so pinned keys are equal exactly when
-    an isomorphism maps center onto center, and the center-fixing group's
-    order is the group order over the size of the center's orbit.
-
-    A family criterion relates a spec exactly to the specs that a
-    center-fixing isomorphism reaches (Prop. 3.2 and 4.5), so a criterion
-    orbit shares one record of both kinds.  The first spec of an orbit
-    asked for is searched, and one pass over its family image ids records
-    every other member as its image under some (phi, case).  Each other
-    member takes the searched spec's record (a center-fixing isomorphism
-    preserves keys and group orders of both kinds) and free K5 subgraphs
-    along ``image_perm``, which must fix the center and pass
-    ``_is_isomorphism``.  A failed check raises; nothing falls back.
-    ``source`` names the searched spec that such a checked map links a
-    spec to: the links that ``_check_partitions`` composes."""
+    Structures with equal keys have an isomorphism mapping center onto
+    center exactly when their center labels are equal, so (key, center)
+    decides center-fixing isomorphism.  A family criterion relates a spec
+    exactly to the specs that a center-fixing isomorphism reaches (Prop.
+    3.2 and 4.5), and such a map keeps all four fields, so a criterion
+    orbit shares one record object.  The first spec of an orbit asked for
+    is searched, and one pass over its family image ids links every other
+    member to it as its image under some (phi, case).  A member takes the
+    searched spec's record, and its free K5 subgraphs along
+    ``image_perm``, once that map fixes the center and passes
+    ``_is_isomorphism``.  A failed check raises; nothing falls back."""
 
     def __init__(self) -> None:
         self._built: dict[tuple, Psts] = {}
-        # (family, spec id) -> (key, order, pinned key, center-fixing order)
-        self._found: dict[tuple, tuple] = {}
-        # (family, spec id) of a member -> (searched spec, phi, case):
-        # shared parts, so an entry holds no spec object of its own;
-        # None for a searched spec, whose keys come along no map
-        self._source: dict[tuple, tuple | None] = {}
+        self._records: dict[tuple, _Record] = {}
+        # (family, spec id) of a member not yet carried -> (searched spec,
+        # phi, case): shared parts, so an entry holds no spec of its own
+        self._links: dict[tuple, tuple] = {}
 
     def __getitem__(self, spec: PerspectiveSpec) -> Psts:
         key = (spec.family, spec.sid)
@@ -174,34 +177,23 @@ class _Structures:
             s = self._built[key] = build(spec)
         return s
 
-    def search(self, spec: PerspectiveSpec, pinned: bool = False) -> tuple:
-        """The canonical key of the spec's structure and the order of its
-        group or, if pinned, the pinned key and the order of the
-        center-fixing group."""
+    def record(self, spec: PerspectiveSpec) -> _Record:
         family, sid = key = (spec.family, spec.sid)
-        found = self._found.get(key)
-        if found is None:
-            source = self._source.get(key)
-            if source is not None:
-                found = self._carry(spec, *source)
+        r = self._records.get(key)
+        if r is None:
+            link = self._links.pop(key, None)
+            if link is not None:
+                r = self._carry(spec, *link)
             else:
                 canon, gens, order, labeling = _canonical_search(self[spec])
-                label, size = orbit_label(labeling, gens, CENTER_INDEX)
-                found = canon, order, (canon, label), order // size
-                self._source[key] = None
+                r = _Record(canon, order, orbit_label(labeling, gens, CENTER_INDEX), spec)
                 for w, image in zip(IMAGE_WITNESSES, image_ids(family, sid)):
-                    self._source.setdefault((family, image), (spec, *w))
-            self._found[key] = found
-        return found[2:] if pinned else found[:2]
+                    if image != sid:
+                        self._links.setdefault((family, image), (spec, *w))
+            self._records[key] = r
+        return r
 
-    def source(self, spec: PerspectiveSpec) -> PerspectiveSpec:
-        """The searched spec whose keys ``spec`` takes: itself, or the one
-        its checked carrying map leads to."""
-        self.search(spec)  # a carried key checks its map first
-        source = self._source[(spec.family, spec.sid)]
-        return spec if source is None else source[0]
-
-    def _carry(self, spec: PerspectiveSpec, source: PerspectiveSpec, phi, case) -> tuple:
+    def _carry(self, spec: PerspectiveSpec, source: PerspectiveSpec, phi, case) -> _Record:
         """The record and free K5 subgraphs of the searched ``source``,
         taken onto its image ``spec`` under (phi, case) along the map,
         once that is checked."""
@@ -214,7 +206,7 @@ class _Structures:
                 + ("moves the center" if moves else "is no isomorphism")
             )
         s.carry_free_k5(t, m)
-        return self._found[(source.family, source.sid)]
+        return self._records[(source.family, source.sid)]
 
 
 def partition_into_classes(specs, *, structures: _Structures | None = None) -> tuple[IsoClass, ...]:
@@ -232,7 +224,7 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
     # come in the order of their least members
     groups: dict[CanonicalKey, list[PerspectiveSpec]] = {}
     for s in sorted(set(specs), key=PerspectiveSpec.sort_key):
-        groups.setdefault(structures.search(s)[0], []).append(s)
+        groups.setdefault(structures.record(s).key, []).append(s)
     classes = []
     for idx, (key, members) in enumerate(groups.items(), 1):
         members = tuple(members)
@@ -246,7 +238,7 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
                 members=members,
                 key=key,
                 free_k5_count=k5,
-                aut_order=structures.search(rep)[1],
+                aut_order=structures.record(rep).order,
                 branch="A" if k5 >= 3 else "B",
             )
         )
@@ -602,31 +594,31 @@ def _lemma_3_3() -> Finding:
 def _check_partitions(structures, perm_classes, kappa_classes, perm_specs) -> None:
     """Back the key partitions with the witness search, once per audit:
     the classes of both families and, with the center fixed, those of the
-    plain ``perm_specs`` by pinned key.
+    plain ``perm_specs`` by (key, center label).
 
-    ``source`` links every member to its orbit's searched spec by a checked
-    center-fixing map, so a witness from each other searched spec of a
-    class onto its representative's links every member.  Each pair of
-    representatives is refuted once; center-fixing ones only within one
-    plain class, as non-isomorphic structures have no center-fixing
-    isomorphism.  Any disagreement with the keys raises."""
+    A record's ``source`` is its orbit's searched spec, linked to each
+    member by a checked center-fixing map, so a witness from each other
+    source of a class onto its representative's links every member.  Each
+    pair of representatives is refuted once; center-fixing ones only
+    within one plain class, as non-isomorphic structures have no
+    center-fixing isomorphism.  Any disagreement with the keys raises."""
     plain = [c.members for c in perm_classes + kappa_classes]
-    pinned: dict[tuple, list[PerspectiveSpec]] = {}
+    fixing: dict[tuple, list[PerspectiveSpec]] = {}
     for s in perm_specs:
-        pinned.setdefault(structures.search(s, pinned=True)[0], []).append(s)
-    # a pinned key holds its plain key, so each center-fixing class lies
-    # inside the plain class of that key
+        rec = structures.record(s)
+        fixing.setdefault((rec.key, rec.center), []).append(s)
+    # each center-fixing class lies inside the plain class of its key
     within: dict[CanonicalKey, list[PerspectiveSpec]] = {}
-    for (key, _), members in pinned.items():
+    for (key, _), members in fixing.items():
         within.setdefault(key, []).append(members[0])
     center = (CENTER_INDEX, CENTER_INDEX)
     for groups, pairs, fix in (
         (plain, itertools.combinations([m[0] for m in plain], 2), None),
-        (pinned.values(), (p for reps in within.values() for p in itertools.combinations(reps, 2)), center),
+        (fixing.values(), (p for reps in within.values() for p in itertools.combinations(reps, 2)), center),
     ):
         for members in groups:
-            r = structures.source(members[0])
-            for t in dict.fromkeys(structures.source(s) for s in members):
+            r = structures.record(members[0]).source
+            for t in dict.fromkeys(structures.record(s).source for s in members):
                 if t != r and find_isomorphism(structures[t], structures[r], fix=fix) is None:
                     raise OracleInconsistencyError(f"equal keys but no witness: {spec_text(t)} vs {spec_text(r)}")
         for r1, r2 in pairs:
@@ -670,7 +662,7 @@ def _prop_3_2(structures, perm_specs) -> Finding:
         "prop_3_2",
         "the two-case conjugation criterion decides center-fixing isomorphism in the plain family",
         perm_specs,
-        [structures.search(s, pinned=True)[0] for s in perm_specs],
+        [(r.key, r.center) for r in map(structures.record, perm_specs)],
     )
 
 
@@ -679,7 +671,7 @@ def _prop_4_5(structures, kappa_specs) -> Finding:
         "prop_4_5",
         "the two-case conjugation criterion decides isomorphism in the boolean-complementing family",
         kappa_specs,
-        [structures.search(s)[0] for s in kappa_specs],
+        [structures.record(s).key for s in kappa_specs],
     )
 
 
@@ -707,7 +699,7 @@ def _cor_4_2(structures, kappa_specs) -> Finding:
     moves: dict[PerspectiveSpec, bool] = {}
     moved = []
     for s in kappa_specs:
-        source = structures.source(s)
+        source = structures.record(s).source
         if source not in moves:
             t = structures[source]
             colors = _refined(t, None)[1]
@@ -767,7 +759,7 @@ def _lemma_4_4(structures, census) -> Finding:
         s2 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, axis.apply(CORRELATION))
         if not _is_isomorphism(structures[s1], structures[s2], swap):
             failures.append(f"axis census:{idx}")
-        if structures.search(s1)[0] != structures.search(s2)[0]:
+        if structures.record(s1).key != structures.record(s2).key:
             keys_differ.append(f"axis census:{idx}")
     ok = not failures and not keys_differ
     return Finding(
@@ -822,7 +814,7 @@ def _lemma_4_8(structures) -> Finding:
         keys = {}
         for beta in ALL_PERMS:
             s = PerspectiveSpec(SkewFamily.PERM_KAPPA, beta, axis)
-            keys[beta] = structures.search(s)[0]
+            keys[beta] = structures.record(s).key
         for b1, b2 in itertools.combinations_with_replacement(ALL_PERMS, 2):
             checked += 1
             conjugate = cls[b1] == cls[b2]
@@ -858,7 +850,7 @@ def _theorem_finding(
     labels: dict[str, list[str]] = {}
     problems = []
     for label, kind, cycles in entries:
-        k = structures.search(_entry_spec(family, kind, cycles))[0]
+        k = structures.record(_entry_spec(family, kind, cycles)).key
         entry_keys[label] = k
         if k not in by_key:
             problems.append(f"entry ({label}) matches no computed class")
@@ -931,8 +923,8 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
 
     census_note_perm = census_note_kappa = None
     if axes_mode == "census":
-        canon_perm_keys = {structures.search(s)[0] for s in perm_canonical}
-        canon_kappa_keys = {structures.search(s)[0] for s in kappa_canonical}
+        canon_perm_keys = {structures.record(s).key for s in perm_canonical}
+        canon_kappa_keys = {structures.record(s).key for s in kappa_canonical}
         census_note_perm = {
             "classes_beyond_canonical_axes": len({c.key for c in perm_classes} - canon_perm_keys)
         }

@@ -36,7 +36,6 @@ one process, and their output never depended on it.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Mapping, Sequence
@@ -66,18 +65,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits with 2; we want 64
-        raise _UsageError(message)
-
-    def _print_message(self, message, file=None):
-        # argparse swallows a failed write; help on stdout goes through _emit
-        if file is sys.stdout:
-            _emit(message, None)
-        else:
-            super()._print_message(message, file)
 
 
 def _load_axis_file(path: str):
@@ -277,7 +264,20 @@ def _cmd_audit(args) -> int:
     return EX_OK if report.all_match else EX_MISMATCH
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    import argparse  # here, as only ``main`` parses: the start loads none
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse default exits with 2; we want 64
+            raise _UsageError(message)
+
+        def _print_message(self, message, file=None):
+            # argparse swallows a failed write; help on stdout goes through _emit
+            if file is sys.stdout:
+                _emit(message, None)
+            else:
+                super()._print_message(message, file)
+
     p = _Parser(
         prog="skewpersp",
         description="construction, isomorphism and classification of skew perspectives between two tetrahedra",

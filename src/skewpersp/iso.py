@@ -5,9 +5,10 @@ Three layers, all deterministic:
 * ``_canonical_search``   a complete relabeling invariant, computed by
                           individualization-refinement backtracking; equal
                           keys if and only if isomorphic.  The labeling
-                          that gives the key, with the group, labels each
-                          point's orbit (``orbit_label``), which decides
-                          which points an isomorphism can map onto which.
+                          that gives the key, with the group, gives each
+                          point's orbit its least label (``orbit_label``):
+                          an isomorphism between two structures with equal
+                          keys maps x onto y exactly when the labels agree.
                           It refines each node in full rounds, from the
                           free-K5 seed at the root,
 * ``automorphism_group``  generators and exact order, read from one run of
@@ -328,18 +329,15 @@ def _canonical_search(
     return (key, *_first_path_orbits(c.first_path, c.auts), tuple(c.first_leaf[key.encoding]))
 
 
-def orbit_label(labeling: Sequence[int], gens: Sequence[tuple[int, ...]], x: int) -> tuple[int, int]:
+def orbit_label(labeling: Sequence[int], gens: Sequence[tuple[int, ...]], x: int) -> int:
     """The least canonical label on the orbit of point x under the group
-    that ``gens`` generate, and the orbit's size, from one search's
-    labeling and generators.
+    that ``gens`` generate, from one search's labeling and generators.
 
     Two structures with equal keys have labelings onto one structure C,
     and the labeling carries each orbit onto an orbit of C's group.  So
     an isomorphism maps x onto y exactly when their keys and orbit labels
-    are equal (McKay & Piperno, "Practical graph isomorphism II", 2014),
-    and the group fixing x has the group's order over the orbit's size."""
-    orbit = _orbit(x, gens)
-    return min(labeling[i] for i in orbit), len(orbit)
+    are equal (McKay & Piperno, "Practical graph isomorphism II", 2014)."""
+    return min(labeling[i] for i in _orbit(x, gens))
 
 
 def automorphism_group(s: Psts) -> tuple[tuple[tuple[int, ...], ...], int]:

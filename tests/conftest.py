@@ -17,7 +17,7 @@ from skewpersp.classify import (
 )
 from skewpersp.indices import ALL_PERMS
 from skewpersp.iso import _canonical_search, _pack_shift, _pasch_seed, _rank_raw, _signatures, orbit_label
-from skewpersp.perspective import IMAGE_WITNESSES, PerspectiveSpec, SkewFamily, image_ids, spec_id
+from skewpersp.perspective import CENTER_INDEX, IMAGE_WITNESSES, PerspectiveSpec, SkewFamily, image_ids, spec_id
 from skewpersp.psts import Psts, _free_cliques
 from skewpersp.veblen import PAIR_NAMES, enumerate_labelings
 
@@ -45,7 +45,14 @@ def canonical_key(s, pin=None):
     """The canonical key of ``s`` or, given the point named ``pin``, the
     key with that point's orbit label, as the audit keys the center."""
     key, gens, _, labeling = _canonical_search(s)
-    return key if pin is None else (key, orbit_label(labeling, gens, s.points.index(pin))[0])
+    return key if pin is None else (key, orbit_label(labeling, gens, s.points.index(pin)))
+
+
+def searched_record(s):
+    """(key, group order, center label) of ``s`` from a fresh canonical
+    search: the first three fields of the audit's record."""
+    key, gens, order, labeling = _canonical_search(s)
+    return key, order, orbit_label(labeling, gens, CENTER_INDEX)
 
 
 def family_images(s):

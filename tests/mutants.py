@@ -50,18 +50,38 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "orbit-label-without-minimum",
         "src/skewpersp/iso.py",
-        "return min(labeling[i] for i in orbit), len(orbit)",
-        "return labeling[x], len(orbit)",
+        "return min(labeling[i] for i in _orbit(x, gens))",
+        "return labeling[x]",
         ("tests/test_iso.py::TestCanonicalKey::test_pinned_keys_decide_fixed_isomorphism",),
     ),
     Mutant(
         "constant-center-label",
         "src/skewpersp/classify.py",
-        "label, size = orbit_label(labeling, gens, CENTER_INDEX)",
-        "label, size = 0, orbit_label(labeling, gens, CENTER_INDEX)[1]",
+        "orbit_label(labeling, gens, CENTER_INDEX), spec)",
+        "0, spec)",
         (
             "tests/test_classify.py::TestCarriedSearch::test_carried_keys_and_groups_match_a_search",
             "tests/test_acceptance.py::test_criterion_06_plain_family_criterion_vs_oracle",
+        ),
+    ),
+    Mutant(
+        "center-fixing-classes-by-key-alone",
+        "src/skewpersp/classify.py",
+        "[(r.key, r.center) for r in map(structures.record, perm_specs)]",
+        "[r.key for r in map(structures.record, perm_specs)]",
+        (
+            "tests/test_classify.py::TestAudit::test_verdicts",
+            "tests/test_acceptance.py::test_criterion_06_plain_family_criterion_vs_oracle",
+        ),
+    ),
+    Mutant(
+        "carried-record-names-the-member",
+        "src/skewpersp/classify.py",
+        "return self._records[(source.family, source.sid)]",
+        "return self._records[(source.family, source.sid)]._replace(source=spec)",
+        (
+            "tests/test_classify.py::TestWitnessRefutations::test_refinement_refutes_before_backtracking[census]",
+            "tests/test_classify.py::TestWitnessRefutations::test_refinement_refutes_before_backtracking[canonical]",
         ),
     ),
     Mutant(
@@ -72,6 +92,30 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             "tests/test_classify.py::TestCarriedSearchFaults::test_audit_raises[map-moves-center]",
             "tests/test_classify.py::TestCarriedSearchFaults::test_cli_exits_70[map-moves-center]",
+        ),
+    ),
+    Mutant(
+        "carry-without-line-check",
+        "src/skewpersp/classify.py",
+        "if moves or not _is_isomorphism(t, s, m):",
+        "if moves:",
+        ("tests/test_classify.py::TestCarriedSearchFaults::test_audit_raises[map]",),
+    ),
+    Mutant(
+        "cor-4-2-refutes-no-point",
+        "src/skewpersp/classify.py",
+        "if c == colors[CENTER_INDEX] and q != CENTER_INDEX",
+        "if False",
+        ("tests/test_classify.py::TestCenterMovingAutomorphismFault::test_claim_names_the_spec",),
+    ),
+    Mutant(
+        "digest-with-swapped-fields",
+        "src/skewpersp/iso.py",
+        "repr((self.point_count, self.line_count, self.encoding))",
+        "repr((self.line_count, self.point_count, self.encoding))",
+        (
+            "tests/test_classify.py::TestRendering::test_class_key_digests",
+            "tests/test_iso.py::TestCanonicalKey::test_digest_matches_hashlib_on_the_class_keys",
         ),
     ),
     Mutant(

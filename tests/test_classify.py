@@ -10,7 +10,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from conftest import canonical_key, family_images, joint_refinement
+from conftest import canonical_key, family_images, joint_refinement, searched_record
 
 from skewpersp import classify, cli, iso, perspective, psts, veblen
 from skewpersp.classify import (
@@ -175,7 +175,7 @@ class TestOracleSweep:
         # ones; the witness search finds no center-fixing map between the
         # first two searched specs of a plain class, whose centers lie in
         # different orbits
-        monkeypatch.setattr(classify, "orbit_label", lambda labeling, gens, x: (0, 1))
+        monkeypatch.setattr(classify, "orbit_label", lambda labeling, gens, x: 0)
         code = cli.main(["audit", "--axes", "census"])
         out, err = capsys.readouterr()
         assert code == cli.EX_SOFTWARE == 70
@@ -215,16 +215,17 @@ class TestOracleSweep:
 
         def extra_sources(classes):
             # searched specs of a class beyond its representative's
-            return sum(len({structures.source(s) for s in members}) - 1 for members in classes)
+            return sum(len({structures.record(s).source for s in members}) - 1 for members in classes)
 
-        pinned = {}
+        fixing = {}
         for s in perm_specs:
-            pinned.setdefault(structures.search(s, pinned=True)[0], []).append(s)
+            r = structures.record(s)
+            fixing.setdefault((r.key, r.center), []).append(s)
         within = {}
-        for members in pinned.values():
-            within.setdefault(structures.search(members[0])[0], []).append(members[0])
+        for members in fixing.values():
+            within.setdefault(structures.record(members[0]).key, []).append(members[0])
         reps = [c.representative for c in perm + kappa]
-        assert (len(pinned), len(perm), len(kappa)) == (44, 43, 25)
+        assert (len(fixing), len(perm), len(kappa)) == (44, 43, 25)
         # the witness search runs once for each searched spec of a class
         # beyond its representative's, plain or center-fixing, and once for
         # each pair of representatives that share a certificate: of the 68
@@ -232,11 +233,11 @@ class TestOracleSweep:
         # plain class.  Certificates refute the other pairs before a point
         # is placed
         plain_links = extra_sources(c.members for c in perm + kappa)
-        pinned_links = extra_sources(pinned.values())
+        fixing_links = extra_sources(fixing.values())
         within_pairs = sum(pairs(len(r)) for r in within.values())
         searched_pairs = shared(reps, None) + sum(shared(r, CENTER_INDEX) for r in within.values())
-        assert (plain_links, pinned_links, within_pairs, searched_pairs) == (1, 0, 1, 1)
-        assert calls - certified == plain_links + pinned_links + searched_pairs == 2
+        assert (plain_links, fixing_links, within_pairs, searched_pairs) == (1, 0, 1, 1)
+        assert calls - certified == plain_links + fixing_links + searched_pairs == 2
         assert certified == pairs(len(reps)) + within_pairs - searched_pairs == 2278
 
 
@@ -358,7 +359,7 @@ class TestAuditWork:
     """What one audit builds and searches: each spec is built once, and one
     canonical search keys each criterion orbit: 44 orbits of the plain
     family, 25 of the boolean-complementing one.  Its labeling gives the
-    pinned keys, so no search runs with the center pinned.  Free K5
+    center labels, so no search runs with the center pinned.  Free K5
     subgraphs are searched once for each of the 69 searched specs.  The
     searches visit a fixed tree.  Every
     other key, and every other spec's subgraphs, come along a checked map,
@@ -491,11 +492,11 @@ def test_audit_retains_nothing_once_its_report_is_dropped():
 
 class TestCarriedSearch:
     """One spec of each criterion orbit is searched, and its labeling gives
-    the pinned key too; every other spec takes its keys and group orders
-    along a checked map.  This keeps the keys and orders a search of every
-    spec would give."""
+    the center's orbit label too; every other spec shares its record along
+    a checked map.  This keeps the keys, group orders and center labels a
+    search of every spec would give."""
 
-    def test_carried_keys_and_groups_match_a_search(self, monkeypatch, census, perm_specs):
+    def test_carried_keys_and_groups_match_a_search(self, monkeypatch, census):
         runs = 0
         real = iso._Canonicalizer.run
 
@@ -509,17 +510,21 @@ class TestCarriedSearch:
         specs = enumerate_family(SkewFamily.PERM, census) + enumerate_family(
             SkewFamily.PERM_KAPPA, census
         )
-        carried = [(spec, False, structures.search(spec)) for spec in specs]
+        carried = [(spec, structures.record(spec)) for spec in specs]
         assert runs == 69
-        carried += [(spec, True, structures.search(spec, pinned=True)) for spec in perm_specs]
-        assert runs == 69
-        for spec, pinned, found in carried:
-            searched_key, gens, searched_order, labeling = iso._canonical_search(structures[spec])
-            if pinned:
-                label, size = iso.orbit_label(labeling, gens, CENTER_INDEX)
-                searched_key, searched_order = (searched_key, label), searched_order // size
-            assert found == (searched_key, searched_order), spec_text(spec)
-        assert runs == 69 + 1440 + 144
+        for spec, r in carried:
+            assert r[:3] == searched_record(structures[spec]), spec_text(spec)
+        assert runs == 69 + 1440
+
+    def test_census_specs_share_one_record_per_orbit(self, census):
+        structures = classify._Structures()
+        specs = enumerate_family(SkewFamily.PERM, census) + enumerate_family(
+            SkewFamily.PERM_KAPPA, census
+        )
+        records = {id(r): r for r in map(structures.record, specs)}
+        assert (len(specs), len(records)) == (1440, 69)
+        for r in records.values():
+            assert structures.record(r.source) is r, spec_text(r.source)
 
     def test_carried_free_k5_match_a_search(self, monkeypatch, census):
         searched = []
@@ -536,7 +541,7 @@ class TestCarriedSearch:
         )
         assert len(specs) == 1440
         for spec in specs:
-            structures.search(spec)
+            structures.record(spec)
         carried = {spec: structures[spec].free_k5 for spec in specs}
         # the 69 searched specs alone searched theirs
         assert len(searched) == 69
@@ -599,13 +604,14 @@ def transitive_victim(perm_specs):
     only their plain witness backs the plain partition beyond the
     center-fixing one."""
     structures = classify._Structures()
-    pinned, plain = {}, {}
+    fixing, plain = {}, {}
     for s in perm_specs:
-        pinned.setdefault(structures.search(s, pinned=True)[0], s)
-        plain.setdefault(structures.search(s)[0], s)
-    assert (len(pinned), len(plain)) == (44, 43)
-    (victim,) = set(pinned.values()) - set(plain.values())
-    return victim, plain[structures.search(victim)[0]]
+        r = structures.record(s)
+        fixing.setdefault((r.key, r.center), s)
+        plain.setdefault(r.key, s)
+    assert (len(fixing), len(plain)) == (44, 43)
+    (victim,) = set(fixing.values()) - set(plain.values())
+    return victim, plain[structures.record(victim).key]
 
 
 class TestTransitiveWitnessFault:

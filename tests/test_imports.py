@@ -450,3 +450,10 @@ def test_build_on_a_census_axis_builds_no_table():
 
 def test_census_reads_the_action_table():
     assert last_printed(CLI_RUN.format(argv=["census"]), TABLES_BUILT) == ["1", "1"]
+
+
+def test_the_start_loads_no_argparse():
+    """Only ``main`` builds a parser, so the start that ``perfbench`` times
+    as ``setup_s`` imports no ``argparse``."""
+    start = "import skewpersp.cli\nfrom skewpersp import veblen\nveblen.enumerate_labelings()"
+    assert last_printed(start, "import sys\nprint('argparse' in sys.modules)") == ["False"]

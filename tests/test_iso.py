@@ -45,7 +45,6 @@ from skewpersp.iso import (
     automorphism_group,
     certificates_differ,
     find_isomorphism,
-    orbit_label,
 )
 from skewpersp.perspective import (
     CENTER,
@@ -1084,11 +1083,11 @@ class TestFirstPathOrbits:
 
     @staticmethod
     def checked(s, pin):
-        _, gens, order, labeling = _canonical_search(s)
+        _, gens, order, _ = _canonical_search(s)
         assert order == len(list(_search(s, s, None))) == len(closure(len(s.points), gens))
         assert all(iso._is_isomorphism(s, s, g) for g in gens)
         if pin is not None:
-            assert order // orbit_label(labeling, gens, pin)[1] == len(list(_search(s, s, (pin, pin))))
+            assert order // len(orbit(pin, gens)) == len(list(_search(s, s, (pin, pin))))
         return gens, order
 
     @pytest.mark.parametrize(
