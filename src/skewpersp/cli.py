@@ -18,7 +18,8 @@ Structures are given either as spec text (``perm:<cycles>@<axis>`` or
 PSTS file path) or as a PSTS file path directly.
 
 Exit codes: 0 success (for ``iso``: isomorphic), 1 proven non-isomorphic,
-2 audit found a MISMATCH, 64 usage, 65 bad data, 66 missing input file,
+2 audit found a MISMATCH, 64 usage, 65 bad data (an input file that is not
+UTF-8 among it), 66 missing or unreadable input file,
 70 internal error (an oracle inconsistency or any other unexpected failure,
 never reported as a verdict), 74 output write failure (to ``--out`` or to
 stdout).  stdout carries data; diagnostics go to stderr.
@@ -67,17 +68,28 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load_axis_file(path: str):
-    from .psts import PstsError, from_text
-    from .veblen import from_psts
+def _read_psts(path: str, missing: str, bad: str, convert=lambda s: s):
+    """The structure in the PSTS file at ``path``, passed through
+    ``convert``.  A missing file, or one that cannot be read, exits 66;
+    bytes that are not UTF-8, bad PSTS text or a ValueError from
+    ``convert`` exit 65.  Each message names the path."""
+    from .psts import from_text
 
     p = Path(path)
     if not p.is_file():
-        raise _CliError(EX_NOINPUT, f"axis file not found: {path}")
+        raise _CliError(EX_NOINPUT, f"{missing}: {path}")
     try:
-        return from_psts(from_text(p.read_text()))
-    except (PstsError, ValueError) as e:
-        raise _CliError(EX_DATAERR, f"bad axis file {path}: {e}") from e
+        return convert(from_text(p.read_text()))
+    except OSError as e:
+        raise _CliError(EX_NOINPUT, f"cannot read {path}: {e}") from e
+    except ValueError as e:  # UnicodeDecodeError and PstsError among them
+        raise _CliError(EX_DATAERR, f"{bad} {path}: {e}") from e
+
+
+def _load_axis_file(path: str):
+    from .veblen import from_psts
+
+    return _read_psts(path, "axis file not found", "bad axis file", from_psts)
 
 
 def parse_spec(text: str):
@@ -95,15 +107,7 @@ def _load_structure(text: str) -> Psts:
         from .perspective import build
 
         return build(parse_spec(text))
-    from .psts import PstsError, from_text
-
-    p = Path(text)
-    if not p.is_file():
-        raise _CliError(EX_NOINPUT, f"no such file (and not spec text): {text}")
-    try:
-        return from_text(p.read_text())
-    except PstsError as e:
-        raise _CliError(EX_DATAERR, f"bad PSTS file {text}: {e}") from e
+    return _read_psts(text, "no such file (and not spec text)", "bad PSTS file")
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -12,10 +12,10 @@ Three layers, all deterministic:
                           It refines each node in full rounds, from the
                           free-K5 seed at the root,
 * ``automorphism_group``  generators and exact order, read from one run of
-                          the same search: the automorphisms it finds
-                          generate the group, and the orbits of its first
-                          path under them multiply to the order and thin
-                          them to generators, without listing the group,
+                          the same search: as it backtracks along its first
+                          path, the orbits there under the automorphisms it
+                          found multiply to the order and thin them to
+                          generators, without listing the group,
 * ``find_isomorphism``    explicit witness search (optionally pinning one
                           point pair), sound and complete; this is the
                           ground-truth oracle the algebraic criteria are
@@ -201,7 +201,19 @@ class _Canonicalizer:
     carries the first leaf onto a leaf with its encoding; found
     automorphisms carry that leaf, one pruned branch at a time, onto an
     explored one, whose automorphism then makes h a product of found
-    ones."""
+    ones.  A leaf with the first leaf's encoding is that leaf's image, so
+    the search jumps back to the first-path node where its path left the
+    first path (McKay, "Practical graph isomorphism", 1981).
+
+    Leaving the first-path node of depth L, every automorphism found so
+    far joins two leaves below it, so it fixes the first L path points,
+    and by the argument above they generate the stabilizer of those
+    points: the orbit of the next path point under them is that
+    stabilizer's orbit.  The discrete first leaf makes the stabilizer of
+    the whole path trivial, so the order is the product of these orbit
+    sizes.  At each such node the search keeps, in found order, the first
+    automorphism that maps the orbit under the kept ones outside itself,
+    until none does: no kept one lies in the group of those kept before."""
 
     def __init__(self, s: Psts):
         self.s = s
@@ -210,6 +222,9 @@ class _Canonicalizer:
         self.first_leaf: dict[tuple, list[int]] = {}
         self.auts: list[tuple[int, ...]] = []
         self.first_path: tuple[int, ...] | None = None
+        self.first: list[int] | None = None  # the first leaf's colours
+        self.kept: list[tuple[int, ...]] = []
+        self.order = 1
 
     def run(self) -> tuple:
         """Depth-first over the search tree, with an explicit stack of
@@ -228,6 +243,8 @@ class _Canonicalizer:
                     break
             else:
                 stack.pop()
+                if path == self.first_path[: len(path)]:
+                    self._thin(len(path))
         assert self.best is not None
         return self.best
 
@@ -239,15 +256,15 @@ class _Canonicalizer:
         largest = max(sizes, default=1)
         if largest == 1:
             if self.first_path is None:
-                self.first_path = path
-            self._leaf(colors)
+                self.first_path, self.first = path, colors
+            self._leaf(colors, path, stack)
         else:
             # the first of the largest cells, in colour order
             target = sizes.index(largest)
             children = [i for i, c in enumerate(colors) if c == target]
             stack.append((colors, path, iter(children), []))
 
-    def _leaf(self, colors: list[int]) -> None:
+    def _leaf(self, colors: list[int], path: tuple[int, ...], stack: list[tuple]) -> None:
         enc = _encode_leaf(self.s, colors)
         seen = self.first_leaf.get(enc)
         if seen is None:
@@ -260,6 +277,10 @@ class _Canonicalizer:
             g = tuple(inv[colors[i]] for i in range(self.n))
             if _is_isomorphism(self.s, self.s, g):
                 self.auts.append(g)
+                if seen is self.first:
+                    # g maps the first leaf onto this one: back to where the paths part
+                    level = next(i for i, (a, b) in enumerate(zip(path, self.first_path)) if a != b)
+                    del stack[level + 1 :]
         if self.best is None or enc < self.best:
             self.best = enc
 
@@ -271,6 +292,15 @@ class _Canonicalizer:
             return False
         usable = [g for g in self.auts if all(g[v] == v for v in path)]
         return not _orbit(x, usable).isdisjoint(explored)
+
+    def _thin(self, level: int) -> None:
+        while True:
+            orbit = _orbit(self.first_path[level], self.kept)
+            g = next((g for g in self.auts if any(g[i] not in orbit for i in orbit)), None)
+            if g is None:
+                break
+            self.kept.append(g)
+        self.order *= len(orbit)
 
 
 def _orbit(x: int, gens: Sequence[tuple[int, ...]]) -> set[int]:
@@ -285,48 +315,17 @@ def _orbit(x: int, gens: Sequence[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def _first_path_orbits(
-    path: tuple[int, ...], found: Sequence[tuple[int, ...]]
-) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Generators and order of the group that a search's ``found``
-    automorphisms generate, from the orbits along its first ``path``
-    (McKay, "Practical graph isomorphism", 1981).
-
-    Two leaves of one node refine its colouring in colour order, so the
-    automorphisms found under the first-path node with prefix P fix P,
-    and by ``_Canonicalizer``'s argument applied to that subtree they
-    generate the stabilizer of P.  The orbit of the next path point under
-    the found automorphisms fixing P is then that stabilizer's orbit, and
-    the discrete first leaf makes the stabilizer of the whole path
-    trivial: the order is the product of the orbit sizes.  Deepest level
-    first, each level keeps the first of those automorphisms that maps
-    the orbit under the kept ones outside itself, until none does; so no
-    kept one lies in the group of those kept before it."""
-    kept: list[tuple[int, ...]] = []
-    order = 1
-    for level in range(len(path) - 1, -1, -1):
-        usable = [g for g in found if all(g[v] == v for v in path[:level])]
-        while True:
-            orbit = _orbit(path[level], kept)
-            g = next((g for g in usable if any(g[i] not in orbit for i in orbit)), None)
-            if g is None:
-                break
-            kept.append(g)
-        order *= len(orbit)
-    return tuple(kept), order
-
-
 def _canonical_search(
     s: Psts,
 ) -> tuple[CanonicalKey, tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
     """The canonical key of ``s``, totally ordered and stable across runs;
     generators, as index tuples, and order of its automorphism group, both
-    from the automorphisms its search found; and the canonical labeling,
-    entry i the label of point i in the least encoding, which carries
-    ``s`` onto the structure that the key encodes."""
+    thinned and multiplied up by the search as it backtracks; and the
+    canonical labeling, entry i the label of point i in the least
+    encoding, which carries ``s`` onto the structure that the key encodes."""
     c = _Canonicalizer(s)
     key = CanonicalKey(len(s.points), len(s.line_sets), c.run())
-    return (key, *_first_path_orbits(c.first_path, c.auts), tuple(c.first_leaf[key.encoding]))
+    return key, tuple(c.kept), c.order, tuple(c.first_leaf[key.encoding])
 
 
 def orbit_label(labeling: Sequence[int], gens: Sequence[tuple[int, ...]], x: int) -> int:
@@ -342,8 +341,8 @@ def orbit_label(labeling: Sequence[int], gens: Sequence[tuple[int, ...]], x: int
 
 def automorphism_group(s: Psts) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Generators, as index tuples, and exact order of the automorphism
-    group, both read from one run of the canonical search by
-    ``_first_path_orbits``.  Nothing enumerates the group."""
+    group, both read from one run of the canonical search, which thins
+    its automorphisms as it backtracks.  Nothing enumerates the group."""
     return _canonical_search(s)[1:3]
 
 

@@ -119,6 +119,46 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "thinning-keeps-every-automorphism",
+        "src/skewpersp/iso.py",
+        "g = next((g for g in self.auts if any(g[i] not in orbit for i in orbit)), None)",
+        "g = next((g for g in self.auts if g not in self.kept), None)",
+        (
+            "tests/test_iso.py::TestFirstPathOrbits::test_duplicated_and_redundant_generators",
+            "tests/test_iso.py::TestAutomorphismGroup::test_each_generator_is_new",
+        ),
+    ),
+    Mutant(
+        "backjump-on-any-automorphism",
+        "src/skewpersp/iso.py",
+        "if seen is self.first:",
+        "if True:",
+        (
+            "tests/test_classify.py::TestCarriedSearch::test_carried_keys_and_groups_match_a_search",
+            "tests/test_classify.py::TestAuditWork::test_each_spec_built_and_searched_once[census-expected0]",
+        ),
+    ),
+    Mutant(
+        "backjump-one-level-too-shallow",
+        "src/skewpersp/iso.py",
+        "del stack[level + 1 :]",
+        "del stack[level:]",
+        (
+            "tests/test_iso.py::TestCanonicalSearchWork::test_ladder[points-8]",
+            "tests/test_iso.py::TestFirstPathOrbits::test_order_matches_closure[fano]",
+        ),
+    ),
+    Mutant(
+        "reader-without-decode-handling",
+        "src/skewpersp/cli.py",
+        "    except ValueError as e:  # UnicodeDecodeError and PstsError among them\n",
+        "    except ValueError as e:\n        if isinstance(e, UnicodeDecodeError):\n            raise\n",
+        (
+            "tests/test_cli.py::TestInputFiles::test_not_utf8_is_bad_data[aut]",
+            "tests/test_cli.py::TestInputFiles::test_not_utf8_is_bad_data[iso-first]",
+        ),
+    ),
+    Mutant(
         "pruned-ignores-path",
         "src/skewpersp/iso.py",
         "usable = [g for g in self.auts if all(g[v] == v for v in path)]",

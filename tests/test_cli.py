@@ -339,6 +339,49 @@ class TestAudit:
 # ---------------------------------------------------------------- errors
 
 
+#: PSTS text whose points row holds bytes that are not UTF-8
+NOT_UTF8 = b"psts 3 1\n\xff\xfe a b\na b c\n"
+
+#: each command that reads a PSTS file, with the file's place in its argv
+#: and the word its error message gives the file
+FILE_OPERANDS = {
+    "iso-first": (("iso", "{f}", "perm:id@G2"), "bad PSTS file"),
+    "iso-second": (("iso", "perm:id@G2", "{f}"), "bad PSTS file"),
+    "aut": (("aut", "{f}"), "bad PSTS file"),
+    "build-axis": (("build", "perm:id@{f}"), "bad axis file"),
+}
+
+
+class TestInputFiles:
+    """One reader serves every PSTS file the commands take: bytes that are
+    not UTF-8 are bad data (65), and a file that exists but cannot be read
+    is missing input (66), with the path in the message.  Neither reaches
+    exit 70, which means a bug."""
+
+    @pytest.mark.parametrize("argv,bad", FILE_OPERANDS.values(), ids=FILE_OPERANDS)
+    def test_not_utf8_is_bad_data(self, capsys, tmp_path, argv, bad):
+        f = tmp_path / "latin.psts"
+        f.write_bytes(NOT_UTF8)
+        code, out, err = run(capsys, *(a.format(f=f) for a in argv))
+        assert code == EX_DATAERR and out == ""
+        assert err.startswith(f"error: {bad} {f}: ") and "internal error" not in err
+
+    @pytest.mark.parametrize("argv,bad", FILE_OPERANDS.values(), ids=FILE_OPERANDS)
+    def test_read_failure_is_missing_input(self, capsys, monkeypatch, tmp_path, argv, bad):
+        # file permissions cannot show this to a superuser, so the read fails
+        # in process
+        f = tmp_path / "fano.psts"
+        f.write_text("psts 7 7\n0 1 2 3 4 5 6\n0 1 3\n1 2 4\n2 3 5\n3 4 6\n0 4 5\n1 5 6\n0 2 6\n")
+
+        def unreadable(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        code, out, err = run(capsys, *(a.format(f=f) for a in argv))
+        assert code == EX_NOINPUT and out == ""
+        assert err.startswith(f"error: cannot read {f}: ") and "Permission denied" in err
+
+
 class TestErrors:
     def test_no_arguments(self, capsys):
         code, _, err = run(capsys)

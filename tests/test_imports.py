@@ -173,11 +173,11 @@ def test_the_two_oracles_keep_their_seeds_and_refinements_apart():
     the pair pack, the ranking and the line check, but no seed and no
     refinement: a bug in one of those can fool one oracle only."""
     source = (ROOT / "src" / "skewpersp" / "iso.py").read_text()
-    canonical = {"free_k5", "_seed_colors", "_refine", "_Canonicalizer", "_first_path_orbits"}
+    canonical = {"free_k5", "_seed_colors", "_refine", "_Canonicalizer"}
     witness = {"pasch", "triangles", "_pasch_seed", "_signatures", "_refined"}
     for name in ("_pasch_seed", "_refined", "_search"):
         assert not reads_through_calls(source, name) & canonical, name
-    for name in ("_seed_colors", "_refine", "_Canonicalizer", "_first_path_orbits", "orbit_label", "automorphism_group"):
+    for name in ("_seed_colors", "_refine", "_Canonicalizer", "orbit_label", "automorphism_group"):
         assert not reads_through_calls(source, name) & witness, name
 
 

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -35,7 +36,6 @@ from skewpersp.iso import (
     CanonicalKey,
     _Canonicalizer,
     _canonical_search,
-    _first_path_orbits,
     _rank_raw,
     _pasch_seed,
     _refine,
@@ -804,12 +804,14 @@ class TestCanonicalSearchWork:
     @pytest.mark.parametrize(
         "s,expected",
         [
-            (isolated_points(8), (92, 29, 28, 7, 40320)),
-            (isolated_points(12), (298, 67, 66, 11, 479001600)),
-            (disjoint_triangles(4), (95, 19, 18, 11, 31104)),
-            (disjoint_triangles(6), (252, 34, 33, 17, 33592320)),
+            (isolated_points(8), (36, 8, 7, 7, 40320)),
+            (isolated_points(12), (78, 12, 11, 11, 479001600)),
+            (isolated_points(24), (300, 24, 23, 23, math.factorial(24))),
+            (disjoint_triangles(4), (66, 12, 11, 11, 31104)),
+            (disjoint_triangles(6), (141, 18, 17, 17, 33592320)),
+            (projective_space(4), (24, 10, 9, 9, 20160)),
         ],
-        ids=["points-8", "points-12", "triangles-4", "triangles-6"],
+        ids=["points-8", "points-12", "points-24", "triangles-4", "triangles-6", "pg32"],
     )
     def test_ladder(self, monkeypatch, s, expected):
         counts = {"nodes": 0, "leaves": 0}
@@ -821,15 +823,16 @@ class TestCanonicalSearchWork:
 
             return wrapper
 
-        real_orbits = iso._first_path_orbits
+        real_run = _Canonicalizer.run
 
-        def orbits(path, found):
-            counts["found"] = len(found)
-            return real_orbits(path, found)
+        def run(self):
+            key = real_run(self)
+            counts["found"] = len(self.auts)
+            return key
 
         monkeypatch.setattr(_Canonicalizer, "_visit", counting("nodes", _Canonicalizer._visit))
         monkeypatch.setattr(_Canonicalizer, "_leaf", counting("leaves", _Canonicalizer._leaf))
-        monkeypatch.setattr(iso, "_first_path_orbits", orbits)
+        monkeypatch.setattr(_Canonicalizer, "run", run)
         gens, order = automorphism_group(s)
         assert (counts["nodes"], counts["leaves"], counts["found"], len(gens), order) == expected
         assert sympy_order(len(s.points), gens) == order
@@ -1075,11 +1078,11 @@ class TestCertificates:
 
 
 class TestFirstPathOrbits:
-    """The group order from the canonical search's first-path orbits
-    against the witness search's count of automorphisms and a brute-force
-    closure of the kept generators; and with a point pinned, the order
-    over the size of its orbit against the witness search's count of the
-    automorphisms that fix it."""
+    """The group order that the canonical search multiplies up from its
+    first-path orbits as it backtracks, against the witness search's count
+    of automorphisms and a brute-force closure of the kept generators; and
+    with a point pinned, the order over the size of its orbit against the
+    witness search's count of the automorphisms that fix it."""
 
     @staticmethod
     def checked(s, pin):
@@ -1123,15 +1126,46 @@ class TestFirstPathOrbits:
             assert self.checked(s, 0) == ((), 1)
 
     def test_duplicated_and_redundant_generators(self):
-        # a repeat of a kept automorphism, or a product of found ones, is
-        # already in the group of those kept before it
+        # a repeat of a found automorphism, or a product of found ones, is
+        # already in the group of those kept before it: a search that finds
+        # each automorphism twice, followed by its products with those found
+        # before, keeps the same generators and reaches the same order
+        class Redundant(list):
+            def append(self, g):
+                found.append(g)
+                self.extend([g, g])
+                self.extend(tuple(a[i] for i in b) for a, b in itertools.product(found, repeat=2))
+
+        plain = _Canonicalizer(FANO)
+        plain.run()
+        found = []
         c = _Canonicalizer(FANO)
+        c.auts = Redundant()
         c.run()
-        kept = _first_path_orbits(c.first_path, c.auts)
-        doubled = [g for g in c.auts for _ in range(2)]
-        products = [tuple(a[i] for i in b) for a, b in itertools.product(c.auts, repeat=2)]
-        assert _first_path_orbits(c.first_path, doubled + products) == kept
-        assert kept[1] == 168 and len(kept[0]) < len(c.auts)
+        assert found == plain.auts and len(c.auts) > 2 * len(found)
+        assert (c.kept, c.order) == (plain.kept, plain.order)
+        assert plain.order == 168 and len(plain.kept) == len(plain.auts) == 4
+
+    @pytest.mark.parametrize(
+        "s",
+        [FANO, perspective("perm:id@G2"), isolated_points(12), disjoint_triangles(4), projective_space(4)],
+        ids=["fano", "perm-id-G2", "points-12", "triangles-4", "pg32"],
+    )
+    def test_thinned_automorphisms_fix_the_prefix(self, monkeypatch, s):
+        # leaving the first-path node of depth L, every automorphism found
+        # so far fixes the first L points of the first path
+        levels = []
+        real_thin = _Canonicalizer._thin
+
+        def thin(self, level):
+            levels.append(level)
+            assert all(g[v] == v for g in self.auts for v in self.first_path[:level])
+            real_thin(self, level)
+
+        monkeypatch.setattr(_Canonicalizer, "_thin", thin)
+        c = _Canonicalizer(s)
+        c.run()
+        assert levels == list(range(len(c.first_path) - 1, -1, -1))
 
 
 def perm_family_iso(s1, s2):
