@@ -480,7 +480,7 @@ def _fact_2_2() -> Finding:
         v5 = canonical(_K.V5)
         swap = parse_cycles("(1,2)")
         image = sorted(
-            "{" + ",".join(str(u) for u in sorted(ln)) + "}"
+            "{" + ",".join("%d%d" % PAIRS[u] for u in sorted(ln)) + "}"
             for ln in v5.apply(extend(swap)).lines
         )
         witnesses.append(
@@ -749,7 +749,7 @@ def _lemma_4_4(structures, census) -> Finding:
     for i in (1, 2, 3, 4):
         explicit[a_name(i)] = b_name(i)
         explicit[b_name(i)] = a_name(i)
-    for u in PAIRS:
+    for u in range(len(PAIRS)):
         explicit[c_name(u)] = c_name(correlation(u))
     swap = tuple(POINTS.index(explicit[x]) for x in POINTS)  # on the frame's indices
     failures = []

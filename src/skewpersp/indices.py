@@ -1,19 +1,21 @@
 """Algebra over the index set I4 = {1, 2, 3, 4}.
 
-The six unordered pairs of I4 label the points of every axis configuration,
-so all higher layers lean on three primitives defined here:
+The six unordered pairs {i, j} of I4 label the points of every axis
+configuration.  A pair is its position 0-5 in ``PAIRS``, which lists the
+pairs as tuples (i, j) with i < j in one global order, 12, 13, 14, 23, 24,
+34; ``PAIRS[u]`` gives the ends of the pair at position u.  On top of that,
+two records:
 
-* ``Pair``         an unordered pair {i, j}, kept in a fixed global order,
 * ``Perm4``        a permutation of I4 with cycle-text parsing/rendering,
-* ``PairMap``      a bijection of the six pairs (extensions of permutations
-                   and the complement involution live here).
+* ``PairMap``      a bijection of the six pair positions (extensions of
+                   permutations and the complement involution live here).
 
 The complement involution ``correlation`` sends {i, j} to I4 minus {i, j};
 it commutes with every extended permutation, which is what makes the
 "boolean complementing" perspective family tick.
 
-All types are immutable tuple records, equal, ordered and hashed as the
-tuple of their fields; each checks its fields when it is constructed,
+Both records are immutable tuples, equal, ordered and hashed as the tuple
+of their fields; each checks its fields when it is constructed,
 ``_replace`` included.  Every enumeration order is fixed so downstream
 reports are reproducible byte for byte.
 """
@@ -35,48 +37,15 @@ def _check_index(i: int) -> int:
     return i
 
 
-class _PairFields(NamedTuple):
-    lo: int
-    hi: int
-
-
-class Pair(_PairFields):
-    """Unordered pair of distinct indices, stored as lo < hi."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo: int, hi: int) -> "Pair":
-        _check_index(lo)
-        _check_index(hi)
-        if lo >= hi:
-            raise ValueError(f"pair must satisfy lo < hi, got ({lo}, {hi})")
-        return super().__new__(cls, lo, hi)
-
-    # ``_replace`` builds through ``_make``, so it checks the fields too
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @staticmethod
-    def of(i: int, j: int) -> "Pair":
-        if i == j:
-            raise ValueError(f"pair needs two distinct indices, got {i} twice")
-        return Pair(min(i, j), max(i, j))
-
-    def __str__(self) -> str:
-        return f"{self.lo}{self.hi}"
-
-
 #: The six pairs in the global order used by every serialization:
-#: 12, 13, 14, 23, 24, 34.
-PAIRS: tuple[Pair, ...] = tuple(
-    Pair(i, j) for i, j in itertools.combinations(INDICES, 2)
-)
-PAIR_INDEX: dict[Pair, int] = {u: k for k, u in enumerate(PAIRS)}
+#: 12, 13, 14, 23, 24, 34.  A pair is its position in this tuple.
+PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.combinations(INDICES, 2))
 
 
-def correlation(u: Pair) -> Pair:
-    """Complement of a pair inside I4: {1,2} goes to {3,4} and so on."""
-    rest = [i for i in INDICES if i not in u]
-    return Pair(rest[0], rest[1])
+def correlation(u: int) -> int:
+    """Complement of the pair at position u inside I4, as a position:
+    {1,2} goes to {3,4} and so on."""
+    return PAIRS.index(tuple(i for i in INDICES if i not in PAIRS[u]))
 
 
 class _Perm4Fields(NamedTuple):
@@ -165,7 +134,8 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str) -> Perm4:
     """Parse disjoint-cycle text such as '(1,2)(3,4)' or '(1)(2,3,4)' or 'id'.
 
-    Fixed points may be written or omitted.  Raises ValueError with a
+    Fixed points may be written or omitted; indices are ASCII digits, as
+    ``int`` would read any Unicode digit.  Raises ValueError with a
     'malformed' message on syntax errors and a 'not a bijection' message when
     the cycles repeat an index.
     """
@@ -179,7 +149,7 @@ def parse_cycles(text: str) -> Perm4:
     seen: set[int] = set()
     for group in _CYCLE_RE.findall(text):
         items = [t.strip() for t in group.split(",")] if group.strip() else []
-        if not items or any(not t.isdigit() for t in items):
+        if not items or any(not (t.isascii() and t.isdigit()) for t in items):
             raise ValueError(f"malformed cycle text: {text!r}")
         xs = [int(t) for t in items]
         for x in xs:
@@ -194,11 +164,12 @@ def parse_cycles(text: str) -> Perm4:
 
 
 class _PairMapFields(NamedTuple):
-    images: tuple[int, int, int, int, int, int]  # indices into PAIRS
+    images: tuple[int, int, int, int, int, int]  # positions in PAIRS
 
 
 class PairMap(_PairMapFields):
-    """Bijection of the six pairs, stored as images in global pair order."""
+    """Bijection of the six pairs, stored as the image position of each
+    position in ``PAIRS``."""
 
     __slots__ = ()
 
@@ -209,9 +180,6 @@ class PairMap(_PairMapFields):
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __call__(self, u: Pair) -> Pair:
-        return PAIRS[self.images[PAIR_INDEX[u]]]
-
     def compose(self, other: "PairMap") -> "PairMap":
         return PairMap(tuple(self.images[k] for k in other.images))
 
@@ -221,8 +189,8 @@ class PairMap(_PairMapFields):
             img[self.images[k]] = k
         return PairMap(tuple(img))
 
-    def apply_line(self, line: frozenset[Pair]) -> frozenset[Pair]:
-        return frozenset(self(u) for u in line)
+    def apply_line(self, line: frozenset[int]) -> frozenset[int]:
+        return frozenset(self.images[u] for u in line)
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,11 +200,11 @@ def extend(phi: Perm4) -> PairMap:
     extend is a group homomorphism from S4 into the symmetric group of the
     six pairs and it commutes with ``correlation``.
     """
-    return PairMap(tuple(PAIR_INDEX[Pair.of(phi(u.lo), phi(u.hi))] for u in PAIRS))
+    return PairMap(tuple(PAIRS.index(tuple(sorted((phi(i), phi(j))))) for i, j in PAIRS))
 
 
 #: The complement involution as a PairMap.
-CORRELATION = PairMap(tuple(PAIR_INDEX[correlation(u)] for u in PAIRS))
+CORRELATION = PairMap(tuple(correlation(u) for u in range(len(PAIRS))))
 
 
 def is_subgroup(perms: frozenset[Perm4]) -> bool:

@@ -41,9 +41,7 @@ from .indices import (
     ALL_PERMS,
     CORRELATION,
     INDICES,
-    PAIR_INDEX,
     PAIRS,
-    Pair,
     Perm4,
     extend,
     parse_cycles,
@@ -65,7 +63,7 @@ from .veblen import (
 CENTER = "p"
 A_NAMES = tuple(f"a{i}" for i in INDICES)
 B_NAMES = tuple(f"b{i}" for i in INDICES)
-C_NAMES = tuple(PAIR_NAMES[u] for u in PAIRS)
+C_NAMES = PAIR_NAMES
 
 #: the role of each point, as ``build --levi`` prints it: center, A1..A4,
 #: B1..B4, C12..C34
@@ -85,7 +83,7 @@ def b_name(i: int) -> str:
     return B_NAMES[i - 1]
 
 
-def c_name(u: Pair) -> str:
+def c_name(u: int) -> str:
     return PAIR_NAMES[u]
 
 
@@ -134,20 +132,20 @@ _INDEX = {x: i for i, x in enumerate(POINTS)}
 CENTER_INDEX = _INDEX[CENTER]  # where every map between perspectives reads the center
 _A = tuple(_INDEX[x] for x in A_NAMES)  # a_i at position i - 1
 _B = tuple(_INDEX[x] for x in B_NAMES)
-_C = tuple(_INDEX[c_name(u)] for u in PAIRS)  # by position in PAIRS
-_B_ENDS = tuple((_INDEX[b_name(u.lo)], _INDEX[b_name(u.hi)]) for u in PAIRS)
+_C = tuple(_INDEX[x] for x in C_NAMES)  # by position in PAIRS
+_B_ENDS = tuple((_INDEX[b_name(i)], _INDEX[b_name(j)]) for i, j in PAIRS)
 #: the six A-side joins and the four center lines, the same in every perspective
 _FIXED_LINES = tuple(
     tuple(sorted(_INDEX[x] for x in ln))
     for ln in [
-        *((a_name(u.lo), a_name(u.hi), c_name(u)) for u in PAIRS),
+        *((a_name(i), a_name(j), c_name(u)) for u, (i, j) in enumerate(PAIRS)),
         *((CENTER, a_name(i), b_name(i)) for i in INDICES),
     ]
 )
 #: A* and B*, and the G_(i) of ``predicted_free_k5`` at position i - 1
 _TETRAHEDRA = tuple(tuple(sorted((CENTER_INDEX, *side))) for side in (_A, _B))
 _G = tuple(
-    tuple(sorted((_A[i - 1], _B[i - 1], *(_C[PAIR_INDEX[u]] for u in star(i)))))
+    tuple(sorted((_A[i - 1], _B[i - 1], *(_C[u] for u in star(i)))))
     for i in INDICES
 )
 
@@ -169,9 +167,9 @@ def _axis_triples(axis: VeblenConfig) -> tuple[tuple[int, ...], ...]:
     labelings exist."""
     triples = []
     for ln in axis.lines:
-        t = tuple(sorted(_C[PAIR_INDEX[u]] for u in ln))
+        t = tuple(sorted(_C[u] for u in ln))
         if len(set(t)) != 3:
-            raise PstsError([f"axis line is not a 3-set of pairs: {sorted(map(str, ln))}"])
+            raise PstsError([f"axis line is not a 3-set of pairs: {sorted(map(c_name, ln))}"])
         triples.append(t)
     return tuple(triples)
 
@@ -308,7 +306,7 @@ def image_perm(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> tuple[int, ...]
 # by the caller through ``load_axis``.
 
 _KIND_BY_NAME = {kind.value: kind for kind in CanonicalKind}
-_CENSUS_TOKEN = re.compile(r"census:(\d+)$")
+_CENSUS_TOKEN = re.compile(r"census:([0-9]+)$")  # ASCII digits only, as int() reads any
 
 _KIND_RANK = {canonical(kind): (0, pos) for pos, kind in enumerate(CanonicalKind)}
 

@@ -336,7 +336,7 @@ def from_text(text: str) -> Psts:
     if not rows:
         raise PstsError(["empty input"])
     head = rows[0].split()
-    if len(head) != 3 or head[0] != "psts" or not head[1].isdecimal() or not head[2].isdecimal():
+    if len(head) != 3 or head[0] != "psts" or not all(h.isascii() and h.isdecimal() for h in head[1:]):
         raise PstsError([f"bad header {rows[0]!r} (expected 'psts <points> <lines>')"])
     np_, nl = int(head[1]), int(head[2])
     if np_ == 0 and len(rows) == 1 + nl:

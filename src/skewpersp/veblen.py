@@ -1,13 +1,14 @@
 """Veblen (Pasch) configurations labeled by the six pairs of I4.
 
 A labeling here is a (6_2 4_3) configuration whose points are exactly the
-six pairs: four 3-subsets of pairs, every pair on two of them, two lines
-meeting in at most one pair.  There are 30 such labelings.  Six of them are
-singled out as canonical kinds; every labeling is the ``extend`` image of
-exactly one canonical kind, and the complement involution swaps the kinds
-in pairs (G2 with G2_STAR, B2 with V4, V5 with V6).  ``action_table``
-sends each census position (``census_index``) through the 48 candidate
-maps; both are built on first use, so the start stays cheap.
+six pairs, each by its position in ``PAIRS``: four 3-subsets of pairs,
+every pair on two of them, two lines meeting in at most one pair.  There
+are 30 such labelings.  Six of them are singled out as canonical kinds;
+every labeling is the ``extend`` image of exactly one canonical kind, and
+the complement involution swaps the kinds in pairs (G2 with G2_STAR, B2
+with V4, V5 with V6).  ``action_table`` sends each census position
+(``census_index``) through the 48 candidate maps; both are built on first
+use, so the start stays cheap.
 
 The star S(i) is the set of pairs through i, the top T(i) the set of pairs
 avoiding i.  Tops and stars are the only possible lines invariant enough to
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from enum import Enum
 from typing import NamedTuple
 
@@ -26,9 +28,7 @@ from .indices import (
     ALL_PERMS,
     CORRELATION,
     INDICES,
-    PAIR_INDEX,
     PAIRS,
-    Pair,
     PairMap,
     Perm4,
     conjugacy_classes_under,
@@ -37,29 +37,29 @@ from .indices import (
 )
 
 
-def star(i: int) -> frozenset[Pair]:
+def star(i: int) -> frozenset[int]:
     """S(i): the three pairs containing i."""
-    return frozenset(u for u in PAIRS if i in u)
+    return frozenset(u for u, ends in enumerate(PAIRS) if i in ends)
 
 
-def top(i: int) -> frozenset[Pair]:
+def top(i: int) -> frozenset[int]:
     """T(i): the three pairs avoiding i."""
-    return frozenset(u for u in PAIRS if i not in u)
+    return frozenset(u for u, ends in enumerate(PAIRS) if i not in ends)
 
 
-def _line_key(line: frozenset[Pair]) -> tuple[int, ...]:
-    return tuple(sorted(PAIR_INDEX[u] for u in line))
+def _line_key(line: frozenset[int]) -> tuple[int, ...]:
+    return tuple(sorted(line))
 
 
 class _VeblenFields(NamedTuple):
-    lines: tuple[frozenset[Pair], ...]
+    lines: tuple[frozenset[int], ...]
 
 
 class VeblenConfig(_VeblenFields):
     """A (6_2 4_3) configuration on the six pairs.
 
-    ``lines`` is a tuple of four frozensets of pairs, sorted by pair index,
-    so equal configurations compare equal.
+    ``lines`` is a tuple of four frozensets of pair positions, sorted, so
+    equal configurations compare equal.
     """
 
     __slots__ = ()
@@ -70,11 +70,8 @@ class VeblenConfig(_VeblenFields):
             raise ValueError("need exactly four 3-subsets of pairs")
         if len(set(lines)) != 4:
             raise ValueError("lines repeat")
-        count = {u: 0 for u in PAIRS}
-        for ln in lines:
-            for u in ln:
-                count[u] += 1
-        bad = {u: n for u, n in count.items() if n != 2}
+        count = Counter(u for ln in lines for u in ln)
+        bad = {u: count[u] for u in range(len(PAIRS)) if count[u] != 2}
         if bad:
             raise ValueError(f"pairs must lie on exactly 2 lines, violated at {bad}")
         for l1, l2 in itertools.combinations(lines, 2):
@@ -92,7 +89,7 @@ class VeblenConfig(_VeblenFields):
         The memo is bounded by 30 labelings times 720 pair bijections."""
         return enumerate_labelings()[census_index()[frozenset(m.apply_line(ln) for ln in self.lines)]]
 
-    def has_line(self, line: frozenset[Pair]) -> bool:
+    def has_line(self, line: frozenset[int]) -> bool:
         return line in self.lines
 
     def sort_key(self) -> tuple:
@@ -122,8 +119,8 @@ PARTNER: dict[CanonicalKind, CanonicalKind] = {
 }
 
 
-def _pairs(*texts: str) -> frozenset[Pair]:
-    return frozenset(Pair(int(t[0]), int(t[1])) for t in texts)
+def _pairs(*texts: str) -> frozenset[int]:
+    return frozenset(PAIRS.index((int(t[0]), int(t[1]))) for t in texts)
 
 
 _CANONICAL: dict[CanonicalKind, VeblenConfig] = {}
@@ -155,13 +152,13 @@ def canonical(kind: CanonicalKind) -> VeblenConfig:
 @functools.lru_cache(maxsize=1)
 def enumerate_labelings() -> tuple[VeblenConfig, ...]:
     """All 30 labelings, sorted.  A 3-subset of pairs is a 6-bit mask over
-    ``PAIR_INDEX``.  Each pair lies on two lines, so the four masks XOR to 0
-    and the first three force the fourth: the loop takes the sorted masks
-    three at a time and keeps ``d = a ^ b ^ c`` when it has three bits, is
-    larger than ``c``, makes the OR 63 (every pair on a line, so on two) and
-    no two of the four masks share two bits.  The 30 survivors are
+    the pair positions.  Each pair lies on two lines, so the four masks XOR
+    to 0 and the first three force the fourth: the loop takes the sorted
+    masks three at a time and keeps ``d = a ^ b ^ c`` when it has three
+    bits, is larger than ``c``, makes the OR 63 (every pair on a line, so on
+    two) and no two of the four masks share two bits.  The 30 survivors are
     constructed, with full validation."""
-    masks = sorted(sum(1 << PAIR_INDEX[u] for u in t) for t in itertools.combinations(PAIRS, 3))
+    masks = sorted(sum(1 << u for u in t) for t in itertools.combinations(range(len(PAIRS)), 3))
     out = []
     for a, b, c in itertools.combinations(masks, 3):
         d = a ^ b ^ c
@@ -169,7 +166,7 @@ def enumerate_labelings() -> tuple[VeblenConfig, ...]:
         if d > c and d.bit_count() == 3 and a | b | c | d == 63 and all(
             (x & y).bit_count() < 2 for x, y in itertools.combinations(m, 2)
         ):
-            out.append(VeblenConfig(frozenset(PAIRS[i] for i in range(6) if x >> i & 1) for x in m))
+            out.append(VeblenConfig(frozenset(u for u in range(6) if x >> u & 1) for x in m))
     return tuple(sorted(out, key=VeblenConfig.sort_key))
 
 
@@ -229,9 +226,10 @@ def lemma23_representatives(kind: CanonicalKind) -> tuple[tuple[Perm4, ...], ...
     return conjugacy_classes_under(frozenset(aut_perms(canonical(kind))))
 
 
-#: Point names used when a labeling crosses the PSTS text boundary.
-PAIR_NAMES: dict[Pair, str] = {u: f"c{u}" for u in PAIRS}
-_NAME_TO_PAIR: dict[str, Pair] = {name: u for u, name in PAIR_NAMES.items()}
+#: Point names used when a labeling crosses the PSTS text boundary, by
+#: pair position.
+PAIR_NAMES: tuple[str, ...] = tuple(f"c{i}{j}" for i, j in PAIRS)
+_NAME_TO_PAIR: dict[str, int] = {name: u for u, name in enumerate(PAIR_NAMES)}
 
 
 def from_psts(s) -> VeblenConfig:

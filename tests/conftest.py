@@ -154,7 +154,7 @@ def triangle_counts(s):
 def axis_psts(v):
     """The labeling ``v`` as a structure on the pair points c12 .. c34,
     the names an axis file uses."""
-    return Psts(PAIR_NAMES.values(), [[PAIR_NAMES[u] for u in ln] for ln in v.lines])
+    return Psts(PAIR_NAMES, [[PAIR_NAMES[u] for u in ln] for ln in v.lines])
 
 
 @pytest.fixture(scope="session")

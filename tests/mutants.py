@@ -165,6 +165,43 @@ MUTANTS: tuple[Mutant, ...] = (
         "usable = self.auts",
         ("tests/test_iso.py::TestPruning::test_only_path_fixing_automorphisms_prune",),
     ),
+    Mutant(
+        "correlation-is-identity",
+        "src/skewpersp/indices.py",
+        "    return PAIRS.index(tuple(i for i in INDICES if i not in PAIRS[u]))",
+        "    return u",
+        (
+            "tests/test_indices.py::TestCorrelation::test_fixed_point_free",
+            "tests/test_derivation.py::test_they_are_the_maps_of_the_action_table",
+        ),
+    ),
+    Mutant(
+        "pair-names-transposed",
+        "src/skewpersp/veblen.py",
+        'tuple(f"c{i}{j}" for i, j in PAIRS)',
+        'tuple(f"c{j}{i}" for i, j in PAIRS)',
+        (
+            "tests/test_derivation.py::test_they_are_the_maps_of_the_action_table",
+            "tests/test_cli.py::TestBuild::test_levi_pinned[perm]",
+        ),
+    ),
+    Mutant(
+        "cycle-digits-any-unicode",
+        "src/skewpersp/indices.py",
+        "any(not (t.isascii() and t.isdigit()) for t in items)",
+        "any(not t.isdigit() for t in items)",
+        (
+            "tests/test_indices.py::TestCycleText::test_malformed_text",
+            "tests/test_cli.py::TestErrors::test_spec_text_takes_ascii_digits_only[arabic-indic-cycle]",
+        ),
+    ),
+    Mutant(
+        "header-digits-any-unicode",
+        "src/skewpersp/psts.py",
+        "all(h.isascii() and h.isdecimal() for h in head[1:])",
+        "all(h.isdecimal() for h in head[1:])",
+        ("tests/test_cli.py::TestIso::test_non_ascii_count_is_bad_data",),
+    ),
 )
 
 

@@ -84,11 +84,11 @@ def test_criterion_02_labeling_census(census, census_audit):
     # independent brute force: every 4-subset of the twenty 3-subsets of
     # the six pair points, kept when each point lies on exactly two lines
     # and no two lines share more than one point
-    triples = [frozenset(t) for t in itertools.combinations(PAIRS, 3)]
+    triples = [frozenset(t) for t in itertools.combinations(range(len(PAIRS)), 3)]
     found = 0
     line_sets = set()
     for quad in itertools.combinations(triples, 4):
-        degree_ok = all(sum(p in t for t in quad) == 2 for p in PAIRS)
+        degree_ok = all(sum(p in t for t in quad) == 2 for p in range(len(PAIRS)))
         pair_ok = all(len(s & t) <= 1 for s, t in itertools.combinations(quad, 2))
         if degree_ok and pair_ok:
             found += 1

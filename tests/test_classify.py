@@ -563,7 +563,7 @@ def swap_entries(monkeypatch, x, y):
 
 
 def swap_two_c_points(monkeypatch):
-    swap_entries(monkeypatch, c_name(PAIRS[0]), c_name(PAIRS[-1]))
+    swap_entries(monkeypatch, c_name(0), c_name(len(PAIRS) - 1))
 
 
 def move_the_center(monkeypatch):

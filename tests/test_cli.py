@@ -221,6 +221,14 @@ class TestIso:
         assert code == EX_DATAERR
         assert "bad header" in err
 
+    def test_non_ascii_count_is_bad_data(self, capsys, tmp_path):
+        # an Arabic-Indic 3: a decimal digit that int() would read
+        f = tmp_path / "arabic.psts"
+        f.write_text("psts \u0663 1\na b c\na b c\n")
+        code, _, err = run(capsys, "aut", str(f))
+        assert code == EX_DATAERR
+        assert "bad header" in err
+
 
 class TestAut:
     def test_order_and_generators(self, capsys):
@@ -400,6 +408,23 @@ class TestErrors:
         # bare word that is neither a kind, census token, nor a file
         code, _, err = run(capsys, "build", "perm:id@XX")
         assert code in (EX_DATAERR, EX_NOINPUT)
+
+    @pytest.mark.parametrize(
+        "spec,code,message",
+        [
+            ("perm:(١,٢)@G2", EX_DATAERR, "malformed cycle text"),
+            ("perm:(1,²)@G2", EX_DATAERR, "malformed cycle text"),
+            # not a census token, so read as a path, as census:-1 is
+            ("perm:id@census:３", EX_NOINPUT, "axis file not found"),
+        ],
+        ids=["arabic-indic-cycle", "superscript-cycle", "fullwidth-census-index"],
+    )
+    def test_spec_text_takes_ascii_digits_only(self, capsys, spec, code, message):
+        """``int`` reads any Unicode decimal digit, so spec text must test
+        for ASCII digits itself."""
+        got, out, err = run(capsys, "build", spec)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and message in err
 
     def test_internal_error_is_not_a_verdict(self, capsys, monkeypatch):
         def broken(x, y):

@@ -31,7 +31,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from skewpersp import cli, iso
 from skewpersp.classify import enumerate_family
-from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, INDICES, PAIRS, extend
+from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, INDICES, extend
 from skewpersp.iso import (
     CanonicalKey,
     _Canonicalizer,
@@ -1371,8 +1371,8 @@ def reference_image_point_map(s, phi, case):
     for i in INDICES:
         m[a_name(i)] = a_to(phi(i))
         m[b_name(i)] = b_to(phi(i))
-    for u in PAIRS:
-        m[c_name(u)] = c_name(pairs(u))
+    for u, w in enumerate(pairs.images):
+        m[c_name(u)] = c_name(w)
     return m
 
 
