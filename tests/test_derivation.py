@@ -1,5 +1,6 @@
 """The paper's objects re-derived from their definitions, with no package
-code: so far the six edges of the tetrahedron, their complements, the
+code: so far the permutations of S4 with their composition, inverse and
+conjugation, the six edges of the tetrahedron, their complements, the
 edge maps of S4 and the 48 skews.  Only the final comparison imports the
 package, so a fault shared by the package's algebra and its tests cannot
 hide here."""
@@ -10,6 +11,25 @@ INDICES = (1, 2, 3, 4)
 #: the six edges of the tetrahedron on {1, 2, 3, 4}, in the order of
 #: their ends read as two-digit numbers: 12, 13, 14, 23, 24, 34
 EDGES = tuple(frozenset(e) for e in itertools.combinations(INDICES, 2))
+#: the 24 permutations of {1, 2, 3, 4}, each as its images of 1, 2, 3, 4,
+#: in lexicographic order
+PERMS = sorted(itertools.permutations(INDICES))
+
+
+def after(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation a after b, as images: i goes to a(b(i))."""
+    return tuple(a[b[i - 1] - 1] for i in INDICES)
+
+
+def group_tables() -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """S4's tables over the positions in ``PERMS``: the composition
+    ``comp[a][b]``, a after b; the inverse ``inv[a]``; and the conjugation
+    ``conj[a][b]``, a b a^-1."""
+    comp = [[PERMS.index(after(a, b)) for b in PERMS] for a in PERMS]
+    inverses = [tuple(a.index(i) + 1 for i in INDICES) for a in PERMS]
+    inv = [PERMS.index(a) for a in inverses]
+    conj = [[PERMS.index(after(after(a, b), a_inv)) for b in PERMS] for a, a_inv in zip(PERMS, inverses)]
+    return comp, inv, conj
 
 
 def ends(e: frozenset) -> tuple[int, int]:
@@ -43,6 +63,16 @@ def induced() -> dict[tuple[int, ...], tuple[int, ...]]:
     return out
 
 
+def test_the_group_tables_are_a_group():
+    comp, inv, conj = group_tables()
+    identity = PERMS.index(INDICES)
+    assert identity == 0 and len(PERMS) == len(set(PERMS)) == 24
+    for a in range(24):
+        assert comp[a][inv[a]] == comp[inv[a]][a] == identity
+        assert conj[a][identity] == identity and conj[identity][a] == a
+    assert any(comp[a][b] != comp[b][a] for a in range(24) for b in range(24))
+
+
 def test_48_skews_of_which_24_are_induced():
     found = skews()
     plain = set(induced().values())
@@ -53,15 +83,22 @@ def test_48_skews_of_which_24_are_induced():
 
 
 def test_they_are_the_maps_of_the_action_table():
-    """The package's pairs are the six edges, by position, and its
-    complement, its extension of each permutation and its pair point names
-    are the derived ones.  Each skew moves the package's census of
-    labelings exactly as one row of ``veblen.action_table`` says, the
-    induced ones as rows 0-23 and the others as rows 24-47; the 48 rows
-    are distinct, so the table holds each skew exactly once."""
+    """The package's permutations are the derived ones in the same order,
+    with the same composition, inverse and conjugation tables.  Its pairs
+    are the six edges, by position, and its complement, its extension of
+    each permutation and its pair point names are the derived ones.  Each
+    skew moves the package's census of labelings exactly as one row of
+    ``veblen.action_table`` says, the induced ones as rows 0-23 and the
+    others as rows 24-47; the 48 rows are distinct, so the table holds
+    each skew exactly once.  Row k is the edge map of permutation k, and
+    row 24 + k that map followed by the complement."""
     from skewpersp.indices import ALL_PERMS, CORRELATION, PAIRS, extend
+    from skewpersp.perspective import _family_tables
     from skewpersp.veblen import PAIR_NAMES, action_table, enumerate_labelings
 
+    assert [phi.images for phi in ALL_PERMS] == PERMS
+    t = _family_tables()
+    assert ([list(row) for row in t.comp], list(t.inv), [list(row) for row in t.conj]) == group_tables()
     assert PAIRS == tuple(ends(e) for e in EDGES)
     assert CORRELATION.images == complements()
     assert {phi.images: extend(phi).images for phi in ALL_PERMS} == induced()
@@ -80,3 +117,7 @@ def test_they_are_the_maps_of_the_action_table():
     plain = set(induced().values())
     assert {row(m) for m in plain} == set(table[:24])
     assert {row(m) for m in skews() if m not in plain} == set(table[24:])
+    edge_maps = [induced()[p] for p in PERMS]
+    cor = complements()
+    assert [row(m) for m in edge_maps] == list(table[:24])
+    assert [row(tuple(cor[k] for k in m)) for m in edge_maps] == list(table[24:])
