@@ -10,7 +10,7 @@ published classification against the computed one.
 
 Subpackage map:
 
-    indices      index set {1,2,3,4}, its six pairs by position, permutation algebra
+    indices      index set {1,2,3,4}, its pairs and permutations by position, S4's tables
     psts         partial Steiner triple systems, free complete subgraphs
     veblen       Veblen (Pasch) configurations labeled by the six pairs
     perspective  construction of the two perspective families, their criteria

@@ -48,11 +48,12 @@ from typing import NamedTuple
 from .indices import (
     ALL_PERMS,
     CORRELATION,
+    EXTEND,
     IDENTITY,
-    correlation,
-    extend,
+    fixed_points,
     parse_cycles,
     render_cycles,
+    s4_tables,
 )
 from .iso import (
     CanonicalKey,
@@ -107,7 +108,7 @@ def enumerate_family(
         raise ValueError("need at least one axis")
     specs = [
         PerspectiveSpec(family, perm, axis)
-        for perm in ALL_PERMS
+        for perm in range(len(ALL_PERMS))
         for axis in axes
     ]
     return tuple(sorted(specs, key=PerspectiveSpec.sort_key))
@@ -481,7 +482,7 @@ def _fact_2_2() -> Finding:
         swap = parse_cycles("(1,2)")
         image = sorted(
             "{" + ",".join("%d%d" % PAIRS[u] for u in sorted(ln)) + "}"
-            for ln in v5.apply(extend(swap)).lines
+            for ln in v5.apply(EXTEND[swap]).lines
         )
         witnesses.append(
             "(1,2) fixes the index 3 yet extend((1,2)) sends the V5 line set to "
@@ -561,7 +562,7 @@ def _lemma_3_1(structures, perm_specs) -> Finding:
             mismatches.append(spec_text(s))
         has_extra = len(built.free_k5) >= 3
         triangles = star_triangles(s.axis)
-        condition = any(i in triangles for i in s.perm.fixed_points())
+        condition = any(i in triangles for i in fixed_points(s.perm))
         if has_extra != condition:
             dichotomy_fail.append(spec_text(s))
     ok = not mismatches and not dichotomy_fail
@@ -750,7 +751,7 @@ def _lemma_4_4(structures, census) -> Finding:
         explicit[a_name(i)] = b_name(i)
         explicit[b_name(i)] = a_name(i)
     for u in range(len(PAIRS)):
-        explicit[c_name(u)] = c_name(correlation(u))
+        explicit[c_name(u)] = c_name(CORRELATION[u])
     swap = tuple(POINTS.index(explicit[x]) for x in POINTS)  # on the frame's indices
     failures = []
     keys_differ = []
@@ -777,20 +778,20 @@ def _lemma_4_4(structures, census) -> Finding:
 
 
 def _cor_4_6() -> Finding:
-    """The second spec is moved by the object algebra, the images come
-    from the integer tables; the two meet as spec ids."""
+    """The second spec's axis is moved by ``VeblenConfig.apply``, the
+    images come from ``action_table``; the two meet as spec ids."""
     checked = 0
     failures = []
     kappa = SkewFamily.PERM_KAPPA
-    for phi in ALL_PERMS:
+    conj = s4_tables()[2]
+    for phi in range(len(ALL_PERMS)):
         images = {
             kind: set(image_ids(kappa, spec_id(phi, canonical(kind)))) for kind in CanonicalKind
         }
-        for alpha in ALL_PERMS:
-            conj = phi.conjugate_by(alpha)
+        for alpha in range(len(ALL_PERMS)):
             for kind in CanonicalKind:
                 checked += 1
-                if spec_id(conj, canonical(kind).apply(extend(alpha))) not in images[kind]:
+                if spec_id(conj[alpha][phi], canonical(kind).apply(EXTEND[alpha])) not in images[kind]:
                     failures.append(
                         f"phi={render_cycles(phi)} alpha={render_cycles(alpha)} axis={kind}"
                     )
@@ -812,10 +813,10 @@ def _lemma_4_8(structures) -> Finding:
         # S4's classes under conjugation by the axis automorphisms (Lemma 2.3)
         cls = {b: k for k, members in enumerate(lemma23_representatives(kind)) for b in members}
         keys = {}
-        for beta in ALL_PERMS:
+        for beta in range(len(ALL_PERMS)):
             s = PerspectiveSpec(SkewFamily.PERM_KAPPA, beta, axis)
             keys[beta] = structures.record(s).key
-        for b1, b2 in itertools.combinations_with_replacement(ALL_PERMS, 2):
+        for b1, b2 in itertools.combinations_with_replacement(range(len(ALL_PERMS)), 2):
             checked += 1
             conjugate = cls[b1] == cls[b2]
             if conjugate != (keys[b1] == keys[b2]):

@@ -3,21 +3,20 @@
 The six unordered pairs {i, j} of I4 label the points of every axis
 configuration.  A pair is its position 0-5 in ``PAIRS``, which lists the
 pairs as tuples (i, j) with i < j in one global order, 12, 13, 14, 23, 24,
-34; ``PAIRS[u]`` gives the ends of the pair at position u.  On top of that,
-two records:
+34; ``PAIRS[u]`` gives the ends of the pair at position u.  A permutation
+of I4 is its position 0-23 in ``ALL_PERMS``, which lists the image tuples
+(phi(1), ..., phi(4)) in lexicographic order, so positions order the
+permutations as their images do.  A map of the six pairs is the 6-tuple
+of the image position of each position, such as ``EXTEND[phi]``, the
+extension of phi to pairs, and ``CORRELATION``.
 
-* ``Perm4``        a permutation of I4 with cycle-text parsing/rendering,
-* ``PairMap``      a bijection of the six pair positions (extensions of
-                   permutations and the complement involution live here).
-
-The complement involution ``correlation`` sends {i, j} to I4 minus {i, j};
+The complement involution ``CORRELATION`` sends {i, j} to I4 minus {i, j};
 it commutes with every extended permutation, which is what makes the
 "boolean complementing" perspective family tick.
 
-Both records are immutable tuples, equal, ordered and hashed as the tuple
-of their fields; each checks its fields when it is constructed,
-``_replace`` included.  Every enumeration order is fixed so downstream
-reports are reproducible byte for byte.
+S4's composition, inverse and conjugation tables (``s4_tables``) are
+built on first use, so the start stays cheap.  Every enumeration order is
+fixed so downstream reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -26,113 +25,70 @@ import functools
 import itertools
 import re
 from collections.abc import Callable, Sequence
-from typing import NamedTuple
 
 INDICES: tuple[int, int, int, int] = (1, 2, 3, 4)
-
-
-def _check_index(i: int) -> int:
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"index out of range 1..4: {i!r}")
-    return i
-
 
 #: The six pairs in the global order used by every serialization:
 #: 12, 13, 14, 23, 24, 34.  A pair is its position in this tuple.
 PAIRS: tuple[tuple[int, int], ...] = tuple(itertools.combinations(INDICES, 2))
 
+#: All 24 permutations as image tuples, in lexicographic order.  A
+#: permutation is its position in this tuple; the identity is 0.
+ALL_PERMS: tuple[tuple[int, int, int, int], ...] = tuple(itertools.permutations(INDICES))
+IDENTITY = 0
 
-def correlation(u: int) -> int:
-    """Complement of the pair at position u inside I4, as a position:
-    {1,2} goes to {3,4} and so on."""
-    return PAIRS.index(tuple(i for i in INDICES if i not in PAIRS[u]))
+#: The complement involution on pair positions: {1,2} goes to {3,4} and so on.
+CORRELATION: tuple[int, ...] = tuple(
+    PAIRS.index(tuple(i for i in INDICES if i not in ends)) for ends in PAIRS
+)
 
-
-class _Perm4Fields(NamedTuple):
-    images: tuple[int, int, int, int]
-
-
-class Perm4(_Perm4Fields):
-    """Permutation of I4, stored by its image tuple (phi(1), ..., phi(4))."""
-
-    __slots__ = ()
-
-    def __new__(cls, images: tuple[int, int, int, int]) -> "Perm4":
-        if sorted(images) != [1, 2, 3, 4]:
-            raise ValueError(f"not a bijection of 1..4: images {images}")
-        return super().__new__(cls, images)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __call__(self, i: int) -> int:
-        return self.images[_check_index(i) - 1]
-
-    # only 24 distinct values exist, so the group operations below are
-    # memoized; the tables stay tiny and hit rates are near total
-
-    @functools.lru_cache(maxsize=None)
-    def compose(self, other: "Perm4") -> "Perm4":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Perm4(tuple(self(other(i)) for i in INDICES))
-
-    @functools.lru_cache(maxsize=None)
-    def inverse(self) -> "Perm4":
-        img = [0, 0, 0, 0]
-        for i in INDICES:
-            img[self(i) - 1] = i
-        return Perm4(tuple(img))
-
-    @functools.lru_cache(maxsize=None)
-    def conjugate_by(self, alpha: "Perm4") -> "Perm4":
-        """alpha . self . alpha^-1."""
-        return alpha.compose(self).compose(alpha.inverse())
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i in INDICES if self(i) == i)
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycle decomposition, fixed points included, each cycle
-        starting at its least element, cycles ordered by least element."""
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for i in INDICES:
-            if i in seen:
-                continue
-            cyc = [i]
-            seen.add(i)
-            j = self(i)
-            while j != i:
-                cyc.append(j)
-                seen.add(j)
-                j = self(j)
-            out.append(tuple(cyc))
-        return tuple(out)
-
-    def __str__(self) -> str:
-        return render_cycles(self)
-
-
-IDENTITY = Perm4((1, 2, 3, 4))
-
-#: All 24 permutations in lexicographic order of their image tuples.
-ALL_PERMS: tuple[Perm4, ...] = tuple(
-    Perm4(img) for img in sorted(itertools.permutations(INDICES))
+#: The extension of each permutation to pairs: {i, j} goes to
+#: {phi(i), phi(j)}.  extend is a group homomorphism from S4 into the
+#: symmetric group of the six pairs and it commutes with ``CORRELATION``.
+EXTEND: tuple[tuple[int, ...], ...] = tuple(
+    tuple(PAIRS.index(tuple(sorted((img[i - 1], img[j - 1])))) for i, j in PAIRS) for img in ALL_PERMS
 )
 
 
-def render_cycles(phi: Perm4) -> str:
-    """Disjoint-cycle text with fixed points omitted; identity renders as 'id'."""
-    parts = [c for c in phi.cycles() if len(c) > 1]
-    if not parts:
-        return "id"
-    return "".join("(" + ",".join(str(i) for i in c) + ")" for c in parts)
+@functools.lru_cache(maxsize=1)
+def s4_tables() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """S4's tables over positions: the composition ``comp[a][b]``, a after
+    b; the inverse ``inv[a]``; and the conjugation ``conj[a][b]``,
+    a b a^-1.  Built on first use."""
+    index = {img: k for k, img in enumerate(ALL_PERMS)}
+    comp = tuple(tuple(index[tuple(a[i - 1] for i in b)] for b in ALL_PERMS) for a in ALL_PERMS)
+    inv = tuple(row.index(IDENTITY) for row in comp)
+    conj = tuple(tuple(comp[row[b]][inv[a]] for b in range(len(ALL_PERMS))) for a, row in enumerate(comp))
+    return comp, inv, conj
+
+
+def fixed_points(phi: int) -> tuple[int, ...]:
+    """The indices that the permutation at position phi fixes."""
+    return tuple(i for i in INDICES if ALL_PERMS[phi][i - 1] == i)
+
+
+def render_cycles(phi: int) -> str:
+    """Disjoint-cycle text of the permutation at position phi, each cycle
+    from its least index, cycles ordered by it, fixed points omitted; the
+    identity renders as 'id'."""
+    img, seen, parts = ALL_PERMS[phi], set(), []
+    for i in INDICES:
+        if i in seen or img[i - 1] == i:
+            continue
+        cyc = [i]
+        while img[cyc[-1] - 1] != i:
+            cyc.append(img[cyc[-1] - 1])
+        seen.update(cyc)
+        parts.append("(" + ",".join(map(str, cyc)) + ")")
+    return "".join(parts) or "id"
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str) -> Perm4:
-    """Parse disjoint-cycle text such as '(1,2)(3,4)' or '(1)(2,3,4)' or 'id'.
+def parse_cycles(text: str) -> int:
+    """Parse disjoint-cycle text such as '(1,2)(3,4)' or '(1)(2,3,4)' or 'id'
+    into the permutation's position.
 
     Fixed points may be written or omitted; indices are ASCII digits, as
     ``int`` would read any Unicode digit.  Raises ValueError with a
@@ -160,64 +116,15 @@ def parse_cycles(text: str) -> Perm4:
             seen.add(x)
         for a, b in zip(xs, xs[1:] + xs[:1]):
             img[a] = b
-    return Perm4(tuple(img[i] for i in INDICES))
+    return ALL_PERMS.index(tuple(img[i] for i in INDICES))
 
 
-class _PairMapFields(NamedTuple):
-    images: tuple[int, int, int, int, int, int]  # positions in PAIRS
-
-
-class PairMap(_PairMapFields):
-    """Bijection of the six pairs, stored as the image position of each
-    position in ``PAIRS``."""
-
-    __slots__ = ()
-
-    def __new__(cls, images: tuple[int, int, int, int, int, int]) -> "PairMap":
-        if sorted(images) != [0, 1, 2, 3, 4, 5]:
-            raise ValueError(f"not a bijection of the six pairs: {images}")
-        return super().__new__(cls, images)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def compose(self, other: "PairMap") -> "PairMap":
-        return PairMap(tuple(self.images[k] for k in other.images))
-
-    def inverse(self) -> "PairMap":
-        img = [0] * 6
-        for k in range(6):
-            img[self.images[k]] = k
-        return PairMap(tuple(img))
-
-    def apply_line(self, line: frozenset[int]) -> frozenset[int]:
-        return frozenset(self.images[u] for u in line)
-
-
-@functools.lru_cache(maxsize=None)
-def extend(phi: Perm4) -> PairMap:
-    """Extension of a permutation to pairs: {i, j} goes to {phi(i), phi(j)}.
-
-    extend is a group homomorphism from S4 into the symmetric group of the
-    six pairs and it commutes with ``correlation``.
-    """
-    return PairMap(tuple(PAIRS.index(tuple(sorted((phi(i), phi(j))))) for i, j in PAIRS))
-
-
-#: The complement involution as a PairMap.
-CORRELATION = PairMap(tuple(correlation(u) for u in range(len(PAIRS))))
-
-
-def is_subgroup(perms: frozenset[Perm4]) -> bool:
+def is_subgroup(perms: frozenset[int]) -> bool:
     """True when the given set of permutations forms a subgroup of S4."""
-    if IDENTITY not in perms:
-        return False
-    for a in perms:
-        if a.inverse() not in perms:
-            return False
-        for b in perms:
-            if a.compose(b) not in perms:
-                return False
-    return True
+    comp, inv, _ = s4_tables()
+    return IDENTITY in perms and all(
+        inv[a] in perms and all(comp[a][b] in perms for b in perms) for a in perms
+    )
 
 
 def orbits(items: Sequence, images: Callable) -> tuple[tuple, ...]:
@@ -233,9 +140,7 @@ def orbits(items: Sequence, images: Callable) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def conjugacy_classes_under(
-    group: frozenset[Perm4] | set[Perm4] | tuple[Perm4, ...],
-) -> tuple[tuple[Perm4, ...], ...]:
+def conjugacy_classes_under(group: frozenset[int] | set[int] | tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Orbits of all 24 permutations under conjugation by a subgroup.
 
     Each class is sorted, classes are ordered by their least member, so the
@@ -245,4 +150,5 @@ def conjugacy_classes_under(
     H = frozenset(group)
     if not is_subgroup(H):
         raise ValueError("conjugating set is not a subgroup of S4")
-    return orbits(ALL_PERMS, lambda g: {g.conjugate_by(a) for a in H})
+    conj = s4_tables()[2]
+    return orbits(range(len(ALL_PERMS)), lambda g: {conj[a][g] for a in H})

@@ -22,7 +22,7 @@ C_u) is its name, spelled out in ``ROLE_LABELS``.
 The closed-form criteria of the two families (Prop. 3.2 and 4.5) live
 here too, phrased over S4 and the axis and solved for the second spec:
 ``image_ids`` lists the 48 specs one spec is related to, as integer spec
-ids read from a small table of the S4 action and ``veblen.action_table``.
+ids read from ``indices.s4_tables`` and ``veblen.action_table``.
 In the plain family those are exactly the specs a center-fixing
 isomorphism reaches, in the boolean-complementing family (where every
 isomorphism fixes the center) exactly the isomorphic ones.
@@ -40,12 +40,13 @@ from typing import NamedTuple
 from .indices import (
     ALL_PERMS,
     CORRELATION,
+    EXTEND,
     INDICES,
     PAIRS,
-    Perm4,
-    extend,
+    fixed_points,
     parse_cycles,
     render_cycles,
+    s4_tables,
 )
 from .psts import Psts, PstsError
 from .veblen import (
@@ -97,7 +98,7 @@ class SkewFamily(Enum):
 
 class _SpecFields(NamedTuple):
     family: SkewFamily
-    perm: Perm4
+    perm: int  # position in ALL_PERMS
     axis: VeblenConfig
 
 
@@ -122,7 +123,7 @@ class PerspectiveSpec(_SpecFields):
         # canonical-kind axes outrank census ones so representatives keep
         # their kind-name spelling whichever axis set was enumerated
         rank = _axis_rank(self.axis)
-        return (self.family.value, rank[0], self.perm.images, rank)
+        return (self.family.value, rank[0], self.perm, rank)
 
 
 #: The frame every perspective is built on: its 15 point names in sorted
@@ -175,14 +176,14 @@ def _axis_triples(axis: VeblenConfig) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _join_triples(family: SkewFamily, perm: Perm4) -> tuple[tuple[int, ...], ...]:
+def _join_triples(family: SkewFamily, perm: int) -> tuple[tuple[int, ...], ...]:
     """The six B-side joins of ``build``, as index triples: memoized, as
     they depend on the family and the permutation only, 48 skews."""
-    delta = extend(perm)
+    delta = EXTEND[perm]
     if family is SkewFamily.PERM_KAPPA:
-        delta = delta.compose(CORRELATION)
+        delta = tuple(delta[k] for k in CORRELATION)
     return tuple(
-        tuple(sorted((lo, hi, _C[u]))) for (lo, hi), u in zip(_B_ENDS, delta.inverse().images)
+        tuple(sorted((lo, hi, _C[delta.index(u)]))) for u, (lo, hi) in enumerate(_B_ENDS)
     )
 
 
@@ -198,7 +199,7 @@ def predicted_free_k5(spec: PerspectiveSpec) -> tuple[tuple[int, ...], ...]:
     cliques = list(_TETRAHEDRA)
     if spec.family is SkewFamily.PERM:
         triangles = star_triangles(spec.axis)
-        cliques += (_G[i - 1] for i in spec.perm.fixed_points() if i in triangles)
+        cliques += (_G[i - 1] for i in fixed_points(spec.perm) if i in triangles)
     return tuple(sorted(cliques))
 
 
@@ -213,35 +214,16 @@ class IsoCase(Enum):
 
 #: The (phi, case) of each family image, in the order ``image_ids`` lists
 #: them: case A first, phi in ``ALL_PERMS`` order.
-IMAGE_WITNESSES: tuple[tuple[Perm4, IsoCase], ...] = tuple(
-    (phi, case) for case in IsoCase for phi in ALL_PERMS
+IMAGE_WITNESSES: tuple[tuple[int, IsoCase], ...] = tuple(
+    (phi, case) for case in IsoCase for phi in range(len(ALL_PERMS))
 )
 
 
-class _FamilyTables:
-    """A spec's id is ``perm * n_axes + axis``: its permutation's index in
-    ``ALL_PERMS`` and its axis's census position.  ``conj[phi][sigma]`` is
-    phi sigma phi^-1, ``comp[phi][sigma]`` phi sigma, ``inv[sigma]`` sigma^-1."""
-
-    def __init__(self) -> None:
-        self.n_axes = len(enumerate_labelings())
-        self.perm_index = perm = {phi: k for k, phi in enumerate(ALL_PERMS)}
-        self.conj = tuple(tuple(perm[s.conjugate_by(phi)] for s in ALL_PERMS) for phi in ALL_PERMS)
-        self.comp = tuple(tuple(perm[phi.compose(s)] for s in ALL_PERMS) for phi in ALL_PERMS)
-        self.inv = tuple(perm[s.inverse()] for s in ALL_PERMS)
-
-
-@functools.cache
-def _family_tables() -> _FamilyTables:
-    # built on first use, so importing the package stays cheap
-    return _FamilyTables()
-
-
-def spec_id(perm: Perm4, axis: VeblenConfig) -> int:
+def spec_id(perm: int, axis: VeblenConfig) -> int:
     """The integer id of the spec with skew permutation ``perm`` over
-    ``axis``, in either family."""
-    t = _family_tables()
-    return t.perm_index[perm] * t.n_axes + census_index()[axis]
+    ``axis``, in either family: ``perm`` times the census size, plus the
+    axis's census position."""
+    return perm * len(enumerate_labelings()) + census_index()[axis]
 
 
 def image_ids(family: SkewFamily, sid: int) -> list[int]:
@@ -265,17 +247,17 @@ def image_ids(family: SkewFamily, sid: int) -> list[int]:
     boolean-complementing family.  The first (phi, case) whose image is a
     given spec is the first witness of a scan over S4.
     """
-    t, act = _family_tables(), action_table()
-    n = t.n_axes
+    (comp, inv, conj), act = s4_tables(), action_table()
+    n = len(enumerate_labelings())
     sigma, axis = divmod(sid, n)
-    sigma_inv = t.inv[sigma]
-    ids = [conj[sigma] * n + row[axis] for conj, row in zip(t.conj, act)]
+    sigma_inv = inv[sigma]
+    ids = [c[sigma] * n + row[axis] for c, row in zip(conj, act)]
     rows = act[24:] if family is SkewFamily.PERM_KAPPA else act
-    ids += [conj[sigma_inv] * n + rows[comp[sigma]][axis] for conj, comp in zip(t.conj, t.comp)]
+    ids += [c[sigma_inv] * n + rows[p[sigma]][axis] for c, p in zip(conj, comp)]
     return ids
 
 
-def image_perm(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> tuple[int, ...]:
+def image_perm(s: PerspectiveSpec, phi: int, case: IsoCase) -> tuple[int, ...]:
     """The point map that carries the structure of ``s`` onto that of its
     family image under (phi, case), on the frame's indices, center fixed.
 
@@ -285,15 +267,15 @@ def image_perm(s: PerspectiveSpec, phi: Perm4, case: IsoCase) -> tuple[int, ...]
     complement involution in the boolean-complementing family.  The c
     points always follow the pair map that moves the axis."""
     if case is IsoCase.A:
-        a_to, b_to, pairs = _A, _B, extend(phi)
+        a_to, b_to, pairs = _A, _B, EXTEND[phi]
     else:
-        a_to, b_to, pairs = _B, _A, extend(phi.compose(s.perm))
+        a_to, b_to, pairs = _B, _A, EXTEND[s4_tables()[0][phi][s.perm]]
         if s.family is SkewFamily.PERM_KAPPA:
-            pairs = pairs.compose(CORRELATION)
+            pairs = tuple(pairs[k] for k in CORRELATION)
     m = list(range(len(POINTS)))  # every entry but the center's is set below
-    for a, b, k in zip(_A, _B, phi.images):
+    for a, b, k in zip(_A, _B, ALL_PERMS[phi]):
         m[a], m[b] = a_to[k - 1], b_to[k - 1]
-    for c, k in zip(_C, pairs.images):
+    for c, k in zip(_C, pairs):
         m[c] = _C[k]
     return tuple(m)
 

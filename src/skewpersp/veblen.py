@@ -7,8 +7,10 @@ are 30 such labelings.  Six of them are singled out as canonical kinds;
 every labeling is the ``extend`` image of exactly one canonical kind, and
 the complement involution swaps the kinds in pairs (G2 with G2_STAR, B2
 with V4, V5 with V6).  ``action_table`` sends each census position
-(``census_index``) through the 48 candidate maps; both are built on first
-use, so the start stays cheap.
+(``census_index``) through the 48 candidate maps, the ``EXTEND`` maps of
+the 24 permutations and those followed by ``CORRELATION``; both are built
+on first use, so the start stays cheap.  Row k of the table belongs to
+the permutation at position k of ``ALL_PERMS``.
 
 The star S(i) is the set of pairs through i, the top T(i) the set of pairs
 avoiding i.  Tops and stars are the only possible lines invariant enough to
@@ -25,14 +27,11 @@ from enum import Enum
 from typing import NamedTuple
 
 from .indices import (
-    ALL_PERMS,
     CORRELATION,
+    EXTEND,
     INDICES,
     PAIRS,
-    PairMap,
-    Perm4,
     conjugacy_classes_under,
-    extend,
     orbits,
 )
 
@@ -82,12 +81,14 @@ class VeblenConfig(_VeblenFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @functools.lru_cache(maxsize=None)
-    def apply(self, m: PairMap) -> "VeblenConfig":
-        """The image labeling under a pair bijection.  A bijection of the
-        six pairs carries a labeling onto a labeling, so the image is the
-        census instance with those lines, looked up without re-validation.
-        The memo is bounded by 30 labelings times 720 pair bijections."""
-        return enumerate_labelings()[census_index()[frozenset(m.apply_line(ln) for ln in self.lines)]]
+    def apply(self, m: tuple[int, ...]) -> "VeblenConfig":
+        """The image labeling under a pair bijection, given as the image
+        position of each pair position.  A bijection of the six pairs
+        carries a labeling onto a labeling, so the image is the census
+        instance with those lines, looked up without re-validation.  The
+        memo is bounded by 30 labelings times 720 pair bijections."""
+        lines = frozenset(frozenset(m[u] for u in ln) for ln in self.lines)
+        return enumerate_labelings()[census_index()[lines]]
 
     def has_line(self, line: frozenset[int]) -> bool:
         return line in self.lines
@@ -133,7 +134,7 @@ _CANONICAL[CanonicalKind.V5] = VeblenConfig(
 )
 for _plain in tuple(_CANONICAL):
     _CANONICAL[PARTNER[_plain]] = VeblenConfig(
-        tuple(CORRELATION.apply_line(ln) for ln in _CANONICAL[_plain].lines)
+        tuple(frozenset(CORRELATION[u] for u in ln) for ln in _CANONICAL[_plain].lines)
     )
 
 
@@ -180,10 +181,10 @@ def census_index() -> dict[VeblenConfig | frozenset, int]:
 @functools.lru_cache(maxsize=1)
 def action_table() -> tuple[tuple[int, ...], ...]:
     """Where the 48 candidate maps send each census position: row k is
-    extend(``ALL_PERMS[k]``), row 24 + k is row k read through the row of
-    the complement involution, which commutes with every extend(phi)."""
+    ``EXTEND[k]``, row 24 + k is row k read through the row of the
+    complement involution, which commutes with every extend(phi)."""
     census, index = enumerate_labelings(), census_index()
-    rows = [tuple(index[v.apply(extend(phi))] for v in census) for phi in ALL_PERMS]
+    rows = [tuple(index[v.apply(m)] for v in census) for m in EXTEND]
     cor = tuple(index[v.apply(CORRELATION)] for v in census)
     return tuple(rows + [tuple(cor[k] for k in row) for row in rows])
 
@@ -203,11 +204,11 @@ def star_triangles(v: VeblenConfig) -> tuple[int, ...]:
     return tuple(out)
 
 
-def aut_perms(v: VeblenConfig) -> tuple[Perm4, ...]:
+def aut_perms(v: VeblenConfig) -> tuple[int, ...]:
     """All permutations whose extension maps v onto itself: the phi whose
     row of ``action_table`` fixes v's census position."""
     k = census_index()[v]
-    return tuple(phi for phi, row in zip(ALL_PERMS, action_table()) if row[k] == k)
+    return tuple(phi for phi, row in enumerate(action_table()[:24]) if row[k] == k)
 
 
 def census_orbits(complemented: bool) -> tuple[tuple[VeblenConfig, ...], ...]:
@@ -218,7 +219,7 @@ def census_orbits(complemented: bool) -> tuple[tuple[VeblenConfig, ...], ...]:
     return orbits(census, lambda v: {census[row[census_index()[v]]] for row in rows})
 
 
-def lemma23_representatives(kind: CanonicalKind) -> tuple[tuple[Perm4, ...], ...]:
+def lemma23_representatives(kind: CanonicalKind) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes of all of S4 under the automorphism group of the
     canonical labeling of this kind, each class sorted with its least
     member first.  The class count drives the perspective classification:

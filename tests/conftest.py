@@ -15,7 +15,6 @@ from skewpersp.classify import (
     enumerate_family,
     partition_into_classes,
 )
-from skewpersp.indices import ALL_PERMS
 from skewpersp.iso import _canonical_search, _pack_shift, _pasch_seed, _rank_raw, _signatures, orbit_label
 from skewpersp.perspective import CENTER_INDEX, IMAGE_WITNESSES, PerspectiveSpec, SkewFamily, image_ids, spec_id
 from skewpersp.psts import Psts, _free_cliques
@@ -62,7 +61,7 @@ def family_images(s):
     census = enumerate_labelings()
     for w, k in zip(IMAGE_WITNESSES, image_ids(s.family, spec_id(s.perm, s.axis))):
         perm, axis = divmod(k, len(census))
-        yield w, PerspectiveSpec(s.family, ALL_PERMS[perm], census[axis])
+        yield w, PerspectiveSpec(s.family, perm, census[axis])
 
 
 def reference_refine_pair(a, ca, b, cb):

@@ -168,11 +168,31 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "correlation-is-identity",
         "src/skewpersp/indices.py",
-        "    return PAIRS.index(tuple(i for i in INDICES if i not in PAIRS[u]))",
-        "    return u",
+        "PAIRS.index(tuple(i for i in INDICES if i not in ends)) for ends in PAIRS",
+        "range(len(PAIRS))",
         (
             "tests/test_indices.py::TestCorrelation::test_fixed_point_free",
             "tests/test_derivation.py::test_they_are_the_maps_of_the_action_table",
+        ),
+    ),
+    Mutant(
+        "composition-arguments-swapped",
+        "src/skewpersp/indices.py",
+        "index[tuple(a[i - 1] for i in b)]",
+        "index[tuple(b[i - 1] for i in a)]",
+        (
+            "tests/test_derivation.py::test_they_are_the_maps_of_the_action_table",
+            "tests/test_indices.py::TestPerm4::test_compose_semantics",
+        ),
+    ),
+    Mutant(
+        "inverse-is-identity",
+        "src/skewpersp/indices.py",
+        "inv = tuple(row.index(IDENTITY) for row in comp)",
+        "inv = tuple(IDENTITY for row in comp)",
+        (
+            "tests/test_derivation.py::test_they_are_the_maps_of_the_action_table",
+            "tests/test_indices.py::TestPerm4::test_inverse",
         ),
     ),
     Mutant(

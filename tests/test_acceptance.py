@@ -25,7 +25,7 @@ from skewpersp.classify import (
     partition_into_classes,
     render_text,
 )
-from skewpersp.indices import ALL_PERMS, CORRELATION, PAIRS, extend, parse_cycles
+from skewpersp.indices import ALL_PERMS, CORRELATION, EXTEND, PAIRS, parse_cycles
 from skewpersp.iso import automorphism_group, find_isomorphism
 from skewpersp.perspective import (
     CENTER_INDEX,
@@ -63,7 +63,7 @@ def _match(finding) -> bool:
 def test_criterion_01_construction_validity(census):
     bad = []
     for family in (SkewFamily.PERM, SkewFamily.PERM_KAPPA):
-        for perm in ALL_PERMS:
+        for perm in range(len(ALL_PERMS)):
             for axis in census:
                 spec = PerspectiveSpec(family, perm, axis)
                 if not validate_configuration(build(spec), 4):
@@ -101,7 +101,7 @@ def test_criterion_02_labeling_census(census, census_audit):
     # candidate maps merges exactly the complement-partner pairs
     kinds = list(CanonicalKind)
     distinct_ok = all(
-        all(canonical(k).apply(extend(a)) != canonical(m) for a in ALL_PERMS)
+        all(canonical(k).apply(m_a) != canonical(m) for m_a in EXTEND)
         for k, m in itertools.permutations(kinds, 2)
     )
     ext_orbit = {v: orbit for orbit in census_orbits(False) for v in orbit}

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import canonical_key, family_images, joint_refinement, searched_record
 
-from skewpersp import classify, cli, iso, perspective, psts, veblen
+from skewpersp import classify, cli, indices, iso, psts, veblen
 from skewpersp.classify import (
     FACT_2_2_PUBLISHED_ORDERS,
     LEMMA_2_3_PUBLISHED,
@@ -275,7 +275,7 @@ class TestNoRevalidation:
         VeblenConfig.apply.cache_clear()
         veblen.census_index.cache_clear()
         veblen.action_table.cache_clear()
-        perspective._family_tables.cache_clear()
+        indices.s4_tables.cache_clear()
         for v in census:
             aut_perms(v)
         classify._fact_2_1(census)

@@ -141,7 +141,7 @@ BAD_CYCLES = [
 def spec(draw, files: dict, name: str):
     """Spec text, and whether it is well formed."""
     family = draw(st.sampled_from(["perm", "kappa"]))
-    cycles = render_cycles(draw(st.sampled_from(ALL_PERMS)))
+    cycles = render_cycles(draw(st.sampled_from(range(len(ALL_PERMS)))))
     axis, ok = draw(axis_token(files, name))
     defect = draw(st.sampled_from([None, None, "family", "cycles", "at"]))
     if defect == "family":

@@ -21,14 +21,14 @@ def after(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[b[i - 1] - 1] for i in INDICES)
 
 
-def group_tables() -> tuple[list[list[int]], list[int], list[list[int]]]:
+def group_tables() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """S4's tables over the positions in ``PERMS``: the composition
     ``comp[a][b]``, a after b; the inverse ``inv[a]``; and the conjugation
     ``conj[a][b]``, a b a^-1."""
-    comp = [[PERMS.index(after(a, b)) for b in PERMS] for a in PERMS]
+    comp = tuple(tuple(PERMS.index(after(a, b)) for b in PERMS) for a in PERMS)
     inverses = [tuple(a.index(i) + 1 for i in INDICES) for a in PERMS]
-    inv = [PERMS.index(a) for a in inverses]
-    conj = [[PERMS.index(after(after(a, b), a_inv)) for b in PERMS] for a, a_inv in zip(PERMS, inverses)]
+    inv = tuple(PERMS.index(a) for a in inverses)
+    conj = tuple(tuple(PERMS.index(after(after(a, b), a_inv)) for b in PERMS) for a, a_inv in zip(PERMS, inverses))
     return comp, inv, conj
 
 
@@ -92,16 +92,14 @@ def test_they_are_the_maps_of_the_action_table():
     others as rows 24-47; the 48 rows are distinct, so the table holds
     each skew exactly once.  Row k is the edge map of permutation k, and
     row 24 + k that map followed by the complement."""
-    from skewpersp.indices import ALL_PERMS, CORRELATION, PAIRS, extend
-    from skewpersp.perspective import _family_tables
+    from skewpersp.indices import ALL_PERMS, CORRELATION, EXTEND, PAIRS, s4_tables
     from skewpersp.veblen import PAIR_NAMES, action_table, enumerate_labelings
 
-    assert [phi.images for phi in ALL_PERMS] == PERMS
-    t = _family_tables()
-    assert ([list(row) for row in t.comp], list(t.inv), [list(row) for row in t.conj]) == group_tables()
+    assert list(ALL_PERMS) == PERMS
+    assert s4_tables() == group_tables()
     assert PAIRS == tuple(ends(e) for e in EDGES)
-    assert CORRELATION.images == complements()
-    assert {phi.images: extend(phi).images for phi in ALL_PERMS} == induced()
+    assert CORRELATION == complements()
+    assert dict(zip(ALL_PERMS, EXTEND)) == induced()
     assert PAIR_NAMES == tuple("c%d%d" % ends(e) for e in EDGES)
 
     labelings = [frozenset(frozenset(line) for line in v.lines) for v in enumerate_labelings()]

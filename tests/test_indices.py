@@ -1,4 +1,5 @@
-"""Index algebra: pair positions, permutations, pair maps, cycle text."""
+"""Index algebra: pair positions, permutations by position, pair maps as
+6-tuples, the group tables of S4, cycle text."""
 
 import pytest
 from hypothesis import given
@@ -7,23 +8,27 @@ from hypothesis import strategies as st
 from skewpersp.indices import (
     ALL_PERMS,
     CORRELATION,
+    EXTEND,
     IDENTITY,
     INDICES,
     PAIRS,
-    PairMap,
-    Perm4,
     conjugacy_classes_under,
-    correlation,
-    extend,
+    fixed_points,
     is_subgroup,
     orbits,
     parse_cycles,
     render_cycles,
+    s4_tables,
 )
 
-perms = st.sampled_from(ALL_PERMS)
+perms = st.sampled_from(range(len(ALL_PERMS)))
 pairs = st.sampled_from(range(len(PAIRS)))
 indices = st.sampled_from(INDICES)
+
+
+def at(f, i):
+    """The image of the index i under the permutation at position f."""
+    return ALL_PERMS[f][i - 1]
 
 
 class TestPair:
@@ -43,54 +48,55 @@ class TestPair:
 
 class TestCorrelation:
     def test_complement(self):
-        assert PAIRS[correlation(PAIRS.index((2, 4)))] == (1, 3)
-        assert PAIRS[correlation(0)] == (3, 4)
+        assert PAIRS[CORRELATION[PAIRS.index((2, 4))]] == (1, 3)
+        assert PAIRS[CORRELATION[0]] == (3, 4)
 
     @given(pairs)
     def test_involution(self, u):
-        assert correlation(correlation(u)) == u
+        assert CORRELATION[CORRELATION[u]] == u
 
     @given(pairs)
     def test_fixed_point_free(self, u):
-        assert correlation(u) != u
+        assert CORRELATION[u] != u
 
     def test_pairmap_constant_matches(self):
         for u in range(len(PAIRS)):
-            assert CORRELATION.images[u] == correlation(u)
+            assert PAIRS[CORRELATION[u]] == tuple(i for i in INDICES if i not in PAIRS[u])
 
 
 class TestPerm4:
+    """A permutation is its position in ``ALL_PERMS``; ``s4_tables`` holds
+    its products."""
+
     def test_group_size(self):
         assert len(ALL_PERMS) == 24
         assert len(set(ALL_PERMS)) == 24
-        assert ALL_PERMS[0] == IDENTITY
-
-    def test_not_a_bijection_rejected(self):
-        with pytest.raises(ValueError):
-            Perm4((1, 1, 3, 4))
+        assert IDENTITY == 0 and ALL_PERMS[IDENTITY] == INDICES
 
     @given(perms, perms, indices)
     def test_compose_semantics(self, f, g, i):
-        assert f.compose(g)(i) == f(g(i))
+        comp = s4_tables()[0]
+        assert at(comp[f][g], i) == at(f, at(g, i))
 
     @given(perms)
     def test_inverse(self, f):
-        assert f.compose(f.inverse()) == IDENTITY
-        assert f.inverse().compose(f) == IDENTITY
+        comp, inv, _ = s4_tables()
+        assert comp[f][inv[f]] == IDENTITY
+        assert comp[inv[f]][f] == IDENTITY
 
     @given(perms, perms)
     def test_conjugation(self, f, a):
-        g = f.conjugate_by(a)
+        g = s4_tables()[2][a][f]
         for i in INDICES:
-            assert g(a(i)) == a(f(i))
+            assert at(g, at(a, i)) == at(a, at(f, i))
 
     def test_fixed_points(self):
-        assert parse_cycles("(2,3,4)").fixed_points() == (1,)
-        assert IDENTITY.fixed_points() == (1, 2, 3, 4)
+        assert fixed_points(parse_cycles("(2,3,4)")) == (1,)
+        assert fixed_points(IDENTITY) == (1, 2, 3, 4)
 
     def test_cycles_ordering(self):
-        f = parse_cycles("(2,3,4)")
-        assert f.cycles() == ((1,), (2, 3, 4))
+        assert render_cycles(parse_cycles("(3,4,2)(1)")) == "(2,3,4)"
+        assert render_cycles(parse_cycles("(4,2)(3,1)")) == "(1,3)(2,4)"
 
 
 class TestCycleText:
@@ -121,23 +127,31 @@ class TestCycleText:
             parse_cycles("(1,2)(2,3)")
 
 
+def cycles(f):
+    """The cycles of the permutation at position f, fixed points included,
+    read off its cycle text and ``fixed_points``, ordered by least index."""
+    text = render_cycles(f)
+    moved = [] if text == "id" else [tuple(map(int, c.split(","))) for c in text[1:-1].split(")(")]
+    return sorted(moved + [(i,) for i in fixed_points(f)])
+
+
 def cycle_type(phi):
-    return tuple(sorted(len(c) for c in phi.cycles()))
+    return tuple(sorted(len(c) for c in cycles(phi)))
 
 
 class TestCycleType:
-    """Cycle types read off ``Perm4.cycles``."""
+    """Cycle types read off the cycle text."""
 
     @given(perms)
     def test_partition_of_four(self, f):
-        assert sorted(i for c in f.cycles() for i in c) == list(INDICES)
-        for c in f.cycles():
-            assert [f(i) for i in c] == list(c[1:] + c[:1])
+        assert sorted(i for c in cycles(f) for i in c) == list(INDICES)
+        for c in cycles(f):
+            assert [at(f, i) for i in c] == list(c[1:] + c[:1])
 
     def test_census_of_types(self):
         from collections import Counter
 
-        counts = Counter(cycle_type(f) for f in ALL_PERMS)
+        counts = Counter(cycle_type(f) for f in range(len(ALL_PERMS)))
         assert counts == {
             (1, 1, 1, 1): 1, (1, 1, 2): 6, (1, 3): 8, (2, 2): 3, (4,): 6,
         }
@@ -146,47 +160,46 @@ class TestCycleType:
 class TestExtend:
     def test_elementwise_images(self):
         f = parse_cycles("(1,2,3,4)")
-        assert PAIRS[extend(f).images[PAIRS.index((1, 2))]] == (2, 3)
-        assert PAIRS[extend(parse_cycles("(1,2)")).images[0]] == (1, 2)
-        assert PAIRS[extend(parse_cycles("(1,3)")).images[PAIRS.index((1, 4))]] == (3, 4)
+        assert PAIRS[EXTEND[f][PAIRS.index((1, 2))]] == (2, 3)
+        assert PAIRS[EXTEND[parse_cycles("(1,2)")][0]] == (1, 2)
+        assert PAIRS[EXTEND[parse_cycles("(1,3)")][PAIRS.index((1, 4))]] == (3, 4)
         for u in range(len(PAIRS)):
-            assert extend(IDENTITY).images[u] == u
+            assert EXTEND[IDENTITY][u] == u
 
     @given(perms, perms, pairs)
     def test_homomorphism(self, f, g, u):
-        assert extend(f.compose(g)).images[u] == extend(f).images[extend(g).images[u]]
+        assert EXTEND[s4_tables()[0][f][g]][u] == EXTEND[f][EXTEND[g][u]]
 
     @given(perms, pairs)
     def test_commutes_with_correlation(self, f, u):
-        assert extend(f).images[correlation(u)] == correlation(extend(f).images[u])
+        assert EXTEND[f][CORRELATION[u]] == CORRELATION[EXTEND[f][u]]
 
     def test_faithful(self):
-        assert len({extend(f).images for f in ALL_PERMS}) == 24
+        assert len(set(EXTEND)) == 24
 
     @given(perms)
     def test_inverse_compatible(self, f):
-        assert extend(f).inverse() == extend(f.inverse())
+        inverse = tuple(EXTEND[f].index(u) for u in range(len(PAIRS)))
+        assert inverse == EXTEND[s4_tables()[1][f]]
 
 
 class TestPairMap:
-    def test_bijection_enforced(self):
-        with pytest.raises(ValueError):
-            PairMap((0, 0, 2, 3, 4, 5))
+    """A map of the pairs is the 6-tuple of the image of each position."""
 
-    @given(perms, perms, pairs)
-    def test_compose_semantics(self, f, g, u):
-        m, n = extend(f), extend(g)
-        assert m.compose(n).images[u] == m.images[n.images[u]]
+    @given(perms, perms)
+    def test_compose_semantics(self, f, g):
+        m, n = EXTEND[f], EXTEND[g]
+        assert tuple(m[k] for k in n) == EXTEND[s4_tables()[0][f][g]]
 
     def test_apply_line(self):
         line = frozenset(PAIRS.index(ends) for ends in [(1, 2), (1, 3), (1, 4)])
-        assert CORRELATION.apply_line(line) == frozenset(
+        assert frozenset(CORRELATION[u] for u in line) == frozenset(
             PAIRS.index(ends) for ends in [(3, 4), (2, 4), (2, 3)]
         )
 
     def test_correlation_outside_extends(self):
-        assert CORRELATION.images not in {extend(f).images for f in ALL_PERMS}
-        assert CORRELATION.compose(CORRELATION).images[0] == 0
+        assert CORRELATION not in set(EXTEND)
+        assert CORRELATION[CORRELATION[0]] == 0
 
 
 class TestSubgroups:
@@ -197,7 +210,7 @@ class TestSubgroups:
         assert all(len(c) == 1 for c in classes)
 
     def test_full_group_classes(self):
-        classes = conjugacy_classes_under(frozenset(ALL_PERMS))
+        classes = conjugacy_classes_under(frozenset(range(len(ALL_PERMS))))
         assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
         # representatives are least members, classes ordered by them
         reps = [c[0] for c in classes]
@@ -210,9 +223,9 @@ class TestSubgroups:
         assert not is_subgroup(frozenset({IDENTITY, parse_cycles("(1,2,3)")}))
 
     def test_classes_partition_s4(self):
-        classes = conjugacy_classes_under(frozenset(ALL_PERMS))
+        classes = conjugacy_classes_under(frozenset(range(len(ALL_PERMS))))
         seen = [f for c in classes for f in c]
-        assert sorted(seen) == sorted(ALL_PERMS)
+        assert sorted(seen) == list(range(len(ALL_PERMS)))
 
 
 class TestOrbits:

@@ -31,7 +31,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from skewpersp import cli, iso
 from skewpersp.classify import enumerate_family
-from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, INDICES, extend
+from skewpersp.indices import ALL_PERMS, CORRELATION, EXTEND, IDENTITY, INDICES
 from skewpersp.iso import (
     CanonicalKey,
     _Canonicalizer,
@@ -1261,16 +1261,36 @@ class TestKappaFamilyCriterion:
             kappa_family_iso(p, p)
 
 
+#: every permutation, by its position in ``ALL_PERMS``
+PERMS = range(len(ALL_PERMS))
+
+
+def after(a, b):
+    """The position of permutation a after permutation b, composed on
+    their image tuples rather than read from ``s4_tables``."""
+    x, y = ALL_PERMS[a], ALL_PERMS[b]
+    return ALL_PERMS.index(tuple(x[j - 1] for j in y))
+
+
+def inverse(a):
+    return ALL_PERMS.index(tuple(ALL_PERMS[a].index(i) + 1 for i in INDICES))
+
+
+def conjugate(b, a):
+    """a b a^-1."""
+    return after(after(a, b), inverse(a))
+
+
 def perm_conditions(sg1, sg2):
     """The plain-family criterion's permutation conditions for one pair of
     skews: per case, in ``ALL_PERMS`` order, each phi that satisfies its
     case with the pair map that must carry axis1 onto axis2."""
-    sg2_inv = sg2.inverse()
-    case_a = [(phi, extend(phi)) for phi in ALL_PERMS if phi.compose(sg1) == sg2.compose(phi)]
+    sg2_inv = inverse(sg2)
+    case_a = [(phi, EXTEND[phi]) for phi in PERMS if after(phi, sg1) == after(sg2, phi)]
     case_b = [
-        (phi, extend(sg2_inv.compose(phi)))
-        for phi in ALL_PERMS
-        if phi.compose(sg1) == sg2_inv.compose(phi)
+        (phi, EXTEND[after(sg2_inv, phi)])
+        for phi in PERMS
+        if after(phi, sg1) == after(sg2_inv, phi)
     ]
     return case_a, case_b
 
@@ -1278,12 +1298,12 @@ def perm_conditions(sg1, sg2):
 def kappa_conditions(f1, f2):
     """The boolean-complementing criterion's permutation conditions, as in
     ``perm_conditions``."""
-    f2_inv = f2.inverse()
-    case_a = [(alpha, extend(alpha)) for alpha in ALL_PERMS if f1.conjugate_by(alpha) == f2]
+    f2_inv = inverse(f2)
+    case_a = [(alpha, EXTEND[alpha]) for alpha in PERMS if conjugate(f1, alpha) == f2]
     case_b = [
-        (alpha, CORRELATION.compose(extend(f2_inv.compose(alpha))))
-        for alpha in ALL_PERMS
-        if f1.conjugate_by(alpha) == f2_inv
+        (alpha, tuple(CORRELATION[k] for k in EXTEND[after(f2_inv, alpha)]))
+        for alpha in PERMS
+        if conjugate(f1, alpha) == f2_inv
     ]
     return case_a, case_b
 
@@ -1337,7 +1357,7 @@ class TestFamilyImages:
     def test_images_in_scan_order(self, perm_specs, kappa_specs):
         for spec in (perm_specs[7], kappa_specs[7]):
             witnesses = [w for w, _ in family_images(spec)]
-            assert witnesses == [(phi, case) for case in IsoCase for phi in ALL_PERMS]
+            assert witnesses == [(phi, case) for case in IsoCase for phi in PERMS]
 
     def test_image_point_maps_are_isomorphisms(self, census):
         # both cases of both families, over canonical and census axes: each
@@ -1362,41 +1382,41 @@ def reference_image_point_map(s, phi, case):
     Case A keeps the tetrahedra and case B swaps them; the c points follow
     the pair map that moves the axis."""
     if case is IsoCase.A:
-        a_to, b_to, pairs = a_name, b_name, extend(phi)
+        a_to, b_to, pairs = a_name, b_name, EXTEND[phi]
     else:
-        a_to, b_to, pairs = b_name, a_name, extend(phi.compose(s.perm))
+        a_to, b_to, pairs = b_name, a_name, EXTEND[after(phi, s.perm)]
         if s.family is SkewFamily.PERM_KAPPA:
-            pairs = pairs.compose(CORRELATION)
+            pairs = tuple(pairs[k] for k in CORRELATION)
     m = {CENTER: CENTER}
     for i in INDICES:
-        m[a_name(i)] = a_to(phi(i))
-        m[b_name(i)] = b_to(phi(i))
-    for u, w in enumerate(pairs.images):
+        m[a_name(i)] = a_to(ALL_PERMS[phi][i - 1])
+        m[b_name(i)] = b_to(ALL_PERMS[phi][i - 1])
+    for u, w in enumerate(pairs):
         m[c_name(u)] = c_name(w)
     return m
 
 
 def reference_family_images(s):
-    """The family images of ``s`` computed on spec objects, by the object
-    algebra of ``indices`` and ``veblen``: the reference for the integer
-    tables."""
+    """The family images of ``s`` computed on spec objects, with the
+    permutations composed on their image tuples and the axes moved by
+    ``VeblenConfig.apply``: the reference for the integer tables."""
     family, sigma, axis = s.family, s.perm, s.axis
-    for phi in ALL_PERMS:
-        yield (phi, IsoCase.A), PerspectiveSpec(family, sigma.conjugate_by(phi), axis.apply(extend(phi)))
-    sigma_inv = sigma.inverse()
-    for phi in ALL_PERMS:
-        image = axis.apply(extend(phi.compose(sigma)))
+    for phi in PERMS:
+        yield (phi, IsoCase.A), PerspectiveSpec(family, conjugate(sigma, phi), axis.apply(EXTEND[phi]))
+    sigma_inv = inverse(sigma)
+    for phi in PERMS:
+        image = axis.apply(EXTEND[after(phi, sigma)])
         if family is SkewFamily.PERM_KAPPA:
             image = image.apply(CORRELATION)
-        yield (phi, IsoCase.B), PerspectiveSpec(family, sigma_inv.conjugate_by(phi), image)
+        yield (phi, IsoCase.B), PerspectiveSpec(family, conjugate(sigma_inv, phi), image)
 
 
 SETUP_PATH = textwrap.dedent(
     """
     import skewpersp.cli
-    from skewpersp import perspective, veblen
+    from skewpersp import indices, veblen
     veblen.enumerate_labelings()
-    print(perspective._family_tables.cache_info().currsize,
+    print(indices.s4_tables.cache_info().currsize,
           veblen.action_table.cache_info().currsize)
     """
 )
@@ -1410,7 +1430,7 @@ class TestFamilyTables:
             assert list(family_images(s)) == list(reference_family_images(s)), spec_text(s)
 
     def test_ids_round_trip(self, census):
-        ids = [spec_id(phi, v) for phi in ALL_PERMS for v in census]
+        ids = [spec_id(phi, v) for phi in PERMS for v in census]
         assert ids == list(range(len(ALL_PERMS) * len(census)))
 
     def test_not_built_on_import(self):
@@ -1430,16 +1450,16 @@ class TestFamilyTables:
 
 class TestApply:
     def test_apply_returns_the_census_instance(self, census):
-        maps = [extend(phi) for phi in ALL_PERMS]
-        maps += [CORRELATION.compose(m) for m in maps]
+        maps = list(EXTEND)
+        maps += [tuple(CORRELATION[k] for k in m) for m in maps]
         for v in census:
             for m in maps:
                 image = v.apply(m)
                 assert image is census[census.index(image)]
-                assert image == VeblenConfig(tuple(m.apply_line(ln) for ln in v.lines))
+                assert image == VeblenConfig(tuple(frozenset(m[u] for u in ln) for ln in v.lines))
 
     def test_canonical_images_are_census_instances(self):
         census = enumerate_labelings()
         for kind in CanonicalKind:
-            image = canonical(kind).apply(extend(IDENTITY))
+            image = canonical(kind).apply(EXTEND[IDENTITY])
             assert image == canonical(kind) and any(image is v for v in census)

@@ -27,7 +27,7 @@ then wrong, not the audit."""
 import pytest
 
 from skewpersp.classify import LEMMA_2_3_PUBLISHED, THEOREM_3_4_ENTRIES, THEOREM_4_9_ENTRIES
-from skewpersp.indices import ALL_PERMS, conjugacy_classes_under, parse_cycles
+from skewpersp.indices import ALL_PERMS, conjugacy_classes_under, parse_cycles, render_cycles
 from skewpersp.perspective import PerspectiveSpec, SkewFamily, spec_text
 from skewpersp.veblen import PARTNER, CanonicalKind, aut_perms, canonical, lemma23_representatives
 
@@ -82,8 +82,8 @@ def unmatched(report, claim_id, classes):
 @pytest.fixture(scope="module")
 def v5_stabilizer():
     """S4's stabilizer of the points that V5's automorphism group fixes."""
-    fixed = [i for i in range(1, 5) if all(g(i) == i for g in aut_perms(canonical(K.V5)))]
-    return frozenset(p for p in ALL_PERMS if all(p(i) == i for i in fixed))
+    fixed = [i for i in range(1, 5) if all(ALL_PERMS[g][i - 1] == i for g in aut_perms(canonical(K.V5)))]
+    return frozenset(p for p, img in enumerate(ALL_PERMS) if all(img[i - 1] == i for i in fixed))
 
 
 def test_v5_lemma_list_follows_the_printed_group_order(census_audit, v5_stabilizer):
@@ -96,7 +96,7 @@ def test_v5_lemma_list_follows_the_printed_group_order(census_audit, v5_stabiliz
     missing = [cls for cls in lemma23_representatives(K.V5) if not reps & set(cls)]
     assert len(lemma_classes(K.V5)) - len(reps) == len(missing)
     assert census_audit.finding("lemma_2_3_v5").witnesses == tuple(
-        f"class of {cls[0]} (size {len(cls)}) has no printed representative" for cls in missing
+        f"class of {render_cycles(cls[0])} (size {len(cls)}) has no printed representative" for cls in missing
     )
 
 

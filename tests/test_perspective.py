@@ -8,7 +8,7 @@ from conftest import third_point
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewpersp.indices import ALL_PERMS, CORRELATION, IDENTITY, PAIRS, correlation, extend, parse_cycles
+from skewpersp.indices import ALL_PERMS, CORRELATION, EXTEND, IDENTITY, PAIRS, parse_cycles
 from skewpersp.classify import enumerate_family
 from skewpersp.perspective import (
     A_NAMES,
@@ -31,7 +31,7 @@ from skewpersp import psts
 from skewpersp.psts import Psts, PstsError, _free_cliques, validate_configuration
 from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical
 
-perms = st.sampled_from(ALL_PERMS)
+perms = st.sampled_from(range(len(ALL_PERMS)))
 kinds = st.sampled_from(tuple(CanonicalKind))
 families = st.sampled_from(tuple(SkewFamily))
 
@@ -69,7 +69,7 @@ class TestBuild:
     def test_kappa_b_side_is_complemented(self):
         s = build(spec_of(SkewFamily.PERM_KAPPA, IDENTITY, CanonicalKind.G2))
         for u, (i, j) in enumerate(PAIRS):
-            assert third_point(s, b_name(i), b_name(j)) == c_name(correlation(u))
+            assert third_point(s, b_name(i), b_name(j)) == c_name(CORRELATION[u])
 
     def test_names_are_shared(self):
         for i in (1, 2, 3, 4):
@@ -147,10 +147,10 @@ class TestBJoin:
     def test_matches_built_lines(self, family, perm, u):
         spec = spec_of(family, perm, CanonicalKind.B2)
         s = build(spec)
-        delta = extend(perm)
+        delta = EXTEND[perm]
         if family is SkewFamily.PERM_KAPPA:
-            delta = delta.compose(CORRELATION)
-        assert third_point(s, *map(b_name, PAIRS[u])) == c_name(delta.inverse().images[u])
+            delta = tuple(delta[k] for k in CORRELATION)
+        assert third_point(s, *map(b_name, PAIRS[u])) == c_name(delta.index(u))
 
 
 class TestPredictedFreeK5:

@@ -8,7 +8,7 @@ import itertools
 
 import pytest
 
-from skewpersp.indices import ALL_PERMS, INDICES, PAIRS, PairMap, Perm4, extend, parse_cycles
+from skewpersp.indices import ALL_PERMS, INDICES, PAIRS, parse_cycles
 from skewpersp.perspective import PerspectiveSpec, SkewFamily
 from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical, enumerate_labelings
 
@@ -22,15 +22,13 @@ def field_hash(x):
 
 
 def records(report):
-    """One instance of each of the eight records, by name."""
+    """One instance of each of the six records, by name."""
     perm = parse_cycles("(1,2,3)")
     axis = canonical(CanonicalKind.V5)
     spec = PerspectiveSpec(SkewFamily.PERM_KAPPA, perm, axis)
     spec.sid  # the cached id sits beside the fields, outside the tuple
     iso_class = report.kappa_classes[-1]
     return {
-        "Perm4": perm,
-        "PairMap": extend(perm),
         "VeblenConfig": axis,
         "PerspectiveSpec": spec,
         "CanonicalKey": iso_class.key,
@@ -51,7 +49,7 @@ def test_each_record_hashes_and_compares_as_its_field_tuple(census_audit):
 
 
 def test_enumeration_orders_are_kept():
-    assert [p.images for p in ALL_PERMS] == sorted(itertools.permutations(INDICES))
+    assert list(ALL_PERMS) == sorted(itertools.permutations(INDICES))
     assert list(ALL_PERMS) == sorted(ALL_PERMS)
     assert list(PAIRS) == sorted(PAIRS) == list(itertools.combinations(INDICES, 2))
     keys = [v.sort_key() for v in enumerate_labelings()]
@@ -62,12 +60,9 @@ def test_enumeration_orders_are_kept():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Perm4._make([(1, 1, 3, 4)]),
-        lambda: ALL_PERMS[0]._replace(images=(2, 2, 3, 4)),
-        lambda: extend(ALL_PERMS[5])._replace(images=(0, 1, 2, 3, 4, 4)),
         lambda: canonical(CanonicalKind.G2)._replace(lines=canonical(CanonicalKind.G2).lines[:3]),
     ],
-    ids=["perm-make", "perm-replace", "pairmap-replace", "veblen-replace"],
+    ids=["veblen-replace"],
 )
 def test_every_way_of_building_a_record_checks_it(build):
     with pytest.raises(ValueError):
@@ -77,5 +72,4 @@ def test_every_way_of_building_a_record_checks_it(build):
 def test_replace_keeps_the_normal_form():
     g2 = canonical(CanonicalKind.G2)
     assert g2._replace(lines=tuple(reversed(g2.lines))) == g2
-    assert isinstance(extend(ALL_PERMS[1])._replace(images=tuple(range(6))), PairMap)
     assert isinstance(g2._replace(lines=g2.lines), VeblenConfig)
