@@ -86,7 +86,7 @@ from .veblen import (
     PAIRS,
     PARTNER,
     CanonicalKind,
-    VeblenConfig,
+    apply,
     aut_perms,
     canonical,
     census_orbits,
@@ -96,12 +96,12 @@ from .veblen import (
 )
 
 
-def canonical_axes() -> tuple[VeblenConfig, ...]:
+def canonical_axes() -> tuple[int, ...]:
     return tuple(canonical(kind) for kind in CanonicalKind)
 
 
 def enumerate_family(
-    family: SkewFamily, axes: tuple[VeblenConfig, ...]
+    family: SkewFamily, axes: tuple[int, ...]
 ) -> tuple[PerspectiveSpec, ...]:
     """All 24 x |axes| specs of one family, in spec sort order."""
     if not axes:
@@ -172,14 +172,14 @@ class _Structures:
         self._links: dict[tuple, tuple] = {}
 
     def __getitem__(self, spec: PerspectiveSpec) -> Psts:
-        key = (spec.family, spec.sid)
+        key = (spec.family, spec_id(spec.perm, spec.axis))
         s = self._built.get(key)
         if s is None:
             s = self._built[key] = build(spec)
         return s
 
     def record(self, spec: PerspectiveSpec) -> _Record:
-        family, sid = key = (spec.family, spec.sid)
+        family, sid = key = (spec.family, spec_id(spec.perm, spec.axis))
         r = self._records.get(key)
         if r is None:
             link = self._links.pop(key, None)
@@ -207,7 +207,7 @@ class _Structures:
                 + ("moves the center" if moves else "is no isomorphism")
             )
         s.carry_free_k5(t, m)
-        return self._records[(source.family, source.sid)]
+        return self._records[(source.family, spec_id(source.perm, source.axis))]
 
 
 def partition_into_classes(specs, *, structures: _Structures | None = None) -> tuple[IsoClass, ...]:
@@ -461,7 +461,7 @@ def _eq_2() -> Finding:
     ok = True
     for kind in (_K.G2, _K.B2, _K.V5):
         partner = PARTNER[kind]
-        holds = canonical(kind).apply(CORRELATION) == canonical(partner)
+        holds = apply(canonical(kind), CORRELATION) == canonical(partner)
         pairings[f"{kind}->{partner}"] = holds
         ok = ok and holds
     return Finding(
@@ -482,7 +482,7 @@ def _fact_2_2() -> Finding:
         swap = parse_cycles("(1,2)")
         image = sorted(
             "{" + ",".join("%d%d" % PAIRS[u] for u in sorted(ln)) + "}"
-            for ln in v5.apply(EXTEND[swap]).lines
+            for ln in enumerate_labelings()[apply(v5, EXTEND[swap])]
         )
         witnesses.append(
             "(1,2) fixes the index 3 yet extend((1,2)) sends the V5 line set to "
@@ -634,7 +634,7 @@ def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
     is among the first's images."""
     texts = [spec_text(s) for s in specs]
     family = specs[0].family
-    ids = [s.sid for s in specs]
+    ids = [spec_id(s.perm, s.axis) for s in specs]
     rank: dict = {}
     classes = [rank.setdefault(k, len(rank)) for k in keys]
     disagreements = []
@@ -755,13 +755,13 @@ def _lemma_4_4(structures, census) -> Finding:
     swap = tuple(POINTS.index(explicit[x]) for x in POINTS)  # on the frame's indices
     failures = []
     keys_differ = []
-    for idx, axis in enumerate(census):
+    for axis in census:
         s1 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, axis)
-        s2 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, axis.apply(CORRELATION))
+        s2 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, apply(axis, CORRELATION))
         if not _is_isomorphism(structures[s1], structures[s2], swap):
-            failures.append(f"axis census:{idx}")
+            failures.append(f"axis census:{axis}")
         if structures.record(s1).key != structures.record(s2).key:
-            keys_differ.append(f"axis census:{idx}")
+            keys_differ.append(f"axis census:{axis}")
     ok = not failures and not keys_differ
     return Finding(
         claim_id="lemma_4_4",
@@ -778,12 +778,13 @@ def _lemma_4_4(structures, census) -> Finding:
 
 
 def _cor_4_6() -> Finding:
-    """The second spec's axis is moved by ``VeblenConfig.apply``, the
-    images come from ``action_table``; the two meet as spec ids."""
+    """The second spec's axis is moved by ``veblen.apply``, the images
+    come from ``action_table``; the two meet as spec ids."""
     checked = 0
     failures = []
     kappa = SkewFamily.PERM_KAPPA
     conj = s4_tables()[2]
+    moved = {(a, kind): apply(canonical(kind), EXTEND[a]) for a in range(len(ALL_PERMS)) for kind in CanonicalKind}
     for phi in range(len(ALL_PERMS)):
         images = {
             kind: set(image_ids(kappa, spec_id(phi, canonical(kind)))) for kind in CanonicalKind
@@ -791,7 +792,7 @@ def _cor_4_6() -> Finding:
         for alpha in range(len(ALL_PERMS)):
             for kind in CanonicalKind:
                 checked += 1
-                if spec_id(conj[alpha][phi], canonical(kind).apply(EXTEND[alpha])) not in images[kind]:
+                if spec_id(conj[alpha][phi], moved[alpha, kind]) not in images[kind]:
                     failures.append(
                         f"phi={render_cycles(phi)} alpha={render_cycles(alpha)} axis={kind}"
                     )
@@ -909,7 +910,7 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
     """
     if axes_mode not in ("canonical", "census"):
         raise ValueError(f"axes_mode must be 'canonical' or 'census', got {axes_mode!r}")
-    census = enumerate_labelings()
+    census = tuple(range(len(enumerate_labelings())))
     axes = canonical_axes() if axes_mode == "canonical" else census
 
     perm_canonical = enumerate_family(SkewFamily.PERM, canonical_axes())

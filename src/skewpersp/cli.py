@@ -229,7 +229,7 @@ def _cmd_classify(args) -> int:
     from .perspective import SkewFamily, spec_text
     from .veblen import enumerate_labelings
 
-    axes = cls.canonical_axes() if args.axes == "canonical" else enumerate_labelings()
+    axes = cls.canonical_axes() if args.axes == "canonical" else tuple(range(len(enumerate_labelings())))
     classes = cls.partition_into_classes(cls.enumerate_family(SkewFamily(args.family), axes))
     if args.format == "structured":
         import json

@@ -17,7 +17,10 @@ tetrahedra A* and B*.
 
 ``build`` returns the bare structure, on one frame of 15 sorted point
 names that every perspective shares; a point's role (center, A_i, B_i or
-C_u) is its name, spelled out in ``ROLE_LABELS``.
+C_u) is its name, spelled out in ``ROLE_LABELS``.  A spec names its
+permutation and its axis labeling by their positions in ``ALL_PERMS`` and
+in the census ``veblen.enumerate_labelings()``, and its id is
+``perm * 30 + axis``.
 
 The closed-form criteria of the two families (Prop. 3.2 and 4.5) live
 here too, phrased over S4 and the axis and solved for the second spec:
@@ -48,14 +51,12 @@ from .indices import (
     render_cycles,
     s4_tables,
 )
-from .psts import Psts, PstsError
+from .psts import Psts
 from .veblen import (
     PAIR_NAMES,
     CanonicalKind,
-    VeblenConfig,
     action_table,
     canonical,
-    census_index,
     enumerate_labelings,
     star,
     star_triangles,
@@ -96,28 +97,18 @@ class SkewFamily(Enum):
         return self.value
 
 
-class _SpecFields(NamedTuple):
-    family: SkewFamily
-    perm: int  # position in ALL_PERMS
-    axis: VeblenConfig
-
-
-class PerspectiveSpec(_SpecFields):
+class PerspectiveSpec(NamedTuple):
     """A skew, by its family and permutation, plus an axis labeling; the
     center carries no freedom.
 
     PERM carries sigma with delta = extend(sigma).  PERM_KAPPA carries phi
     with delta = extend(phi) after the complement involution; the two
-    factors commute, so the order is immaterial.  Each spec computes its
-    id once, on first use, so lookups by id hash no permutation or
-    labeling; the cached id lives in the instance ``__dict__``, which is
-    why this record, unlike the others, has no ``__slots__``.
+    factors commute, so the order is immaterial.
     """
 
-    @functools.cached_property
-    def sid(self) -> int:
-        """The spec's ``spec_id``, computed on first use."""
-        return spec_id(self.perm, self.axis)
+    family: SkewFamily
+    perm: int  # position in ALL_PERMS
+    axis: int  # position in the census, veblen.enumerate_labelings()
 
     def sort_key(self) -> tuple:
         # canonical-kind axes outrank census ones so representatives keep
@@ -155,24 +146,17 @@ def build(spec: PerspectiveSpec) -> Psts:
     """Construct the perspective on the frame ``POINTS``: sorted index
     triples straight from the pair algebra, the B-side join of u meeting
     the axis in c_delta^-1(u).  The result is always a (15_4 20_3)
-    configuration for a valid spec.  Lines are checked at index level,
-    three distinct points each and no pair on two of them, so a corrupted
-    axis surfaces as a PstsError."""
+    configuration for a valid spec.  Lines are checked at index level:
+    no pair of points on two of them."""
     lines = sorted((*_FIXED_LINES, *_axis_triples(spec.axis), *_join_triples(spec.family, spec.perm)))
     return Psts._from_triples(POINTS, tuple(lines))
 
 
 @functools.cache
-def _axis_triples(axis: VeblenConfig) -> tuple[tuple[int, ...], ...]:
+def _axis_triples(axis: int) -> tuple[tuple[int, ...], ...]:
     """The axis lines of ``build``, as index triples: memoized, as only 30
     labelings exist."""
-    triples = []
-    for ln in axis.lines:
-        t = tuple(sorted(_C[u] for u in ln))
-        if len(set(t)) != 3:
-            raise PstsError([f"axis line is not a 3-set of pairs: {sorted(map(c_name, ln))}"])
-        triples.append(t)
-    return tuple(triples)
+    return tuple(tuple(sorted(_C[u] for u in ln)) for ln in enumerate_labelings()[axis])
 
 
 @functools.cache
@@ -219,11 +203,11 @@ IMAGE_WITNESSES: tuple[tuple[int, IsoCase], ...] = tuple(
 )
 
 
-def spec_id(perm: int, axis: VeblenConfig) -> int:
+def spec_id(perm: int, axis: int) -> int:
     """The integer id of the spec with skew permutation ``perm`` over
     ``axis``, in either family: ``perm`` times the census size, plus the
     axis's census position."""
-    return perm * len(enumerate_labelings()) + census_index()[axis]
+    return perm * len(enumerate_labelings()) + axis
 
 
 def image_ids(family: SkewFamily, sid: int) -> list[int]:
@@ -293,11 +277,11 @@ _CENSUS_TOKEN = re.compile(r"census:([0-9]+)$")  # ASCII digits only, as int() r
 _KIND_RANK = {canonical(kind): (0, pos) for pos, kind in enumerate(CanonicalKind)}
 
 
-def _axis_rank(axis: VeblenConfig) -> tuple:
-    return _KIND_RANK.get(axis) or (1, census_index()[axis])
+def _axis_rank(axis: int) -> tuple:
+    return _KIND_RANK.get(axis) or (1, axis)
 
 
-def axis_token(axis: VeblenConfig) -> str:
+def axis_token(axis: int) -> str:
     rank = _axis_rank(axis)
     if rank[0] == 0:
         return tuple(CanonicalKind)[rank[1]].value
@@ -332,13 +316,10 @@ def parse_spec_text(text: str, load_axis=None) -> PerspectiveSpec:
     else:
         m = _CENSUS_TOKEN.match(axis_text)
         if m:
-            census = enumerate_labelings()
-            k = int(m.group(1))
-            if k >= len(census):
-                raise ValueError(
-                    f"census index {k} out of range 0..{len(census) - 1}"
-                )
-            axis = census[k]
+            axis = int(m.group(1))
+            n = len(enumerate_labelings())
+            if axis >= n:
+                raise ValueError(f"census index {axis} out of range 0..{n - 1}")
         elif load_axis is not None:
             axis = load_axis(axis_text)
         else:

@@ -3,14 +3,19 @@
 A labeling here is a (6_2 4_3) configuration whose points are exactly the
 six pairs, each by its position in ``PAIRS``: four 3-subsets of pairs,
 every pair on two of them, two lines meeting in at most one pair.  There
-are 30 such labelings.  Six of them are singled out as canonical kinds;
-every labeling is the ``extend`` image of exactly one canonical kind, and
-the complement involution swaps the kinds in pairs (G2 with G2_STAR, B2
-with V4, V5 with V6).  ``action_table`` sends each census position
-(``census_index``) through the 48 candidate maps, the ``EXTEND`` maps of
-the 24 permutations and those followed by ``CORRELATION``; both are built
-on first use, so the start stays cheap.  Row k of the table belongs to
-the permutation at position k of ``ALL_PERMS``.
+are 30 such labelings, and a labeling is its position 0-29 in
+``enumerate_labelings()``, the census, which holds each one in a single
+normal form: the sorted tuple of its four sorted lines.  That tuple is
+also its sort key, and ``census_index`` reads it back as the position.
+Six labelings are singled out as canonical kinds; every labeling is the
+``extend`` image of exactly one canonical kind, and the complement
+involution swaps the kinds in pairs (G2 with G2_STAR, B2 with V4, V5 with
+V6).  ``apply`` moves a position by a map of the pairs, and
+``action_table`` sends each position through the 48 candidate maps, the
+``EXTEND`` maps of the 24 permutations and those followed by
+``CORRELATION``; the index and the table are built on first use, so the
+start stays cheap.  Row k of the table belongs to the permutation at
+position k of ``ALL_PERMS``.
 
 The star S(i) is the set of pairs through i, the top T(i) the set of pairs
 avoiding i.  Tops and stars are the only possible lines invariant enough to
@@ -22,9 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from enum import Enum
-from typing import NamedTuple
 
 from .indices import (
     CORRELATION,
@@ -46,55 +49,10 @@ def top(i: int) -> frozenset[int]:
     return frozenset(u for u, ends in enumerate(PAIRS) if i not in ends)
 
 
-def _line_key(line: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(line))
-
-
-class _VeblenFields(NamedTuple):
-    lines: tuple[frozenset[int], ...]
-
-
-class VeblenConfig(_VeblenFields):
-    """A (6_2 4_3) configuration on the six pairs.
-
-    ``lines`` is a tuple of four frozensets of pair positions, sorted, so
-    equal configurations compare equal.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, lines) -> "VeblenConfig":
-        lines = tuple(sorted((frozenset(ln) for ln in lines), key=_line_key))
-        if len(lines) != 4 or any(len(ln) != 3 for ln in lines):
-            raise ValueError("need exactly four 3-subsets of pairs")
-        if len(set(lines)) != 4:
-            raise ValueError("lines repeat")
-        count = Counter(u for ln in lines for u in ln)
-        bad = {u: count[u] for u in range(len(PAIRS)) if count[u] != 2}
-        if bad:
-            raise ValueError(f"pairs must lie on exactly 2 lines, violated at {bad}")
-        for l1, l2 in itertools.combinations(lines, 2):
-            if len(l1 & l2) > 1:
-                raise ValueError(f"lines share two pairs: {set(l1)} and {set(l2)}")
-        return super().__new__(cls, lines)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @functools.lru_cache(maxsize=None)
-    def apply(self, m: tuple[int, ...]) -> "VeblenConfig":
-        """The image labeling under a pair bijection, given as the image
-        position of each pair position.  A bijection of the six pairs
-        carries a labeling onto a labeling, so the image is the census
-        instance with those lines, looked up without re-validation.  The
-        memo is bounded by 30 labelings times 720 pair bijections."""
-        lines = frozenset(frozenset(m[u] for u in ln) for ln in self.lines)
-        return enumerate_labelings()[census_index()[lines]]
-
-    def has_line(self, line: frozenset[int]) -> bool:
-        return line in self.lines
-
-    def sort_key(self) -> tuple:
-        return tuple(_line_key(ln) for ln in self.lines)
+def _normal(lines) -> tuple[tuple[int, ...], ...]:
+    """The normal form of a set of lines of pair positions: the sorted
+    tuple of the lines, each a sorted tuple."""
+    return tuple(sorted(tuple(sorted(ln)) for ln in lines))
 
 
 class CanonicalKind(Enum):
@@ -124,22 +82,21 @@ def _pairs(*texts: str) -> frozenset[int]:
     return frozenset(PAIRS.index((int(t[0]), int(t[1]))) for t in texts)
 
 
-_CANONICAL: dict[CanonicalKind, VeblenConfig] = {}
-_CANONICAL[CanonicalKind.G2] = VeblenConfig(tuple(top(i) for i in INDICES))
-_CANONICAL[CanonicalKind.B2] = VeblenConfig(
-    (top(1), top(2), _pairs("12", "13", "24"), _pairs("12", "14", "23"))
-)
-_CANONICAL[CanonicalKind.V5] = VeblenConfig(
-    (top(3), _pairs("13", "23", "14"), _pairs("13", "34", "24"), _pairs("23", "34", "12"))
-)
+#: the normal form of each kind's representative
+_CANONICAL: dict[CanonicalKind, tuple[tuple[int, ...], ...]] = {
+    CanonicalKind.G2: _normal(top(i) for i in INDICES),
+    CanonicalKind.B2: _normal((top(1), top(2), _pairs("12", "13", "24"), _pairs("12", "14", "23"))),
+    CanonicalKind.V5: _normal(
+        (top(3), _pairs("13", "23", "14"), _pairs("13", "34", "24"), _pairs("23", "34", "12"))
+    ),
+}
 for _plain in tuple(_CANONICAL):
-    _CANONICAL[PARTNER[_plain]] = VeblenConfig(
-        tuple(frozenset(CORRELATION[u] for u in ln) for ln in _CANONICAL[_plain].lines)
-    )
+    _CANONICAL[PARTNER[_plain]] = _normal([CORRELATION[u] for u in ln] for ln in _CANONICAL[_plain])
 
 
-def canonical(kind: CanonicalKind) -> VeblenConfig:
-    """The fixed representative labeling of each kind.
+def canonical(kind: CanonicalKind) -> int:
+    """The census position of the fixed representative labeling of each
+    kind.
 
     G2 is the four tops; B2 keeps tops T(1), T(2); V5 keeps T(3); the
     starred kinds are the complement images of their partners.  B2's two
@@ -147,18 +104,17 @@ def canonical(kind: CanonicalKind) -> VeblenConfig:
     G2 itself); V5 has two completions swapped by extend((1,2)) and the one
     fixed here is part of the package contract.
     """
-    return _CANONICAL[kind]
+    return census_index()[_CANONICAL[kind]]
 
 
 @functools.lru_cache(maxsize=1)
-def enumerate_labelings() -> tuple[VeblenConfig, ...]:
-    """All 30 labelings, sorted.  A 3-subset of pairs is a 6-bit mask over
-    the pair positions.  Each pair lies on two lines, so the four masks XOR
-    to 0 and the first three force the fourth: the loop takes the sorted
-    masks three at a time and keeps ``d = a ^ b ^ c`` when it has three
-    bits, is larger than ``c``, makes the OR 63 (every pair on a line, so on
-    two) and no two of the four masks share two bits.  The 30 survivors are
-    constructed, with full validation."""
+def enumerate_labelings() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All 30 labelings in normal form, sorted.  A 3-subset of pairs is a
+    6-bit mask over the pair positions.  Each pair lies on two lines, so
+    the four masks XOR to 0 and the first three force the fourth: the loop
+    takes the sorted masks three at a time and keeps ``d = a ^ b ^ c`` when
+    it has three bits, is larger than ``c``, makes the OR 63 (every pair on
+    a line, so on two) and no two of the four masks share two bits."""
     masks = sorted(sum(1 << u for u in t) for t in itertools.combinations(range(len(PAIRS)), 3))
     out = []
     for a, b, c in itertools.combinations(masks, 3):
@@ -167,15 +123,21 @@ def enumerate_labelings() -> tuple[VeblenConfig, ...]:
         if d > c and d.bit_count() == 3 and a | b | c | d == 63 and all(
             (x & y).bit_count() < 2 for x, y in itertools.combinations(m, 2)
         ):
-            out.append(VeblenConfig(frozenset(u for u in range(6) if x >> u & 1) for x in m))
-    return tuple(sorted(out, key=VeblenConfig.sort_key))
+            out.append(_normal([u for u in range(6) if x >> u & 1] for x in m))
+    return tuple(sorted(out))
 
 
 @functools.lru_cache(maxsize=1)
-def census_index() -> dict[VeblenConfig | frozenset, int]:
-    """Each labeling's census position, keyed by the labeling and by its
-    set of lines, so ``apply`` finds an image without constructing it."""
-    return {key: k for k, v in enumerate(enumerate_labelings()) for key in (v, frozenset(v.lines))}
+def census_index() -> dict[tuple[tuple[int, ...], ...], int]:
+    """Each labeling's census position, keyed by its normal form."""
+    return {v: k for k, v in enumerate(enumerate_labelings())}
+
+
+def apply(v: int, m: tuple[int, ...]) -> int:
+    """The census position of the image of labeling ``v`` under a pair
+    bijection, given as the image position of each pair position.  A
+    bijection of the six pairs carries a labeling onto a labeling."""
+    return census_index()[_normal([m[u] for u in ln] for ln in enumerate_labelings()[v])]
 
 
 @functools.lru_cache(maxsize=1)
@@ -183,40 +145,40 @@ def action_table() -> tuple[tuple[int, ...], ...]:
     """Where the 48 candidate maps send each census position: row k is
     ``EXTEND[k]``, row 24 + k is row k read through the row of the
     complement involution, which commutes with every extend(phi)."""
-    census, index = enumerate_labelings(), census_index()
-    rows = [tuple(index[v.apply(m)] for v in census) for m in EXTEND]
-    cor = tuple(index[v.apply(CORRELATION)] for v in census)
+    census = range(len(enumerate_labelings()))
+    rows = [tuple(apply(v, m) for v in census) for m in EXTEND]
+    cor = tuple(apply(v, CORRELATION) for v in census)
     return tuple(rows + [tuple(cor[k] for k in row) for row in rows])
 
 
 @functools.cache
-def star_triangles(v: VeblenConfig) -> tuple[int, ...]:
-    """All i whose star S(i) is a free triangle of v: the three pairs of
-    S(i) pairwise collinear, yet S(i) itself not a line.  The memo is
-    bounded by the 30 labelings."""
+def star_triangles(v: int) -> tuple[int, ...]:
+    """All i whose star S(i) is a free triangle of labeling ``v``: the
+    three pairs of S(i) pairwise collinear, yet S(i) itself not a line.
+    The memo is bounded by the 30 labelings."""
+    lines = [frozenset(ln) for ln in enumerate_labelings()[v]]
     out = []
     for i in INDICES:
         s = star(i)
-        if v.has_line(s):
+        if s in lines:
             continue
-        if all(any(u in ln and w in ln for ln in v.lines) for u, w in itertools.combinations(s, 2)):
+        if all(any(u in ln and w in ln for ln in lines) for u, w in itertools.combinations(s, 2)):
             out.append(i)
     return tuple(out)
 
 
-def aut_perms(v: VeblenConfig) -> tuple[int, ...]:
-    """All permutations whose extension maps v onto itself: the phi whose
-    row of ``action_table`` fixes v's census position."""
-    k = census_index()[v]
-    return tuple(phi for phi, row in enumerate(action_table()[:24]) if row[k] == k)
+def aut_perms(v: int) -> tuple[int, ...]:
+    """All permutations whose extension maps labeling ``v`` onto itself:
+    the phi whose row of ``action_table`` fixes v."""
+    return tuple(phi for phi, row in enumerate(action_table()[:24]) if row[v] == v)
 
 
-def census_orbits(complemented: bool) -> tuple[tuple[VeblenConfig, ...], ...]:
+def census_orbits(complemented: bool) -> tuple[tuple[int, ...], ...]:
     """The census partitioned into its orbits under the 24 extended
     permutations or, when ``complemented``, under all 48 candidate maps,
     each orbit in census order, the orbits ordered by their first."""
-    census, rows = enumerate_labelings(), action_table()[: 48 if complemented else 24]
-    return orbits(census, lambda v: {census[row[census_index()[v]]] for row in rows})
+    rows = action_table()[: 48 if complemented else 24]
+    return orbits(range(len(enumerate_labelings())), lambda v: {row[v] for row in rows})
 
 
 def lemma23_representatives(kind: CanonicalKind) -> tuple[tuple[int, ...], ...]:
@@ -233,15 +195,18 @@ PAIR_NAMES: tuple[str, ...] = tuple(f"c{i}{j}" for i, j in PAIRS)
 _NAME_TO_PAIR: dict[str, int] = {name: u for u, name in enumerate(PAIR_NAMES)}
 
 
-def from_psts(s) -> VeblenConfig:
-    """The labeling of a structure on the six pair points c12 .. c34, as
-    an axis file gives it; only its ``points`` and ``lines`` are read, so
-    the labelings never load ``psts``.  Raises ValueError on any other
-    points."""
+def from_psts(s) -> int:
+    """The census position of the labeling of a structure on the six pair
+    points c12 .. c34, as an axis file gives it; only its ``points`` and
+    ``lines`` are read, so the labelings never load ``psts``.  Raises
+    ValueError on any other points, and on lines that are no labeling,
+    naming them."""
     if set(s.points) != set(_NAME_TO_PAIR):
         raise ValueError(
             f"expected points {sorted(_NAME_TO_PAIR)}, got {list(s.points)}"
         )
-    return VeblenConfig(
-        tuple(frozenset(_NAME_TO_PAIR[x] for x in ln) for ln in s.lines)
-    )
+    v = census_index().get(_normal([_NAME_TO_PAIR[x] for x in ln] for ln in s.lines))
+    if v is None:
+        named = ", ".join("{" + " ".join(ln) + "}" for ln in s.lines) or "none"
+        raise ValueError(f"not one of the 30 labelings of the six pairs: lines {named}")
+    return v

@@ -58,10 +58,9 @@ def family_images(s):
     """The 48 specs the family criteria relate to ``s``, as ((phi, case),
     image) pairs in the order of ``IMAGE_WITNESSES``: its image ids read
     back as specs."""
-    census = enumerate_labelings()
+    n = len(enumerate_labelings())
     for w, k in zip(IMAGE_WITNESSES, image_ids(s.family, spec_id(s.perm, s.axis))):
-        perm, axis = divmod(k, len(census))
-        yield w, PerspectiveSpec(s.family, perm, census[axis])
+        yield w, PerspectiveSpec(s.family, *divmod(k, n))
 
 
 def reference_refine_pair(a, ca, b, cb):
@@ -151,14 +150,15 @@ def triangle_counts(s):
 
 
 def axis_psts(v):
-    """The labeling ``v`` as a structure on the pair points c12 .. c34,
-    the names an axis file uses."""
-    return Psts(PAIR_NAMES, [[PAIR_NAMES[u] for u in ln] for ln in v.lines])
+    """The labeling at census position ``v`` as a structure on the pair
+    points c12 .. c34, the names an axis file uses."""
+    return Psts(PAIR_NAMES, [[PAIR_NAMES[u] for u in ln] for ln in enumerate_labelings()[v]])
 
 
 @pytest.fixture(scope="session")
 def census():
-    return enumerate_labelings()
+    """The 30 labelings, by their census positions."""
+    return tuple(range(len(enumerate_labelings())))
 
 
 @pytest.fixture(scope="session")

@@ -77,8 +77,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "carried-record-names-the-member",
         "src/skewpersp/classify.py",
-        "return self._records[(source.family, source.sid)]",
-        "return self._records[(source.family, source.sid)]._replace(source=spec)",
+        "return self._records[(source.family, spec_id(source.perm, source.axis))]",
+        "return self._records[(source.family, spec_id(source.perm, source.axis))]._replace(source=spec)",
         (
             "tests/test_classify.py::TestWitnessRefutations::test_refinement_refutes_before_backtracking[census]",
             "tests/test_classify.py::TestWitnessRefutations::test_refinement_refutes_before_backtracking[canonical]",
@@ -203,6 +203,27 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             "tests/test_derivation.py::test_they_are_the_maps_of_the_action_table",
             "tests/test_cli.py::TestBuild::test_levi_pinned[perm]",
+        ),
+    ),
+    Mutant(
+        "apply-returns-its-input",
+        "src/skewpersp/veblen.py",
+        "return census_index()[_normal([m[u] for u in ln] for ln in enumerate_labelings()[v])]",
+        "return v",
+        (
+            "tests/test_derivation.py::test_they_are_the_maps_of_the_action_table",
+            "tests/test_iso.py::TestApply::test_apply_returns_the_census_instance",
+        ),
+    ),
+    Mutant(
+        "axis-file-onto-some-labeling",
+        "src/skewpersp/veblen.py",
+        "census_index().get(_normal([_NAME_TO_PAIR[x] for x in ln] for ln in s.lines))",
+        "census_index().get(_normal([_NAME_TO_PAIR[x] for x in ln] for ln in s.lines), 0)",
+        (
+            "tests/test_veblen.py::TestVeblenConfig::test_rejects_wrong_line_count",
+            "tests/test_veblen.py::TestVeblenConfig::test_rejects_bad_degrees",
+            "tests/test_veblen.py::TestVeblenConfig::test_rejects_repeated_lines",
         ),
     ),
     Mutant(

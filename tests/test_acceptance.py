@@ -39,8 +39,10 @@ from skewpersp.psts import _free_cliques, validate_configuration
 from skewpersp.veblen import (
     PARTNER,
     CanonicalKind,
+    apply,
     canonical,
     census_orbits,
+    enumerate_labelings,
     star_triangles,
 )
 
@@ -93,7 +95,7 @@ def test_criterion_02_labeling_census(census, census_audit):
         if degree_ok and pair_ok:
             found += 1
             line_sets.add(frozenset(quad))
-    enumerated = {frozenset(v.lines) for v in census}
+    enumerated = {frozenset(map(frozenset, v)) for v in enumerate_labelings()}
 
     count_ok = found == 30 and len(census) == 30 and line_sets == enumerated
 
@@ -101,12 +103,12 @@ def test_criterion_02_labeling_census(census, census_audit):
     # candidate maps merges exactly the complement-partner pairs
     kinds = list(CanonicalKind)
     distinct_ok = all(
-        all(canonical(k).apply(m_a) != canonical(m) for m_a in EXTEND)
+        all(apply(canonical(k), m_a) != canonical(m) for m_a in EXTEND)
         for k, m in itertools.permutations(kinds, 2)
     )
     ext_orbit = {v: orbit for orbit in census_orbits(False) for v in orbit}
     pairing_ok = all(
-        [m for m in kinds if canonical(m) in ext_orbit[canonical(k).apply(CORRELATION)]]
+        [m for m in kinds if canonical(m) in ext_orbit[apply(canonical(k), CORRELATION)]]
         == [PARTNER[k]]
         for k in kinds
     )

@@ -41,7 +41,7 @@ from skewpersp.perspective import (
     parse_spec_text,
     spec_text,
 )
-from skewpersp.veblen import VeblenConfig, aut_perms
+from skewpersp.veblen import aut_perms
 
 EXPECTED_VERDICTS = {
     # the audit's honest divergence set, frozen
@@ -257,35 +257,37 @@ class TestCriterionSweep:
 
 
 class TestNoRevalidation:
-    """Labelings are validated where they are constructed, never when a
-    pair bijection moves them; a call counter makes this a gate that
-    cannot flake."""
+    """Labelings are census positions, and the algebraic claims read how
+    the maps move them off ``veblen.action_table``: they build no image
+    labeling, except ``_cor_4_6``, which moves each canonical kind by each
+    extended permutation itself, once.  A call counter makes this a gate
+    that cannot flake."""
 
     def test_algebraic_claims_construct_no_labeling(self, monkeypatch, census, perm_specs, kappa_specs):
         calls = 0
-        real = VeblenConfig.__new__
+        real = veblen.apply
 
-        def counting(cls, lines):
+        def counting(v, m):
             nonlocal calls
             calls += 1
-            return real(cls, lines)
+            return real(v, m)
 
-        monkeypatch.setattr(VeblenConfig, "__new__", counting)
-        # start cold, so every image goes through the census lookup
-        VeblenConfig.apply.cache_clear()
+        # start cold, then count only the claims' own moves
         veblen.census_index.cache_clear()
         veblen.action_table.cache_clear()
         indices.s4_tables.cache_clear()
+        veblen.action_table()
+        monkeypatch.setattr(veblen, "apply", counting)
+        monkeypatch.setattr(classify, "apply", counting)
         for v in census:
             aut_perms(v)
         classify._fact_2_1(census)
-        classify._cor_4_6()
         for s in perm_specs + kappa_specs:
             for _ in family_images(s):
                 pass
         assert calls == 0
-        VeblenConfig(census[0].lines)
-        assert calls == 1
+        classify._cor_4_6()
+        assert calls == 24 * 6
 
 
 WORK_FIELDS = (
@@ -469,10 +471,9 @@ def test_audit_retains_nothing_once_its_report_is_dropped():
     """Run in a fresh interpreter, so nothing the session built counts:
     once a census audit's report is dropped, its structures, keys and
     generators are freed with it.  Only the memos of the index algebra
-    stay, as their domains are finite: S4 and pair-map algebra, the
-    labeling census, ``VeblenConfig.apply``, ``star_triangles``, the axis
-    ranks, the family tables and the axis and join triples of ``build``,
-    about 4,880 allocated blocks.  No audit
+    stay, as their domains are finite: S4's tables, the labeling census
+    with its index and action table, ``star_triangles`` and the axis and
+    join triples of ``build``, about 710 allocated blocks.  No audit
     runs before the counted one: it would fill any cache keyed by
     structure with the very structures the counted audit asks for.  A
     memo of canonical searches keeps about 16,000 blocks, a memo of free

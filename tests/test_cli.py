@@ -147,7 +147,7 @@ class TestCensus:
 
     def test_coverage_is_computed(self, capsys, monkeypatch):
         # with V6 set to V5's labeling, V6's orbit of 8 is no longer covered
-        monkeypatch.setitem(veblen._CANONICAL, CanonicalKind.V6, canonical(CanonicalKind.V5))
+        monkeypatch.setitem(veblen._CANONICAL, CanonicalKind.V6, veblen._CANONICAL[CanonicalKind.V5])
         code, out, _ = run(capsys, "census")
         assert code == EX_OK
         assert "coverage: 22 of 30 labelings in canonical orbits" in out

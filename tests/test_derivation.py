@@ -1,7 +1,8 @@
 """The paper's objects re-derived from their definitions, with no package
 code: so far the permutations of S4 with their composition, inverse and
 conjugation, the six edges of the tetrahedron, their complements, the
-edge maps of S4 and the 48 skews.  Only the final comparison imports the
+edge maps of S4, the 48 skews and the 30 labelings of the Veblen
+configuration by the edges.  Only the final comparison imports the
 package, so a fault shared by the package's algebra and its tests cannot
 hide here."""
 
@@ -63,6 +64,27 @@ def induced() -> dict[tuple[int, ...], tuple[int, ...]]:
     return out
 
 
+def labelings() -> list[tuple[tuple[int, ...], ...]]:
+    """Every set of four 3-sets of edges with each edge on exactly two of
+    them and no two sharing more than one edge: the labelings of the
+    Veblen configuration by the six edges.  Each is the sorted tuple of
+    its lines, a line the sorted positions in ``EDGES`` of its edges, and
+    the labelings come in the order of those tuples."""
+    lines = itertools.combinations(range(6), 3)
+    return sorted(
+        quad
+        for quad in itertools.combinations(lines, 4)
+        if all(sum(e in line for line in quad) == 2 for e in range(6))
+        and all(len(set(a) & set(b)) <= 1 for a, b in itertools.combinations(quad, 2))
+    )
+
+
+def moved(labeling: tuple[tuple[int, ...], ...], images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The labeling that an edge bijection carries ``labeling`` onto, in
+    the form ``labelings`` gives it."""
+    return tuple(sorted(tuple(sorted(images[e] for e in line)) for line in labeling))
+
+
 def test_the_group_tables_are_a_group():
     comp, inv, conj = group_tables()
     identity = PERMS.index(INDICES)
@@ -82,16 +104,24 @@ def test_48_skews_of_which_24_are_induced():
     assert complements() in set(found) - plain
 
 
+def test_30_labelings_closed_under_the_48_skews():
+    found = labelings()
+    assert len(found) == len(set(found)) == 30
+    for images in skews():
+        assert sorted(moved(v, images) for v in found) == found
+
+
 def test_they_are_the_maps_of_the_action_table():
     """The package's permutations are the derived ones in the same order,
     with the same composition, inverse and conjugation tables.  Its pairs
     are the six edges, by position, and its complement, its extension of
-    each permutation and its pair point names are the derived ones.  Each
-    skew moves the package's census of labelings exactly as one row of
-    ``veblen.action_table`` says, the induced ones as rows 0-23 and the
-    others as rows 24-47; the 48 rows are distinct, so the table holds
-    each skew exactly once.  Row k is the edge map of permutation k, and
-    row 24 + k that map followed by the complement."""
+    each permutation and its pair point names are the derived ones.  Its
+    census holds the derived labelings, position by position.  Each skew
+    moves them exactly as one row of ``veblen.action_table`` says, the
+    induced ones as rows 0-23 and the others as rows 24-47; the 48 rows
+    are distinct, so the table holds each skew exactly once.  Row k is the
+    edge map of permutation k, and row 24 + k that map followed by the
+    complement."""
     from skewpersp.indices import ALL_PERMS, CORRELATION, EXTEND, PAIRS, s4_tables
     from skewpersp.veblen import PAIR_NAMES, action_table, enumerate_labelings
 
@@ -102,13 +132,12 @@ def test_they_are_the_maps_of_the_action_table():
     assert dict(zip(ALL_PERMS, EXTEND)) == induced()
     assert PAIR_NAMES == tuple("c%d%d" % ends(e) for e in EDGES)
 
-    labelings = [frozenset(frozenset(line) for line in v.lines) for v in enumerate_labelings()]
-    position = {lines: k for k, lines in enumerate(labelings)}
+    derived = labelings()
+    assert list(enumerate_labelings()) == derived
+    position = {v: k for k, v in enumerate(derived)}
 
     def row(images):
-        return tuple(
-            position[frozenset(frozenset(images[u] for u in line) for line in lines)] for lines in labelings
-        )
+        return tuple(position[moved(v, images)] for v in derived)
 
     table = action_table()
     assert len(set(table)) == 48

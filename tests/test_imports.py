@@ -364,12 +364,24 @@ def test_the_package_imports_no_dataclasses():
 
 
 def apply_readers(source: str) -> set[str]:
-    """The top-level definitions of ``source`` that read an attribute
-    ``apply``, called or not, by name; ``<module>`` for a read outside
+    """The top-level definitions of ``source`` that read ``apply``, called
+    or not, by name: the name ``apply``, any name that ``apply`` is
+    imported as, or an attribute ``apply``; ``<module>`` for a read outside
     every definition."""
+    tree = ast.parse(source)
+    names = {"apply"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "apply" and alias.asname
+    }
     found = set()
-    for node in ast.parse(source).body:
-        if any(isinstance(n, ast.Attribute) and n.attr == "apply" for n in ast.walk(node)):
+    for node in tree.body:
+        if any(
+            isinstance(n, ast.Name) and n.id in names or isinstance(n, ast.Attribute) and n.attr == "apply"
+            for n in ast.walk(node)
+        ):
             is_definition = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             found.add(node.name if is_definition else "<module>")
     return found
@@ -377,15 +389,19 @@ def apply_readers(source: str) -> set[str]:
 
 def test_the_apply_scan_sees_every_read():
     source = (
-        "x = v.apply(m)\ndef f():\n    return [w.apply(m) for w in census]\n"
-        "def g():\n    return map(v.apply, maps)\nclass C:\n    def h(self):\n        return self.apply(m)\n"
-        "def quiet():\n    return apply(v, m), v.apply_line(ln), v.applied\n"
+        "from .veblen import apply, apply as move\nx = apply(v, m)\n"
+        "def f():\n    return [apply(w, m) for w in census]\n"
+        "def g():\n    return list(map(apply, census, maps))\n"
+        "def h():\n    return move(v, m)\n"
+        "class C:\n    def k(self):\n        return veblen.apply(v, m)\n"
+        "def local():\n    from skewpersp.veblen import apply as shift\n\ndef late():\n    return shift(v, m)\n"
+        "def quiet():\n    return v.apply_line(ln), v.applied, applied(v), moved(v, m)\n"
     )
-    assert apply_readers(source) == {"<module>", "f", "g", "C"}
+    assert apply_readers(source) == {"<module>", "f", "g", "h", "C", "late"}
 
 
-#: where ``VeblenConfig.apply`` may be read outside ``veblen``: the claims
-#: that move a labeling by a pair map themselves
+#: where ``veblen.apply`` may be read outside ``veblen``: the claims that
+#: move a labeling by a pair map themselves
 APPLY_READERS = {"classify.py": {"_eq_2", "_fact_2_2", "_lemma_4_4", "_cor_4_6"}}
 
 

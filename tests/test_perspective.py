@@ -28,8 +28,8 @@ from skewpersp.perspective import (
     spec_text,
 )
 from skewpersp import psts
-from skewpersp.psts import Psts, PstsError, _free_cliques, validate_configuration
-from skewpersp.veblen import CanonicalKind, VeblenConfig, canonical
+from skewpersp.psts import Psts, _free_cliques, validate_configuration
+from skewpersp.veblen import CanonicalKind, canonical
 
 perms = st.sampled_from(range(len(ALL_PERMS)))
 kinds = st.sampled_from(tuple(CanonicalKind))
@@ -112,23 +112,6 @@ class TestBuild:
             named = Psts(s.points, s.lines)
             assert s == named and s.partners == named.partners, spec_text(spec)
             assert all(list(pairs) == sorted(pairs) for pairs in s.partners), spec_text(spec)
-
-    @pytest.mark.parametrize(
-        "lines,problem",
-        [
-            # T(1) and a line sharing its pairs 23 and 24
-            (("23 24 34", "12 13 14", "12 23 24", "13 14 34"), "lie on two lines"),
-            (("23 24", "12 13 14 34", "12 23 34", "13 14 24"), "not a 3-set"),
-        ],
-        ids=["pair-on-two-lines", "two-pair-line"],
-    )
-    def test_corrupted_axis_raises(self, lines, problem):
-        # past the validating constructor, as only a bug could
-        axis = tuple.__new__(
-            VeblenConfig, (tuple(frozenset(PAIRS.index((int(p[0]), int(p[1]))) for p in ln.split()) for ln in lines),)
-        )
-        with pytest.raises(PstsError, match=problem):
-            build(PerspectiveSpec(SkewFamily.PERM, IDENTITY, axis))
 
 
 class TestBJoin:
