@@ -13,7 +13,7 @@ Subpackage map:
     indices      index set {1,2,3,4}, its pairs and permutations by position, S4's tables
     psts         partial Steiner triple systems, free complete subgraphs
     veblen       the 30 Veblen (Pasch) configurations on the six pairs, by census position
-    perspective  construction of the two perspective families, their criteria
+    perspective  the two perspective families, a spec by position 0-1439, construction, criteria
     iso          canonical forms, isomorphism search
     classify     family enumeration, class partition, claim audit
     cli          command line front end

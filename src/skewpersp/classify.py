@@ -14,15 +14,16 @@ between the two independent in-package oracles (canonical keys versus
 explicit witness search), on the other hand, is a bug and aborts the audit
 out loud.
 
-One audit holds one structure and one record per spec, keyed by (family,
-spec id) and made on first use, and one canonical search keys each
-criterion orbit: the search of the first member the audit asks for.  The
-record holds its key, group order and center's orbit label, which with
-the key decides center-fixing isomorphism, and that searched spec.  Every
-other member shares the record, and takes its free K5 subgraphs, along
-the criterion's point map ``image_perm``, a permutation of the shared
-frame's indices, once ``iso._is_isomorphism`` checks it as an isomorphism
-that fixes the center.  Canonical-axis specs sort first, so each orbit's
+A spec is its position 0-1439, which only ``perspective.encode_spec``
+and ``decode_spec`` read.  One audit holds one structure and one record
+per spec, keyed by the spec and made on first use, and one canonical
+search keys each criterion orbit: the search of the first member the
+audit asks for.  The record holds its key, group order and center's
+orbit label, which with the key decides center-fixing isomorphism, and
+that searched spec.  Every other member shares the record, and takes
+its free K5 subgraphs, along the criterion's point map ``image_perm``, a
+permutation of the shared frame's indices, once ``iso._is_isomorphism``
+checks it as an isomorphism that fixes the center.  Canonical-axis specs sort first, so each orbit's
 searched spec lies over a canonical axis, and
 ``classes_beyond_canonical_axes: 0`` is backed by a checked isomorphism
 onto a canonical-axis spec.  The records and structures, with their
@@ -34,7 +35,7 @@ class, and one refutation per pair of class representatives, by unequal
 certificates or, where they share one, by a search.  Composed with the
 checked maps, these decide every pair of specs, so the class counts,
 "collisions: 0" and the classes no published entry reaches do not rest on
-keys alone.  The two criterion sweeps compute each spec's 48 image ids
+keys alone.  The two criterion sweeps compute each spec's 48 images
 once and compare membership with key equality on every pair.  A failed
 check raises ``OracleInconsistencyError`` (exit 70).
 """
@@ -67,18 +68,19 @@ from .iso import (
 from .perspective import (
     CENTER,
     CENTER_INDEX,
-    IMAGE_WITNESSES,
+    KAPPA,
+    PERM,
     POINTS,
-    PerspectiveSpec,
-    SkewFamily,
     a_name,
     b_name,
     build,
     c_name,
+    decode_spec,
+    encode_spec,
     image_ids,
     image_perm,
     predicted_free_k5,
-    spec_id,
+    sort_key,
     spec_text,
 )
 from .psts import Psts, validate_configuration
@@ -100,24 +102,18 @@ def canonical_axes() -> tuple[int, ...]:
     return tuple(canonical(kind) for kind in CanonicalKind)
 
 
-def enumerate_family(
-    family: SkewFamily, axes: tuple[int, ...]
-) -> tuple[PerspectiveSpec, ...]:
+def enumerate_family(family: int, axes: tuple[int, ...]) -> tuple[int, ...]:
     """All 24 x |axes| specs of one family, in spec sort order."""
     if not axes:
         raise ValueError("need at least one axis")
-    specs = [
-        PerspectiveSpec(family, perm, axis)
-        for perm in range(len(ALL_PERMS))
-        for axis in axes
-    ]
-    return tuple(sorted(specs, key=PerspectiveSpec.sort_key))
+    specs = (encode_spec(family, perm, axis) for perm in range(len(ALL_PERMS)) for axis in axes)
+    return tuple(sorted(specs, key=sort_key))
 
 
 class IsoClass(NamedTuple):
     class_id: str
-    representative: PerspectiveSpec
-    members: tuple[PerspectiveSpec, ...]
+    representative: int  # a spec
+    members: tuple[int, ...]
     key: CanonicalKey
     free_k5_count: int
     aut_order: int
@@ -145,12 +141,12 @@ class _Record(NamedTuple):
     key: CanonicalKey
     order: int
     center: int
-    source: PerspectiveSpec
+    source: int
 
 
 class _Structures:
-    """Each spec's built structure (``structures[spec]``) and its
-    ``record``, both made on first use and keyed by (family, spec id).
+    """Each spec's built structure (``structures[s]``) and its
+    ``record``, both made on first use and keyed by the spec.
 
     Structures with equal keys have an isomorphism mapping center onto
     center exactly when their center labels are equal, so (key, center)
@@ -158,56 +154,53 @@ class _Structures:
     exactly to the specs that a center-fixing isomorphism reaches (Prop.
     3.2 and 4.5), and such a map keeps all four fields, so a criterion
     orbit shares one record object.  The first spec of an orbit asked for
-    is searched, and one pass over its family image ids links every other
-    member to it as its image under some (phi, case).  A member takes the
+    is searched, and one pass over its ``image_ids`` links every other
+    member to it as its image under some witness.  A member takes the
     searched spec's record, and its free K5 subgraphs along
     ``image_perm``, once that map fixes the center and passes
     ``_is_isomorphism``.  A failed check raises; nothing falls back."""
 
     def __init__(self) -> None:
-        self._built: dict[tuple, Psts] = {}
-        self._records: dict[tuple, _Record] = {}
-        # (family, spec id) of a member not yet carried -> (searched spec,
-        # phi, case): shared parts, so an entry holds no spec of its own
-        self._links: dict[tuple, tuple] = {}
+        self._built: dict[int, Psts] = {}
+        self._records: dict[int, _Record] = {}
+        # a member not yet carried -> (searched spec, witness)
+        self._links: dict[int, tuple[int, int]] = {}
 
-    def __getitem__(self, spec: PerspectiveSpec) -> Psts:
-        key = (spec.family, spec_id(spec.perm, spec.axis))
-        s = self._built.get(key)
+    def __getitem__(self, spec: int) -> Psts:
+        s = self._built.get(spec)
         if s is None:
-            s = self._built[key] = build(spec)
+            s = self._built[spec] = build(spec)
         return s
 
-    def record(self, spec: PerspectiveSpec) -> _Record:
-        family, sid = key = (spec.family, spec_id(spec.perm, spec.axis))
-        r = self._records.get(key)
+    def record(self, spec: int) -> _Record:
+        r = self._records.get(spec)
         if r is None:
-            link = self._links.pop(key, None)
+            link = self._links.pop(spec, None)
             if link is not None:
                 r = self._carry(spec, *link)
             else:
                 canon, gens, order, labeling = _canonical_search(self[spec])
                 r = _Record(canon, order, orbit_label(labeling, gens, CENTER_INDEX), spec)
-                for w, image in zip(IMAGE_WITNESSES, image_ids(family, sid)):
-                    if image != sid:
-                        self._links.setdefault((family, image), (spec, *w))
-            self._records[key] = r
+                for w, image in enumerate(image_ids(spec)):
+                    if image != spec:
+                        self._links.setdefault(image, (spec, w))
+            self._records[spec] = r
         return r
 
-    def _carry(self, spec: PerspectiveSpec, source: PerspectiveSpec, phi, case) -> _Record:
+    def _carry(self, spec: int, source: int, w: int) -> _Record:
         """The record and free K5 subgraphs of the searched ``source``,
-        taken onto its image ``spec`` under (phi, case) along the map,
+        taken onto its image ``spec`` under witness ``w`` along the map,
         once that is checked."""
         s, t = self[spec], self[source]
-        m = image_perm(source, phi, case)
+        m = image_perm(source, w)
         moves = m[CENTER_INDEX] != CENTER_INDEX
         if moves or not _is_isomorphism(t, s, m):
             raise OracleInconsistencyError(
-                f"the case {case.value} map of {spec_text(source)} onto {spec_text(spec)} "
+                f"the case {'AB'[w >= len(ALL_PERMS)]} map of {spec_text(source)} onto {spec_text(spec)} "
                 + ("moves the center" if moves else "is no isomorphism")
             )
         s.carry_free_k5(t, m)
-        return self._records[(source.family, spec_id(source.perm, source.axis))]
+        return self._records[source]
 
 
 def partition_into_classes(specs, *, structures: _Structures | None = None) -> tuple[IsoClass, ...]:
@@ -223,15 +216,15 @@ def partition_into_classes(specs, *, structures: _Structures | None = None) -> t
         structures = _Structures()
     # in sort order, so each group lists its members sorted and the groups
     # come in the order of their least members
-    groups: dict[CanonicalKey, list[PerspectiveSpec]] = {}
-    for s in sorted(set(specs), key=PerspectiveSpec.sort_key):
+    groups: dict[CanonicalKey, list[int]] = {}
+    for s in sorted(set(specs), key=sort_key):
         groups.setdefault(structures.record(s).key, []).append(s)
     classes = []
     for idx, (key, members) in enumerate(groups.items(), 1):
         members = tuple(members)
         rep = members[0]
         k5 = len(structures[rep].free_k5)
-        prefix = "P" if rep.family is SkewFamily.PERM else "K"
+        prefix = "PK"[decode_spec(rep)[0]]
         classes.append(
             IsoClass(
                 class_id=f"{prefix}{idx:02d}",
@@ -366,10 +359,6 @@ FACT_2_2_PUBLISHED_ORDERS: dict[CanonicalKind, int] = {
 PUBLISHED_PERM_CLASS_COUNT = 42
 PUBLISHED_KAPPA_CLASS_COUNT = 20
 PUBLISHED_TOTAL_COUNT = 62
-
-
-def _entry_spec(family: SkewFamily, kind: CanonicalKind, cycles: str) -> PerspectiveSpec:
-    return PerspectiveSpec(family, parse_cycles(cycles), canonical(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +550,9 @@ def _lemma_3_1(structures, perm_specs) -> Finding:
         if built.free_k5 != predicted_free_k5(s):
             mismatches.append(spec_text(s))
         has_extra = len(built.free_k5) >= 3
-        triangles = star_triangles(s.axis)
-        condition = any(i in triangles for i in fixed_points(s.perm))
+        _, perm, axis = decode_spec(s)
+        triangles = star_triangles(axis)
+        condition = any(i in triangles for i in fixed_points(perm))
         if has_extra != condition:
             dichotomy_fail.append(spec_text(s))
     ok = not mismatches and not dichotomy_fail
@@ -604,12 +594,12 @@ def _check_partitions(structures, perm_classes, kappa_classes, perm_specs) -> No
     within one plain class, as non-isomorphic structures have no
     center-fixing isomorphism.  Any disagreement with the keys raises."""
     plain = [c.members for c in perm_classes + kappa_classes]
-    fixing: dict[tuple, list[PerspectiveSpec]] = {}
+    fixing: dict[tuple, list[int]] = {}
     for s in perm_specs:
         rec = structures.record(s)
         fixing.setdefault((rec.key, rec.center), []).append(s)
     # each center-fixing class lies inside the plain class of its key
-    within: dict[CanonicalKey, list[PerspectiveSpec]] = {}
+    within: dict[CanonicalKey, list[int]] = {}
     for (key, _), members in fixing.items():
         within.setdefault(key, []).append(members[0])
     center = (CENTER_INDEX, CENTER_INDEX)
@@ -629,19 +619,17 @@ def _check_partitions(structures, perm_classes, kappa_classes, perm_specs) -> No
 
 def _criterion_sweep(claim_id: str, claim: str, specs, keys) -> Finding:
     """The family's algebraic criterion against key equality on all pairs
-    i <= j of specs of one family.  Each spec's image ids are computed
-    once; the criterion relates a pair exactly when the second spec's id
-    is among the first's images."""
+    i <= j of specs of one family.  Each spec's images are computed once;
+    the criterion relates a pair exactly when the second spec is among the
+    first's images."""
     texts = [spec_text(s) for s in specs]
-    family = specs[0].family
-    ids = [spec_id(s.perm, s.axis) for s in specs]
     rank: dict = {}
     classes = [rank.setdefault(k, len(rank)) for k in keys]
     disagreements = []
     for i in range(len(specs)):
-        images = set(image_ids(family, ids[i]))
+        images = set(image_ids(specs[i]))
         for j in range(i, len(specs)):
-            algebraic = ids[j] in images
+            algebraic = specs[j] in images
             oracle = classes[i] == classes[j]
             if algebraic != oracle:
                 disagreements.append(
@@ -697,7 +685,7 @@ def _cor_4_2(structures, kappa_specs) -> Finding:
     colours: with the center alone in its cell, each fixes the center.  A
     point that shares the center's cell must be refuted as its image.
     Every other member follows along its checked center-fixing map."""
-    moves: dict[PerspectiveSpec, bool] = {}
+    moves: dict[int, bool] = {}
     moved = []
     for s in kappa_specs:
         source = structures.record(s).source
@@ -756,8 +744,8 @@ def _lemma_4_4(structures, census) -> Finding:
     failures = []
     keys_differ = []
     for axis in census:
-        s1 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, axis)
-        s2 = PerspectiveSpec(SkewFamily.PERM_KAPPA, IDENTITY, apply(axis, CORRELATION))
+        s1 = encode_spec(KAPPA, IDENTITY, axis)
+        s2 = encode_spec(KAPPA, IDENTITY, apply(axis, CORRELATION))
         if not _is_isomorphism(structures[s1], structures[s2], swap):
             failures.append(f"axis census:{axis}")
         if structures.record(s1).key != structures.record(s2).key:
@@ -779,20 +767,17 @@ def _lemma_4_4(structures, census) -> Finding:
 
 def _cor_4_6() -> Finding:
     """The second spec's axis is moved by ``veblen.apply``, the images
-    come from ``action_table``; the two meet as spec ids."""
+    come from ``action_table``; the two meet as specs."""
     checked = 0
     failures = []
-    kappa = SkewFamily.PERM_KAPPA
     conj = s4_tables()[2]
     moved = {(a, kind): apply(canonical(kind), EXTEND[a]) for a in range(len(ALL_PERMS)) for kind in CanonicalKind}
     for phi in range(len(ALL_PERMS)):
-        images = {
-            kind: set(image_ids(kappa, spec_id(phi, canonical(kind)))) for kind in CanonicalKind
-        }
+        images = {kind: set(image_ids(encode_spec(KAPPA, phi, canonical(kind)))) for kind in CanonicalKind}
         for alpha in range(len(ALL_PERMS)):
             for kind in CanonicalKind:
                 checked += 1
-                if spec_id(conj[alpha][phi], moved[alpha, kind]) not in images[kind]:
+                if encode_spec(KAPPA, conj[alpha][phi], moved[alpha, kind]) not in images[kind]:
                     failures.append(
                         f"phi={render_cycles(phi)} alpha={render_cycles(alpha)} axis={kind}"
                     )
@@ -815,8 +800,7 @@ def _lemma_4_8(structures) -> Finding:
         cls = {b: k for k, members in enumerate(lemma23_representatives(kind)) for b in members}
         keys = {}
         for beta in range(len(ALL_PERMS)):
-            s = PerspectiveSpec(SkewFamily.PERM_KAPPA, beta, axis)
-            keys[beta] = structures.record(s).key
+            keys[beta] = structures.record(encode_spec(KAPPA, beta, axis)).key
         for b1, b2 in itertools.combinations_with_replacement(range(len(ALL_PERMS)), 2):
             checked += 1
             conjugate = cls[b1] == cls[b2]
@@ -840,7 +824,7 @@ def _theorem_finding(
     claim: str,
     classes: tuple[IsoClass, ...],
     entries,
-    family: SkewFamily,
+    family: int,
     published_count: int,
     census_note: dict | None,
 ) -> tuple[tuple[IsoClass, ...], Finding]:
@@ -852,7 +836,7 @@ def _theorem_finding(
     labels: dict[str, list[str]] = {}
     problems = []
     for label, kind, cycles in entries:
-        k = structures.record(_entry_spec(family, kind, cycles)).key
+        k = structures.record(encode_spec(family, parse_cycles(cycles), canonical(kind))).key
         entry_keys[label] = k
         if k not in by_key:
             problems.append(f"entry ({label}) matches no computed class")
@@ -913,10 +897,10 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
     census = tuple(range(len(enumerate_labelings())))
     axes = canonical_axes() if axes_mode == "canonical" else census
 
-    perm_canonical = enumerate_family(SkewFamily.PERM, canonical_axes())
-    kappa_canonical = enumerate_family(SkewFamily.PERM_KAPPA, canonical_axes())
-    perm_specs = perm_canonical if axes_mode == "canonical" else enumerate_family(SkewFamily.PERM, axes)
-    kappa_specs = kappa_canonical if axes_mode == "canonical" else enumerate_family(SkewFamily.PERM_KAPPA, axes)
+    perm_canonical = enumerate_family(PERM, canonical_axes())
+    kappa_canonical = enumerate_family(KAPPA, canonical_axes())
+    perm_specs = perm_canonical if axes_mode == "canonical" else enumerate_family(PERM, axes)
+    kappa_specs = kappa_canonical if axes_mode == "canonical" else enumerate_family(KAPPA, axes)
 
     structures = _Structures()
     perm_classes = partition_into_classes(perm_specs, structures=structures)
@@ -940,7 +924,7 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
         "the plain family over the canonical kinds falls into exactly the 42 listed isomorphism classes",
         perm_classes,
         THEOREM_3_4_ENTRIES,
-        SkewFamily.PERM,
+        PERM,
         PUBLISHED_PERM_CLASS_COUNT,
         census_note_perm,
     )
@@ -950,7 +934,7 @@ def audit_claims(axes_mode: str = "census") -> ClassificationReport:
         "the boolean-complementing family over the canonical kinds has exactly 20 isomorphism types",
         kappa_classes,
         THEOREM_4_9_ENTRIES,
-        SkewFamily.PERM_KAPPA,
+        KAPPA,
         PUBLISHED_KAPPA_CLASS_COUNT,
         census_note_kappa,
     )

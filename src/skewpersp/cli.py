@@ -93,7 +93,7 @@ def _load_axis_file(path: str):
 
 
 def parse_spec(text: str):
-    """Spec text to PerspectiveSpec, resolving file-path axes."""
+    """Spec text to its spec, a position 0-1439, resolving file-path axes."""
     from .perspective import parse_spec_text
 
     try:
@@ -226,11 +226,11 @@ def _cmd_aut(args) -> int:
 
 def _cmd_classify(args) -> int:
     from . import classify as cls
-    from .perspective import SkewFamily, spec_text
+    from .perspective import FAMILIES, spec_text
     from .veblen import enumerate_labelings
 
     axes = cls.canonical_axes() if args.axes == "canonical" else tuple(range(len(enumerate_labelings())))
-    classes = cls.partition_into_classes(cls.enumerate_family(SkewFamily(args.family), axes))
+    classes = cls.partition_into_classes(cls.enumerate_family(FAMILIES.index(args.family), axes))
     if args.format == "structured":
         import json
 

@@ -9,36 +9,37 @@ with 20 lines: the four axis lines of N over the c-points, the six A-side
 joins {a_i, a_j, c_ij}, the six B-side joins {b_i, b_j, c_u} with
 u = delta^-1({i,j}), and the four center lines {p, a_i, b_i}.
 
-Two skew families are in scope.  PERM takes delta = extend(sigma); the
-B-side then mirrors the A-side through sigma.  PERM_KAPPA ("boolean
-complementing") takes delta = extend(phi) composed with the complement
-involution, which is what kills all free K5 subgraphs beyond the two
-tetrahedra A* and B*.
+Two skew families are in scope, by their positions in ``FAMILIES``.  The
+plain family "perm" takes delta = extend(sigma); the B-side then mirrors
+the A-side through sigma.  The boolean-complementing family "kappa" takes
+delta = extend(phi) composed with the complement involution, which is
+what kills all free K5 subgraphs beyond the two tetrahedra A* and B*.
 
-``build`` returns the bare structure, on one frame of 15 sorted point
-names that every perspective shares; a point's role (center, A_i, B_i or
-C_u) is its name, spelled out in ``ROLE_LABELS``.  A spec names its
-permutation and its axis labeling by their positions in ``ALL_PERMS`` and
-in the census ``veblen.enumerate_labelings()``, and its id is
-``perm * 30 + axis``.
+A spec is its position 0-1439: ``skew * 30 + axis``, where the axis is
+the labeling's position in the census ``veblen.enumerate_labelings()`` and
+``skew = family * 24 + perm`` is the row of ``veblen.action_table`` that
+its B-side joins follow, the permutation by its position in ``ALL_PERMS``.
+Only this module reads that layout: ``encode_spec`` and ``decode_spec``
+turn a (family, perm, axis) into a spec and back.  ``build`` returns the
+bare structure, on one frame of 15 sorted point names that every
+perspective shares; a point's role (center, A_i, B_i or C_u) is its name,
+spelled out in ``ROLE_LABELS``.
 
 The closed-form criteria of the two families (Prop. 3.2 and 4.5) live
 here too, phrased over S4 and the axis and solved for the second spec:
-``image_ids`` lists the 48 specs one spec is related to, as integer spec
-ids read from ``indices.s4_tables`` and ``veblen.action_table``.
-In the plain family those are exactly the specs a center-fixing
-isomorphism reaches, in the boolean-complementing family (where every
-isomorphism fixes the center) exactly the isomorphic ones.
-``image_perm`` spells out the isomorphism onto an image as a permutation
-of the frame's indices, the form ``iso._is_isomorphism`` checks.
+``image_ids`` lists the 48 specs one spec is related to, read from
+``indices.s4_tables`` and ``veblen.action_table``.  In the plain family
+those are exactly the specs a center-fixing isomorphism reaches, in the
+boolean-complementing family (where every isomorphism fixes the center)
+exactly the isomorphic ones.  ``image_perm`` spells out the isomorphism
+onto an image as a permutation of the frame's indices, the form
+``iso._is_isomorphism`` checks.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from enum import Enum
-from typing import NamedTuple
 
 from .indices import (
     ALL_PERMS,
@@ -89,32 +90,32 @@ def c_name(u: int) -> str:
     return PAIR_NAMES[u]
 
 
-class SkewFamily(Enum):
-    PERM = "perm"
-    PERM_KAPPA = "kappa"
-
-    def __str__(self) -> str:
-        return self.value
+#: the skew families by position: plain, then boolean-complementing
+FAMILIES = ("perm", "kappa")
+PERM, KAPPA = range(len(FAMILIES))
+_PERMS, _AXES = len(ALL_PERMS), 30  # 30: the census size
 
 
-class PerspectiveSpec(NamedTuple):
-    """A skew, by its family and permutation, plus an axis labeling; the
-    center carries no freedom.
+def encode_spec(family: int, perm: int, axis: int) -> int:
+    """The spec of the skew of ``family`` with permutation ``perm`` (a
+    position in ``ALL_PERMS``) over ``axis`` (a census position).  The
+    center carries no freedom."""
+    return (family * _PERMS + perm) * _AXES + axis
 
-    PERM carries sigma with delta = extend(sigma).  PERM_KAPPA carries phi
-    with delta = extend(phi) after the complement involution; the two
-    factors commute, so the order is immaterial.
-    """
 
-    family: SkewFamily
-    perm: int  # position in ALL_PERMS
-    axis: int  # position in the census, veblen.enumerate_labelings()
+def decode_spec(s: int) -> tuple[int, int, int]:
+    """The (family, perm, axis) of spec ``s``."""
+    skew, axis = divmod(s, _AXES)
+    return (*divmod(skew, _PERMS), axis)
 
-    def sort_key(self) -> tuple:
-        # canonical-kind axes outrank census ones so representatives keep
-        # their kind-name spelling whichever axis set was enumerated
-        rank = _axis_rank(self.axis)
-        return (self.family.value, rank[0], self.perm, rank)
+
+def sort_key(s: int) -> tuple:
+    """The order of specs: by family name, then canonical-kind axes before
+    census ones, so representatives keep their kind-name spelling whichever
+    axis set was enumerated, then permutation and axis."""
+    family, perm, axis = decode_spec(s)
+    rank = _axis_rank(axis)
+    return (FAMILIES[family], rank[0], perm, rank)
 
 
 #: The frame every perspective is built on: its 15 point names in sorted
@@ -142,13 +143,14 @@ _G = tuple(
 )
 
 
-def build(spec: PerspectiveSpec) -> Psts:
-    """Construct the perspective on the frame ``POINTS``: sorted index
-    triples straight from the pair algebra, the B-side join of u meeting
-    the axis in c_delta^-1(u).  The result is always a (15_4 20_3)
-    configuration for a valid spec.  Lines are checked at index level:
-    no pair of points on two of them."""
-    lines = sorted((*_FIXED_LINES, *_axis_triples(spec.axis), *_join_triples(spec.family, spec.perm)))
+def build(s: int) -> Psts:
+    """Construct the perspective of spec ``s`` on the frame ``POINTS``:
+    sorted index triples straight from the pair algebra, the B-side join of
+    u meeting the axis in c_delta^-1(u).  The result is always a (15_4
+    20_3) configuration.  Lines are checked at index level: no pair of
+    points on two of them."""
+    skew, axis = divmod(s, _AXES)
+    lines = sorted((*_FIXED_LINES, *_axis_triples(axis), *_join_triples(skew)))
     return Psts._from_triples(POINTS, tuple(lines))
 
 
@@ -160,59 +162,45 @@ def _axis_triples(axis: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _join_triples(family: SkewFamily, perm: int) -> tuple[tuple[int, ...], ...]:
-    """The six B-side joins of ``build``, as index triples: memoized, as
-    they depend on the family and the permutation only, 48 skews."""
+def _join_triples(skew: int) -> tuple[tuple[int, ...], ...]:
+    """The six B-side joins of ``build``, as index triples: memoized per
+    skew, as there are 48."""
+    family, perm = divmod(skew, _PERMS)
     delta = EXTEND[perm]
-    if family is SkewFamily.PERM_KAPPA:
+    if family == KAPPA:
         delta = tuple(delta[k] for k in CORRELATION)
     return tuple(
         tuple(sorted((lo, hi, _C[delta.index(u)]))) for u, (lo, hi) in enumerate(_B_ENDS)
     )
 
 
-def predicted_free_k5(spec: PerspectiveSpec) -> tuple[tuple[int, ...], ...]:
-    """The closed-form ``Psts.free_k5`` of the built structure.
+def predicted_free_k5(s: int) -> tuple[tuple[int, ...], ...]:
+    """The closed-form ``Psts.free_k5`` of the structure of spec ``s``.
 
     Both tetrahedra extend through the center: A* and B* are always free.
-    PERM skews add G_(i) = {a_i, b_i} ∪ {c_u : u in S(i)} for every i that
-    sigma fixes whose star is a star-triangle of the axis.  PERM_KAPPA
-    skews never add anything.  Must agree with the exhaustive clique oracle
-    on every spec; the audit checks exactly that.
+    Plain skews add G_(i) = {a_i, b_i} ∪ {c_u : u in S(i)} for every i that
+    sigma fixes whose star is a star-triangle of the axis.
+    Boolean-complementing skews never add anything.  Must agree with the
+    exhaustive clique oracle on every spec; the audit checks exactly that.
     """
+    family, perm, axis = decode_spec(s)
     cliques = list(_TETRAHEDRA)
-    if spec.family is SkewFamily.PERM:
-        triangles = star_triangles(spec.axis)
-        cliques += (_G[i - 1] for i in fixed_points(spec.perm) if i in triangles)
+    if family == PERM:
+        triangles = star_triangles(axis)
+        cliques += (_G[i - 1] for i in fixed_points(perm) if i in triangles)
     return tuple(sorted(cliques))
 
 
 # ---------------------------------------------------------------------------
 # family criteria
+#
+# A witness w in range(48) names one image of a spec: case A under
+# phi = w for w < 24, case B under phi = w - 24.
 
 
-class IsoCase(Enum):
-    A = "A"
-    B = "B"
-
-
-#: The (phi, case) of each family image, in the order ``image_ids`` lists
-#: them: case A first, phi in ``ALL_PERMS`` order.
-IMAGE_WITNESSES: tuple[tuple[int, IsoCase], ...] = tuple(
-    (phi, case) for case in IsoCase for phi in range(len(ALL_PERMS))
-)
-
-
-def spec_id(perm: int, axis: int) -> int:
-    """The integer id of the spec with skew permutation ``perm`` over
-    ``axis``, in either family: ``perm`` times the census size, plus the
-    axis's census position."""
-    return perm * len(enumerate_labelings()) + axis
-
-
-def image_ids(family: SkewFamily, sid: int) -> list[int]:
-    """The ids of the 48 specs the family criteria relate to the spec with
-    id ``sid`` in ``family``, in the order of ``IMAGE_WITNESSES``.
+def image_ids(s: int) -> list[int]:
+    """The 48 specs the family criteria relate to spec ``s``, all in its
+    family, by witness.
 
     Two specs of the plain family are related by its criterion exactly
     when a center-fixing isomorphism joins their structures, and two
@@ -228,33 +216,35 @@ def image_ids(family: SkewFamily, sid: int) -> list[int]:
     and phi in S4, case A gives (phi sigma phi^-1, extend(phi) N) and
     case B gives (phi sigma^-1 phi^-1, extend(phi sigma) N), with the
     complement involution also applied to case B's axis in the
-    boolean-complementing family.  The first (phi, case) whose image is a
-    given spec is the first witness of a scan over S4.
+    boolean-complementing family.  The first witness whose image is a
+    given spec is the first of a scan over S4.
     """
     (comp, inv, conj), act = s4_tables(), action_table()
-    n = len(enumerate_labelings())
-    sigma, axis = divmod(sid, n)
+    family, sigma, axis = decode_spec(s)
+    base = encode_spec(family, 0, 0)
     sigma_inv = inv[sigma]
-    ids = [c[sigma] * n + row[axis] for c, row in zip(conj, act)]
-    rows = act[24:] if family is SkewFamily.PERM_KAPPA else act
-    ids += [c[sigma_inv] * n + rows[p[sigma]][axis] for c, p in zip(conj, comp)]
+    ids = [base + c[sigma] * _AXES + row[axis] for c, row in zip(conj, act)]
+    rows = act[_PERMS:] if family == KAPPA else act
+    ids += [base + c[sigma_inv] * _AXES + rows[p[sigma]][axis] for c, p in zip(conj, comp)]
     return ids
 
 
-def image_perm(s: PerspectiveSpec, phi: int, case: IsoCase) -> tuple[int, ...]:
-    """The point map that carries the structure of ``s`` onto that of its
-    family image under (phi, case), on the frame's indices, center fixed.
+def image_perm(s: int, w: int) -> tuple[int, ...]:
+    """The point map that carries the structure of spec ``s`` onto that of
+    its image under witness ``w``, on the frame's indices, center fixed.
 
     Case A keeps the tetrahedra: a_i -> a_phi(i), b_i -> b_phi(i) and
     c_u -> c_extend(phi)(u).  Case B swaps them: a_i -> b_phi(i),
     b_i -> a_phi(i), and the c points follow extend(phi sigma), then the
     complement involution in the boolean-complementing family.  The c
     points always follow the pair map that moves the axis."""
-    if case is IsoCase.A:
+    case_b, phi = divmod(w, _PERMS)
+    if not case_b:
         a_to, b_to, pairs = _A, _B, EXTEND[phi]
     else:
-        a_to, b_to, pairs = _B, _A, EXTEND[s4_tables()[0][phi][s.perm]]
-        if s.family is SkewFamily.PERM_KAPPA:
+        family, sigma, _ = decode_spec(s)
+        a_to, b_to, pairs = _B, _A, EXTEND[s4_tables()[0][phi][sigma]]
+        if family == KAPPA:
             pairs = tuple(pairs[k] for k in CORRELATION)
     m = list(range(len(POINTS)))  # every entry but the center's is set below
     for a, b, k in zip(_A, _B, ALL_PERMS[phi]):
@@ -288,24 +278,21 @@ def axis_token(axis: int) -> str:
     return f"census:{rank[1]}"
 
 
-def spec_text(spec: PerspectiveSpec) -> str:
-    return (
-        f"{spec.family.value}:{render_cycles(spec.perm)}"
-        f"@{axis_token(spec.axis)}"
-    )
+def spec_text(s: int) -> str:
+    family, perm, axis = decode_spec(s)
+    return f"{FAMILIES[family]}:{render_cycles(perm)}@{axis_token(axis)}"
 
 
-def parse_spec_text(text: str, load_axis=None) -> PerspectiveSpec:
-    """Parse spec text.  ``load_axis`` resolves axis tokens that are neither
-    kind names nor census indices (the CLI passes a file reader); without it
-    such tokens are an error."""
+def parse_spec_text(text: str, load_axis=None) -> int:
+    """Parse spec text to a spec.  ``load_axis`` resolves axis tokens that
+    are neither kind names nor census indices (the CLI passes a file
+    reader); without it such tokens are an error."""
     fam_text, sep, rest = text.partition(":")
     fam_text = fam_text.strip()
-    if not sep or fam_text not in ("perm", "kappa"):
+    if not sep or fam_text not in FAMILIES:
         raise ValueError(
             f"bad spec {text!r}: expected 'perm:<cycles>@<axis>' or 'kappa:<cycles>@<axis>'"
         )
-    family = SkewFamily.PERM if fam_text == "perm" else SkewFamily.PERM_KAPPA
     cyc_text, sep, axis_text = rest.partition("@")
     axis_text = axis_text.strip()
     if not sep or not axis_text:
@@ -317,9 +304,8 @@ def parse_spec_text(text: str, load_axis=None) -> PerspectiveSpec:
         m = _CENSUS_TOKEN.match(axis_text)
         if m:
             axis = int(m.group(1))
-            n = len(enumerate_labelings())
-            if axis >= n:
-                raise ValueError(f"census index {axis} out of range 0..{n - 1}")
+            if axis >= _AXES:
+                raise ValueError(f"census index {axis} out of range 0..{_AXES - 1}")
         elif load_axis is not None:
             axis = load_axis(axis_text)
         else:
@@ -327,4 +313,4 @@ def parse_spec_text(text: str, load_axis=None) -> PerspectiveSpec:
                 f"unknown axis kind {axis_text!r} "
                 f"(expected one of {', '.join(_KIND_BY_NAME)} or census:<n>)"
             )
-    return PerspectiveSpec(family, perm, axis)
+    return encode_spec(FAMILIES.index(fam_text), perm, axis)

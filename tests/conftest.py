@@ -16,7 +16,7 @@ from skewpersp.classify import (
     partition_into_classes,
 )
 from skewpersp.iso import _canonical_search, _pack_shift, _pasch_seed, _rank_raw, _signatures, orbit_label
-from skewpersp.perspective import CENTER_INDEX, IMAGE_WITNESSES, PerspectiveSpec, SkewFamily, image_ids, spec_id
+from skewpersp.perspective import CENTER_INDEX, KAPPA, PERM, image_ids
 from skewpersp.psts import Psts, _free_cliques
 from skewpersp.veblen import PAIR_NAMES, enumerate_labelings
 
@@ -55,12 +55,11 @@ def searched_record(s):
 
 
 def family_images(s):
-    """The 48 specs the family criteria relate to ``s``, as ((phi, case),
-    image) pairs in the order of ``IMAGE_WITNESSES``: its image ids read
-    back as specs."""
-    n = len(enumerate_labelings())
-    for w, k in zip(IMAGE_WITNESSES, image_ids(s.family, spec_id(s.perm, s.axis))):
-        yield w, PerspectiveSpec(s.family, *divmod(k, n))
+    """The 48 specs the family criteria relate to spec ``s``, as ((phi,
+    case), image) pairs in witness order: witness w is case "A" under
+    phi = w for w < 24, case "B" under phi = w - 24."""
+    for w, image in enumerate(image_ids(s)):
+        yield (w % 24, "AB"[w // 24]), image
 
 
 def reference_refine_pair(a, ca, b, cb):
@@ -168,12 +167,12 @@ def axes():
 
 @pytest.fixture(scope="session")
 def perm_specs(axes):
-    return enumerate_family(SkewFamily.PERM, axes)
+    return enumerate_family(PERM, axes)
 
 
 @pytest.fixture(scope="session")
 def kappa_specs(axes):
-    return enumerate_family(SkewFamily.PERM_KAPPA, axes)
+    return enumerate_family(KAPPA, axes)
 
 
 @pytest.fixture(scope="session")

@@ -77,8 +77,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "carried-record-names-the-member",
         "src/skewpersp/classify.py",
-        "return self._records[(source.family, spec_id(source.perm, source.axis))]",
-        "return self._records[(source.family, spec_id(source.perm, source.axis))]._replace(source=spec)",
+        "return self._records[source]",
+        "return self._records[source]._replace(source=spec)",
         (
             "tests/test_classify.py::TestWitnessRefutations::test_refinement_refutes_before_backtracking[census]",
             "tests/test_classify.py::TestWitnessRefutations::test_refinement_refutes_before_backtracking[canonical]",
@@ -224,6 +224,7 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_veblen.py::TestVeblenConfig::test_rejects_wrong_line_count",
             "tests/test_veblen.py::TestVeblenConfig::test_rejects_bad_degrees",
             "tests/test_veblen.py::TestVeblenConfig::test_rejects_repeated_lines",
+            "tests/test_cli.py::TestBuild::test_axis_file_is_no_labeling",
         ),
     ),
     Mutant(
@@ -234,6 +235,23 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             "tests/test_indices.py::TestCycleText::test_malformed_text",
             "tests/test_cli.py::TestErrors::test_spec_text_takes_ascii_digits_only[arabic-indic-cycle]",
+        ),
+    ),
+    Mutant(
+        "theorem-verdict-always-mismatch",
+        "src/skewpersp/classify.py",
+        "ok = distinct and not problems and len(classes) == published_count and not unmatched",
+        "ok = False",
+        ("tests/test_mismatch_causes.py::test_the_audit_accepts_the_corrected_publication",),
+    ),
+    Mutant(
+        "image-ids-without-family-base",
+        "src/skewpersp/perspective.py",
+        "base = encode_spec(family, 0, 0)",
+        "base = 0",
+        (
+            "tests/test_iso.py::TestFamilyTables::test_images_match_the_object_level_reference",
+            "tests/test_classify.py::TestAudit::test_verdicts",
         ),
     ),
     Mutant(

@@ -29,9 +29,10 @@ from skewpersp.indices import ALL_PERMS, CORRELATION, EXTEND, PAIRS, parse_cycle
 from skewpersp.iso import automorphism_group, find_isomorphism
 from skewpersp.perspective import (
     CENTER_INDEX,
-    PerspectiveSpec,
-    SkewFamily,
+    KAPPA,
+    PERM,
     build,
+    encode_spec,
     predicted_free_k5,
     spec_text,
 )
@@ -64,10 +65,10 @@ def _match(finding) -> bool:
 
 def test_criterion_01_construction_validity(census):
     bad = []
-    for family in (SkewFamily.PERM, SkewFamily.PERM_KAPPA):
+    for family in (PERM, KAPPA):
         for perm in range(len(ALL_PERMS)):
             for axis in census:
-                spec = PerspectiveSpec(family, perm, axis)
+                spec = encode_spec(family, perm, axis)
                 if not validate_configuration(build(spec), 4):
                     bad.append(spec_text(spec))
     total = 2 * len(ALL_PERMS) * len(census)
@@ -254,14 +255,14 @@ def test_criterion_09_published_complementing_class_count(kappa_classes):
 def test_criterion_10_plain_family_vs_listed_entries(census_audit, perm_classes, axes):
     # (a) the computed partition is stable: a fresh run reproduces the same
     # class keys in the same order
-    fresh = partition_into_classes(enumerate_family(SkewFamily.PERM, axes))
+    fresh = partition_into_classes(enumerate_family(PERM, axes))
     stable = [c.key for c in fresh] == [c.key for c in perm_classes] and len(fresh) == 43
 
     # (b) the 42 listed entries land in 42 distinct computed classes
     class_keys = {c.key for c in perm_classes}
     entry_keys = []
     for _, kind, cyc in THEOREM_3_4_ENTRIES:
-        spec = PerspectiveSpec(SkewFamily.PERM, parse_cycles(cyc), canonical(kind))
+        spec = encode_spec(PERM, parse_cycles(cyc), canonical(kind))
         entry_keys.append(canonical_key(build(spec)))
     entries_ok = (
         len(THEOREM_3_4_ENTRIES) == 42
@@ -273,7 +274,7 @@ def test_criterion_10_plain_family_vs_listed_entries(census_audit, perm_classes,
     # to every listed entry
     unmatched = [c for c in perm_classes if c.key not in set(entry_keys)]
     entry_builds = [
-        build(PerspectiveSpec(SkewFamily.PERM, parse_cycles(cyc), canonical(kind)))
+        build(encode_spec(PERM, parse_cycles(cyc), canonical(kind)))
         for _, kind, cyc in THEOREM_3_4_ENTRIES
     ]
     witnessed = all(

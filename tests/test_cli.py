@@ -123,6 +123,15 @@ class TestBuild:
         assert code == EX_DATAERR
         assert "bad axis file" in err
 
+    def test_axis_file_is_no_labeling(self, capsys, tmp_path):
+        """A well-formed PSTS on the six pair points, three of the four
+        tops, is bad data, not read as some labeling."""
+        bad = tmp_path / "tops.psts"
+        bad.write_text("psts 6 3\nc12 c13 c14 c23 c24 c34\nc12 c14 c24\nc13 c14 c34\nc23 c24 c34\n")
+        code, out, err = run(capsys, "build", f"perm:id@{bad}")
+        assert (code, out) == (EX_DATAERR, "")
+        assert err.startswith(f"error: bad axis file {bad}: not one of the 30 labelings")
+
 
 # ---------------------------------------------------------------- census
 

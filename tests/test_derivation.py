@@ -1,10 +1,10 @@
 """The paper's objects re-derived from their definitions, with no package
 code: so far the permutations of S4 with their composition, inverse and
 conjugation, the six edges of the tetrahedron, their complements, the
-edge maps of S4, the 48 skews and the 30 labelings of the Veblen
-configuration by the edges.  Only the final comparison imports the
-package, so a fault shared by the package's algebra and its tests cannot
-hide here."""
+edge maps of S4, the 48 skews, the 30 labelings of the Veblen
+configuration by the edges and the lines of all 1,440 perspectives.  Only
+the final comparison imports the package, so a fault shared by the
+package's algebra and its tests cannot hide here."""
 
 import itertools
 
@@ -85,6 +85,31 @@ def moved(labeling: tuple[tuple[int, ...], ...], images: tuple[int, ...]) -> tup
     return tuple(sorted(tuple(sorted(images[e] for e in line)) for line in labeling))
 
 
+def c(e: frozenset) -> str:
+    """The name of the axis point on edge ``e``: c12, c13, ..., c34."""
+    return "c%d%d" % ends(e)
+
+
+def perspectives() -> list[set[frozenset[str]]]:
+    """The lines of every perspective, by point names, at ``skew * 30 +
+    axis``: skew k < 24 is the edge map of ``PERMS[k]``, skew 24 + k that
+    map followed by the complement, and axis v the v-th of ``labelings``.
+    A skew delta over a labeling N has the axis lines of N, the a-joins
+    {a_i, a_j, c_ij}, the b-joins {b_i, b_j, c_u} with u = delta^-1({i, j})
+    and the centre lines {p, a_i, b_i}."""
+    cor = complements()
+    edge_maps = [induced()[p] for p in PERMS]
+    fixed = {frozenset({c(e), *(f"a{i}" for i in e)}) for e in EDGES}
+    fixed |= {frozenset({"p", f"a{i}", f"b{i}"}) for i in INDICES}
+    axes = [{frozenset(c(EDGES[e]) for e in line) for line in labeling} for labeling in labelings()]
+    out = []
+    for delta in edge_maps + [tuple(cor[k] for k in m) for m in edge_maps]:
+        # delta carries the edge on the b-join of edge u onto u
+        joins = {frozenset({c(EDGES[delta.index(u)]), *(f"b{i}" for i in e)}) for u, e in enumerate(EDGES)}
+        out += [fixed | joins | axis for axis in axes]
+    return out
+
+
 def test_the_group_tables_are_a_group():
     comp, inv, conj = group_tables()
     identity = PERMS.index(INDICES)
@@ -104,6 +129,15 @@ def test_48_skews_of_which_24_are_induced():
     assert complements() in set(found) - plain
 
 
+def test_1440_perspectives_of_20_lines_on_15_points():
+    found = perspectives()
+    assert len(found) == 1440
+    for lines in found:
+        assert len(lines) == 20 and all(len(line) == 3 for line in lines)
+        points = sorted(x for line in lines for x in line)
+        assert [len(list(g)) for _, g in itertools.groupby(points)] == [4] * 15
+
+
 def test_30_labelings_closed_under_the_48_skews():
     found = labelings()
     assert len(found) == len(set(found)) == 30
@@ -121,8 +155,10 @@ def test_they_are_the_maps_of_the_action_table():
     induced ones as rows 0-23 and the others as rows 24-47; the 48 rows
     are distinct, so the table holds each skew exactly once.  Row k is the
     edge map of permutation k, and row 24 + k that map followed by the
-    complement."""
+    complement.  The structure the package builds at each spec position
+    has exactly the derived lines of that perspective, by point names."""
     from skewpersp.indices import ALL_PERMS, CORRELATION, EXTEND, PAIRS, s4_tables
+    from skewpersp.perspective import build
     from skewpersp.veblen import PAIR_NAMES, action_table, enumerate_labelings
 
     assert list(ALL_PERMS) == PERMS
@@ -130,7 +166,7 @@ def test_they_are_the_maps_of_the_action_table():
     assert PAIRS == tuple(ends(e) for e in EDGES)
     assert CORRELATION == complements()
     assert dict(zip(ALL_PERMS, EXTEND)) == induced()
-    assert PAIR_NAMES == tuple("c%d%d" % ends(e) for e in EDGES)
+    assert PAIR_NAMES == tuple(map(c, EDGES))
 
     derived = labelings()
     assert list(enumerate_labelings()) == derived
@@ -148,3 +184,5 @@ def test_they_are_the_maps_of_the_action_table():
     cor = complements()
     assert [row(m) for m in edge_maps] == list(table[:24])
     assert [row(tuple(cor[k] for k in m)) for m in edge_maps] == list(table[24:])
+    for s, lines in enumerate(perspectives()):
+        assert set(map(frozenset, build(s).lines)) == lines, s

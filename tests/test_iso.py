@@ -49,17 +49,17 @@ from skewpersp.iso import (
 from skewpersp.perspective import (
     CENTER,
     CENTER_INDEX,
+    KAPPA,
+    PERM,
     POINTS,
-    IsoCase,
-    PerspectiveSpec,
-    SkewFamily,
     a_name,
     b_name,
     build,
     c_name,
+    decode_spec,
+    encode_spec,
     image_perm,
     parse_spec_text,
-    spec_id,
     spec_text,
 )
 from skewpersp.psts import Psts, to_text
@@ -720,7 +720,7 @@ class TestAutomorphismGroup:
             assert all(iso._is_isomorphism(s, s, g) for g in gens)
 
     def test_kappa_census_orders_match_enumeration(self, census):
-        specs = enumerate_family(SkewFamily.PERM_KAPPA, tuple(census))
+        specs = enumerate_family(KAPPA, tuple(census))
         assert len(specs) == 720
         for spec in specs:
             s = build(spec)
@@ -1172,19 +1172,16 @@ def perm_family_iso(s1, s2):
     """The plain family's criterion for one pair of specs: the first
     witness (phi, case) of ``family_images`` whose image is s2, or None,
     which means no center-fixing isomorphism exists."""
-    if s1.family is not SkewFamily.PERM or s2.family is not SkewFamily.PERM:
-        raise ValueError("perm_family_iso expects two PERM-family specs")
+    if decode_spec(s1)[0] != PERM or decode_spec(s2)[0] != PERM:
+        raise ValueError("perm_family_iso expects two plain-family specs")
     return next((w for w, image in family_images(s1) if image == s2), None)
 
 
 def kappa_family_iso(s1, s2):
     """The boolean-complementing family's criterion for one pair of specs,
     as in ``perm_family_iso``; None means no isomorphism exists."""
-    if (
-        s1.family is not SkewFamily.PERM_KAPPA
-        or s2.family is not SkewFamily.PERM_KAPPA
-    ):
-        raise ValueError("kappa_family_iso expects two PERM_KAPPA-family specs")
+    if decode_spec(s1)[0] != KAPPA or decode_spec(s2)[0] != KAPPA:
+        raise ValueError("kappa_family_iso expects two kappa-family specs")
     return next((w for w, image in family_images(s1) if image == s2), None)
 
 
@@ -1192,13 +1189,13 @@ class TestPermFamilyCriterion:
     def test_self_witness(self, perm_specs):
         for spec in perm_specs[:6]:
             w = perm_family_iso(spec, spec)
-            assert w == (IDENTITY, IsoCase.A)
+            assert w == (IDENTITY, "A")
 
     def test_inverse_pair_merges_in_case_b(self):
         s1 = parse_spec_text("perm:(1,2,4)@V5")
         s2 = parse_spec_text("perm:(1,4,2)@V5")
         w = perm_family_iso(s1, s2)
-        assert w is not None and w[1] is IsoCase.B
+        assert w is not None and w[1] == "B"
 
     def test_known_non_isomorphic_pair(self):
         s1 = parse_spec_text("perm:(1,2)@B2")
@@ -1225,7 +1222,7 @@ class TestKappaFamilyCriterion:
     def test_self_witness(self, kappa_specs):
         for spec in kappa_specs[:6]:
             w = kappa_family_iso(spec, spec)
-            assert w == (IDENTITY, IsoCase.A)
+            assert w == (IDENTITY, "A")
 
     def test_agrees_with_oracle_on_sample(self, kappa_specs):
         sample = kappa_specs[:16]
@@ -1250,7 +1247,7 @@ class TestKappaFamilyCriterion:
             for kind in CanonicalKind
         ):
             w = kappa_family_iso(s1, spec2)
-            if w is not None and w[1] is IsoCase.B:
+            if w is not None and w[1] == "B":
                 break
         else:
             pytest.fail("no case-B witness across the canonical axes")
@@ -1315,9 +1312,10 @@ def reference_family_iso(s1, s2, conditions):
     """A criterion as two literal scans over S4, case A first: the first
     phi of the skews' ``conditions`` whose pair map carries the axis of s1
     onto that of s2."""
-    for case, candidates in zip(IsoCase, conditions):
+    axis1, axis2 = decode_spec(s1)[2], decode_spec(s2)[2]
+    for case, candidates in zip("AB", conditions):
         for phi, m in candidates:
-            if move(s1.axis, m) == s2.axis:
+            if move(axis1, m) == axis2:
                 return phi, case
     return None
 
@@ -1346,7 +1344,7 @@ class TestFamilyImages:
             for w, image in family_images(s1):
                 first.setdefault(image, w)
             for s2 in specs:
-                skews = (s1.perm, s2.perm)
+                skews = (decode_spec(s1)[1], decode_spec(s2)[1])
                 if skews not in by_skews:
                     by_skews[skews] = conditions(*skews)
                 expected = reference_family_iso(s1, s2, by_skews[skews])
@@ -1360,17 +1358,17 @@ class TestFamilyImages:
     def test_images_in_scan_order(self, perm_specs, kappa_specs):
         for spec in (perm_specs[7], kappa_specs[7]):
             witnesses = [w for w, _ in family_images(spec)]
-            assert witnesses == [(phi, case) for case in IsoCase for phi in PERMS]
+            assert witnesses == [(phi, case) for case in "AB" for phi in PERMS]
 
     def test_image_point_maps_are_isomorphisms(self, census):
         # both cases of both families, over canonical and census axes: each
         # index map is the name-level formula's, and a bijection that
         # carries the lines onto the lines, compared by name
-        for family in SkewFamily:
+        for family in (PERM, KAPPA):
             for spec in enumerate_family(family, tuple(census))[::60]:
                 s = build(spec)
-                for (phi, case), image in family_images(spec):
-                    perm = image_perm(spec, phi, case)
+                for w, ((phi, case), image) in enumerate(family_images(spec)):
+                    perm = image_perm(spec, w)
                     assert sorted(perm) == list(range(len(POINTS)))
                     m = {POINTS[i]: POINTS[j] for i, j in enumerate(perm)}
                     assert m == reference_image_point_map(spec, phi, case)
@@ -1384,11 +1382,12 @@ def reference_image_point_map(s, phi, case):
     names as the criterion states it: the reference for ``image_perm``.
     Case A keeps the tetrahedra and case B swaps them; the c points follow
     the pair map that moves the axis."""
-    if case is IsoCase.A:
+    family, sigma, _ = decode_spec(s)
+    if case == "A":
         a_to, b_to, pairs = a_name, b_name, EXTEND[phi]
     else:
-        a_to, b_to, pairs = b_name, a_name, EXTEND[after(phi, s.perm)]
-        if s.family is SkewFamily.PERM_KAPPA:
+        a_to, b_to, pairs = b_name, a_name, EXTEND[after(phi, sigma)]
+        if family == KAPPA:
             pairs = tuple(pairs[k] for k in CORRELATION)
     m = {CENTER: CENTER}
     for i in INDICES:
@@ -1400,30 +1399,31 @@ def reference_image_point_map(s, phi, case):
 
 
 def reference_family_images(s):
-    """The family images of ``s`` computed on spec objects, with the
-    permutations composed on their image tuples and the axes moved by
-    ``veblen.apply``: the reference for the integer tables."""
-    family, sigma, axis = s.family, s.perm, s.axis
+    """The family images of spec ``s`` computed from its (family, perm,
+    axis), with the permutations composed on their image tuples and the
+    axes moved by ``veblen.apply``: the reference for the integer tables."""
+    family, sigma, axis = decode_spec(s)
     for phi in PERMS:
-        yield (phi, IsoCase.A), PerspectiveSpec(family, conjugate(sigma, phi), move(axis, EXTEND[phi]))
+        yield (phi, "A"), encode_spec(family, conjugate(sigma, phi), move(axis, EXTEND[phi]))
     sigma_inv = inverse(sigma)
     for phi in PERMS:
         image = move(axis, EXTEND[after(phi, sigma)])
-        if family is SkewFamily.PERM_KAPPA:
+        if family == KAPPA:
             image = move(image, CORRELATION)
-        yield (phi, IsoCase.B), PerspectiveSpec(family, conjugate(sigma_inv, phi), image)
+        yield (phi, "B"), encode_spec(family, conjugate(sigma_inv, phi), image)
 
 
 class TestFamilyTables:
     def test_images_match_the_object_level_reference(self, census):
-        specs = [*enumerate_family(SkewFamily.PERM, census), *enumerate_family(SkewFamily.PERM_KAPPA, census)]
+        specs = [*enumerate_family(PERM, census), *enumerate_family(KAPPA, census)]
         assert len(specs) == 1440
         for s in specs:
             assert list(family_images(s)) == list(reference_family_images(s)), spec_text(s)
 
     def test_ids_round_trip(self, census):
-        ids = [spec_id(phi, v) for phi in PERMS for v in census]
-        assert ids == list(range(len(ALL_PERMS) * len(census)))
+        fields = [(family, phi, v) for family in (PERM, KAPPA) for phi in PERMS for v in census]
+        assert [encode_spec(*f) for f in fields] == list(range(len(fields)))
+        assert [decode_spec(s) for s in range(len(fields))] == fields
 
 
 class TestApply:

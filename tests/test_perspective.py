@@ -1,6 +1,7 @@
 """Perspective construction, predictions, and spec text."""
 
 import gc
+import hashlib
 import tracemalloc
 
 import pytest
@@ -15,16 +16,19 @@ from skewpersp.perspective import (
     B_NAMES,
     C_NAMES,
     CENTER,
+    KAPPA,
+    PERM,
     POINTS,
-    PerspectiveSpec,
-    SkewFamily,
     a_name,
     axis_token,
     b_name,
     build,
     c_name,
+    decode_spec,
+    encode_spec,
     parse_spec_text,
     predicted_free_k5,
+    sort_key,
     spec_text,
 )
 from skewpersp import psts
@@ -33,11 +37,11 @@ from skewpersp.veblen import CanonicalKind, canonical
 
 perms = st.sampled_from(range(len(ALL_PERMS)))
 kinds = st.sampled_from(tuple(CanonicalKind))
-families = st.sampled_from(tuple(SkewFamily))
+families = st.sampled_from((PERM, KAPPA))
 
 
 def spec_of(family, perm, axis_kind):
-    return PerspectiveSpec(family, perm, canonical(axis_kind))
+    return encode_spec(family, perm, canonical(axis_kind))
 
 
 class TestBuild:
@@ -48,26 +52,26 @@ class TestBuild:
         assert (len(s.points), len(s.lines)) == (15, 20)
 
     def test_point_roster(self):
-        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2))
+        s = build(spec_of(PERM, IDENTITY, CanonicalKind.G2))
         assert set(s.points) == {CENTER, *A_NAMES, *B_NAMES, *C_NAMES}
 
     def test_center_lines(self):
-        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2))
+        s = build(spec_of(PERM, IDENTITY, CanonicalKind.G2))
         for i in (1, 2, 3, 4):
             assert third_point(s, a_name(i), b_name(i)) == CENTER
 
     def test_a_side_joins_are_fixed(self):
-        s = build(spec_of(SkewFamily.PERM_KAPPA, IDENTITY, CanonicalKind.V5))
+        s = build(spec_of(KAPPA, IDENTITY, CanonicalKind.V5))
         for u, (i, j) in enumerate(PAIRS):
             assert third_point(s, a_name(i), a_name(j)) == c_name(u)
 
     def test_identity_b_side(self):
-        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2))
+        s = build(spec_of(PERM, IDENTITY, CanonicalKind.G2))
         assert third_point(s, "b1", "b2") is not None
         assert third_point(s, "b1", "b2") == "c12"
 
     def test_kappa_b_side_is_complemented(self):
-        s = build(spec_of(SkewFamily.PERM_KAPPA, IDENTITY, CanonicalKind.G2))
+        s = build(spec_of(KAPPA, IDENTITY, CanonicalKind.G2))
         for u, (i, j) in enumerate(PAIRS):
             assert third_point(s, b_name(i), b_name(j)) == c_name(CORRELATION[u])
 
@@ -100,12 +104,12 @@ class TestBuild:
         a fifth of them, so neither step lists line partners."""
         listed = []
         monkeypatch.setattr(psts, "_partners", lambda *args: listed.append(args))
-        specs = [*enumerate_family(SkewFamily.PERM, census), *enumerate_family(SkewFamily.PERM_KAPPA, census)]
+        specs = [*enumerate_family(PERM, census), *enumerate_family(KAPPA, census)]
         assert all(validate_configuration(build(spec), 4) for spec in specs)
         assert listed == []
 
     def test_frame_path_matches_the_name_level_constructor(self, census):
-        specs = [*enumerate_family(SkewFamily.PERM, census), *enumerate_family(SkewFamily.PERM_KAPPA, census)]
+        specs = [*enumerate_family(PERM, census), *enumerate_family(KAPPA, census)]
         assert len(specs) == 1440
         for spec in specs:
             s = build(spec)
@@ -118,12 +122,12 @@ class TestBJoin:
     """The line through b_i and b_j meets the axis in c_u, u = delta^-1({i,j})."""
 
     def test_identity_skew(self):
-        s = build(spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2))
+        s = build(spec_of(PERM, IDENTITY, CanonicalKind.G2))
         for u, (i, j) in enumerate(PAIRS):
             assert third_point(s, b_name(i), b_name(j)) == c_name(u)
 
     def test_three_cycle(self):
-        s = build(spec_of(SkewFamily.PERM, parse_cycles("(2,3,4)"), CanonicalKind.G2))
+        s = build(spec_of(PERM, parse_cycles("(2,3,4)"), CanonicalKind.G2))
         assert third_point(s, "b1", "b2") == c_name(PAIRS.index((1, 4)))
 
     @given(families, perms, st.sampled_from(range(len(PAIRS))))
@@ -131,14 +135,14 @@ class TestBJoin:
         spec = spec_of(family, perm, CanonicalKind.B2)
         s = build(spec)
         delta = EXTEND[perm]
-        if family is SkewFamily.PERM_KAPPA:
+        if family == KAPPA:
             delta = tuple(delta[k] for k in CORRELATION)
         assert third_point(s, *map(b_name, PAIRS[u])) == c_name(delta.index(u))
 
 
 class TestPredictedFreeK5:
     def test_identity_over_four_tops(self):
-        spec = spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)
+        spec = spec_of(PERM, IDENTITY, CanonicalKind.G2)
         predicted = {frozenset(POINTS[i] for i in f) for f in predicted_free_k5(spec)}
         assert len(predicted) == 6
         assert frozenset((CENTER, *A_NAMES)) in predicted
@@ -149,17 +153,17 @@ class TestPredictedFreeK5:
 
     def test_fixed_point_free_skew(self):
         for kind in CanonicalKind:
-            spec = spec_of(SkewFamily.PERM, parse_cycles("(1,2)(3,4)"), kind)
+            spec = spec_of(PERM, parse_cycles("(1,2)(3,4)"), kind)
             assert len(predicted_free_k5(spec)) == 2
 
     @given(perms, kinds)
     def test_agrees_with_oracle_perm(self, perm, kind):
-        spec = spec_of(SkewFamily.PERM, perm, kind)
+        spec = spec_of(PERM, perm, kind)
         assert predicted_free_k5(spec) == _free_cliques(build(spec), 5)
 
     @given(perms, kinds)
     def test_agrees_with_oracle_kappa(self, perm, kind):
-        spec = spec_of(SkewFamily.PERM_KAPPA, perm, kind)
+        spec = spec_of(KAPPA, perm, kind)
         predicted = predicted_free_k5(spec)
         assert len(predicted) == 2
         assert predicted == _free_cliques(build(spec), 5)
@@ -173,19 +177,16 @@ class TestSpecText:
 
     def test_examples(self):
         spec = parse_spec_text("perm:(1,2)(3,4)@B2")
-        assert spec.family is SkewFamily.PERM
-        assert spec.perm == parse_cycles("(1,2)(3,4)")
-        assert spec.axis == canonical(CanonicalKind.B2)
+        assert decode_spec(spec) == (PERM, parse_cycles("(1,2)(3,4)"), canonical(CanonicalKind.B2))
         spec = parse_spec_text("kappa:id@G2")
-        assert spec.family is SkewFamily.PERM_KAPPA
-        assert spec.perm == IDENTITY
+        assert decode_spec(spec)[:2] == (KAPPA, IDENTITY)
 
     def test_census_token_round_trip(self, census):
         for k in (0, 7, 29):
-            spec = parse_spec_text(f"kappa:id@census:{k}")
-            assert spec.axis == census[k]
+            axis = decode_spec(parse_spec_text(f"kappa:id@census:{k}"))[2]
+            assert axis == census[k]
             # canonical kinds render by name, the rest by census index
-            assert axis_token(spec.axis) in {f"census:{k}"} | {
+            assert axis_token(axis) in {f"census:{k}"} | {
                 kind.value for kind in CanonicalKind
             }
 
@@ -221,16 +222,25 @@ class TestSpecText:
 
         spec = parse_spec_text("perm:id@/tmp/axis.psts", load_axis=load)
         assert calls == ["/tmp/axis.psts"]
-        assert spec.axis == census[3]
+        assert decode_spec(spec)[2] == census[3]
 
 
 class TestSortKey:
     def test_canonical_axes_rank_first(self, census):
-        canon = spec_of(SkewFamily.PERM, IDENTITY, CanonicalKind.G2)
-        other = PerspectiveSpec(SkewFamily.PERM, IDENTITY, census[10])
-        assert canon.sort_key() < other.sort_key()
+        canon = spec_of(PERM, IDENTITY, CanonicalKind.G2)
+        other = encode_spec(PERM, IDENTITY, census[10])
+        assert sort_key(canon) < sort_key(other)
 
     def test_deterministic_total_order(self, perm_specs):
-        keys = [s.sort_key() for s in perm_specs]
+        keys = [sort_key(s) for s in perm_specs]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+    def test_order_of_all_specs_is_pinned(self):
+        """Representatives and class ids follow this order, so it must not
+        move: family by name ("kappa" first), canonical-kind axes first,
+        then permutation and axis."""
+        texts = [spec_text(s) for s in sorted(range(2 * 24 * 30), key=sort_key)]
+        assert texts[:2] == ["kappa:id@G2", "kappa:id@G2_STAR"]
+        assert texts[-1] == "perm:(1,4)(2,3)@census:29"
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:12] == "f531eb4ebdaf"
